@@ -5,8 +5,8 @@ Three mutually cross-validating computational paths:
 - ``closedform``: exact closed-form moments, currents, switch classification,
   and rectification for the two-cavity system;
 - ``moments``: direct linear solve and time integration of the closed
-  moment equations (two cavities), and ``chain`` for N-cavity arrays via the
-  block equation of motion;
+  moment equations (two cavities), and ``chain`` for N-cavity arrays via one
+  Lyapunov equation per atomic sector;
 - ``fockspace``: a brute-force Lindbladian oracle on a truncated Fock space.
 
 ``cli`` exposes named sweep experiments with CSV/JSON output.

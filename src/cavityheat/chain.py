@@ -1,4 +1,4 @@
-"""Steady state of an N-cavity chain via the block equation of motion.
+"""Steady state of an N-cavity chain, one Lyapunov equation per atomic sector.
 
 The 2N x 2N matrix of expectation values G = <A+ A>, with operator row
 A = (a_1, ..., a_N, a_1 sz, ..., a_N sz), evolves as
@@ -6,9 +6,17 @@ A = (a_1, ..., a_N, a_1 sz, ..., a_N sz), evolves as
     dG/dt = i [M1, G] + {M2, G} + M3
 
 with M1 collecting the chain Hamiltonian and the atom shift, M2 the boundary
-damping, and M3 the thermal drive. The steady state solves the vectorised
-linear system in the (2N)^2 entries of G; dense solves stay interactive for
-N up to a few tens.
+damping, and M3 the thermal drive. The atomic population is conserved, so the
+state is a mixture, with weights p_s = (1 + s sz)/2, of two atom-free sectors
+s = +-1 in which the host cavity is shifted by s chi. Each sector covariance
+C_s = <a_j+ a_k> solves one N x N Lyapunov equation
+
+    A_s C_s + C_s A_s+ = -Q,    A_s = i (h_c + s x) + D,
+
+with D the boundary damping and Q the thermal drive, by Bartels-Stewart in
+O(N^3) time and O(N^2) memory. G is then [[F, S], [S, F]] with
+F = sum_s p_s C_s and S = sum_s s p_s C_s, and is checked against the block
+equation above, which is built apart from the sector solve.
 """
 
 from __future__ import annotations
@@ -17,6 +25,7 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 import numpy as np
+import scipy.linalg as linalg
 
 from .model import ArraySystem, SolverError, validate
 
@@ -37,6 +46,12 @@ __all__ = [
 
 RESIDUAL_TOL = 1e-10
 HERMITICITY_TOL = 1e-10
+# a sector mode decaying slower than this, relative to ||A_s||, counts as
+# undamped: the Lyapunov equation then has no unique solution
+STABILITY_TOL = 1e-12
+# smallest eigenvalue of a sector covariance, relative to its largest, that
+# still counts as positive semidefinite
+POSITIVITY_TOL = 1e-10
 
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -64,6 +79,8 @@ class MomentMatrix:
     values: np.ndarray  # 2N x 2N complex
     n_sites: int
     sigma_z: float = 0.0
+    residual: float | None = None  # relative residual of the block equation, from the solve
+    positivity_margin: float | None = None  # smallest sector-covariance eigenvalue over the largest
 
     @property
     def field_block(self) -> np.ndarray:
@@ -117,36 +134,64 @@ def _motion(gen: BlockGenerators, g: np.ndarray) -> np.ndarray:
     return 1j * (gen.m1 @ g - g @ gen.m1) + gen.m2 @ g + g @ gen.m2 + gen.m3
 
 
-def steady_state_matrix(system: ArraySystem) -> MomentMatrix:
-    """Solve i [M1, G] + {M2, G} + M3 = 0 as a vectorised linear system."""
-    gen = build_generators(system)
-    d = 2 * system.n_sites
-    eye = np.eye(d)
-    # row-major vec(P G Q) = (P kron Q^T) vec(G); M1 is real symmetric and
-    # M2 diagonal, so no transposes survive
-    op = 1j * (np.kron(gen.m1, eye) - np.kron(eye, gen.m1)) + np.kron(gen.m2, eye) + np.kron(eye, gen.m2)
-    try:
-        vec = np.linalg.solve(op, -gen.m3.reshape(-1).astype(complex))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError("no unique steady state: vectorised chain generator is singular") from exc
-    g = vec.reshape(d, d)
+def _residual(gen: BlockGenerators, g: np.ndarray) -> float:
     norm_drive = np.linalg.norm(gen.m3)
-    if norm_drive > 0:
-        residual = np.linalg.norm(_motion(gen, g)) / norm_drive
-        if residual > RESIDUAL_TOL:
-            raise SolverError(f"chain steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL}")
+    res = np.linalg.norm(_motion(gen, g))
+    return float(res / norm_drive) if norm_drive > 0 else float(res)
+
+
+def _sector_covariance(h: np.ndarray, damping: np.ndarray, drive: np.ndarray) -> tuple[np.ndarray, float]:
+    """Solve A C + C A+ = -Q for one sector; return C and its positivity margin."""
+    a = 1j * h + np.diag(damping)
+    slowest = float(np.max(np.linalg.eigvals(a).real))
+    if not slowest < -STABILITY_TOL * np.linalg.norm(a):
+        raise SolverError(
+            f"no unique steady state: a chain mode is undamped (largest decay exponent {slowest:.3e})"
+        )
+    c = linalg.solve_continuous_lyapunov(a, -np.diag(drive).astype(complex))
+    eigenvalues = np.linalg.eigvalsh(c)
+    scale = float(np.max(np.abs(eigenvalues)))
+    margin = float(eigenvalues[0]) / scale if scale > 0 else 0.0
+    if not margin >= -POSITIVITY_TOL:
+        raise SolverError(f"sector covariance is not positive semidefinite (relative eigenvalue {margin:.3e})")
+    return c, margin
+
+
+def steady_state_matrix(system: ArraySystem) -> MomentMatrix:
+    """Solve i [M1, G] + {M2, G} + M3 = 0 as one Lyapunov equation per atomic sector."""
+    gen = build_generators(system)
+    n = system.n_sites
+    damping = np.diag(gen.m2)[:n]
+    drive = np.diag(gen.m3)[:n]
+    if system.atom is None:
+        sectors = [(1.0, 0.0)]
+    else:
+        sectors = [(0.5 * (1.0 + sign * system.sigma_z), sign) for sign in (1.0, -1.0)]
+    field = np.zeros((n, n), dtype=complex)
+    sz_block = np.zeros((n, n), dtype=complex)
+    margin = np.inf
+    for weight, sign in sectors:
+        if weight == 0.0:
+            continue
+        c, sector_margin = _sector_covariance(gen.h_c + sign * gen.x, damping, drive)
+        field += weight * c
+        sz_block += sign * weight * c
+        margin = min(margin, sector_margin)
+    g = np.block([[field, sz_block], [sz_block, field]])
+    residual = _residual(gen, g)
+    if not residual <= RESIDUAL_TOL:
+        raise SolverError(f"chain steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL}")
     hermiticity = np.linalg.norm(g - g.conj().T)
-    if hermiticity > HERMITICITY_TOL * max(1.0, np.linalg.norm(g)):
+    if not hermiticity <= HERMITICITY_TOL * max(1.0, np.linalg.norm(g)):
         raise SolverError(f"steady matrix is not Hermitian (deviation {hermiticity:.3e})")
-    return MomentMatrix(values=g, n_sites=system.n_sites, sigma_z=system.sigma_z)
+    return MomentMatrix(
+        values=g, n_sites=n, sigma_z=system.sigma_z, residual=residual, positivity_margin=margin
+    )
 
 
 def steady_residual_matrix(system: ArraySystem, g: MomentMatrix) -> float:
     """Relative Frobenius residual of a candidate steady matrix."""
-    gen = build_generators(system)
-    norm_drive = np.linalg.norm(gen.m3)
-    res = np.linalg.norm(_motion(gen, g.values))
-    return float(res / norm_drive) if norm_drive > 0 else float(res)
+    return _residual(build_generators(system), g.values)
 
 
 def array_current(system: ArraySystem, g: MomentMatrix) -> float:
@@ -223,7 +268,7 @@ def size_scan(
                 n_sites=int(n),
                 current=current,
                 ratio=current / baseline if baseline != 0 else float("nan"),
-                residual=steady_residual_matrix(system, g),
+                residual=g.residual,
             )
         )
     return points

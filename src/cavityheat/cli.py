@@ -232,7 +232,9 @@ def _reservoir(p: _Params, side: str, frequency: float) -> ReservoirSpec:
     occupation = 0.0
     if has_temp:
         temp = p.float_(f"temp_{side}")
-        if temp is not None and frequency is not None and frequency > 0 and temp >= 0:
+        if temp is not None and not (math.isfinite(temp) and temp >= 0):
+            p.errors.append(f"config: temp_{side} must be finite and non-negative, got {temp}")
+        elif temp is not None and frequency is not None and frequency > 0:
             occupation = bose_occupation(frequency, temp)
     else:
         occupation = p.float_(f"nbar_{side}", default=0.0)
@@ -290,8 +292,8 @@ def _sweep_values(p: _Params) -> np.ndarray:
     if not (math.isfinite(start) and math.isfinite(stop)):
         p.errors.append("config: sweep bounds must be finite")
         return np.array([])
-    if step <= 0:
-        p.errors.append(f"config: sweep_step must be positive, got {step}")
+    if not (math.isfinite(step) and step > 0):
+        p.errors.append(f"config: sweep_step must be positive and finite, got {step}")
         return np.array([])
     count = int(math.floor((stop - start) / step + 1e-9)) + 1
     if count < 2:
@@ -328,8 +330,7 @@ def _report_fields(report: closedform.CurrentReport) -> dict:
 
 def _moments_point(system: TwoCavitySystem):
     vector = moments.steady_state(system)
-    report = moments.currents_from_moments(system, vector)
-    return report, moments.steady_residual(system, vector)
+    return moments.currents_from_moments(system, vector), vector.residual
 
 
 def _solver_context(name: str, value) -> str:
@@ -453,7 +454,6 @@ def _profile(spec: SweepSpec) -> list[dict]:
     occupations = chain.occupation_profile(system, g)
     i_left = chain.array_current(system, g)
     i_right = chain.right_boundary_current(system, g)
-    residual = chain.steady_residual_matrix(system, g)
     return [
         _row(
             experiment=spec.experiment,
@@ -463,7 +463,7 @@ def _profile(spec: SweepSpec) -> list[dict]:
             i_right=i_right,
             site=site,
             occupation=occupations[site - 1],
-            residual=residual,
+            residual=g.residual,
         )
         for site in range(1, system.n_sites + 1)
     ]

@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .closedform import CurrentReport, _classification
-from .model import SolverError, TwoCavitySystem, validate
+from .model import SolverError, TwoCavitySystem, ValidationError, validate
 
 __all__ = [
     "FockConfig",
@@ -147,22 +147,22 @@ def thermal_state(n_levels: int, nbar: float) -> np.ndarray:
 
 def _check_config(system: TwoCavitySystem, cfg: FockConfig) -> None:
     if cfg.n_max < 1:
-        raise ValueError(f"n_max must be at least 1, got {cfg.n_max}")
+        raise ValidationError([f"fock: n_max must be at least 1, got {cfg.n_max}"])
     hot = max(system.left.mean_occupation, system.right.mean_occupation)
     tail = gibbs_tail_mass(cfg.n_max, hot)
-    if tail > cfg.tail_bound:
-        raise ValueError(
-            f"Gibbs tail mass {tail:.3e} beyond n_max={cfg.n_max} at nbar={hot} "
+    if not tail <= cfg.tail_bound:
+        raise ValidationError([
+            f"fock: Gibbs tail mass {tail:.3e} beyond n_max={cfg.n_max} at nbar={hot} "
             f"exceeds the bound {cfg.tail_bound:.1e}; raise n_max or the bound"
-        )
+        ])
 
 
 def _guard_dim(dim: int, cfg: FockConfig) -> None:
     if dim * dim > cfg.max_vectorized_dim:
-        raise ValueError(
-            f"vectorised space dimension {dim * dim} exceeds the guard "
+        raise ValidationError([
+            f"fock: vectorised space dimension {dim * dim} exceeds the guard "
             f"{cfg.max_vectorized_dim}; raise max_vectorized_dim to override"
-        )
+        ])
 
 
 def _destroy(n_levels: int) -> sp.csr_matrix:
@@ -320,20 +320,20 @@ def _sector_steady(system: TwoCavitySystem, cfg: FockConfig, sector: float | Non
     gen = _liouvillian_from(_sector_hamiltonian(system, cfg, sector), channels)
     rho = _null_state(gen, dim)
     residual = float(np.linalg.norm(gen @ rho.reshape(-1)))
-    if residual > STEADY_RESIDUAL_TOL:
+    if not residual <= STEADY_RESIDUAL_TOL:
         raise SolverError(f"steady-state residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL}")
     return rho, residual
 
 
 def _validate_state(rho: np.ndarray) -> None:
     hermiticity = np.linalg.norm(rho - rho.conj().T)
-    if hermiticity > HERMITICITY_TOL:
+    if not hermiticity <= HERMITICITY_TOL:
         raise SolverError(f"steady state is not Hermitian (deviation {hermiticity:.3e})")
     trace = np.trace(rho).real
-    if abs(trace - 1.0) > TRACE_TOL:
+    if not abs(trace - 1.0) <= TRACE_TOL:
         raise SolverError(f"steady state trace deviates from one by {abs(trace - 1.0):.3e}")
     smallest = float(np.linalg.eigvalsh(rho)[0])
-    if smallest < EIGENVALUE_FLOOR:
+    if not smallest >= EIGENVALUE_FLOOR:
         raise SolverError(f"steady state has negative eigenvalue {smallest:.3e}")
 
 

@@ -134,36 +134,51 @@ class ArraySystem:
         return self.atom.sigma_z if self.atom is not None else 0.0
 
 
+def _check(errs: list[str], label: str, value: float, ok, requirement: str) -> None:
+    """Append one message when ``value`` is NaN or infinite, or fails ``ok``."""
+    if not math.isfinite(value):
+        errs.append(f"{label} must be finite (got {value})")
+    elif not ok(value):
+        errs.append(f"{label} {requirement} (got {value})")
+
+
+def _positive(value: float) -> bool:
+    return value > 0
+
+
+def _non_negative(value: float) -> bool:
+    return value >= 0
+
+
 def _reservoir_errors(res: ReservoirSpec, name: str) -> list[str]:
-    errs = []
-    if not res.rate > 0:
-        errs.append(f"{name} reservoir: rate must be positive (got {res.rate})")
-    if res.mean_occupation < 0:
-        errs.append(f"{name} reservoir: mean occupation must be non-negative (got {res.mean_occupation})")
+    errs: list[str] = []
+    _check(errs, f"{name} reservoir: rate", res.rate, _positive, "must be positive")
+    _check(errs, f"{name} reservoir: mean occupation", res.mean_occupation, _non_negative, "must be non-negative")
     return errs
 
 
 def _atom_errors(atom: AtomSpec, n_sites: int) -> list[str]:
-    errs = []
-    if atom.dispersive_strength < 0:
-        errs.append(f"atom: dispersive strength must be non-negative (got {atom.dispersive_strength})")
-    if not -1.0 <= atom.sigma_z <= 1.0:
-        errs.append(f"atom: sigma_z expectation must lie in [-1, 1] (got {atom.sigma_z})")
+    errs: list[str] = []
+    _check(errs, "atom: dispersive strength", atom.dispersive_strength, _non_negative, "must be non-negative")
+    _check(errs, "atom: sigma_z expectation", atom.sigma_z, lambda v: -1.0 <= v <= 1.0, "must lie in [-1, 1]")
+    if not math.isfinite(atom.transition_frequency):
+        errs.append(f"atom: transition frequency must be finite (got {atom.transition_frequency})")
     if not 1 <= atom.host_index <= n_sites:
         errs.append(f"atom: host cavity index must lie in [1, {n_sites}] (got {atom.host_index})")
     return errs
 
 
 def validation_errors(system: Union[TwoCavitySystem, ArraySystem]) -> list[str]:
-    """Collect every invariant violation; empty list means the system is valid."""
+    """Collect every invariant violation; empty list means the system is valid.
+
+    Every real-valued field must be finite; a NaN or an infinity is reported
+    as such, once per field.
+    """
     errs: list[str] = []
     if isinstance(system, TwoCavitySystem):
-        if not system.omega_left > 0:
-            errs.append(f"omega_left: frequency must be positive (got {system.omega_left})")
-        if not system.omega_right > 0:
-            errs.append(f"omega_right: frequency must be positive (got {system.omega_right})")
-        if system.coupling < 0:
-            errs.append(f"coupling: must be non-negative (got {system.coupling})")
+        _check(errs, "omega_left: frequency", system.omega_left, _positive, "must be positive")
+        _check(errs, "omega_right: frequency", system.omega_right, _positive, "must be positive")
+        _check(errs, "coupling:", system.coupling, _non_negative, "must be non-negative")
         errs += _reservoir_errors(system.left, "left")
         errs += _reservoir_errors(system.right, "right")
         if system.atom is not None:
@@ -173,10 +188,8 @@ def validation_errors(system: Union[TwoCavitySystem, ArraySystem]) -> list[str]:
     elif isinstance(system, ArraySystem):
         if system.n_sites < 2:
             errs.append(f"n_sites: need at least 2 cavities (got {system.n_sites})")
-        if not system.omega > 0:
-            errs.append(f"omega: frequency must be positive (got {system.omega})")
-        if system.coupling < 0:
-            errs.append(f"coupling: must be non-negative (got {system.coupling})")
+        _check(errs, "omega: frequency", system.omega, _positive, "must be positive")
+        _check(errs, "coupling:", system.coupling, _non_negative, "must be non-negative")
         errs += _reservoir_errors(system.left, "left")
         errs += _reservoir_errors(system.right, "right")
         if system.atom is not None:

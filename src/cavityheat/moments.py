@@ -47,6 +47,7 @@ class MomentVector:
 
     values: np.ndarray  # shape (8,), complex
     sigma_z: float = 0.0
+    residual: float | None = None  # relative residual of the solve that produced it, if any
 
     def __post_init__(self):
         arr = np.asarray(self.values, dtype=complex)
@@ -118,28 +119,30 @@ def generator_matrix(system: TwoCavitySystem) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _residual(a: np.ndarray, b: np.ndarray, values: np.ndarray) -> float:
+    norm_b = np.linalg.norm(b)
+    if norm_b == 0:
+        return float(np.linalg.norm(a @ values))
+    return float(np.linalg.norm(a @ values + b) / norm_b)
+
+
 def steady_state(system: TwoCavitySystem) -> MomentVector:
-    """Direct dense solve of A <v> = -b."""
+    """Direct dense solve of A <v> = -b; the result carries its residual."""
     a, b = generator_matrix(system)
     try:
         v = np.linalg.solve(a, -b)
     except np.linalg.LinAlgError as exc:
         raise SolverError("no unique steady state: moment generator is singular") from exc
-    norm_b = np.linalg.norm(b)
-    if norm_b > 0:
-        residual = np.linalg.norm(a @ v + b) / norm_b
-        if residual > RESIDUAL_TOL:
-            raise SolverError(f"steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL}")
-    return MomentVector(values=v, sigma_z=system.sigma_z)
+    residual = _residual(a, b, v)
+    if not residual <= RESIDUAL_TOL:
+        raise SolverError(f"steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL}")
+    return MomentVector(values=v, sigma_z=system.sigma_z, residual=residual)
 
 
 def steady_residual(system: TwoCavitySystem, v: MomentVector) -> float:
     """Relative residual ||A v + b|| / ||b|| of a candidate steady state."""
     a, b = generator_matrix(system)
-    norm_b = np.linalg.norm(b)
-    if norm_b == 0:
-        return float(np.linalg.norm(a @ v.values))
-    return float(np.linalg.norm(a @ v.values + b) / norm_b)
+    return _residual(a, b, v.values)
 
 
 def evolve(
@@ -184,8 +187,9 @@ def evolve(
 def currents_from_moments(system: TwoCavitySystem, v: MomentVector) -> CurrentReport:
     """Currents evaluated on a steady moment vector.
 
-    The right current uses the atom-shifted right-cavity frequency
-    omega_right + sigma_z * chi, exact for a definite atomic state. A warning
+    The right cavity's frequency is omega_right + s * chi in atomic sector
+    s = +-1, so its occupation term mixes the sectors as
+    omega_right <n_R> + chi <n_R sz> (moment slot 5), exact for any sigma_z. A warning
     is emitted when the two boundary currents fail to balance, which signals
     a non-steady input vector.
     """
@@ -195,7 +199,9 @@ def currents_from_moments(system: TwoCavitySystem, v: MomentVector) -> CurrentRe
     i_occ = (system.left.mean_occupation - v.values[0].real) * wl
     i_coh = 0.5 * system.coupling * (v.values[2] + v.values[3]).real
     i_left = gl * (i_occ - i_coh)
-    i_right = gr * (system.right.mean_occupation - v.values[1].real) * (wr + v.sigma_z * system.chi) - gr * i_coh
+    nr = system.right.mean_occupation
+    i_right_occ = nr * (wr + v.sigma_z * system.chi) - (wr * v.values[1].real + system.chi * v.values[5].real)
+    i_right = gr * (i_right_occ - i_coh)
     imbalance = abs(i_left + i_right)
     scale = wl**2
     if imbalance > max(1e-10 * abs(i_left), 1e-10 * scale):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from cavityheat import chain
 from cavityheat.chain import (
     array_current,
     ballistic_current,
@@ -13,7 +14,7 @@ from cavityheat.chain import (
     steady_state_matrix,
 )
 from cavityheat.closedform import current_general
-from cavityheat.model import ArraySystem, AtomSpec, ReservoirSpec, TwoCavitySystem
+from cavityheat.model import ArraySystem, AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem
 from cavityheat.moments import steady_state
 
 
@@ -57,6 +58,59 @@ def test_generator_matrix_properties():
 
 
 # --- steady state --------------------------------------------------------------
+
+
+def kronecker_steady_matrix(system):
+    """The 2N x 2N block equation i [M1, G] + {M2, G} + M3 = 0 solved as one
+    dense (2N)^2 linear system: an independent check of the sector solve."""
+    gen = build_generators(system)
+    eye = np.eye(2 * system.n_sites)
+    # row-major vec(P G Q) = (P kron Q^T) vec(G); M1 is real symmetric, M2 diagonal
+    op = 1j * (np.kron(gen.m1, eye) - np.kron(eye, gen.m1)) + np.kron(gen.m2, eye) + np.kron(eye, gen.m2)
+    return np.linalg.solve(op, -gen.m3.reshape(-1).astype(complex)).reshape(eye.shape)
+
+
+@pytest.mark.parametrize("n", [2, 5, 7])
+@pytest.mark.parametrize("sigma_z", [-1.0, 0.2, 1.0])
+@pytest.mark.parametrize("host", ["first", "middle", "last"])
+def test_sector_solve_matches_kronecker_solve(n, sigma_z, host):
+    host_index = {"first": 1, "middle": (n + 1) // 2, "last": n}[host]
+    system = chain_system(n, chi=0.12, host=host_index, sigma_z=sigma_z, gamma_right=0.1, nbar_right=0.1)
+    g = steady_state_matrix(system)
+    assert np.max(np.abs(g.values - kronecker_steady_matrix(system))) < 1e-10
+
+
+def test_steady_matrix_carries_its_residual():
+    system = chain_system(6, chi=0.1, host=3, sigma_z=0.2)
+    g = steady_state_matrix(system)
+    assert g.residual == steady_residual_matrix(system, g)
+
+
+def test_undamped_interior_mode_has_no_unique_steady_state():
+    # without hopping the interior cavities decouple from both reservoirs
+    with pytest.raises(SolverError, match="no unique steady state"):
+        steady_state_matrix(chain_system(4, coupling=0.0))
+
+
+def test_sector_covariances_pass_the_positivity_check():
+    for sigma_z in (-1.0, 0.2, 1.0):
+        g = steady_state_matrix(chain_system(6, chi=0.1, host=6, sigma_z=sigma_z, nbar_right=0.1))
+        assert g.positivity_margin >= 0.0
+
+
+def test_positivity_check_rejects_a_negative_covariance(monkeypatch):
+    solve = chain.linalg.solve_continuous_lyapunov
+    monkeypatch.setattr(chain.linalg, "solve_continuous_lyapunov", lambda a, q: -solve(a, q))
+    with pytest.raises(SolverError, match="positive semidefinite"):
+        steady_state_matrix(chain_system(4, chi=0.1, host=4))
+
+
+def test_long_atom_free_chain_is_ballistic():
+    # the (2N)^2 Kronecker operator of this size would take about 3 GB
+    system = chain_system(60)
+    g = steady_state_matrix(system)
+    assert g.residual < 1e-10
+    assert array_current(system, g) == pytest.approx(ballistic_current(system), rel=1e-9)
 
 
 def test_steady_matrix_residual_and_hermiticity():

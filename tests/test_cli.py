@@ -6,9 +6,9 @@ import sys
 import numpy as np
 import pytest
 
-from cavityheat import cli
+from cavityheat import cli, moments
 from cavityheat.cli import SweepSpec, crosscheck, main, parse_config_file, run_experiment
-from cavityheat.model import SolverError, ValidationError
+from cavityheat.model import AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem, ValidationError
 
 FIG2 = {
     "coupling": "0.02",
@@ -327,3 +327,72 @@ def test_sweep_spec_validation(tmp_path):
     params = dict(FIG2, sweep_start="0.05", sweep_stop="0.08", sweep_step="-0.01")
     with pytest.raises(ValidationError, match="positive"):
         run_experiment(spec_for("gamma_sweep", tmp_path / "x.csv", params))
+
+
+def run_main(experiment, tmp_path, params):
+    argv = ["run", "--experiment", experiment, "--out", str(tmp_path / "out.csv")]
+    for key, value in params.items():
+        argv += ["--set", f"{key}={value}"]
+    return main(argv)
+
+
+SWEEP = dict(FIG2, sweep_start="0.05", sweep_stop="0.07", sweep_step="0.01")
+
+
+@pytest.mark.parametrize(
+    "override",
+    [
+        {"nbar_left": "nan"},
+        {"nbar_left": "inf"},
+        {"coupling": "nan"},
+        {"chi": "nan"},
+        {"temp_left": "nan", "nbar_left": None},
+        {"temp_left": "inf", "nbar_left": None},
+        {"temp_left": "-1", "nbar_left": None},
+        {"sweep_step": "nan"},
+    ],
+    ids=["nbar-nan", "nbar-inf", "coupling-nan", "chi-nan", "temp-nan", "temp-inf", "temp-negative", "step-nan"],
+)
+def test_non_finite_input_exits_with_validation_error(tmp_path, capsys, override):
+    params = {k: v for k, v in dict(SWEEP, **override).items() if v is not None}
+    assert run_main("gamma_sweep", tmp_path, params) == cli.EXIT_VALIDATION
+    assert not (tmp_path / "out.csv").exists()
+    assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ({}, "Gibbs tail mass"),
+        ({"fock_max_dim": "100"}, "Gibbs tail mass"),
+        ({"fock_max_dim": "100", "fock_tail_bound": "1e-3"}, "dimension"),
+    ],
+    ids=["default", "max-dim", "max-dim-loose-tail"],
+)
+def test_fock_truncation_guards_exit_with_validation_error(tmp_path, capsys, extra, message):
+    # nbar_left = 0.5 leaves a Gibbs tail of 6e-7 beyond the default n_max = 12
+    assert run_main("oracle_crosscheck", tmp_path, dict(FIG2, **extra)) == cli.EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+
+
+def test_profile_without_hopping_exits_with_solver_error(tmp_path, capsys):
+    params = {"coupling": "0", "n_sites": "6", "gamma_left": "0.15", "gamma_right": "0.15", "nbar_left": "0.5"}
+    assert run_main("profile", tmp_path, params) == cli.EXIT_SOLVER
+    assert "no unique steady state" in capsys.readouterr().err
+
+
+def test_moment_rows_carry_the_solver_residual(tmp_path):
+    out = tmp_path / "gamma.csv"
+    params = dict(FIG2, omega_right="1.1", chi="0.3", sigma_z="0.2", sweep_start="0.05", sweep_stop="0.07",
+                  sweep_step="0.01")
+    run_experiment(spec_for("gamma_sweep", out, params))
+    _, rows = read_csv(out)
+    for row in rows:
+        gamma = float(row["value"])
+        system = TwoCavitySystem(
+            omega_left=1.0, omega_right=1.1, coupling=0.02,
+            left=ReservoirSpec(gamma, 0.5), right=ReservoirSpec(gamma, 0.0),
+            atom=AtomSpec(dispersive_strength=0.3, sigma_z=0.2),
+        )
+        residual = moments.steady_residual(system, moments.steady_state(system))
+        assert row["residual"] == format(residual, ".17g")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -144,3 +145,38 @@ def test_records_are_immutable():
         system.coupling = 0.1
     with pytest.raises(AttributeError):
         system.left.rate = 0.2
+
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+# each real-valued field of a two-cavity system, set to a given value
+TWO_CAVITY_FIELDS = {
+    "omega_left": lambda x: two_cavity(omega_left=x),
+    "omega_right": lambda x: two_cavity(omega_right=x),
+    "coupling": lambda x: two_cavity(coupling=x),
+    "rate": lambda x: two_cavity(left=ReservoirSpec(rate=x, mean_occupation=0.5)),
+    "mean_occupation": lambda x: two_cavity(right=ReservoirSpec(rate=0.064, mean_occupation=x)),
+    "dispersive_strength": lambda x: two_cavity(atom=AtomSpec(dispersive_strength=x, sigma_z=1.0)),
+    "sigma_z": lambda x: two_cavity(atom=AtomSpec(dispersive_strength=0.05, sigma_z=x)),
+    "transition_frequency": lambda x: two_cavity(
+        atom=AtomSpec(dispersive_strength=0.05, sigma_z=1.0, transition_frequency=x)
+    ),
+}
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", sorted(TWO_CAVITY_FIELDS))
+def test_non_finite_two_cavity_field_rejected_once(field, bad):
+    errors = validation_errors(TWO_CAVITY_FIELDS[field](bad))
+    assert len(errors) == 1 and "must be finite" in errors[0]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE)
+@pytest.mark.parametrize("field", ["omega", "coupling"])
+def test_non_finite_array_field_rejected_once(field, bad):
+    system = ArraySystem(
+        n_sites=3, omega=1.0, coupling=0.05, left=ReservoirSpec(0.1, 0.5), right=ReservoirSpec(0.1, 0.0)
+    )
+    errors = validation_errors(replace(system, **{field: bad}))
+    assert len(errors) == 1 and "must be finite" in errors[0]

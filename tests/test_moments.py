@@ -274,3 +274,23 @@ def test_steady_vector_does_not_warn():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         currents_from_moments(system, v)
+
+
+def test_mixed_atom_right_current_mixes_the_sectors():
+    # detuned pair, mixed atom: the right cavity sits at omega_R + s chi in
+    # sector s, so its current needs <n_R sz>, not sigma_z <n_R>; the Fock
+    # oracle gives I_R = -2.50e-3 here
+    system = system_for(omega_right=1.1, coupling=0.05, chi=0.3, sigma_z=0.2, gamma_left=0.1, gamma_right=0.1)
+    v = steady_state(system)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = currents_from_moments(system, v)
+    assert report.i_right == pytest.approx(-2.50e-3, rel=1e-3)
+    assert report.i_right == pytest.approx(-report.i_left, rel=1e-12)
+
+
+def test_steady_state_carries_its_residual():
+    rng = np.random.default_rng(41)
+    for system in random_systems(rng, 5):
+        v = steady_state(system)
+        assert v.residual == steady_residual(system, v)
