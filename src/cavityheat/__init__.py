@@ -19,6 +19,7 @@ from .model import (
     SolverError,
     TwoCavitySystem,
     ValidationError,
+    atomic_sectors,
     bose_occupation,
     validate,
     validation_errors,

@@ -7,7 +7,7 @@ A = (a_1, ..., a_N, a_1 sz, ..., a_N sz), evolves as
 
 with M1 collecting the chain Hamiltonian and the atom shift, M2 the boundary
 damping, and M3 the thermal drive. The atomic population is conserved, so the
-state is a mixture, with weights p_s = (1 + s sz)/2, of two atom-free sectors
+state is a mixture (``model.atomic_sectors``) of two atom-free sectors
 s = +-1 in which the host cavity is shifted by s chi. Each sector covariance
 C_s = <a_j+ a_k> solves one N x N Lyapunov equation
 
@@ -27,7 +27,7 @@ from typing import Iterable, Sequence
 import numpy as np
 import scipy.linalg as linalg
 
-from .model import ArraySystem, SolverError, validate
+from .model import ArraySystem, SolverError, atomic_sectors, validate
 
 __all__ = [
     "BlockGenerators",
@@ -163,16 +163,10 @@ def steady_state_matrix(system: ArraySystem) -> MomentMatrix:
     n = system.n_sites
     damping = np.diag(gen.m2)[:n]
     drive = np.diag(gen.m3)[:n]
-    if system.atom is None:
-        sectors = [(1.0, 0.0)]
-    else:
-        sectors = [(0.5 * (1.0 + sign * system.sigma_z), sign) for sign in (1.0, -1.0)]
     field = np.zeros((n, n), dtype=complex)
     sz_block = np.zeros((n, n), dtype=complex)
     margin = np.inf
-    for weight, sign in sectors:
-        if weight == 0.0:
-            continue
+    for weight, sign in atomic_sectors(system):
         c, sector_margin = _sector_covariance(gen.h_c + sign * gen.x, damping, drive)
         field += weight * c
         sz_block += sign * weight * c

@@ -38,17 +38,6 @@ EXIT_SOLVER = 3
 EXIT_IO = 4
 EXIT_CROSSCHECK = 5
 
-EXPERIMENTS = (
-    "gamma_sweep",
-    "chi_sweep",
-    "current_decomposition",
-    "rectification_sweep",
-    "size_scan",
-    "profile",
-    "regime_table",
-    "oracle_crosscheck",
-)
-
 COLUMNS = (
     "experiment",
     "value",
@@ -401,6 +390,8 @@ def _rectification_sweep(spec: SweepSpec) -> list[dict]:
     values = _sweep_values(p)
     base = _two_cavity(p)
     p.finish()
+    if base.atom is None or base.sigma_z != -1.0:
+        raise ValidationError(["config: the rectification sweep needs an atom in its ground state (sigma_z = -1)"])
     rows = []
     for value in values:
         system = replace(base, left=replace(base.left, rate=value))
@@ -558,25 +549,16 @@ def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, list[dict]]:
     rows = [
         _row(
             experiment=spec.experiment,
-            path="closedform",
+            path=path,
             sigma_z=system.sigma_z if system.atom else None,
-            residual=0.0,
-            **_report_fields(closed),
-        ),
-        _row(
-            experiment=spec.experiment,
-            path="moments",
-            sigma_z=system.sigma_z if system.atom else None,
-            residual=moment_residual,
-            **_report_fields(moment_report),
-        ),
-        _row(
-            experiment=spec.experiment,
-            path="fock",
-            sigma_z=system.sigma_z if system.atom else None,
-            residual=rho.residual,
-            **_report_fields(fock_report),
-        ),
+            residual=residual,
+            **_report_fields(path_report),
+        )
+        for path, path_report, residual in (
+            ("closedform", closed, 0.0),
+            ("moments", moment_report, moment_residual),
+            ("fock", fock_report, rho.residual),
+        )
     ]
     return report, rows
 
@@ -617,44 +599,46 @@ def _write_rows(spec: SweepSpec, rows: list[dict]) -> None:
     spec.output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n")
 
 
+def _oracle_crosscheck(spec: SweepSpec) -> list[dict]:
+    """Crosscheck rows, with the report on stderr; on a breach the rows are
+    written before CrosscheckError is raised."""
+    report, rows = crosscheck(spec)
+    print(
+        f"crosscheck: closedform={report.closedform_current:.12e} "
+        f"moments={report.moments_current:.12e} fock={report.fock_current:.12e}",
+        file=sys.stderr,
+    )
+    print(
+        f"crosscheck: dev(closedform,moments)={report.deviation_closedform_moments:.3e} "
+        f"(tol {report.tolerance_closedform_moments:.1e}), "
+        f"dev(moments,fock)={report.deviation_moments_fock:.3e}, "
+        f"dev(closedform,fock)={report.deviation_closedform_fock:.3e} "
+        f"(tol {report.tolerance_moments_fock:.1e}); "
+        f"max pairwise {report.max_deviation:.3e}",
+        file=sys.stderr,
+    )
+    if not report.passed:
+        _write_rows(spec, rows)
+        raise CrosscheckError("cross-path deviation exceeded its threshold")
+    return rows
+
+
+_ROWS = {
+    "gamma_sweep": _gamma_sweep,
+    "chi_sweep": lambda spec: _chi_sweep(spec, with_ratio=True),
+    "current_decomposition": lambda spec: _chi_sweep(spec, with_ratio=False),
+    "rectification_sweep": _rectification_sweep,
+    "size_scan": _size_scan,
+    "profile": _profile,
+    "regime_table": _regime_table,
+    "oracle_crosscheck": _oracle_crosscheck,
+}
+EXPERIMENTS = tuple(_ROWS)
+
+
 def run_experiment(spec: SweepSpec) -> list[dict]:
     """Compute the rows of one experiment and write the output file."""
-    if spec.experiment == "gamma_sweep":
-        rows = _gamma_sweep(spec)
-    elif spec.experiment == "chi_sweep":
-        rows = _chi_sweep(spec, with_ratio=True)
-    elif spec.experiment == "current_decomposition":
-        rows = _chi_sweep(spec, with_ratio=False)
-    elif spec.experiment == "rectification_sweep":
-        rows = _rectification_sweep(spec)
-    elif spec.experiment == "size_scan":
-        rows = _size_scan(spec)
-    elif spec.experiment == "profile":
-        rows = _profile(spec)
-    elif spec.experiment == "regime_table":
-        rows = _regime_table(spec)
-    elif spec.experiment == "oracle_crosscheck":
-        report, rows = crosscheck(spec)
-        _write_rows(spec, rows)
-        print(
-            f"crosscheck: closedform={report.closedform_current:.12e} "
-            f"moments={report.moments_current:.12e} fock={report.fock_current:.12e}",
-            file=sys.stderr,
-        )
-        print(
-            f"crosscheck: dev(closedform,moments)={report.deviation_closedform_moments:.3e} "
-            f"(tol {report.tolerance_closedform_moments:.1e}), "
-            f"dev(moments,fock)={report.deviation_moments_fock:.3e}, "
-            f"dev(closedform,fock)={report.deviation_closedform_fock:.3e} "
-            f"(tol {report.tolerance_moments_fock:.1e}); "
-            f"max pairwise {report.max_deviation:.3e}",
-            file=sys.stderr,
-        )
-        if not report.passed:
-            raise CrosscheckError("cross-path deviation exceeded its threshold")
-        return rows
-    else:  # pragma: no cover - SweepSpec already rejects unknown names
-        raise ValidationError([f"config: unknown experiment {spec.experiment!r}"])
+    rows = _ROWS[spec.experiment](spec)
     _write_rows(spec, rows)
     return rows
 

@@ -2,10 +2,10 @@
 switch-regime classification, and rectification.
 
 The atomic population is conserved, so sigma_z enters every expression as a
-fixed parameter. The closed forms below are exact for sigma_z = +-1 and for
-resonant cavities (zero detuning) at any sigma_z; a mixed atom combined with
-detuned cavities is handled exactly by the moment solver instead, which
-resolves the two atomic sectors.
+fixed parameter. The closed forms below are exact for sigma_z = +-1; at an
+intermediate sigma_z, ``steady_moments`` and ``current_general`` mix the two
+pinned-sector results with the weights of ``model.atomic_sectors``, which is
+exact for detuned cavities too.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 
-from .model import TwoCavitySystem, validate
+from .model import TwoCavitySystem, atomic_sectors, validate
 
 __all__ = [
     "REGIME_CONDUCTING",
@@ -110,9 +110,26 @@ def _hopping_constant(system: TwoCavitySystem) -> float:
     return 2.0 * j**2 * g * num / _lorentzian_denominator(system)
 
 
+def _mixed(system: TwoCavitySystem, definite) -> tuple:
+    """sum_s p_s definite(system pinned to sigma_z = s), entry by entry; one
+    sector's tuple is returned as it is, so its bits (and signed zeros) stay."""
+    parts = [
+        (weight, definite(replace(system, atom=replace(system.atom, sigma_z=sign)) if system.atom else system))
+        for weight, sign in atomic_sectors(system)
+    ]
+    if len(parts) == 1:
+        return parts[0][1]
+    return tuple(sum(weight * values[k] for weight, values in parts) for k in range(len(parts[0][1])))
+
+
 def steady_moments(system: TwoCavitySystem) -> SteadyMoments:
     """Steady occupations and inter-cavity coherence of both fields."""
     validate(system)
+    return SteadyMoments(*_mixed(system, _definite_moments))
+
+
+def _definite_moments(system: TwoCavitySystem) -> tuple[float, float, float, complex]:
+    """(n_left, n_right, delta_n, coherence) at a definite atomic state, or without an atom."""
     gl, gr = system.left.rate, system.right.rate
     nl, nr = system.left.mean_occupation, system.right.mean_occupation
     chi, dc, g, sz = system.chi, system.detuning, system.gamma, system.sigma_z
@@ -123,7 +140,7 @@ def steady_moments(system: TwoCavitySystem) -> SteadyMoments:
     occ_right = (pooled + gl * gr * nr) / den
     delta = gl * gr * (nl - nr) / den
     coherence = -system.coupling * (chi * sz + dc + 1j * g) / (chi**2 - dc**2 + g**2 - 2j * g * dc) * delta
-    return SteadyMoments(n_left=occ_left, n_right=occ_right, delta_n=delta, coherence=coherence)
+    return occ_left, occ_right, delta, coherence
 
 
 def _classification(system: TwoCavitySystem, i_left: float) -> tuple[float | None, str | None]:
@@ -154,19 +171,7 @@ def _classification(system: TwoCavitySystem, i_left: float) -> tuple[float | Non
 def current_general(system: TwoCavitySystem) -> CurrentReport:
     """Left-reservoir current from the general non-resonant expression."""
     validate(system)
-    m = steady_moments(system)
-    gl, gr = system.left.rate, system.right.rate
-    wl, wr = system.omega_left, system.omega_right
-    j, chi, dc, g, sz = system.coupling, system.chi, system.detuning, system.gamma, system.sigma_z
-    num = (
-        gl * chi * sz * (chi**2 - dc**2 + g**2)
-        + (wl * gr + wr * gl) * (dc**2 + g**2)
-        + chi**2 * (2.0 * wl * g + dc * gl)
-        + 4.0 * dc * chi * sz * wl * g
-    )
-    i_left = j**2 * m.delta_n * num / _lorentzian_denominator(system)
-    i_occ = (system.left.mean_occupation - m.n_left) * wl
-    i_coh = j * m.coherence.real
+    i_left, i_occ, i_coh = _mixed(system, _definite_current)
     alpha, regime = _classification(system, i_left)
     return CurrentReport(
         i_left=i_left,
@@ -176,6 +181,22 @@ def current_general(system: TwoCavitySystem) -> CurrentReport:
         alpha=alpha,
         regime=regime,
     )
+
+
+def _definite_current(system: TwoCavitySystem) -> tuple[float, float, float]:
+    """(i_left, i_occupation, i_coherence) at a definite atomic state, or without an atom."""
+    n_left, _, delta_n, coherence = _definite_moments(system)
+    gl, gr = system.left.rate, system.right.rate
+    wl, wr = system.omega_left, system.omega_right
+    j, chi, dc, g, sz = system.coupling, system.chi, system.detuning, system.gamma, system.sigma_z
+    num = (
+        gl * chi * sz * (chi**2 - dc**2 + g**2)
+        + (wl * gr + wr * gl) * (dc**2 + g**2)
+        + chi**2 * (2.0 * wl * g + dc * gl)
+        + 4.0 * dc * chi * sz * wl * g
+    )
+    i_left = j**2 * delta_n * num / _lorentzian_denominator(system)
+    return i_left, (system.left.mean_occupation - n_left) * wl, j * coherence.real
 
 
 def current_resonant_no_atom(system: TwoCavitySystem) -> float:

@@ -1,17 +1,17 @@
 """Brute-force verification path on a truncated Fock space.
 
-Builds the full Lindblad generator for the two-cavity system (with the atom
-tensored in when present), finds the steady density matrix, and evaluates
-currents and state diagnostics directly on it. The machinery here is kept
-independent of the moment-equation solvers so the two paths cross-validate:
-they must agree up to Fock truncation error only.
+Finds the steady density matrix of the two-cavity system by a sparse solve
+of its Lindblad generator and evaluates currents and state diagnostics on
+it, independently of the moment and covariance solvers, so the paths must
+agree up to Fock truncation error only.
 
-Because the atomic population is conserved, the unrestricted generator has
-one steady state per atomic sector. The solver therefore fixes the sector up
-front: a definite atomic state selects one sector, and an intermediate
-sigma_z is handled as the matching convex mixture of the two sector steady
-states. Hilbert-space layout is left mode (x) right mode (x) atom, with the
-atom basis ordered (excited, ground).
+The atomic population is conserved, so the oracle works per atomic sector
+(``model.atomic_sectors``): in sector s the right cavity is shifted by
+s chi, the field state rho_s solves the atom-free generator on the two-mode
+space, and every quantity is the p_s-weighted sum over sectors.
+``fock_operators`` and ``build_liouvillian`` state the model on the full
+space, left mode (x) right mode (x) atom with the atom basis ordered
+(excited, ground), for checks on the generator itself.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .closedform import CurrentReport, _classification
-from .model import SolverError, TwoCavitySystem, ValidationError, validate
+from .model import SolverError, TwoCavitySystem, ValidationError, atomic_sectors, validate
 
 __all__ = [
     "FockConfig",
@@ -75,52 +75,57 @@ class FockOperators:
     hamiltonian: sp.csr_matrix
     sigma_z: sp.csr_matrix | None  # None when the system has no atom
     dim: int
-    includes_atom: bool
 
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Steady density matrix on the truncated space.
+    """Steady state on the truncated space, one field state per atomic sector.
 
-    ``includes_atom`` records whether the atom factor is part of the matrix;
+    ``sectors`` holds (p_s, s, rho_s): the weight and sign of each atomic
+    sector and its two-mode field state, as ``model.atomic_sectors`` orders
+    them; without an atom it is the single entry (1.0, 0.0, rho).
     ``residual`` is the norm of the generator applied to the state, combined
     over atomic sectors.
     """
 
-    matrix: np.ndarray
+    sectors: tuple[tuple[float, float, np.ndarray], ...]
     n_max: int
-    includes_atom: bool
     residual: float = 0.0
 
     @property
+    def includes_atom(self) -> bool:
+        return self.sectors[0][1] != 0.0
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """The full state: sum_s p_s rho_s (x) |s><s| with an atom, rho without."""
+        if not self.includes_atom:
+            return self.sectors[0][2]
+        return sum(
+            weight * np.kron(rho, np.diag([1.0, 0.0] if sign > 0 else [0.0, 1.0]))
+            for weight, sign, rho in self.sectors
+        )
+
+    @property
     def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
+        return float(sum(weight * np.trace(rho).real for weight, _, rho in self.sectors))
+
+    def _reduced(self, subscripts: str) -> np.ndarray:
+        d1 = self.n_max + 1
+        return sum(
+            weight * np.einsum(subscripts, rho.reshape(d1, d1, d1, d1)) for weight, _, rho in self.sectors
+        )
 
     def reduced_left(self) -> np.ndarray:
         """Single-mode state of the left cavity."""
-        d1 = self.n_max + 1
-        if self.includes_atom:
-            t = self.matrix.reshape(d1, d1, 2, d1, d1, 2)
-            return np.einsum("ijkljk->il", t)
-        t = self.matrix.reshape(d1, d1, d1, d1)
-        return np.einsum("ijlj->il", t)
+        return self._reduced("ijlj->il")
 
     def reduced_right(self) -> np.ndarray:
         """Single-mode state of the right cavity."""
-        d1 = self.n_max + 1
-        if self.includes_atom:
-            t = self.matrix.reshape(d1, d1, 2, d1, d1, 2)
-            return np.einsum("ijkimk->jm", t)
-        t = self.matrix.reshape(d1, d1, d1, d1)
-        return np.einsum("ijim->jm", t)
+        return self._reduced("ijim->jm")
 
     def sigma_z_expectation(self) -> float:
-        if not self.includes_atom:
-            raise ValueError("state carries no atom factor")
-        d1 = self.n_max + 1
-        t = self.matrix.reshape(d1, d1, 2, d1, d1, 2)
-        atom = np.einsum("ijkijm->km", t)
-        return float((atom[0, 0] - atom[1, 1]).real)
+        return float(sum(weight * sign * np.trace(rho).real for weight, sign, rho in self.sectors))
 
 
 def gibbs_tail_mass(n_max: int, nbar: float) -> float:
@@ -209,14 +214,13 @@ def fock_operators(system: TwoCavitySystem, cfg: FockConfig) -> FockOperators:
         hamiltonian=h.tocsr(),
         sigma_z=sigma_z,
         dim=dim,
-        includes_atom=system.atom is not None,
     )
 
 
-def _collapse_channels(system: TwoCavitySystem, ops: FockOperators):
-    """(operator, rate) pairs of the two thermal reservoirs."""
+def _collapse_channels(system: TwoCavitySystem, a_left: sp.csr_matrix, a_right: sp.csr_matrix):
+    """(operator, rate) pairs of the two thermal reservoirs, left then right."""
     channels = []
-    for a_op, res in ((ops.a_left, system.left), (ops.a_right, system.right)):
+    for a_op, res in ((a_left, system.left), (a_right, system.right)):
         channels.append((a_op, res.rate * (res.mean_occupation + 1.0)))
         channels.append((a_op.conj().T.tocsr(), res.rate * res.mean_occupation))
     return channels
@@ -242,7 +246,7 @@ def build_liouvillian(system: TwoCavitySystem, cfg: FockConfig) -> sp.csr_matrix
     _check_config(system, cfg)
     ops = fock_operators(system, cfg)
     _guard_dim(ops.dim, cfg)
-    return _liouvillian_from(ops.hamiltonian, _collapse_channels(system, ops))
+    return _liouvillian_from(ops.hamiltonian, _collapse_channels(system, ops.a_left, ops.a_right))
 
 
 def _field_ops(levels: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
@@ -251,7 +255,9 @@ def _field_ops(levels: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
     return sp.kron(a, eye1, format="csr"), sp.kron(eye1, a, format="csr")
 
 
-def _sector_hamiltonian(system: TwoCavitySystem, cfg: FockConfig, sector: float | None) -> sp.csr_matrix:
+def _sector_hamiltonian(
+    system: TwoCavitySystem, a_left: sp.csr_matrix, a_right: sp.csr_matrix, sector: float
+) -> sp.csr_matrix:
     """Field Hamiltonian of one atomic sector.
 
     The dispersive pull shifts the right-cavity frequency by sector * chi;
@@ -259,11 +265,9 @@ def _sector_hamiltonian(system: TwoCavitySystem, cfg: FockConfig, sector: float 
     omega_right. Sector-constant terms drop out of the generator and of the
     dissipator traces, so they are omitted.
     """
-    a_left, a_right = _field_ops(cfg.levels)
-    shift = system.chi * sector if sector is not None else 0.0
     h = (
         system.omega_left * (a_left.conj().T @ a_left)
-        + (system.omega_right + shift) * (a_right.conj().T @ a_right)
+        + (system.omega_right + system.chi * sector) * (a_right.conj().T @ a_right)
         + system.coupling * (a_left.conj().T @ a_right + a_left @ a_right.conj().T)
     )
     return h.tocsr()
@@ -309,15 +313,13 @@ def _null_state(gen: sp.csr_matrix, dim: int) -> np.ndarray:
     return rho / trace
 
 
-def _sector_steady(system: TwoCavitySystem, cfg: FockConfig, sector: float | None):
+def _sector_steady(system: TwoCavitySystem, cfg: FockConfig, sector: float):
     dim = cfg.levels**2
     _guard_dim(dim, cfg)
     a_left, a_right = _field_ops(cfg.levels)
-    channels = []
-    for a_op, res in ((a_left, system.left), (a_right, system.right)):
-        channels.append((a_op, res.rate * (res.mean_occupation + 1.0)))
-        channels.append((a_op.conj().T.tocsr(), res.rate * res.mean_occupation))
-    gen = _liouvillian_from(_sector_hamiltonian(system, cfg, sector), channels)
+    gen = _liouvillian_from(
+        _sector_hamiltonian(system, a_left, a_right, sector), _collapse_channels(system, a_left, a_right)
+    )
     rho = _null_state(gen, dim)
     residual = float(np.linalg.norm(gen @ rho.reshape(-1)))
     if not residual <= STEADY_RESIDUAL_TOL:
@@ -340,37 +342,22 @@ def _validate_state(rho: np.ndarray) -> None:
 def steady_rho(system: TwoCavitySystem, cfg: FockConfig | None = None) -> DensityMatrix:
     """Steady density matrix at the configured truncation.
 
-    With an atom, a definite atomic state (sigma_z = +-1) selects its sector
-    directly; an intermediate sigma_z solves both sectors and mixes them with
-    the matching populations.
+    Each atomic sector with non-zero weight is solved on the two-mode field
+    space and checked on its own: Hermitian, trace one, no eigenvalue below
+    the floor. A mixture of such states with weights summing to one is
+    itself such a state.
     """
     cfg = cfg or FockConfig()
     validate(system)
     _check_config(system, cfg)
-    if system.atom is None:
-        rho, residual = _sector_steady(system, cfg, None)
-        out = DensityMatrix(matrix=rho, n_max=cfg.n_max, includes_atom=False, residual=residual)
-        _validate_state(out.matrix)
-        return out
-
-    sz = system.sigma_z
-    p_excited = 0.5 * (1.0 + sz)
-    parts = []
-    if p_excited > 0.0:
-        parts.append((p_excited, np.diag([1.0, 0.0]), _sector_steady(system, cfg, +1.0)))
-    if p_excited < 1.0:
-        parts.append((1.0 - p_excited, np.diag([0.0, 1.0]), _sector_steady(system, cfg, -1.0)))
-    d1 = cfg.levels
-    full = np.zeros((2 * d1 * d1, 2 * d1 * d1), dtype=complex)
+    sectors = []
     residual_sq = 0.0
-    for prob, projector, (rho_sector, res) in parts:
-        full += prob * np.kron(rho_sector, projector)
-        residual_sq += (prob * res) ** 2
-    out = DensityMatrix(
-        matrix=full, n_max=cfg.n_max, includes_atom=True, residual=float(np.sqrt(residual_sq))
-    )
-    _validate_state(out.matrix)
-    return out
+    for weight, sign in atomic_sectors(system):
+        rho, residual = _sector_steady(system, cfg, sign)
+        _validate_state(rho)
+        sectors.append((weight, sign, rho))
+        residual_sq += (weight * residual) ** 2
+    return DensityMatrix(sectors=tuple(sectors), n_max=cfg.n_max, residual=float(np.sqrt(residual_sq)))
 
 
 def converged_steady_rho(
@@ -408,7 +395,7 @@ def converged_steady_rho(
         current_cfg = next_cfg
 
 
-def _dissipator(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
+def _dissipator(rho: np.ndarray, c: sp.csr_matrix) -> np.ndarray:
     cd = c.conj().T
     cdc = cd @ c
     return c @ rho @ cd - 0.5 * (cdc @ rho + rho @ cdc)
@@ -416,28 +403,24 @@ def _dissipator(rho: np.ndarray, c: np.ndarray) -> np.ndarray:
 
 def oracle_currents(system: TwoCavitySystem, rho: DensityMatrix) -> CurrentReport:
     """Boundary currents evaluated as traces of the Hamiltonian against each
-    reservoir's dissipator."""
+    reservoir's dissipator, sum_s p_s Tr(H_s D[rho_s]) over atomic sectors."""
     validate(system)
-    if rho.includes_atom != (system.atom is not None):
-        raise ValueError("density matrix and system disagree about the atom factor")
-    cfg = FockConfig(n_max=rho.n_max, tail_bound=np.inf)
-    ops = fock_operators(system, cfg)
-    h = ops.hamiltonian.toarray()
-    mat = rho.matrix
-
-    currents = []
-    for a_op, res in ((ops.a_left, system.left), (ops.a_right, system.right)):
-        a_dense = a_op.toarray()
-        flow = res.rate * (res.mean_occupation + 1.0) * _dissipator(mat, a_dense)
-        flow += res.rate * res.mean_occupation * _dissipator(mat, a_dense.conj().T)
-        currents.append(float(np.trace(h @ flow).real))
-    i_left, i_right = currents
-
-    n_left_op = (ops.a_left.conj().T @ ops.a_left).toarray()
-    coherence_op = (ops.a_left.conj().T @ ops.a_right).toarray()
-    occ_left = float(np.trace(mat @ n_left_op).real)
+    if [(weight, sign) for weight, sign, _ in rho.sectors] != atomic_sectors(system):
+        raise ValueError("density matrix and system disagree about the atom factor or its sector weights")
+    a_left, a_right = _field_ops(rho.n_max + 1)
+    channels = _collapse_channels(system, a_left, a_right)
+    n_left_op = a_left.conj().T @ a_left
+    coherence_op = a_left.conj().T @ a_right
+    i_left = i_right = occ_left = coherence = 0.0
+    for weight, sign, state in rho.sectors:
+        h = _sector_hamiltonian(system, a_left, a_right, sign)
+        flows = [rate * float(np.trace(h @ _dissipator(state, c)).real) for c, rate in channels]
+        i_left += weight * (flows[0] + flows[1])
+        i_right += weight * (flows[2] + flows[3])
+        occ_left += weight * float(np.trace(n_left_op @ state).real)
+        coherence += weight * float(np.trace(coherence_op @ state).real)
     i_occ = (system.left.mean_occupation - occ_left) * system.omega_left
-    i_coh = system.coupling * float(np.trace(mat @ coherence_op).real)
+    i_coh = system.coupling * coherence
 
     imbalance = abs(i_left + i_right)
     if imbalance > max(1e-8 * abs(i_left), 1e-8 * system.omega_left**2):

@@ -24,6 +24,7 @@ __all__ = [
     "AtomSpec",
     "TwoCavitySystem",
     "ArraySystem",
+    "atomic_sectors",
     "validation_errors",
     "validate",
 ]
@@ -132,6 +133,20 @@ class ArraySystem:
     @property
     def sigma_z(self) -> float:
         return self.atom.sigma_z if self.atom is not None else 0.0
+
+
+def atomic_sectors(system: Union[TwoCavitySystem, ArraySystem]) -> list[tuple[float, float]]:
+    """(p_s, s) of each atomic sector with non-zero weight: s = +1, then s = -1.
+
+    The dispersive coupling conserves the atomic population, so every steady
+    quantity is the mixture, with weights p_s = (1 + s sigma_z)/2, of two
+    atom-free sectors in which the host cavity is shifted by s chi. Without
+    an atom there is one sector, (1.0, 0.0).
+    """
+    if system.atom is None:
+        return [(1.0, 0.0)]
+    weighted = ((0.5 * (1.0 + sign * system.sigma_z), sign) for sign in (1.0, -1.0))
+    return [(weight, sign) for weight, sign in weighted if weight > 0.0]
 
 
 def _check(errs: list[str], label: str, value: float, ok, requirement: str) -> None:

@@ -396,3 +396,29 @@ def test_moment_rows_carry_the_solver_residual(tmp_path):
         )
         residual = moments.steady_residual(system, moments.steady_state(system))
         assert row["residual"] == format(residual, ".17g")
+
+
+def test_crosscheck_passes_at_a_mixed_detuned_point(tmp_path, capsys):
+    # closed form, moments and oracle agree once the closed form mixes the sectors
+    params = dict(FIG2, omega_right="1.1", chi="0.3", sigma_z="0.2", coupling="0.05", gamma_left="0.1",
+                  gamma_right="0.1", nbar_left="0.1", fock_n_max="12")
+    assert run_main("oracle_crosscheck", tmp_path, params) == cli.EXIT_OK
+    _, rows = read_csv(tmp_path / "out.csv")
+    assert [row["path"] for row in rows] == ["closedform", "moments", "fock"]
+    assert float(rows[0]["i_left"]) == pytest.approx(float(rows[1]["i_left"]), rel=1e-10)
+    assert "max pairwise" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "atom",
+    [{"chi": "0.05", "sigma_z": "1.0"}, {}],
+    ids=["excited-atom", "no-atom"],
+)
+def test_rectification_sweep_needs_a_ground_state_atom(tmp_path, capsys, atom):
+    params = {k: v for k, v in SWEEP.items() if k not in ("chi", "sigma_z")}
+    assert run_main("rectification_sweep", tmp_path, dict(params, **atom)) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.splitlines() == [
+        "error: config: the rectification sweep needs an atom in its ground state (sigma_z = -1)"
+    ]
+    assert not (tmp_path / "out.csv").exists()

@@ -19,6 +19,7 @@ from cavityheat.closedform import (
     steady_moments,
 )
 from cavityheat.model import AtomSpec, ReservoirSpec, TwoCavitySystem
+from cavityheat.moments import currents_from_moments, steady_state
 
 
 def system_for(
@@ -373,3 +374,19 @@ def test_rectification_requires_ground_state():
         rectification(system_for(chi=0.4, sigma_z=1.0))
     with pytest.raises(ValueError, match="atom"):
         rectification(system_for(atom=False))
+
+
+def test_mixed_atom_detuned_current_is_the_sector_mixture():
+    # detuned pair with a mixed atom: each sector is exact at its own shifted
+    # right-cavity frequency, so the closed form mixes them (2.563e-3 without)
+    system = system_for(omega_right=1.1, coupling=0.05, chi=0.3, sigma_z=0.2, gamma_left=0.1, gamma_right=0.1)
+    report = current_general(system)
+    assert report.i_left == pytest.approx(2.500e-3, rel=1e-6)
+    assert report.i_right == -report.i_left
+    from_moments = currents_from_moments(system, steady_state(system))
+    assert report.i_left == pytest.approx(from_moments.i_left, rel=1e-10)
+    assert report.i_occupation == pytest.approx(from_moments.i_occupation, rel=1e-10)
+    assert report.i_coherence == pytest.approx(from_moments.i_coherence, abs=1e-10 * abs(report.i_left))
+    assert report.regime == "conducting" and report.alpha is None
+    pinned = [current_general(replace(system, atom=replace(system.atom, sigma_z=s))).i_left for s in (1.0, -1.0)]
+    assert report.i_left == pytest.approx(0.6 * pinned[0] + 0.4 * pinned[1], rel=1e-14)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -262,3 +263,74 @@ def test_g2_limits():
     vacuum[0, 0] = 1.0
     with pytest.raises(ValueError, match="zero mean occupation"):
         g2_zero(vacuum)
+
+
+# --- per-sector state against the full atom (x) field space ---------------------
+
+
+def full_space_currents(system, rho):
+    """(I_L, I_R, i_occupation, i_coherence) as Tr(H D[rho]) on the full
+    atom (x) field space, with dense dissipators and the full Hamiltonian."""
+    ops = fock_operators(system, FockConfig(n_max=rho.n_max, tail_bound=np.inf))
+    h = ops.hamiltonian.toarray()
+    mat = rho.matrix
+
+    def dissipator(c):
+        cd = c.conj().T
+        return c @ mat @ cd - 0.5 * (cd @ c @ mat + mat @ cd @ c)
+
+    currents = []
+    for a_op, res in ((ops.a_left, system.left), (ops.a_right, system.right)):
+        a = a_op.toarray()
+        flow = res.rate * (res.mean_occupation + 1.0) * dissipator(a)
+        flow += res.rate * res.mean_occupation * dissipator(a.conj().T)
+        currents.append(np.trace(h @ flow).real)
+    a_left, a_right = ops.a_left.toarray(), ops.a_right.toarray()
+    occ_left = np.trace(mat @ a_left.conj().T @ a_left).real
+    coherence = np.trace(mat @ a_left.conj().T @ a_right).real
+    return (
+        currents[0],
+        currents[1],
+        (system.left.mean_occupation - occ_left) * system.omega_left,
+        system.coupling * coherence,
+    )
+
+
+@pytest.mark.parametrize("sigma_z", [-1.0, 0.3, 1.0, None], ids=["ground", "mixed", "excited", "no-atom"])
+def test_sector_currents_match_the_full_space_trace(sigma_z):
+    # a transition frequency puts sector-constant terms into the full Hamiltonian;
+    # they must drop out of every current
+    system = replace(
+        system_for(omega_right=0.9, coupling=0.05, nbar_left=0.3, nbar_right=0.1),
+        atom=None if sigma_z is None else AtomSpec(dispersive_strength=0.3, sigma_z=sigma_z, transition_frequency=2.0),
+    )
+    rho = steady_rho(system, SMALL)
+    report = oracle_currents(system, rho)
+    reference = full_space_currents(system, rho)
+    got = (report.i_left, report.i_right, report.i_occupation, report.i_coherence)
+    assert got == pytest.approx(reference, rel=1e-12, abs=1e-12 * abs(reference[0]))
+
+
+@pytest.mark.parametrize("sigma_z", [-1.0, 0.3, 1.0])
+def test_density_matrix_is_the_kron_assembly_of_its_sectors(sigma_z):
+    system = system_for(omega_right=0.9, chi=0.3, sigma_z=sigma_z, nbar_left=0.3, nbar_right=0.1)
+    rho = steady_rho(system, SMALL)
+    expected = np.zeros((2 * SMALL.levels**2,) * 2, dtype=complex)
+    for weight, sign, state in rho.sectors:
+        expected += weight * np.kron(state, np.diag([1.0, 0.0] if sign == 1.0 else [0.0, 1.0]))
+    assert np.array_equal(rho.matrix, expected)
+    assert rho.sigma_z_expectation() == pytest.approx(sigma_z, abs=1e-12)
+    # the assembled state is steady under the full atom (x) field generator
+    gen = build_liouvillian(system, SMALL)
+    assert np.linalg.norm(gen @ rho.matrix.reshape(-1)) < 1e-10
+
+
+@pytest.mark.parametrize("other", [0.3, -1.0, None], ids=["other-weights", "one-sector", "no-atom"])
+def test_currents_reject_a_state_of_another_atomic_mixture(other):
+    system = system_for(omega_right=1.1, chi=0.3, sigma_z=0.5, nbar_left=0.1, nbar_right=0.0)
+    solved_for = replace(system, atom=None if other is None else replace(system.atom, sigma_z=other))
+    rho = steady_rho(solved_for, SMALL)
+    with pytest.raises(ValueError, match="disagree"):
+        oracle_currents(system, rho)
+    with pytest.raises(ValueError, match="disagree"):
+        oracle_currents(solved_for, steady_rho(system, SMALL))

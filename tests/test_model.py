@@ -10,6 +10,7 @@ from cavityheat.model import (
     ReservoirSpec,
     TwoCavitySystem,
     ValidationError,
+    atomic_sectors,
     bose_occupation,
     validate,
     validation_errors,
@@ -180,3 +181,25 @@ def test_non_finite_array_field_rejected_once(field, bad):
     )
     errors = validation_errors(replace(system, **{field: bad}))
     assert len(errors) == 1 and "must be finite" in errors[0]
+
+
+@pytest.mark.parametrize(
+    "sigma_z, expected",
+    [(1.0, [(1.0, 1.0)]), (-1.0, [(1.0, -1.0)]), (0.2, [(0.6, 1.0), (0.4, -1.0)]), (0.0, [(0.5, 1.0), (0.5, -1.0)])],
+)
+def test_atomic_sectors_weights_and_order(sigma_z, expected):
+    sectors = atomic_sectors(two_cavity(atom=AtomSpec(dispersive_strength=0.05, sigma_z=sigma_z)))
+    assert [sign for _, sign in sectors] == [sign for _, sign in expected]
+    assert [weight for weight, _ in sectors] == pytest.approx([weight for weight, _ in expected], abs=1e-15)
+    assert sum(weight for weight, _ in sectors) == pytest.approx(1.0, abs=1e-15)
+
+
+def test_atomic_sectors_without_an_atom():
+    assert atomic_sectors(two_cavity(atom=None)) == [(1.0, 0.0)]
+    chain = ArraySystem(
+        n_sites=4, omega=1.0, coupling=0.02,
+        left=ReservoirSpec(0.1, 0.5), right=ReservoirSpec(0.1, 0.0),
+    )
+    assert atomic_sectors(chain) == [(1.0, 0.0)]
+    hosted = replace(chain, atom=AtomSpec(dispersive_strength=0.1, sigma_z=-0.5, host_index=4))
+    assert atomic_sectors(hosted) == [(0.25, 1.0), (0.75, -1.0)]
