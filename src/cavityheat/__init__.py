@@ -4,9 +4,10 @@ Three mutually cross-validating computational paths:
 
 - ``closedform``: exact closed-form moments, currents, switch classification,
   and rectification for the two-cavity system;
-- ``moments``: direct linear solve and time integration of the closed
-  moment equations (two cavities), and ``chain`` for N-cavity arrays via one
-  Lyapunov equation per atomic sector;
+- ``chain``: the steady state of an N-cavity array as one N x N Lyapunov
+  equation per atomic sector, solved for a whole stack of sectors at once;
+  ``moments`` treats two cavities as the N = 2 chain, solves a sweep grid as
+  one stack, and integrates the moment equations in time;
 - ``fockspace``: a brute-force Lindbladian oracle on a truncated Fock space.
 
 ``cli`` exposes named sweep experiments with CSV/JSON output.
@@ -31,14 +32,13 @@ from .closedform import (
     classify_regime,
     current_general,
     current_pm,
-    current_resonant_no_atom,
     current_resonant_with_atom,
     forward_reverse_currents,
     peak_rate,
     rectification,
     steady_moments,
 )
-from .moments import MomentTrajectory, MomentVector, currents_from_moments, evolve, generator_matrix, steady_state
+from .moments import MomentTrajectory, currents_from_moments, evolve, steady_state, steady_states
 from .chain import (
     BlockGenerators,
     MomentMatrix,

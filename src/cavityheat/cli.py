@@ -317,13 +317,18 @@ def _report_fields(report: closedform.CurrentReport) -> dict:
     }
 
 
-def _moments_point(system: TwoCavitySystem):
-    vector = moments.steady_state(system)
-    return moments.currents_from_moments(system, vector), vector.residual
-
-
 def _solver_context(name: str, value) -> str:
     return f"solver failure at {name}={value}"
+
+
+def _moment_points(systems: list[TwoCavitySystem], name: str, values) -> list[tuple[closedform.CurrentReport, float]]:
+    """Currents and solver residual of each system, from one stack solve;
+    ``values[i]`` names system i in a solver failure."""
+    try:
+        states = moments.steady_states(systems)
+    except SolverError as exc:
+        raise SolverError(f"{_solver_context(name, values[exc.index])}: {exc}") from exc
+    return [(moments.currents_from_moments(system, g), g.residual) for system, g in zip(systems, states)]
 
 
 def _gamma_sweep(spec: SweepSpec) -> list[dict]:
@@ -334,23 +339,18 @@ def _gamma_sweep(spec: SweepSpec) -> list[dict]:
     values = _sweep_values(p)
     base = _two_cavity(p)
     p.finish()
-    rows = []
-    for value in values:
-        system = replace(base, left=replace(base.left, rate=value), right=replace(base.right, rate=value))
-        try:
-            report, residual = _moments_point(system)
-        except SolverError as exc:
-            raise SolverError(f"{_solver_context('gamma', value)}: {exc}") from exc
-        rows.append(
-            _row(
-                experiment=spec.experiment,
-                value=value,
-                sigma_z=system.sigma_z if system.atom else None,
-                residual=residual,
-                **_report_fields(report),
-            )
+    systems = [replace(base, left=replace(base.left, rate=value), right=replace(base.right, rate=value))
+               for value in values]
+    return [
+        _row(
+            experiment=spec.experiment,
+            value=value,
+            sigma_z=base.sigma_z if base.atom else None,
+            residual=residual,
+            **_report_fields(report),
         )
-    return rows
+        for value, (report, residual) in zip(values, _moment_points(systems, "gamma", values))
+    ]
 
 
 def _chi_sweep(spec: SweepSpec, with_ratio: bool) -> list[dict]:
@@ -360,29 +360,22 @@ def _chi_sweep(spec: SweepSpec, with_ratio: bool) -> list[dict]:
     p.finish()
     if base.atom is None:
         raise ValidationError(["config: chi sweeps need an atom (set chi and sigma_z)"])
-    baseline = None
-    if with_ratio:
-        ref_system = replace(base, atom=replace(base.atom, dispersive_strength=0.0))
-        baseline, _ = _moments_point(ref_system)
-    rows = []
-    for value in values:
-        system = replace(base, atom=replace(base.atom, dispersive_strength=value))
-        try:
-            report, residual = _moments_point(system)
-        except SolverError as exc:
-            raise SolverError(f"{_solver_context('chi', value)}: {exc}") from exc
-        ratio = report.i_left / baseline.i_left if (baseline and baseline.i_left != 0) else None
-        rows.append(
-            _row(
-                experiment=spec.experiment,
-                value=value,
-                sigma_z=system.sigma_z,
-                i_ratio=ratio,
-                residual=residual,
-                **_report_fields(report),
-            )
+    # with a ratio, the chi = 0 baseline is solved first in the same stack
+    chis = ([0.0] if with_ratio else []) + list(values)
+    points = _moment_points([replace(base, atom=replace(base.atom, dispersive_strength=chi)) for chi in chis],
+                            "chi", chis)
+    baseline = points.pop(0)[0] if with_ratio else None
+    return [
+        _row(
+            experiment=spec.experiment,
+            value=value,
+            sigma_z=base.sigma_z,
+            i_ratio=report.i_left / baseline.i_left if (baseline and baseline.i_left != 0) else None,
+            residual=residual,
+            **_report_fields(report),
         )
-    return rows
+        for value, (report, residual) in zip(values, points)
+    ]
 
 
 def _rectification_sweep(spec: SweepSpec) -> list[dict]:
@@ -469,36 +462,32 @@ def _regime_table(spec: SweepSpec) -> list[dict]:
         raise ValidationError(["config: the regime table needs an atom (set chi and sigma_z)"])
     if not base.chi > base.omega_right:
         raise ValidationError(["config: the regime table requires chi > omega_right"])
-    rows = []
-    for alpha in alphas:
-        rate_right = alpha * base.left.rate * (base.chi - base.omega_right) / base.omega_left
-        for sigma in (1.0, -1.0):
-            system = replace(
-                base,
-                right=replace(base.right, rate=rate_right),
-                atom=replace(base.atom, sigma_z=sigma),
-            )
-            validate(system)
-            alpha_out, regime = closedform.classify_regime(system)
-            try:
-                report, residual = _moments_point(system)
-            except SolverError as exc:
-                raise SolverError(f"{_solver_context('alpha', alpha)}: {exc}") from exc
-            rows.append(
-                _row(
-                    experiment=spec.experiment,
-                    value=alpha,
-                    sigma_z=sigma,
-                    alpha=alpha_out,
-                    regime=regime,
-                    i_left=report.i_left,
-                    i_right=report.i_right,
-                    i_occupation=report.i_occupation,
-                    i_coherence=report.i_coherence,
-                    residual=residual,
-                )
-            )
-    return rows
+    grid = [(alpha, sigma) for alpha in alphas for sigma in (1.0, -1.0)]
+    systems = [
+        replace(
+            base,
+            right=replace(base.right, rate=alpha * base.left.rate * (base.chi - base.omega_right) / base.omega_left),
+            atom=replace(base.atom, sigma_z=sigma),
+        )
+        for alpha, sigma in grid
+    ]
+    regimes = [closedform.classify_regime(system) for system in systems]
+    points = _moment_points(systems, "alpha", [alpha for alpha, _ in grid])
+    return [
+        _row(
+            experiment=spec.experiment,
+            value=alpha,
+            sigma_z=sigma,
+            alpha=alpha_out,
+            regime=regime,
+            i_left=report.i_left,
+            i_right=report.i_right,
+            i_occupation=report.i_occupation,
+            i_coherence=report.i_coherence,
+            residual=residual,
+        )
+        for (alpha, sigma), (alpha_out, regime), (report, residual) in zip(grid, regimes, points)
+    ]
 
 
 def _relative_deviation(a: float, b: float, floor: float = 0.0) -> float:
@@ -521,11 +510,15 @@ def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, list[dict]]:
     cfg = _fock_config(p)
     tol_cm = p.float_("tol_closedform_moments", default=1e-10)
     tol_mf = p.float_("tol_moments_fock", default=1e-6)
+    for key, tol in (("tol_closedform_moments", tol_cm), ("tol_moments_fock", tol_mf)):
+        if not (math.isfinite(tol) and tol >= 0):
+            p.errors.append(f"config: {key} must be finite and non-negative, got {tol}")
     p.finish()
     validate(system)
 
     closed = closedform.current_general(system)
-    moment_report, moment_residual = _moments_point(system)
+    state = moments.steady_states([system])[0]
+    moment_report = moments.currents_from_moments(system, state)
     rho = fockspace.steady_rho(system, cfg)
     fock_report = fockspace.oracle_currents(system, rho)
 
@@ -556,7 +549,7 @@ def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, list[dict]]:
         )
         for path, path_report, residual in (
             ("closedform", closed, 0.0),
-            ("moments", moment_report, moment_residual),
+            ("moments", moment_report, state.residual),
             ("fock", fock_report, rho.residual),
         )
     ]

@@ -24,7 +24,6 @@ __all__ = [
     "RectificationResult",
     "steady_moments",
     "current_general",
-    "current_resonant_no_atom",
     "current_resonant_with_atom",
     "peak_rate",
     "classify_regime",
@@ -197,19 +196,6 @@ def _definite_current(system: TwoCavitySystem) -> tuple[float, float, float]:
     )
     i_left = j**2 * delta_n * num / _lorentzian_denominator(system)
     return i_left, (system.left.mean_occupation - n_left) * wl, j * coherence.real
-
-
-def current_resonant_no_atom(system: TwoCavitySystem) -> float:
-    """Current through resonant, atom-free cavities; linear in nbar_L - nbar_R."""
-    validate(system)
-    if system.atom is not None:
-        raise ValueError("resonant atom-free expression requires a system without an atom")
-    if system.detuning != 0.0:
-        raise ValueError(f"resonant expression requires equal cavity frequencies (detuning {system.detuning})")
-    gl, gr = system.left.rate, system.right.rate
-    j, w = system.coupling, system.omega_left
-    dn = system.left.mean_occupation - system.right.mean_occupation
-    return 4.0 * w * j**2 * gl * gr * dn / ((4.0 * j**2 + gl * gr) * (gl + gr))
 
 
 def current_resonant_with_atom(system: TwoCavitySystem) -> float:

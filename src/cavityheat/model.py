@@ -39,7 +39,13 @@ class ValidationError(ValueError):
 
 
 class SolverError(RuntimeError):
-    """A steady-state solve failed (singular generator or residual breach)."""
+    """A steady-state solve failed (singular generator or residual breach).
+
+    A batched solve sets ``index`` to the position of the failing system or
+    matrix.
+    """
+
+    index: int | None = None
 
 
 def bose_occupation(omega: float, temperature: float) -> float:

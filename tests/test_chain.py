@@ -10,7 +10,6 @@ from cavityheat.chain import (
     occupation_profile,
     right_boundary_current,
     size_scan,
-    steady_residual_matrix,
     steady_state_matrix,
 )
 from cavityheat.closedform import current_general
@@ -80,10 +79,17 @@ def test_sector_solve_matches_kronecker_solve(n, sigma_z, host):
     assert np.max(np.abs(g.values - kronecker_steady_matrix(system))) < 1e-10
 
 
+def block_residual(system, g):
+    """Relative residual of the block equation i [M1, G] + {M2, G} + M3 = 0."""
+    gen = build_generators(system)
+    motion = 1j * (gen.m1 @ g.values - g.values @ gen.m1) + gen.m2 @ g.values + g.values @ gen.m2 + gen.m3
+    return np.linalg.norm(motion) / np.linalg.norm(gen.m3)
+
+
 def test_steady_matrix_carries_its_residual():
     system = chain_system(6, chi=0.1, host=3, sigma_z=0.2)
     g = steady_state_matrix(system)
-    assert g.residual == steady_residual_matrix(system, g)
+    assert g.residual == block_residual(system, g)
 
 
 def test_undamped_interior_mode_has_no_unique_steady_state():
@@ -99,10 +105,24 @@ def test_sector_covariances_pass_the_positivity_check():
 
 
 def test_positivity_check_rejects_a_negative_covariance(monkeypatch):
-    solve = chain.linalg.solve_continuous_lyapunov
-    monkeypatch.setattr(chain.linalg, "solve_continuous_lyapunov", lambda a, q: -solve(a, q))
-    with pytest.raises(SolverError, match="positive semidefinite"):
-        steady_state_matrix(chain_system(4, chi=0.1, host=4))
+    # a sign flip in either solver: Kronecker up to KRONECKER_MAX_SITES, Bartels-Stewart above
+    small, large = chain.KRONECKER_MAX_SITES, chain.KRONECKER_MAX_SITES + 1
+    kronecker, bartels_stewart = np.linalg.solve, chain.linalg.solve_continuous_lyapunov
+    monkeypatch.setattr(chain.np.linalg, "solve", lambda a, b: -kronecker(a, b))
+    monkeypatch.setattr(chain.linalg, "solve_continuous_lyapunov", lambda a, q: -bartels_stewart(a, q))
+    for n in (small, large):
+        with pytest.raises(SolverError, match="positive semidefinite"):
+            steady_state_matrix(chain_system(n, chi=0.1, host=n))
+
+
+def test_sector_residual_check_rejects_a_perturbed_solution(monkeypatch):
+    small, large = chain.KRONECKER_MAX_SITES, chain.KRONECKER_MAX_SITES + 1
+    kronecker, bartels_stewart = np.linalg.solve, chain.linalg.solve_continuous_lyapunov
+    monkeypatch.setattr(chain.np.linalg, "solve", lambda a, b: 1.001 * kronecker(a, b))
+    monkeypatch.setattr(chain.linalg, "solve_continuous_lyapunov", lambda a, q: 1.001 * bartels_stewart(a, q))
+    for n in (small, large):
+        with pytest.raises(SolverError, match="sector steady-state residual"):
+            steady_state_matrix(chain_system(n, chi=0.1, host=n))
 
 
 def test_long_atom_free_chain_is_ballistic():
@@ -117,7 +137,7 @@ def test_steady_matrix_residual_and_hermiticity():
     for n in (2, 5, 9):
         system = chain_system(n, chi=0.1, host=n)
         g = steady_state_matrix(system)
-        assert steady_residual_matrix(system, g) < 1e-10
+        assert block_residual(system, g) < 1e-10
         assert np.linalg.norm(g.values - g.values.conj().T) < 1e-10
         assert np.all(g.occupations >= 0)
 
@@ -135,11 +155,26 @@ def test_two_site_chain_reproduces_two_cavity_moments():
     )
     v = steady_state(pair)
     field = g.field_block
-    assert field[0, 0].real == pytest.approx(v.n_left, rel=1e-10)
-    assert field[1, 1].real == pytest.approx(v.n_right, rel=1e-10)
-    assert field[0, 1] == pytest.approx(v.coherence, rel=1e-10)
+    assert field[0, 0].real == pytest.approx(v.occupations[0], rel=1e-10)
+    assert field[1, 1].real == pytest.approx(v.occupations[1], rel=1e-10)
+    assert field[0, 1] == pytest.approx(v.field_block[0, 1], rel=1e-10)
     # population-weighted moments too
-    assert g.sz_block[0, 0] == pytest.approx(v.values[4], rel=1e-10, abs=1e-16)
+    assert g.sz_block[0, 0] == pytest.approx(v.sz_block[0, 0], rel=1e-10, abs=1e-16)
+
+
+@pytest.mark.parametrize("sigma_z", [-1.0, 0.3, 1.0, None], ids=["ground", "mixed", "excited", "no-atom"])
+def test_resonant_pair_is_the_two_site_chain(sigma_z):
+    chi = 0.0 if sigma_z is None else 0.12
+    system = chain_system(2, chi=chi, host=None if sigma_z is None else 2, sigma_z=sigma_z,
+                          gamma_right=0.1, nbar_right=0.1)
+    pair = TwoCavitySystem(
+        omega_left=1.0, omega_right=1.0, coupling=system.coupling,
+        left=system.left, right=system.right, atom=system.atom,
+    )
+    g, v = steady_state_matrix(system), steady_state(pair)
+    assert (g.n_sites, g.sigma_z) == (v.n_sites, v.sigma_z)
+    assert np.max(np.abs(g.values - v.values)) < 1e-13
+    assert g.positivity_margin == pytest.approx(v.positivity_margin, abs=1e-13)
 
 
 def test_equilibrium_chain_is_identity_times_occupation():
@@ -267,3 +302,11 @@ def test_size_scan_host_rules():
     assert fixed[0].current != pytest.approx(last[0].current, rel=1e-6)
     with pytest.raises(ValueError, match="host rule"):
         size_scan(template, [3], host="middle")
+
+
+@pytest.mark.parametrize("observable", [array_current, right_boundary_current, occupation_profile, bond_flows])
+def test_observables_reject_a_state_of_another_system(observable):
+    system = chain_system(5, chi=0.1, host=5, sigma_z=1.0)
+    for other in (chain_system(5, chi=0.1, host=5, sigma_z=-1.0), chain_system(4, chi=0.1, host=4, sigma_z=1.0)):
+        with pytest.raises(ValueError, match="does not belong"):
+            observable(system, steady_state_matrix(other))

@@ -394,8 +394,7 @@ def test_moment_rows_carry_the_solver_residual(tmp_path):
             left=ReservoirSpec(gamma, 0.5), right=ReservoirSpec(gamma, 0.0),
             atom=AtomSpec(dispersive_strength=0.3, sigma_z=0.2),
         )
-        residual = moments.steady_residual(system, moments.steady_state(system))
-        assert row["residual"] == format(residual, ".17g")
+        assert row["residual"] == format(moments.steady_state(system).residual, ".17g")
 
 
 def test_crosscheck_passes_at_a_mixed_detuned_point(tmp_path, capsys):
@@ -422,3 +421,40 @@ def test_rectification_sweep_needs_a_ground_state_atom(tmp_path, capsys, atom):
         "error: config: the rectification sweep needs an atom in its ground state (sigma_z = -1)"
     ]
     assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "-1", "inf"])
+@pytest.mark.parametrize("key", ["tol_closedform_moments", "tol_moments_fock"])
+def test_crosscheck_rejects_a_bad_tolerance_before_solving(monkeypatch, tmp_path, capsys, key, value):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the tolerances were checked")
+
+    monkeypatch.setattr(cli.fockspace, "steady_rho", no_solve)
+    monkeypatch.setattr(cli.moments, "steady_states", no_solve)
+    params = dict(FIG2, fock_n_max="8", fock_tail_bound="1e-3", **{key: value})
+    assert run_main("oracle_crosscheck", tmp_path, params) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: {key} must be finite and non-negative, got {float(value)}"
+    ]
+
+
+@pytest.mark.parametrize(
+    "sigma_z, row, error, message",
+    [("1.0", 2, 1e-11, "steady-state residual"), ("0.2", 5, 1e-9, "sector steady-state residual")],
+    ids=["row-bound", "sector-bound"],
+)
+def test_moment_solver_failure_names_the_sweep_value(monkeypatch, tmp_path, capsys, sigma_z, row, error, message):
+    # the stack holds one sector matrix per row at sigma_z = 1 and two at 0.2;
+    # either way the perturbed matrix belongs to the third row. An error of
+    # 1e-11 passes the chain's 1e-10 bound and fails the moment rows' 1e-12.
+    solve = np.linalg.solve
+
+    def perturbed(a, b):
+        c = solve(a, b)
+        c[row] *= 1 + error
+        return c
+
+    monkeypatch.setattr(np.linalg, "solve", perturbed)
+    params = dict(FIG2, sigma_z=sigma_z, sweep_start="0.05", sweep_stop="0.09", sweep_step="0.01")
+    assert run_main("gamma_sweep", tmp_path, params) == cli.EXIT_SOLVER
+    assert capsys.readouterr().err.startswith(f"error: solver failure at gamma=0.07: {message}")

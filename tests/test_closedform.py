@@ -11,14 +11,14 @@ from cavityheat.closedform import (
     classify_regime,
     current_general,
     current_pm,
-    current_resonant_no_atom,
     current_resonant_with_atom,
     forward_reverse_currents,
     peak_rate,
     rectification,
     steady_moments,
 )
-from cavityheat.model import AtomSpec, ReservoirSpec, TwoCavitySystem
+from cavityheat.chain import ballistic_current
+from cavityheat.model import ArraySystem, AtomSpec, ReservoirSpec, TwoCavitySystem
 from cavityheat.moments import currents_from_moments, steady_state
 
 
@@ -41,6 +41,13 @@ def system_for(
         right=ReservoirSpec(gamma_right, nbar_right),
         atom=AtomSpec(dispersive_strength=chi, sigma_z=sigma_z) if atom else None,
     )
+
+
+def as_chain(system):
+    """The equivalent N = 2 array of a resonant, atom-free pair."""
+    assert system.atom is None and system.detuning == 0.0
+    return ArraySystem(n_sites=2, omega=system.omega_left, coupling=system.coupling,
+                       left=system.left, right=system.right)
 
 
 def random_systems(rng, count, sigma_z_choices=(-1.0, 1.0), chi_max=0.5):
@@ -105,7 +112,7 @@ def test_equal_occupations_no_current():
 def test_general_reduces_to_resonant_no_atom():
     system = system_for(chi=0.0, sigma_z=0.0, atom=False)
     general = current_general(system).i_left
-    resonant = current_resonant_no_atom(system)
+    resonant = ballistic_current(as_chain(system))
     assert general == pytest.approx(resonant, rel=1e-13)
 
 
@@ -151,22 +158,15 @@ def test_resonant_no_atom_reference_value():
     system = system_for(coupling=0.05, gamma_left=0.15, gamma_right=0.15, atom=False)
     expected = 4 * 1.0 * 0.05**2 * 0.15 * 0.15 * 0.5 / ((4 * 0.05**2 + 0.15 * 0.15) * 0.3)
     assert expected == pytest.approx(0.0115385, abs=5e-8)
-    assert current_resonant_no_atom(system) == pytest.approx(expected, rel=1e-15)
+    assert ballistic_current(as_chain(system)) == pytest.approx(expected, rel=1e-15)
 
 
 def test_resonant_no_atom_zero_bias_and_rate_scaling():
-    assert current_resonant_no_atom(system_for(atom=False, nbar_left=0.2, nbar_right=0.2)) == 0.0
+    assert ballistic_current(as_chain(system_for(atom=False, nbar_left=0.2, nbar_right=0.2))) == 0.0
     tiny = [
-        current_resonant_no_atom(system_for(atom=False, gamma_left=g)) / g for g in (1e-6, 1e-7, 1e-8)
+        ballistic_current(as_chain(system_for(atom=False, gamma_left=g))) / g for g in (1e-6, 1e-7, 1e-8)
     ]
     assert np.ptp(tiny) / abs(tiny[0]) < 1e-4
-
-
-def test_resonant_no_atom_rejects_preconditions():
-    with pytest.raises(ValueError):
-        current_resonant_no_atom(system_for(atom=False, omega_right=0.9))
-    with pytest.raises(ValueError):
-        current_resonant_no_atom(system_for())
 
 
 def test_resonant_with_atom_maximum_current():
@@ -181,7 +181,7 @@ def test_resonant_with_atom_reduces_to_no_atom():
     with_atom = system_for(chi=0.0, gamma_left=0.1, gamma_right=0.1)
     without = system_for(atom=False, gamma_left=0.1, gamma_right=0.1)
     assert current_resonant_with_atom(with_atom) == pytest.approx(
-        current_resonant_no_atom(without), rel=1e-13
+        ballistic_current(as_chain(without)), rel=1e-13
     )
 
 

@@ -152,14 +152,14 @@ def test_reference_point_matches_moment_solver():
     number = np.diag(np.arange(15))
     occ_left = np.trace(rho.reduced_left() @ number).real
     occ_right = np.trace(rho.reduced_right() @ number).real
-    assert occ_left == pytest.approx(v.n_left, abs=5e-7)
-    assert occ_right == pytest.approx(v.n_right, abs=5e-7)
+    assert occ_left == pytest.approx(v.occupations[0], abs=5e-7)
+    assert occ_right == pytest.approx(v.occupations[1], abs=5e-7)
 
 
 def test_truncation_error_shrinks_monotonically():
     gamma = math.sqrt(4 * 0.02**2 + 0.05**2)
     system = system_for(gamma_left=gamma, gamma_right=gamma)
-    exact = steady_state(system).n_left
+    exact = steady_state(system).occupations[0]
     errors = []
     for n_max in (6, 9, 12):
         rho = steady_rho(system, FockConfig(n_max=n_max, tail_bound=1e-2))
@@ -175,7 +175,7 @@ def test_mixed_atom_state_is_the_sector_mixture():
     assert rho.sigma_z_expectation() == pytest.approx(0.5, abs=1e-10)
     v = steady_state(system)
     number = np.diag(np.arange(cfg.levels))
-    assert np.trace(rho.reduced_left() @ number).real == pytest.approx(v.n_left, abs=1e-6)
+    assert np.trace(rho.reduced_left() @ number).real == pytest.approx(v.occupations[0], abs=1e-6)
 
 
 def test_steady_state_is_physical():
@@ -194,7 +194,7 @@ def test_truncation_escalation_converges():
     assert cfg.n_max >= 8
     v = steady_state(system)
     number = np.diag(np.arange(cfg.levels))
-    assert np.trace(state.reduced_left() @ number).real == pytest.approx(v.n_left, abs=1e-7)
+    assert np.trace(state.reduced_left() @ number).real == pytest.approx(v.occupations[0], abs=1e-7)
 
 
 # --- currents -----------------------------------------------------------------------

@@ -4,16 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cavityheat.chain import MomentMatrix, build_generators, sector_covariances
 from cavityheat.closedform import current_general, steady_moments
-from cavityheat.model import AtomSpec, ReservoirSpec, TwoCavitySystem
-from cavityheat.moments import (
-    MomentVector,
-    currents_from_moments,
-    evolve,
-    generator_matrix,
-    steady_state,
-    steady_residual,
-)
+from cavityheat.model import AtomSpec, ReservoirSpec, TwoCavitySystem, atomic_sectors
+from cavityheat.moments import currents_from_moments, evolve, steady_state, steady_states
 
 
 def system_for(
@@ -57,49 +51,59 @@ def random_systems(rng, count):
     return out
 
 
+def zero_state(sigma_z=0.0):
+    return MomentMatrix(values=np.zeros((4, 4), dtype=complex), n_sites=2, sigma_z=sigma_z)
+
+
 def sector_mixture(system):
     """Independent steady-state construction: solve each atomic sector as an
     atom-free problem with the shifted right-cavity frequency, then mix."""
     sz = system.sigma_z
     weights = {+1.0: 0.5 * (1.0 + sz), -1.0: 0.5 * (1.0 - sz)}
-    mixed = np.zeros(4, dtype=complex)
+    mixed = np.zeros((2, 2), dtype=complex)
     for sector, weight in weights.items():
         if weight == 0.0:
             continue
         shifted = replace(
             system, omega_right=system.omega_right + sector * system.chi, atom=None
         )
-        mixed += weight * steady_state(shifted).values[:4]
+        mixed += weight * steady_state(shifted).field_block
     return mixed
+
+
+def sector_stack(system):
+    """The sector matrices A_s = i (h + s x) + D and drives Q, from the block generators."""
+    gen = build_generators(system)
+    a = np.array([1j * (gen.h_c + sign * gen.x) + gen.m2[:2, :2] for _, sign in atomic_sectors(system)])
+    return a, np.array([gen.m3[:2, :2].astype(complex)] * len(a))
 
 
 # --- generator structure ----------------------------------------------------
 
 
 def test_decoupled_generator_eigenvalues():
+    # dG/dt = B G + G B+ + M3 has the eigenvalues b_i + conj(b_j) of B = i M1 + M2
     system = system_for(omega_right=0.7, coupling=0.0, chi=0.0, gamma_left=0.1, gamma_right=0.04)
-    a, _ = generator_matrix(system)
-    eigenvalues = np.linalg.eigvals(a)
+    gen = build_generators(system)
+    b = np.linalg.eigvals(1j * gen.m1 + gen.m2)
+    eigenvalues = (b[:, None] + b.conj()[None, :]).ravel()
     gamma = system.gamma
     detuning = system.detuning
-    expected = np.array(
-        [-0.1, -0.1, -0.04, -0.04, -gamma + 1j * detuning, -gamma + 1j * detuning,
-         -gamma - 1j * detuning, -gamma - 1j * detuning]
-    )
+    expected = np.repeat([-0.1, -0.04, -gamma + 1j * detuning, -gamma - 1j * detuning], 4)
     got = np.sort_complex(eigenvalues)
     assert np.allclose(got, np.sort_complex(expected), atol=1e-12)
 
 
 def test_population_sector_decouples_without_dispersion():
-    a, b = generator_matrix(system_for(chi=0.0, sigma_z=-1.0))
-    assert np.all(a[:4, 4:] == 0)
-    assert np.all(a[4:, :4] == 0)
-    # the drive still reaches the population sector
-    assert b[4] != 0
+    gen = build_generators(system_for(chi=0.0, sigma_z=-1.0))
+    assert np.all(gen.m1[:2, 2:] == 0)
+    assert np.all(gen.m1[2:, :2] == 0)
+    # the drive still reaches the population-weighted block
+    assert gen.m3[0, 2] != 0
 
 
 def test_reference_point_generator_is_stable():
-    a, _ = generator_matrix(system_for())
+    a, _ = sector_stack(system_for(sigma_z=0.3))
     assert np.all(np.linalg.eigvals(a).real < 0)
 
 
@@ -109,15 +113,14 @@ def test_reference_point_generator_is_stable():
 def test_equilibrium_with_equal_reservoirs():
     system = system_for(chi=0.0, sigma_z=0.0, nbar_left=0.4, nbar_right=0.4, atom=False)
     v = steady_state(system)
-    assert v.n_left == pytest.approx(0.4, rel=1e-13)
-    assert v.n_right == pytest.approx(0.4, rel=1e-13)
-    assert abs(v.coherence) < 1e-15
+    assert v.occupations == pytest.approx([0.4, 0.4], rel=1e-13)
+    assert abs(v.field_block[0, 1]) < 1e-15
 
 
 def test_uncoupled_cavities_hold_reservoir_occupations():
     v = steady_state(system_for(coupling=0.0))
-    assert v.n_left == pytest.approx(0.5, rel=1e-14)
-    assert v.n_right == pytest.approx(0.0, abs=1e-14)
+    assert v.occupations[0] == pytest.approx(0.5, rel=1e-14)
+    assert v.occupations[1] == pytest.approx(0.0, abs=1e-14)
 
 
 def test_matches_closed_form_at_definite_atomic_states():
@@ -125,29 +128,30 @@ def test_matches_closed_form_at_definite_atomic_states():
     for system in random_systems(rng, 30):
         v = steady_state(system)
         m = steady_moments(system)
-        assert v.n_left == pytest.approx(m.n_left, rel=1e-10)
-        assert v.n_right == pytest.approx(m.n_right, rel=1e-10)
-        assert v.coherence == pytest.approx(m.coherence, rel=1e-10, abs=1e-18)
-        assert steady_residual(system, v) < 1e-12
+        assert v.occupations[0] == pytest.approx(m.n_left, rel=1e-10)
+        assert v.occupations[1] == pytest.approx(m.n_right, rel=1e-10)
+        assert v.field_block[0, 1] == pytest.approx(m.coherence, rel=1e-10, abs=1e-18)
+        assert v.residual < 1e-12
 
 
 def test_moment_vector_structure():
+    # G = [[F, S], [S, F]] with F = <a_j+ a_k> and S = <a_j+ a_k sz> both Hermitian
     rng = np.random.default_rng(29)
     for system in random_systems(rng, 10):
-        v = steady_state(system).values
-        assert abs(v[0].imag) < 1e-10 and abs(v[1].imag) < 1e-10
-        assert abs(v[4].imag) < 1e-10 and abs(v[5].imag) < 1e-10
-        assert v[3] == pytest.approx(np.conj(v[2]), abs=1e-15)
-        assert v[7] == pytest.approx(np.conj(v[6]), abs=1e-15)
-        assert v[0].real >= 0 and v[1].real >= 0
+        v = steady_state(system)
+        f, s = v.field_block, v.sz_block
+        assert np.array_equal(v.values, np.block([[f, s], [s, f]]))
+        assert np.allclose(f, f.conj().T, rtol=0, atol=1e-15)
+        assert np.allclose(s, s.conj().T, rtol=0, atol=1e-15)
+        assert np.all(v.occupations >= 0) and v.positivity_margin >= 0
 
 
 def test_closed_form_exact_for_mixed_atom_on_resonance():
     system = system_for(chi=0.3, sigma_z=0.4, gamma_left=0.1, gamma_right=0.05)
     v = steady_state(system)
     m = steady_moments(system)
-    assert v.n_left == pytest.approx(m.n_left, rel=1e-12)
-    assert v.coherence == pytest.approx(m.coherence, rel=1e-12)
+    assert v.occupations[0] == pytest.approx(m.n_left, rel=1e-12)
+    assert v.field_block[0, 1] == pytest.approx(m.coherence, rel=1e-12)
 
 
 def test_mixed_atom_with_detuning_equals_sector_mixture():
@@ -156,10 +160,11 @@ def test_mixed_atom_with_detuning_equals_sector_mixture():
     system = system_for(omega_right=0.8, coupling=0.05, chi=0.3, sigma_z=0.4, gamma_left=0.1, gamma_right=0.03)
     v = steady_state(system)
     mixed = sector_mixture(system)
-    assert np.allclose(v.values[:4], mixed, rtol=1e-12, atol=1e-16)
+    assert np.allclose(v.field_block, mixed, rtol=1e-12, atol=1e-16)
     # and the closed form, mixed over the same sectors, gives the same moments
     m = steady_moments(system)
-    assert np.allclose([m.n_left, m.n_right, m.coherence], v.values[[0, 1, 2]], rtol=1e-12, atol=1e-16)
+    f = v.field_block
+    assert np.allclose([m.n_left, m.n_right, m.coherence], [f[0, 0], f[1, 1], f[0, 1]], rtol=1e-12, atol=1e-16)
 
 
 # --- time evolution ---------------------------------------------------------
@@ -168,12 +173,12 @@ def test_mixed_atom_with_detuning_equals_sector_mixture():
 def test_single_mode_relaxation_against_closed_form():
     gamma_left = 0.1
     system = system_for(coupling=0.0, chi=0.0, sigma_z=0.0, gamma_left=gamma_left, atom=False)
-    start = MomentVector.zero()
-    start.values[0] = 2.0
+    start = zero_state()
+    start.values[0, 0] = start.values[2, 2] = 2.0
     dt = 1e-3 / gamma_left
     trajectory = evolve(system, start, t_final=5.0 / gamma_left, dt=dt)
     expected = 0.5 + (2.0 - 0.5) * np.exp(-gamma_left * trajectory.times)
-    assert np.max(np.abs(trajectory.values[:, 0].real - expected)) < 1e-8
+    assert np.max(np.abs(trajectory.values[:, 0, 0].real - expected)) < 1e-8
 
 
 def test_steady_state_is_a_fixed_point():
@@ -188,18 +193,18 @@ def test_zero_state_converges_to_steady_state():
     system = system_for()
     v = steady_state(system)
     gamma = system.left.rate
-    trajectory = evolve(system, MomentVector.zero(sigma_z=1.0), t_final=20.0 / gamma, dt=0.05 / gamma)
+    trajectory = evolve(system, zero_state(sigma_z=1.0), t_final=20.0 / gamma, dt=0.05 / gamma)
     final_error = np.max(np.abs(trajectory.final.values - v.values))
     assert final_error < 1e-6
     # the residual distance keeps shrinking once the slowest mode dominates
-    distances = np.linalg.norm(trajectory.values - v.values[None, :], axis=1)
+    distances = np.linalg.norm(trajectory.values - v.values[None, :], axis=(1, 2))
     tail = distances[len(distances) // 2 :]
     assert np.all(np.diff(tail) <= 1e-14)
 
 
 def test_sigma_z_is_carried_bitwise():
     system = system_for(sigma_z=-1.0)
-    trajectory = evolve(system, MomentVector.zero(sigma_z=-1.0), t_final=1.0, dt=0.01)
+    trajectory = evolve(system, zero_state(sigma_z=-1.0), t_final=1.0, dt=0.01)
     assert trajectory.sigma_z == -1.0
     assert trajectory.final.sigma_z == -1.0
 
@@ -207,15 +212,15 @@ def test_sigma_z_is_carried_bitwise():
 def test_oversized_step_warns():
     system = system_for()
     with pytest.warns(UserWarning, match="eigenvalue"):
-        evolve(system, MomentVector.zero(), t_final=200.0, dt=100.0)
+        evolve(system, zero_state(sigma_z=1.0), t_final=200.0, dt=100.0)
 
 
 def test_evolve_rejects_bad_steps():
     system = system_for()
     with pytest.raises(ValueError):
-        evolve(system, MomentVector.zero(), t_final=1.0, dt=0.0)
+        evolve(system, zero_state(sigma_z=1.0), t_final=1.0, dt=0.0)
     with pytest.raises(ValueError):
-        evolve(system, MomentVector.zero(), t_final=0.001, dt=0.01)
+        evolve(system, zero_state(sigma_z=1.0), t_final=0.001, dt=0.01)
 
 
 # --- currents ----------------------------------------------------------------
@@ -262,8 +267,8 @@ def test_boundary_currents_balance_on_random_grid():
 
 def test_non_steady_vector_warns():
     system = system_for()
-    off = MomentVector.zero(sigma_z=1.0)
-    off.values[0] = 0.3
+    off = zero_state(sigma_z=1.0)
+    off.values[0, 0] = off.values[2, 2] = 0.3
     with pytest.warns(UserWarning, match="not a steady state"):
         currents_from_moments(system, off)
 
@@ -290,7 +295,52 @@ def test_mixed_atom_right_current_mixes_the_sectors():
 
 
 def test_steady_state_carries_its_residual():
+    # the largest residual of the sector equations, as the core returns it
     rng = np.random.default_rng(41)
-    for system in random_systems(rng, 5):
+    for system in random_systems(rng, 5) + [system_for(omega_right=1.1, chi=0.3, sigma_z=0.2)]:
         v = steady_state(system)
-        assert v.residual == steady_residual(system, v)
+        _, residual, _ = sector_covariances(*sector_stack(system))
+        assert v.residual == residual.max()
+
+
+def test_currents_reject_a_state_of_another_sigma_z():
+    excited = system_for(chi=0.05, sigma_z=1.0)
+    ground = replace(excited, atom=replace(excited.atom, sigma_z=-1.0))
+    with pytest.raises(ValueError, match="does not belong"):
+        currents_from_moments(excited, steady_state(ground))
+    with pytest.raises(ValueError, match="does not belong"):
+        evolve(excited, zero_state(sigma_z=-1.0), t_final=1.0, dt=0.1)
+
+
+# --- one stack solve ------------------------------------------------------------
+
+
+@pytest.mark.parametrize("field", ["i_left", "i_right", "i_occupation", "i_coherence"])
+def test_moment_currents_are_affine_in_sigma_z(field):
+    # every steady quantity is the p+- mixture of the two pinned sectors
+    base = system_for(omega_right=1.1, coupling=0.05, chi=0.3, gamma_left=0.1, gamma_right=0.07, nbar_right=0.1)
+
+    def current(sigma_z):
+        system = replace(base, atom=replace(base.atom, sigma_z=sigma_z))
+        return getattr(currents_from_moments(system, steady_state(system)), field)
+
+    up, down = current(1.0), current(-1.0)
+    scale = max(abs(up), abs(down))
+    for sigma_z in (-0.7, -0.2, 0.0, 0.3, 0.9):
+        mixed = 0.5 * (1 + sigma_z) * up + 0.5 * (1 - sigma_z) * down
+        assert current(sigma_z) == pytest.approx(mixed, rel=1e-12, abs=1e-13 * scale)
+
+
+def test_empty_grid_has_no_rows():
+    assert steady_states([]) == []
+
+
+def test_grid_rows_equal_single_solves_bitwise():
+    rng = np.random.default_rng(43)
+    grid = random_systems(rng, 40) + [system_for(omega_right=1.1, chi=0.3, sigma_z=s) for s in (-0.4, 0.2)]
+    for system, row in zip(grid, steady_states(grid)):
+        alone = steady_state(system)
+        assert np.array_equal(row.values, alone.values)
+        assert (row.residual, row.positivity_margin, row.sigma_z) == (
+            alone.residual, alone.positivity_margin, alone.sigma_z
+        )
