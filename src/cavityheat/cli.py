@@ -462,6 +462,8 @@ def _regime_table(spec: SweepSpec) -> list[dict]:
         raise ValidationError(["config: the regime table needs an atom (set chi and sigma_z)"])
     if not base.chi > base.omega_right:
         raise ValidationError(["config: the regime table requires chi > omega_right"])
+    if not base.left.mean_occupation > base.right.mean_occupation:
+        raise ValidationError(["config: the regime table requires a hotter left reservoir (nbar_left > nbar_right)"])
     grid = [(alpha, sigma) for alpha in alphas for sigma in (1.0, -1.0)]
     systems = [
         replace(

@@ -1,14 +1,22 @@
 """Brute-force verification path on a truncated Fock space.
 
-Finds the steady density matrix of the two-cavity system by a sparse solve
-of its Lindblad generator and evaluates currents and state diagnostics on
-it, independently of the moment and covariance solvers, so the paths must
-agree up to Fock truncation error only.
+Finds the steady density matrix of the two-cavity system on the truncated
+Fock space and evaluates currents and state diagnostics on it, independently
+of the moment and covariance solvers, so the paths must agree up to Fock
+truncation error only.
 
 The atomic population is conserved, so the oracle works per atomic sector
 (``model.atomic_sectors``): in sector s the right cavity is shifted by
 s chi, the field state rho_s solves the atom-free generator on the two-mode
 space, and every quantity is the p_s-weighted sum over sectors.
+
+The generator conserves the difference between ket and bra excitation
+numbers, so rho_s is block-diagonal in the total excitation number
+n = 0 .. 2 n_max, and its equations couple block n only to n +- 1 through
+the reservoir jumps. Each sector is solved by dense block elimination over
+all of these blocks, no Gaussian assumption made. The result is then checked
+against the full Lindblad equation -i[H_s, rho] + sum_c rate D[c] rho,
+evaluated by sparse products on the whole of rho, not on the solved blocks.
 ``fock_operators`` and ``build_liouvillian`` state the model on the full
 space, left mode (x) right mode (x) atom with the atom basis ordered
 (excited, ground), for checks on the generator itself.
@@ -21,7 +29,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .closedform import CurrentReport, _classification
 from .model import SolverError, TwoCavitySystem, ValidationError, atomic_sectors, validate
@@ -53,8 +60,9 @@ class FockConfig:
 
     ``tail_bound`` caps the Gibbs weight beyond the truncation at the hotter
     reservoir occupation, so the cut cannot silently bias the steady state.
-    ``max_vectorized_dim`` guards against accidentally vectorising a huge
-    superoperator; raise it deliberately for large truncations.
+    ``max_vectorized_dim`` caps the vectorised field-space dimension,
+    levels**4, that a steady solve or a generator may reach; raise it
+    deliberately for large truncations.
     """
 
     n_max: int = 12
@@ -84,8 +92,8 @@ class DensityMatrix:
     ``sectors`` holds (p_s, s, rho_s): the weight and sign of each atomic
     sector and its two-mode field state, as ``model.atomic_sectors`` orders
     them; without an atom it is the single entry (1.0, 0.0, rho).
-    ``residual`` is the norm of the generator applied to the state, combined
-    over atomic sectors.
+    ``residual`` is the norm of the full Lindblad right-hand side on the
+    state, combined over atomic sectors.
     """
 
     sectors: tuple[tuple[float, float, np.ndarray], ...]
@@ -273,68 +281,147 @@ def _sector_hamiltonian(
     return h.tocsr()
 
 
-def _null_state(gen: sp.csr_matrix, dim: int) -> np.ndarray:
-    """Trace-one solution of gen(vec rho) = 0.
+def _excitation_blocks(levels: int) -> list[np.ndarray]:
+    """Ket indices of each total excitation number n = 0 .. 2 (levels - 1).
 
-    The generator conserves the ket-minus-bra excitation difference of the
-    two modes, and the steady state lives in the zero-difference block, so
-    the solve is restricted there; the returned state is still verified
-    against the unreduced generator by the caller.
+    The ket |i, j> sits at index i * levels + j; inside a block the kets
+    ascend in the left occupation i.
     """
-    d1 = int(round(np.sqrt(dim)))
-    total = (np.arange(dim) // d1) + (np.arange(dim) % d1)
-    ket, bra = np.meshgrid(total, total, indexing="ij")
-    keep = np.nonzero((ket - bra).reshape(-1) == 0)[0]
-    reduced = gen[keep][:, keep].tocsr()
+    total = np.add.outer(np.arange(levels), np.arange(levels)).reshape(-1)
+    return [np.flatnonzero(total == n) for n in range(2 * levels - 1)]
 
-    weight = float(np.abs(gen.diagonal()).mean()) or 1.0
-    diag_positions = np.arange(dim) * dim + np.arange(dim)
-    trace_cols = np.searchsorted(keep, diag_positions)
-    n_red = keep.size
-    trace_row = sp.csr_matrix(
-        (np.full(dim, weight), (np.zeros(dim, dtype=int), trace_cols)), shape=(n_red, n_red)
-    )
-    rhs = np.zeros(n_red, dtype=complex)
-    rhs[0] = weight
-    try:
-        solution = spla.spsolve((reduced + trace_row).tocsc(), rhs)
-    except RuntimeError as exc:
-        raise SolverError(f"no unique steady state: {exc}") from exc
-    if not np.all(np.isfinite(solution)):
-        raise SolverError("no unique steady state: singular generator block")
 
-    full = np.zeros(dim * dim, dtype=complex)
-    full[keep] = solution
-    rho = full.reshape(dim, dim)
-    rho = 0.5 * (rho + rho.conj().T)
+def _block_generator(k: np.ndarray, gamma: np.ndarray) -> np.ndarray:
+    """No-jump part of the generator on one excitation block, in real coordinates.
+
+    A Hermitian block rho is held as the real matrix Y = Re rho + Im rho, so
+    rho = (Y + Y^T)/2 + i (Y - Y^T)/2. For real symmetric K (the Hamiltonian)
+    and Gamma (sum_c rate c^dagger c), rho -> -i[K, rho] - {Gamma, rho}/2
+    becomes Y -> Y^T K - K Y^T - (Gamma Y + Y Gamma)/2. Returns its matrix on
+    row-major vec Y.
+    """
+    m = k.shape[0]
+    i = np.arange(m)
+    gen = np.zeros((m, m, m, m))  # gen[a, b, c, d]: coefficient of Y[c, d] in Y'[a, b]
+    gen[i, :, :, i] += k.T
+    gen[:, i, i, :] -= k[:, None, :]
+    gen[:, i, :, i] -= 0.5 * gamma
+    gen[i, :, i, :] -= 0.5 * gamma.T
+    return gen.reshape(m * m, m * m)
+
+
+def _jumps(channels, blocks: list[np.ndarray]) -> dict[int, list[list]]:
+    """sum_c rate c rho c^dagger between neighbouring excitation blocks.
+
+    Each jump operator is real and has at most one entry per row, at the
+    row's source ket s_k, so (c rho c^dagger)[k, l] =
+    c[k, s_k] c[l, s_l] rho[s_k, s_l]: a gather with real weights, which
+    acts on Y = Re rho + Im rho alike. ``jumps[step][n]`` lists one
+    (source, weight) pair per channel that feeds block n from block
+    n + step; ``source`` indexes vec Y of block n + step.
+    """
+    dim = sum(kets.size for kets in blocks)
+    block_of = np.empty(dim, dtype=int)
+    position = np.empty(dim, dtype=int)
+    for n, kets in enumerate(blocks):
+        block_of[kets] = n
+        position[kets] = np.arange(kets.size)
+    jumps = {-1: [[] for _ in blocks], 1: [[] for _ in blocks]}
+    for c_op, rate in channels:
+        if rate == 0.0:
+            continue
+        c = c_op.tocoo()
+        step = int(block_of[c.col[0]] - block_of[c.row[0]])
+        source = np.zeros(dim, dtype=int)
+        amplitude = np.zeros(dim)
+        source[c.row] = position[c.col]
+        amplitude[c.row] = np.sqrt(rate) * c.data
+        for n, kets in enumerate(blocks):
+            if 0 <= n + step < len(blocks):
+                s, w = source[kets], amplitude[kets]
+                width = blocks[n + step].size
+                jumps[step][n].append(((s[:, None] * width + s).reshape(-1), np.outer(w, w).reshape(-1)))
+    return jumps
+
+
+def _block_steady_state(h: sp.csr_matrix, channels, blocks: list[np.ndarray]) -> np.ndarray:
+    """Trace-one steady state of the generator, solved on its excitation blocks.
+
+    The generator conserves the ket-minus-bra excitation difference, so the
+    steady state is block-diagonal in the total excitation number n, and its
+    equations couple block n only to n +- 1 through the jumps:
+    C_n y_{n-1} + A_n y_n + B_n y_{n+1} = 0, with y_n = vec Y_n. The vacuum block is pinned to
+    y_0 = 1 and its equation dropped; the trace functional weighs that
+    equation, so the rest stay independent. Eliminating upward from n = 1
+    gives y_n = offset_n - gain_n y_{n+1}; back-substitution then fills every
+    block, and the state is normalised by its trace.
+    """
+    gamma = sum(rate * (c.conj().T @ c) for c, rate in channels).toarray()
+    h = h.toarray()
+    jumps = _jumps(channels, blocks)
+    sizes = [kets.size**2 for kets in blocks] + [0]
+    steps = [np.column_stack([np.zeros((1, sizes[1])), np.ones(1)])]  # [gain | offset] of y_0 = 1
+    for n in range(1, len(blocks)):
+        kets = np.ix_(blocks[n], blocks[n])
+        fed = np.zeros((sizes[n], steps[-1].shape[1]))
+        for source, weight in jumps[-1][n]:
+            fed += weight[:, None] * steps[-1][source]
+        rhs = np.zeros((sizes[n], sizes[n + 1] + 1))
+        for source, weight in jumps[1][n]:
+            rhs[np.arange(sizes[n]), source] += weight
+        rhs[:, -1] = -fed[:, -1]
+        try:
+            steps.append(np.linalg.solve(_block_generator(h[kets], gamma[kets]) - fed[:, :-1], rhs))
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"no unique steady state: {exc}") from exc
+    rho = np.zeros(h.shape, dtype=complex)
+    y = np.zeros(0)
+    for kets, step in zip(reversed(blocks), reversed(steps)):
+        y = step[:, -1] - step[:, :-1] @ y
+        block = y.reshape(kets.size, kets.size)
+        rho[np.ix_(kets, kets)] = 0.5 * (block + block.T) + 0.5j * (block - block.T)
     trace = np.trace(rho).real
-    if abs(trace) < 1e-300:
-        raise SolverError("no unique steady state: traceless null vector")
+    if not (np.all(np.isfinite(rho)) and trace > 0.0):
+        raise SolverError("no unique steady state: the block elimination gave a non-finite or traceless state")
     return rho / trace
 
 
+def _lindblad_rhs(h: sp.csr_matrix, channels, rho: np.ndarray) -> np.ndarray:
+    """-i[H, rho] + sum_c rate D[c] rho, from sparse products.
+
+    rho enters as a sparse matrix holding every nonzero entry, so nothing of
+    the excitation-block structure is assumed.
+    """
+    rho = sp.csr_matrix(rho)
+    return (-1j * (h @ rho - rho @ h) + sum(rate * _dissipator(rho, c) for c, rate in channels)).toarray()
+
+
 def _sector_steady(system: TwoCavitySystem, cfg: FockConfig, sector: float):
-    dim = cfg.levels**2
-    _guard_dim(dim, cfg)
+    """Steady field state of one atomic sector and the norm of the full
+    Lindblad right-hand side on it."""
+    _guard_dim(cfg.levels**2, cfg)
     a_left, a_right = _field_ops(cfg.levels)
-    gen = _liouvillian_from(
-        _sector_hamiltonian(system, a_left, a_right, sector), _collapse_channels(system, a_left, a_right)
-    )
-    rho = _null_state(gen, dim)
-    residual = float(np.linalg.norm(gen @ rho.reshape(-1)))
+    h = _sector_hamiltonian(system, a_left, a_right, sector)
+    channels = _collapse_channels(system, a_left, a_right)
+    blocks = _excitation_blocks(cfg.levels)
+    rho = _block_steady_state(h, channels, blocks)
+    _validate_state(rho, blocks)
+    residual = float(np.linalg.norm(_lindblad_rhs(h, channels, rho)))
     if not residual <= STEADY_RESIDUAL_TOL:
         raise SolverError(f"steady-state residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL}")
     return rho, residual
 
 
-def _validate_state(rho: np.ndarray) -> None:
+def _validate_state(rho: np.ndarray, blocks: list[np.ndarray]) -> None:
+    """Hermitian, trace one, and no eigenvalue below the floor; the state is
+    block-diagonal in the excitation number, so each block's spectrum is exact."""
     hermiticity = np.linalg.norm(rho - rho.conj().T)
     if not hermiticity <= HERMITICITY_TOL:
         raise SolverError(f"steady state is not Hermitian (deviation {hermiticity:.3e})")
     trace = np.trace(rho).real
     if not abs(trace - 1.0) <= TRACE_TOL:
         raise SolverError(f"steady state trace deviates from one by {abs(trace - 1.0):.3e}")
-    smallest = float(np.linalg.eigvalsh(rho)[0])
+    smallest = min(float(np.linalg.eigvalsh(rho[np.ix_(kets, kets)])[0]) for kets in blocks)
     if not smallest >= EIGENVALUE_FLOOR:
         raise SolverError(f"steady state has negative eigenvalue {smallest:.3e}")
 
@@ -354,7 +441,6 @@ def steady_rho(system: TwoCavitySystem, cfg: FockConfig | None = None) -> Densit
     residual_sq = 0.0
     for weight, sign in atomic_sectors(system):
         rho, residual = _sector_steady(system, cfg, sign)
-        _validate_state(rho)
         sectors.append((weight, sign, rho))
         residual_sq += (weight * residual) ** 2
     return DensityMatrix(sectors=tuple(sectors), n_max=cfg.n_max, residual=float(np.sqrt(residual_sq)))
@@ -395,15 +481,29 @@ def converged_steady_rho(
         current_cfg = next_cfg
 
 
-def _dissipator(rho: np.ndarray, c: sp.csr_matrix) -> np.ndarray:
+def _dissipator(rho: sp.csr_matrix, c: sp.csr_matrix) -> sp.csr_matrix:
     cd = c.conj().T
     cdc = cd @ c
     return c @ rho @ cd - 0.5 * (cdc @ rho + rho @ cdc)
 
 
+def _adjoint_dissipator(h: sp.csr_matrix, c: sp.csr_matrix) -> sp.csr_matrix:
+    """D^dagger[H] = c^dagger H c - {c^dagger c, H}/2, so Tr(H D[rho]) = Tr(D^dagger[H] rho)."""
+    cd = c.conj().T
+    cdc = cd @ c
+    return (cd @ h @ c - 0.5 * (cdc @ h + h @ cdc)).tocsr()
+
+
+def _expectation(op: sp.spmatrix, rho: np.ndarray) -> float:
+    """Re Tr(op rho), summed over the nonzeros of the sparse op."""
+    op = op.tocoo()
+    return float(np.dot(op.data, rho[op.col, op.row]).real)
+
+
 def oracle_currents(system: TwoCavitySystem, rho: DensityMatrix) -> CurrentReport:
     """Boundary currents evaluated as traces of the Hamiltonian against each
-    reservoir's dissipator, sum_s p_s Tr(H_s D[rho_s]) over atomic sectors."""
+    reservoir's dissipator, sum_s p_s Tr(H_s D[rho_s]) over atomic sectors,
+    each taken as Tr(D^dagger[H_s] rho_s)."""
     validate(system)
     if [(weight, sign) for weight, sign, _ in rho.sectors] != atomic_sectors(system):
         raise ValueError("density matrix and system disagree about the atom factor or its sector weights")
@@ -414,11 +514,11 @@ def oracle_currents(system: TwoCavitySystem, rho: DensityMatrix) -> CurrentRepor
     i_left = i_right = occ_left = coherence = 0.0
     for weight, sign, state in rho.sectors:
         h = _sector_hamiltonian(system, a_left, a_right, sign)
-        flows = [rate * float(np.trace(h @ _dissipator(state, c)).real) for c, rate in channels]
+        flows = [rate * _expectation(_adjoint_dissipator(h, c), state) for c, rate in channels]
         i_left += weight * (flows[0] + flows[1])
         i_right += weight * (flows[2] + flows[3])
-        occ_left += weight * float(np.trace(n_left_op @ state).real)
-        coherence += weight * float(np.trace(coherence_op @ state).real)
+        occ_left += weight * _expectation(n_left_op, state)
+        coherence += weight * _expectation(coherence_op, state)
     i_occ = (system.left.mean_occupation - occ_left) * system.omega_left
     i_coh = system.coupling * coherence
 

@@ -1,11 +1,14 @@
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import cavityheat
 from cavityheat import cli, moments
 from cavityheat.cli import SweepSpec, crosscheck, main, parse_config_file, run_experiment
 from cavityheat.model import AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem, ValidationError
@@ -265,6 +268,9 @@ def test_console_script_end_to_end(tmp_path):
         "\n".join(f"{k} = {v}" for k, v in FIG2.items())
         + "\nsweep_start = 0.05\nsweep_stop = 0.08\nsweep_step = 0.005\n"
     )
+    # the child interpreter imports the same cavityheat as this one, installed or not
+    package_root = str(Path(cavityheat.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
     result = subprocess.run(
         [
             sys.executable,
@@ -282,6 +288,7 @@ def test_console_script_end_to_end(tmp_path):
         ],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert result.returncode == 0, result.stderr
     header, rows = read_csv(out)
@@ -419,6 +426,20 @@ def test_rectification_sweep_needs_a_ground_state_atom(tmp_path, capsys, atom):
     err = capsys.readouterr().err
     assert err.splitlines() == [
         "error: config: the rectification sweep needs an atom in its ground state (sigma_z = -1)"
+    ]
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("nbar_left, nbar_right", [("0", "0.5"), ("0.2", "0.2")], ids=["hot-right", "equal"])
+def test_regime_table_needs_a_hotter_left_reservoir(monkeypatch, tmp_path, capsys, nbar_left, nbar_right):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the reservoirs were checked")
+
+    monkeypatch.setattr(cli.moments, "steady_states", no_solve)
+    params = dict(FIG2, chi="1.5", sigma_z="1", nbar_left=nbar_left, nbar_right=nbar_right)
+    assert run_main("regime_table", tmp_path, params) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config: the regime table requires a hotter left reservoir (nbar_left > nbar_right)"
     ]
     assert not (tmp_path / "out.csv").exists()
 

@@ -4,11 +4,17 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply
+from scipy.sparse.linalg import expm_multiply, spsolve
 
+from cavityheat import fockspace
 from cavityheat.fockspace import (
     FockConfig,
+    _collapse_channels,
+    _excitation_blocks,
+    _field_ops,
+    _lindblad_rhs,
     _liouvillian_from,
+    _sector_hamiltonian,
     build_liouvillian,
     converged_steady_rho,
     fock_operators,
@@ -19,7 +25,7 @@ from cavityheat.fockspace import (
     thermal_fidelity,
     thermal_state,
 )
-from cavityheat.model import AtomSpec, ReservoirSpec, TwoCavitySystem
+from cavityheat.model import AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem
 from cavityheat.moments import steady_state
 
 
@@ -334,3 +340,102 @@ def test_currents_reject_a_state_of_another_atomic_mixture(other):
         oracle_currents(system, rho)
     with pytest.raises(ValueError, match="disagree"):
         oracle_currents(solved_for, steady_rho(system, SMALL))
+
+
+# --- excitation-block solve against the full vectorised generator --------------
+
+
+def sector_generator(system, sign, n_max):
+    a_left, a_right = _field_ops(n_max + 1)
+    h = _sector_hamiltonian(system, a_left, a_right, sign)
+    channels = _collapse_channels(system, a_left, a_right)
+    return h, channels, _liouvillian_from(h, channels)
+
+
+def reference_sector_state(system, sign, n_max):
+    """Trace-one null vector of the full vectorised sector generator: a sparse
+    LU solve with the trace functional in place of the first equation."""
+    _, _, gen = sector_generator(system, sign, n_max)
+    dim = (n_max + 1) ** 2
+    trace_row = sp.csr_matrix(np.eye(dim).reshape(1, -1))
+    rhs = np.zeros(dim * dim, dtype=complex)
+    rhs[0] = 1.0
+    return spsolve(sp.vstack([trace_row, gen[1:]]).tocsc(), rhs).reshape(dim, dim)
+
+
+BLOCK_CASES = {
+    "ground": dict(sigma_z=-1.0, chi=0.3),
+    "mixed": dict(sigma_z=0.3, chi=0.3, nbar_right=0.1),
+    "excited": dict(sigma_z=1.0, chi=0.3),
+    "no-atom": dict(atom=False, nbar_right=0.2),
+    "detuned": dict(omega_right=0.7, chi=1.1, sigma_z=-1.0, gamma_right=0.03),
+    "uncoupled": dict(coupling=0.0, nbar_right=0.1),
+    "vacuum": dict(nbar_left=0.0, nbar_right=0.0),
+}
+
+
+def test_excitation_blocks_partition_the_kets():
+    levels = 5
+    blocks = _excitation_blocks(levels)
+    assert [kets.size for kets in blocks] == [1, 2, 3, 4, 5, 4, 3, 2, 1]
+    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(levels**2))
+    for n, kets in enumerate(blocks):
+        left, right = np.divmod(kets, levels)
+        assert np.all(left + right == n) and np.all(np.diff(left) > 0)
+
+
+@pytest.mark.parametrize("n_max", [4, 8])
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=list(BLOCK_CASES))
+def test_block_solve_matches_the_full_generator_solve(case, n_max):
+    system = system_for(**{"coupling": 0.05, **BLOCK_CASES[case]})
+    rho = steady_rho(system, FockConfig(n_max=n_max, tail_bound=1e-2))
+    for _, sign, state in rho.sectors:
+        assert np.max(np.abs(state - reference_sector_state(system, sign, n_max))) < 1e-12
+
+
+@pytest.mark.parametrize("sigma_z", [-1.0, 1.0, None], ids=["ground", "excited", "no-atom"])
+def test_carried_residual_is_the_full_generator_residual(sigma_z):
+    system = system_for(omega_right=0.9, chi=0.3, nbar_right=0.1, sigma_z=sigma_z, atom=sigma_z is not None)
+    n_max = 8
+    rho = steady_rho(system, FockConfig(n_max=n_max, tail_bound=1e-2))
+    ((_, sign, state),) = rho.sectors
+    h, channels, gen = sector_generator(system, sign, n_max)
+    assert rho.residual < 1e-10
+    assert rho.residual == pytest.approx(np.linalg.norm(gen @ state.reshape(-1)), abs=1e-15)
+    # away from the steady state the two evaluations agree to rounding as well
+    rng = np.random.default_rng(7)
+    raw = rng.normal(size=state.shape) + 1j * rng.normal(size=state.shape)
+    other = raw + raw.conj().T
+    assert np.linalg.norm(_lindblad_rhs(h, channels, other)) == pytest.approx(
+        np.linalg.norm(gen @ other.reshape(-1)), rel=1e-12
+    )
+
+
+def test_negative_eigenvalue_in_one_excitation_block_is_rejected(monkeypatch):
+    solve = fockspace._block_steady_state
+
+    def with_negative_block(h, channels, blocks):
+        rho = solve(h, channels, blocks)
+        kets = np.ix_(blocks[3], blocks[3])
+        values, vectors = np.linalg.eigh(rho[kets])
+        # move weight from the smallest to the largest eigenvector: Hermitian, trace kept
+        shift = values[0] + 1e-6
+        top, bottom = vectors[:, -1], vectors[:, 0]
+        rho[kets] += shift * (np.outer(top, top.conj()) - np.outer(bottom, bottom.conj()))
+        return rho
+
+    monkeypatch.setattr(fockspace, "_block_steady_state", with_negative_block)
+    with pytest.raises(SolverError, match="negative eigenvalue -1.000e-06"):
+        steady_rho(system_for(), SMALL)
+
+
+def test_non_finite_elimination_is_rejected(monkeypatch):
+    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(np.shape(b), np.nan))
+    with pytest.raises(SolverError, match="no unique steady state"):
+        steady_rho(system_for(), SMALL)
+
+
+def test_singular_elimination_is_rejected(monkeypatch):
+    monkeypatch.setattr(fockspace, "_block_generator", lambda k, gamma: np.zeros((k.size, k.size)))
+    with pytest.raises(SolverError, match="no unique steady state"):
+        steady_rho(system_for(), SMALL)
