@@ -42,11 +42,10 @@ from .moments import MomentTrajectory, currents_from_moments, evolve, steady_sta
 from .chain import (
     BlockGenerators,
     MomentMatrix,
-    array_current,
     ballistic_current,
+    boundary_currents,
     build_generators,
     occupation_profile,
-    right_boundary_current,
     size_scan,
     steady_state_matrix,
 )

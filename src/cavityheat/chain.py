@@ -23,16 +23,21 @@ equation above, which is built apart from the sector solve.
 
 A ``TwoCavitySystem`` is the N = 2 chain with on-site frequencies omega_L,
 omega_R and the atom on site 2; ``moments`` solves it with the same core.
+``_sites`` alone states each site's frequency, atom shift, rate and nbar,
+and ``boundary_currents`` evaluates the reservoir currents of a stack of
+pairs or chains with one formula for both ends.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, Union
 
 import numpy as np
 import scipy.linalg as linalg
 
+from .closedform import CurrentReport, _classification
 from .model import ArraySystem, SolverError, TwoCavitySystem, atomic_sectors, validate
 
 __all__ = [
@@ -43,8 +48,7 @@ __all__ = [
     "sector_covariances",
     "sector_mixtures",
     "steady_state_matrix",
-    "array_current",
-    "right_boundary_current",
+    "boundary_currents",
     "bond_flows",
     "occupation_profile",
     "ballistic_current",
@@ -125,19 +129,20 @@ class SizeScanPoint:
     residual: float
 
 
-def _sites(systems: Sequence[Union[TwoCavitySystem, ArraySystem]]) -> np.ndarray:
-    """(h, x, D, Q) of validated systems of one size N, as (M, N, N) stacks: the
-    hopping matrix with the on-site frequencies, the atom shift (chi at the
-    host site), the boundary damping -Gamma/2 and the thermal drive Gamma nbar.
-    A cavity pair is the N = 2 chain with on-site frequencies omega_L, omega_R."""
+def _sites(systems: Sequence[Union[TwoCavitySystem, ArraySystem]]) -> tuple[np.ndarray, ...]:
+    """(h, x, D, Q, rates, nbar) of validated systems of one size N: as (M, N, N)
+    stacks, the hopping matrix with the on-site frequencies, the atom shift (chi
+    at the host site), the boundary damping -Gamma/2 and the thermal drive
+    Gamma nbar; as (M, 2) arrays, the rate and mean occupation of the
+    reservoirs at sites 1 and N. A cavity pair is the N = 2 chain with on-site
+    frequencies omega_L, omega_R and the atom on site 2."""
     onsite = np.array([
         [system.omega_left, system.omega_right] if isinstance(system, TwoCavitySystem)
         else [system.omega] * system.n_sites
         for system in systems
     ])
     m, n = onsite.shape
-    terms = np.zeros((4, m, n, n))
-    h, x, damping, drive = terms
+    h, x, damping, drive = np.zeros((4, m, n, n))
     sites, ends = np.arange(n), [0, n - 1]
     h[:, sites, sites] = onsite
     h[:, sites[:-1], sites[1:]] = h[:, sites[1:], sites[:-1]] = np.array([[s.coupling] for s in systems])
@@ -145,14 +150,15 @@ def _sites(systems: Sequence[Union[TwoCavitySystem, ArraySystem]]) -> np.ndarray
         if system.atom is not None:
             x[k, system.atom.host_index - 1, system.atom.host_index - 1] = system.chi
     rates = np.array([[s.left.rate, s.right.rate] for s in systems])
+    nbar = np.array([[s.left.mean_occupation, s.right.mean_occupation] for s in systems])
     damping[:, ends, ends] = -0.5 * rates
-    drive[:, ends, ends] = rates * np.array([[s.left.mean_occupation, s.right.mean_occupation] for s in systems])
-    return terms
+    drive[:, ends, ends] = rates * nbar
+    return h, x, damping, drive, rates, nbar
 
 
 def build_generators(system: Union[TwoCavitySystem, ArraySystem]) -> BlockGenerators:
     """Assemble M1, M2, M3 for a validated chain or cavity pair."""
-    h, x, damping, drive = _sites([validate(system)])[:, 0]
+    h, x, damping, drive, _, _ = (values[0] for values in _sites([validate(system)]))
     m1 = _pair_blocks(h, x)
     m2 = _pair_blocks(damping, np.zeros_like(damping))
     m3 = _pair_blocks(drive, drive * system.sigma_z)
@@ -224,7 +230,7 @@ def sector_mixtures(systems: Sequence[Union[TwoCavitySystem, ArraySystem]]) -> l
     """
     if not systems:
         return []
-    h, x, damping, drive = _sites([validate(system) for system in systems])
+    h, x, damping, drive, _, _ = _sites([validate(system) for system in systems])
     owner, weight, sign = (np.array(column) for column in zip(*[
         (k, p, s) for k, system in enumerate(systems) for p, s in atomic_sectors(system)
     ]))
@@ -265,27 +271,51 @@ def steady_state_matrix(system: ArraySystem) -> MomentMatrix:
     return replace(state, residual=residual)
 
 
-def array_current(system: ArraySystem, g: MomentMatrix) -> float:
-    """Left-boundary current; the atom shift applies only when it sits on site 1."""
-    validate(system)
-    g.check_system(system)
-    f = g.field_block
-    shift = system.chi * system.sigma_z if (system.atom is not None and system.atom.host_index == 1) else 0.0
-    occ_term = (system.left.mean_occupation - f[0, 0].real) * (system.omega + shift)
-    coh_term = 0.5 * system.coupling * (f[0, 1] + np.conj(f[0, 1])).real
-    return system.left.rate * (occ_term - coh_term)
+def boundary_currents(
+    systems: Sequence[Union[TwoCavitySystem, ArraySystem]], states: Sequence[MomentMatrix]
+) -> list[CurrentReport]:
+    """Reservoir currents of a stack of systems of one size (cavity pairs or
+    chains), each evaluated on its moment matrix, in one pass over the stack.
 
+    End site j, bonded to site k, sits at omega_j + s x_j in atomic sector s,
+    so its reservoir current mixes the sectors exactly through S = <a+ a sz>:
 
-def right_boundary_current(system: ArraySystem, g: MomentMatrix) -> float:
-    """Mirror of the left-boundary expression at site N; balances array_current."""
-    validate(system)
-    g.check_system(system)
-    n = system.n_sites
-    f = g.field_block
-    shift = system.chi * system.sigma_z if (system.atom is not None and system.atom.host_index == n) else 0.0
-    occ_term = (system.right.mean_occupation - f[n - 1, n - 1].real) * (system.omega + shift)
-    coh_term = 0.5 * system.coupling * (f[n - 1, n - 2] + np.conj(f[n - 1, n - 2])).real
-    return system.right.rate * (occ_term - coh_term)
+        I_j = Gamma_j [(nbar_j - F_jj) omega_j + x_j (sz nbar_j - S_jj) - J Re(F_jk + F_kj)/2].
+
+    ``i_occupation`` and ``i_coherence`` are the two terms at site 1. Pairs
+    carry ``alpha`` and ``regime`` from the switch classification, chains
+    None. A ValueError is raised for a matrix of another size or sigma_z, and
+    a warning is emitted when the two boundary currents fail to balance,
+    which signals a non-steady input.
+    """
+    for system, state in zip(systems, states, strict=True):
+        state.check_system(validate(system))
+    if not systems:
+        return []
+    h, x, _, _, rates, nbar = _sites(systems)
+    n = h.shape[-1]
+    g = np.stack([state.values for state in states])
+    ends, bonded = [0, n - 1], [1, n - 2]
+    sigma_z = np.array([[system.sigma_z] for system in systems])
+    omega = h[:, ends, ends]
+    f_ends, s_ends = g[:, ends, ends].real, g[:, ends, [n, 2 * n - 1]].real
+    occupation = (nbar - f_ends) * omega + x[:, ends, ends] * (sigma_z * nbar - s_ends)
+    coherence = 0.5 * h[:, ends, bonded] * (g[:, ends, bonded] + g[:, bonded, ends]).real
+    current = rates * (occupation - coherence)
+    imbalance = np.abs(current.sum(axis=1))
+    unbalanced = np.flatnonzero(imbalance > 1e-10 * np.maximum(np.abs(current[:, 0]), omega[:, 0] ** 2))
+    if unbalanced.size:
+        warnings.warn(
+            f"boundary currents do not balance (|I_L + I_R| = {imbalance[unbalanced[0]]:.3e} for system "
+            f"{unbalanced[0]}); the moment matrix is not a steady state",
+            stacklevel=2,
+        )
+    reports = []
+    for system, (i_left, i_right), i_occ, i_coh in zip(
+            systems, current.tolist(), occupation[:, 0].tolist(), coherence[:, 0].tolist()):
+        alpha, regime = _classification(system, i_left) if isinstance(system, TwoCavitySystem) else (None, None)
+        reports.append(CurrentReport(i_left, i_right, i_occ, i_coh, alpha, regime))
+    return reports
 
 
 def bond_flows(system: ArraySystem, g: MomentMatrix) -> np.ndarray:
@@ -337,7 +367,7 @@ def size_scan(
             g = steady_state_matrix(system)
         except SolverError as exc:
             raise SolverError(f"chain solve failed at n_sites={n}: {exc}") from exc
-        current = array_current(system, g)
+        current = boundary_currents([system], [g])[0].i_left
         points.append(
             SizeScanPoint(
                 n_sites=int(n),

@@ -258,12 +258,13 @@ def _two_cavity(p: _Params) -> TwoCavitySystem:
 
 def _array(p: _Params, n_sites: int | None = None) -> ArraySystem:
     omega = p.float_("omega", default=1.0)
+    if n_sites is None:
+        n_sites = p.int_("n_sites", required=True)
     atom = _atom(p)
     if atom is not None:
-        sites = n_sites if n_sites is not None else p.int_("n_sites", default=2)
-        atom = replace(atom, host_index=sites)
+        atom = replace(atom, host_index=n_sites)
     return ArraySystem(
-        n_sites=n_sites if n_sites is not None else (p.int_("n_sites", required=True) or 2),
+        n_sites=n_sites,
         omega=omega,
         coupling=p.float_("coupling", required=True) or 0.0,
         left=_reservoir(p, "left", omega),
@@ -328,7 +329,7 @@ def _moment_points(systems: list[TwoCavitySystem], name: str, values) -> list[tu
         states = moments.steady_states(systems)
     except SolverError as exc:
         raise SolverError(f"{_solver_context(name, values[exc.index])}: {exc}") from exc
-    return [(moments.currents_from_moments(system, g), g.residual) for system, g in zip(systems, states)]
+    return [(report, g.residual) for report, g in zip(chain.boundary_currents(systems, states), states)]
 
 
 def _gamma_sweep(spec: SweepSpec) -> list[dict]:
@@ -436,15 +437,14 @@ def _profile(spec: SweepSpec) -> list[dict]:
     except SolverError as exc:
         raise SolverError(f"{_solver_context('n_sites', system.n_sites)}: {exc}") from exc
     occupations = chain.occupation_profile(system, g)
-    i_left = chain.array_current(system, g)
-    i_right = chain.right_boundary_current(system, g)
+    report = chain.boundary_currents([system], [g])[0]
     return [
         _row(
             experiment=spec.experiment,
             value=site,
             sigma_z=system.sigma_z if system.atom else None,
-            i_left=i_left,
-            i_right=i_right,
+            i_left=report.i_left,
+            i_right=report.i_right,
             site=site,
             occupation=occupations[site - 1],
             residual=g.residual,

@@ -471,14 +471,12 @@ def converged_steady_rho(
         if previous is not None and np.max(np.abs(occ - previous)) < occupation_tol:
             return state, current_cfg
         previous = occ
-        next_cfg = replace(current_cfg, n_max=current_cfg.n_max + step)
-        field_dim = next_cfg.levels ** 2
-        if field_dim * field_dim > next_cfg.max_vectorized_dim:
-            raise SolverError(
-                f"truncation escalation hit the dimension guard at n_max={next_cfg.n_max} "
-                "before occupations converged"
-            )
-        current_cfg = next_cfg
+        current_cfg = replace(current_cfg, n_max=current_cfg.n_max + step)
+        try:
+            _guard_dim(current_cfg.levels**2, current_cfg)
+        except ValidationError as exc:
+            raise SolverError(f"truncation escalation at n_max={current_cfg.n_max} before occupations "
+                              f"converged: {exc}") from exc
 
 
 def _dissipator(rho: sp.csr_matrix, c: sp.csr_matrix) -> sp.csr_matrix:

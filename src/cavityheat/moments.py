@@ -10,7 +10,9 @@ density-matrix oracle up to Fock truncation error only.
 
 ``steady_states`` solves a whole parameter grid as one stack of sector
 equations (``chain.sector_covariances``); each row carries the largest
-residual of its sector equations, held to RESIDUAL_TOL.
+residual of its sector equations, held to RESIDUAL_TOL. Its currents are
+``chain.boundary_currents``, the one boundary-current formula of pairs and
+chains; ``currents_from_moments`` evaluates it for one pair.
 """
 
 from __future__ import annotations
@@ -23,8 +25,8 @@ import numpy as np
 
 from . import chain
 from .chain import MomentMatrix
-from .closedform import CurrentReport, _classification
-from .model import TwoCavitySystem, validate
+from .closedform import CurrentReport
+from .model import TwoCavitySystem
 
 __all__ = [
     "MomentTrajectory",
@@ -113,39 +115,6 @@ def evolve(
 
 
 def currents_from_moments(system: TwoCavitySystem, g: MomentMatrix) -> CurrentReport:
-    """Currents evaluated on a steady moment matrix of the system.
-
-    The right cavity's frequency is omega_right + s * chi in atomic sector
-    s = +-1, so its occupation term mixes the sectors as
-    omega_right <n_R> + chi <n_R sz>, exact for any sigma_z. A ValueError is
-    raised for a matrix of another sigma_z, and a warning is emitted when the
-    two boundary currents fail to balance, which signals a non-steady input.
-    """
-    validate(system)
-    g.check_system(system)
-    f, s = g.field_block, g.sz_block
-    gl, gr = system.left.rate, system.right.rate
-    wl, wr = system.omega_left, system.omega_right
-    i_occ = (system.left.mean_occupation - f[0, 0].real) * wl
-    i_coh = 0.5 * system.coupling * (f[0, 1] + f[1, 0]).real
-    i_left = gl * (i_occ - i_coh)
-    nr = system.right.mean_occupation
-    i_right_occ = nr * (wr + system.sigma_z * system.chi) - (wr * f[1, 1].real + system.chi * s[1, 1].real)
-    i_right = gr * (i_right_occ - i_coh)
-    imbalance = abs(i_left + i_right)
-    scale = wl**2
-    if imbalance > max(1e-10 * abs(i_left), 1e-10 * scale):
-        warnings.warn(
-            f"boundary currents do not balance (|I_L + I_R| = {imbalance:.3e}); "
-            "the moment matrix is not a steady state",
-            stacklevel=2,
-        )
-    alpha, regime = _classification(system, i_left)
-    return CurrentReport(
-        i_left=i_left,
-        i_right=i_right,
-        i_occupation=i_occ,
-        i_coherence=i_coh,
-        alpha=alpha,
-        regime=regime,
-    )
+    """Currents of one pair on its moment matrix: ``chain.boundary_currents``
+    of a stack of one, with its ValueError and its balance warning."""
+    return chain.boundary_currents([system], [g])[0]

@@ -236,7 +236,7 @@ def test_criterion_06_array_ballistic_baseline():
     for n in range(2, 11):
         system = replace(template, n_sites=n)
         g = chain.steady_state_matrix(system)
-        worst_current_gap = max(worst_current_gap, abs(chain.array_current(system, g) - baseline))
+        worst_current_gap = max(worst_current_gap, abs(chain.boundary_currents([system], [g])[0].i_left - baseline))
         field = g.field_block
         worst_real_part = max(
             worst_real_part, max(abs(field[j, j + 1].real) for j in range(n - 1))

@@ -1,20 +1,27 @@
+import itertools
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from cavityheat import chain
 from cavityheat.chain import (
-    array_current,
     ballistic_current,
     bond_flows,
+    boundary_currents,
     build_generators,
     occupation_profile,
-    right_boundary_current,
     size_scan,
     steady_state_matrix,
 )
 from cavityheat.closedform import current_general
 from cavityheat.model import ArraySystem, AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem
-from cavityheat.moments import steady_state
+from cavityheat.moments import steady_state, steady_states
+
+
+def currents(system, g):
+    return boundary_currents([system], [g])[0]
 
 
 def chain_system(n_sites, chi=0.0, host=None, sigma_z=-1.0, coupling=0.05,
@@ -130,7 +137,7 @@ def test_long_atom_free_chain_is_ballistic():
     system = chain_system(60)
     g = steady_state_matrix(system)
     assert g.residual < 1e-10
-    assert array_current(system, g) == pytest.approx(ballistic_current(system), rel=1e-9)
+    assert currents(system, g).i_left == pytest.approx(ballistic_current(system), rel=1e-9)
 
 
 def test_steady_matrix_residual_and_hermiticity():
@@ -175,6 +182,11 @@ def test_resonant_pair_is_the_two_site_chain(sigma_z):
     assert (g.n_sites, g.sigma_z) == (v.n_sites, v.sigma_z)
     assert np.max(np.abs(g.values - v.values)) < 1e-13
     assert g.positivity_margin == pytest.approx(v.positivity_margin, abs=1e-13)
+    as_chain, as_pair = currents(system, g), currents(pair, v)
+    for field in ("i_left", "i_right", "i_occupation", "i_coherence"):
+        assert getattr(as_chain, field) == pytest.approx(getattr(as_pair, field), rel=1e-12, abs=1e-16)
+    # the switch classification belongs to the pair only
+    assert as_chain.regime is None and as_pair.regime is not None
 
 
 def test_equilibrium_chain_is_identity_times_occupation():
@@ -199,14 +211,14 @@ def test_ballistic_current_independent_of_size():
     for n in range(2, 11):
         system = chain_system(n)
         g = steady_state_matrix(system)
-        assert array_current(system, g) == pytest.approx(expected, abs=1e-12)
+        assert currents(system, g).i_left == pytest.approx(expected, abs=1e-12)
     assert ballistic_current(chain_system(4)) == pytest.approx(expected, rel=1e-15)
 
 
 def test_zero_bias_no_current():
     system = chain_system(4, nbar_left=0.2, nbar_right=0.2)
     g = steady_state_matrix(system)
-    assert array_current(system, g) == pytest.approx(0.0, abs=1e-14)
+    assert currents(system, g).i_left == pytest.approx(0.0, abs=1e-14)
 
 
 def test_two_site_current_matches_general_expression():
@@ -216,14 +228,52 @@ def test_two_site_current_matches_general_expression():
         omega_left=1.0, omega_right=1.0, coupling=0.05,
         left=system.left, right=system.right, atom=system.atom,
     )
-    assert array_current(system, g) == pytest.approx(current_general(pair).i_left, rel=1e-10)
+    assert currents(system, g).i_left == pytest.approx(current_general(pair).i_left, rel=1e-10)
 
 
 def test_boundary_currents_balance():
-    for host in (1, 3, 6):
-        system = chain_system(6, chi=0.12, host=host)
-        g = steady_state_matrix(system)
-        assert abs(array_current(system, g) + right_boundary_current(system, g)) < 1e-10
+    # a host at either end shifts that end's frequency by s chi in sector s
+    for host, sigma_z in itertools.product((1, 3, 6), (-1.0, 0.3, 1.0)):
+        system = chain_system(6, chi=0.12, host=host, sigma_z=sigma_z, gamma_right=0.1, nbar_right=0.1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            report = currents(system, steady_state_matrix(system))
+        assert abs(report.i_left + report.i_right) < 1e-10 * abs(report.i_left)
+        # the p_s-weighted currents of the two pinned sectors
+        sectors = [(0.5 * (1 + s * sigma_z), replace(system, atom=replace(system.atom, sigma_z=s))) for s in (1.0, -1.0)]
+        sectors = [(weight, currents(pinned, steady_state_matrix(pinned))) for weight, pinned in sectors]
+        for field in ("i_left", "i_right", "i_occupation", "i_coherence"):
+            mixed = sum(weight * getattr(sector, field) for weight, sector in sectors)
+            assert getattr(report, field) == pytest.approx(mixed, rel=1e-11, abs=1e-16)
+
+
+def test_non_steady_chain_state_warns():
+    system = chain_system(5, chi=0.1, host=5, sigma_z=0.3)
+    g = steady_state_matrix(system)
+    g.values[0, 0] += 0.1
+    with pytest.warns(UserWarning, match="not a steady state"):
+        currents(system, g)
+
+
+def test_stack_of_currents_equals_single_calls_bitwise():
+    chains = [chain_system(5, chi=0.12, host=host, sigma_z=sigma_z, nbar_right=0.1)
+              for host in (1, 3, 5) for sigma_z in (-1.0, 0.3, 1.0)] + [chain_system(5)]
+    rng = np.random.default_rng(47)
+    pairs = [
+        TwoCavitySystem(
+            omega_left=1.0, omega_right=rng.uniform(0.8, 1.2), coupling=rng.uniform(0.01, 0.1),
+            left=ReservoirSpec(rng.uniform(0.02, 0.2), rng.uniform(0.1, 1.0)),
+            right=ReservoirSpec(rng.uniform(0.02, 0.2), rng.uniform(0.0, 0.1)),
+            atom=AtomSpec(rng.uniform(0.0, 1.5), rng.uniform(-1.0, 1.0)) if k % 4 else None,
+        )
+        for k in range(20)
+    ]
+    chain_states = [steady_state_matrix(s) for s in chains]
+    for systems, states in ((chains, chain_states), (pairs, steady_states(pairs))):
+        assert boundary_currents(systems, states) == [currents(s, g) for s, g in zip(systems, states)]
+    assert boundary_currents([], []) == []
+    with pytest.raises(ValueError):
+        boundary_currents(chains, chain_states[:-1])
 
 
 def test_bond_flow_uniform_along_atom_free_chain():
@@ -232,7 +282,7 @@ def test_bond_flow_uniform_along_atom_free_chain():
     flows = bond_flows(system, g)
     assert np.ptp(flows) < 1e-12
     # energy flux through the bonds equals the injected boundary current
-    assert flows[0] * system.omega == pytest.approx(array_current(system, g), rel=1e-10)
+    assert flows[0] * system.omega == pytest.approx(currents(system, g).i_left, rel=1e-10)
 
 
 # --- profiles -------------------------------------------------------------------
@@ -304,7 +354,8 @@ def test_size_scan_host_rules():
         size_scan(template, [3], host="middle")
 
 
-@pytest.mark.parametrize("observable", [array_current, right_boundary_current, occupation_profile, bond_flows])
+@pytest.mark.parametrize("observable", [currents, occupation_profile, bond_flows],
+                         ids=["boundary_currents", "occupation_profile", "bond_flows"])
 def test_observables_reject_a_state_of_another_system(observable):
     system = chain_system(5, chi=0.1, host=5, sigma_z=1.0)
     for other in (chain_system(5, chi=0.1, host=5, sigma_z=-1.0), chain_system(4, chi=0.1, host=4, sigma_z=1.0)):

@@ -244,6 +244,20 @@ def test_exit_validation_on_bad_config(tmp_path):
     ) == cli.EXIT_VALIDATION
 
 
+@pytest.mark.parametrize("value", ["abc", "0"], ids=["malformed", "zero"])
+def test_profile_reports_a_bad_size_once(tmp_path, capsys, value):
+    # the atom is re-hosted at site n_sites, so the key is read for the atom too
+    argv = ["run", "--experiment", "profile", "--out", str(tmp_path / "x.csv")]
+    for key, item in dict(FIG2, n_sites=value).items():
+        argv += ["--set", f"{key}={item}"]
+    assert main(argv) == cli.EXIT_VALIDATION
+    lines = capsys.readouterr().err.splitlines()
+    expected = ("error: config: key 'n_sites' expects an integer, got 'abc'" if value == "abc"
+                else "error: n_sites: need at least 2 cavities (got 0)")
+    assert lines.count(expected) == 1
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_exit_io_on_unwritable_output(tmp_path):
     params = dict(FIG2, sweep_start="0.05", sweep_stop="0.07", sweep_step="0.01")
     argv = ["run", "--experiment", "gamma_sweep", "--out", str(tmp_path / "missing" / "x.csv")]

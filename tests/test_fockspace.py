@@ -203,6 +203,15 @@ def test_truncation_escalation_converges():
     assert np.trace(state.reduced_left() @ number).real == pytest.approx(v.occupations[0], abs=1e-7)
 
 
+def test_truncation_escalation_stops_at_the_dimension_guard():
+    # n_max = 2 fits the guard (3**4 = 81 entries); the first escalation, to
+    # n_max = 4 (625), does not, and escalation never converges on one solve
+    system = system_for(nbar_left=0.01, nbar_right=0.0)
+    cfg = FockConfig(n_max=2, tail_bound=1e-2, max_vectorized_dim=81)
+    with pytest.raises(SolverError, match="n_max=4 before occupations converged.*625 exceeds the guard 81"):
+        converged_steady_rho(system, cfg)
+
+
 # --- currents -----------------------------------------------------------------------
 
 
