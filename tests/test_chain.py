@@ -354,8 +354,17 @@ def test_size_scan_host_rules():
         size_scan(template, [3], host="middle")
 
 
-@pytest.mark.parametrize("observable", [currents, occupation_profile, bond_flows],
-                         ids=["boundary_currents", "occupation_profile", "bond_flows"])
+def stacked_currents(system, g):
+    # the foreign state sits in the second row of the stack
+    return boundary_currents([system, system], [steady_state_matrix(system), g])
+
+
+@pytest.mark.parametrize(
+    "observable",
+    [lambda s, g: currents(s, g).left, lambda s, g: currents(s, g).right,
+     stacked_currents, occupation_profile, bond_flows],
+    ids=["array_current", "right_boundary_current", "boundary_currents", "occupation_profile", "bond_flows"],
+)
 def test_observables_reject_a_state_of_another_system(observable):
     system = chain_system(5, chi=0.1, host=5, sigma_z=1.0)
     for other in (chain_system(5, chi=0.1, host=5, sigma_z=-1.0), chain_system(4, chi=0.1, host=4, sigma_z=1.0)):
