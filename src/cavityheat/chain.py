@@ -38,7 +38,7 @@ import numpy as np
 import scipy.linalg as linalg
 
 from .closedform import CurrentReport, _classification
-from .model import ArraySystem, SolverError, TwoCavitySystem, atomic_sectors, validate
+from .model import ArraySystem, SolverError, TwoCavitySystem, atomic_sectors
 
 __all__ = [
     "BlockGenerators",
@@ -130,7 +130,7 @@ class SizeScanPoint:
 
 
 def _sites(systems: Sequence[Union[TwoCavitySystem, ArraySystem]]) -> tuple[np.ndarray, ...]:
-    """(h, x, D, Q, rates, nbar) of validated systems of one size N: as (M, N, N)
+    """(h, x, D, Q, rates, nbar) of systems of one size N: as (M, N, N)
     stacks, the hopping matrix with the on-site frequencies, the atom shift (chi
     at the host site), the boundary damping -Gamma/2 and the thermal drive
     Gamma nbar; as (M, 2) arrays, the rate and mean occupation of the
@@ -157,8 +157,8 @@ def _sites(systems: Sequence[Union[TwoCavitySystem, ArraySystem]]) -> tuple[np.n
 
 
 def build_generators(system: Union[TwoCavitySystem, ArraySystem]) -> BlockGenerators:
-    """Assemble M1, M2, M3 for a validated chain or cavity pair."""
-    h, x, damping, drive, _, _ = (values[0] for values in _sites([validate(system)]))
+    """Assemble M1, M2, M3 for a chain or cavity pair."""
+    h, x, damping, drive, _, _ = (values[0] for values in _sites([system]))
     m1 = _pair_blocks(h, x)
     m2 = _pair_blocks(damping, np.zeros_like(damping))
     m3 = _pair_blocks(drive, drive * system.sigma_z)
@@ -230,7 +230,7 @@ def sector_mixtures(systems: Sequence[Union[TwoCavitySystem, ArraySystem]]) -> l
     """
     if not systems:
         return []
-    h, x, damping, drive, _, _ = _sites([validate(system) for system in systems])
+    h, x, damping, drive, _, _ = _sites(systems)
     owner, weight, sign = (np.array(column) for column in zip(*[
         (k, p, s) for k, system in enumerate(systems) for p, s in atomic_sectors(system)
     ]))
@@ -289,7 +289,7 @@ def boundary_currents(
     which signals a non-steady input.
     """
     for system, state in zip(systems, states, strict=True):
-        state.check_system(validate(system))
+        state.check_system(system)
     if not systems:
         return []
     h, x, _, _, rates, nbar = _sites(systems)
@@ -329,14 +329,12 @@ def bond_flows(system: ArraySystem, g: MomentMatrix) -> np.ndarray:
 
 def occupation_profile(system: ArraySystem, g: MomentMatrix) -> np.ndarray:
     """Site occupations <n_j>, the chain's local-temperature profile."""
-    validate(system)
     g.check_system(system)
     return g.occupations.copy()
 
 
 def ballistic_current(system: ArraySystem) -> float:
     """Atom-free chain current; independent of the array size."""
-    validate(system)
     gl, gr = system.left.rate, system.right.rate
     j, w = system.coupling, system.omega
     dn = system.left.mean_occupation - system.right.mean_occupation

@@ -27,7 +27,6 @@ from .model import (
     TwoCavitySystem,
     ValidationError,
     bose_occupation,
-    validate,
 )
 
 __all__ = ["SweepSpec", "CrosscheckReport", "run_experiment", "crosscheck", "main"]
@@ -223,54 +222,45 @@ def _reservoir(p: _Params, side: str, frequency: float) -> ReservoirSpec:
         temp = p.float_(f"temp_{side}")
         if temp is not None and not (math.isfinite(temp) and temp >= 0):
             p.errors.append(f"config: temp_{side} must be finite and non-negative, got {temp}")
-        elif temp is not None and frequency is not None and frequency > 0:
+        elif temp is not None and 0 < frequency < math.inf:
             occupation = bose_occupation(frequency, temp)
     else:
         occupation = p.float_(f"nbar_{side}", default=0.0)
-    return ReservoirSpec(rate=rate if rate is not None else 0.0, mean_occupation=occupation)
+    return ReservoirSpec(rate=rate, mean_occupation=occupation)
 
 
 def _atom(p: _Params) -> AtomSpec | None:
     present = p.bool_("atom", default=p.has("chi") or p.has("sigma_z"))
     if not present:
         return None
-    chi = p.float_("chi", required=True)
-    sigma_z = p.float_("sigma_z", required=True)
-    return AtomSpec(
-        dispersive_strength=chi if chi is not None else 0.0,
-        sigma_z=sigma_z if sigma_z is not None else 0.0,
-    )
+    return AtomSpec(dispersive_strength=p.float_("chi", required=True), sigma_z=p.float_("sigma_z", required=True))
 
 
 def _two_cavity(p: _Params) -> TwoCavitySystem:
+    """The pair of the config. A system checks itself when it is built, so the
+    config errors collected so far are raised first: read every other key
+    before this call."""
     omega_left = p.float_("omega_left", default=1.0)
     omega_right = p.float_("omega_right", default=omega_left)
-    system = TwoCavitySystem(
-        omega_left=omega_left,
-        omega_right=omega_right,
-        coupling=p.float_("coupling", required=True) or 0.0,
-        left=_reservoir(p, "left", omega_left),
-        right=_reservoir(p, "right", omega_right),
-        atom=_atom(p),
-    )
-    return system
+    coupling = p.float_("coupling", required=True)
+    left, right = _reservoir(p, "left", omega_left), _reservoir(p, "right", omega_right)
+    atom = _atom(p)
+    p.finish()
+    return TwoCavitySystem(omega_left, omega_right, coupling, left, right, atom)
 
 
 def _array(p: _Params, n_sites: int | None = None) -> ArraySystem:
+    """The chain of the config, built after the config errors are raised, as in ``_two_cavity``."""
     omega = p.float_("omega", default=1.0)
     if n_sites is None:
         n_sites = p.int_("n_sites", required=True)
     atom = _atom(p)
     if atom is not None:
         atom = replace(atom, host_index=n_sites)
-    return ArraySystem(
-        n_sites=n_sites,
-        omega=omega,
-        coupling=p.float_("coupling", required=True) or 0.0,
-        left=_reservoir(p, "left", omega),
-        right=_reservoir(p, "right", omega),
-        atom=atom,
-    )
+    coupling = p.float_("coupling", required=True)
+    left, right = _reservoir(p, "left", omega), _reservoir(p, "right", omega)
+    p.finish()
+    return ArraySystem(n_sites, omega, coupling, left, right, atom)
 
 
 def _sweep_values(p: _Params) -> np.ndarray:
@@ -339,7 +329,6 @@ def _gamma_sweep(spec: SweepSpec) -> list[dict]:
     p.raw.setdefault("gamma_right", "1.0")
     values = _sweep_values(p)
     base = _two_cavity(p)
-    p.finish()
     systems = [replace(base, left=replace(base.left, rate=value), right=replace(base.right, rate=value))
                for value in values]
     return [
@@ -358,7 +347,6 @@ def _chi_sweep(spec: SweepSpec, with_ratio: bool) -> list[dict]:
     p = _Params(spec.params)
     values = _sweep_values(p)
     base = _two_cavity(p)
-    p.finish()
     if base.atom is None:
         raise ValidationError(["config: chi sweeps need an atom (set chi and sigma_z)"])
     # with a ratio, the chi = 0 baseline is solved first in the same stack
@@ -383,13 +371,11 @@ def _rectification_sweep(spec: SweepSpec) -> list[dict]:
     p = _Params(spec.params)
     values = _sweep_values(p)
     base = _two_cavity(p)
-    p.finish()
     if base.atom is None or base.sigma_z != -1.0:
         raise ValidationError(["config: the rectification sweep needs an atom in its ground state (sigma_z = -1)"])
     rows = []
     for value in values:
         system = replace(base, left=replace(base.left, rate=value))
-        validate(system)
         forward, reverse = closedform.forward_reverse_currents(system)
         result = closedform.rectification(system)
         rows.append(
@@ -413,7 +399,6 @@ def _size_scan(spec: SweepSpec) -> list[dict]:
     if n_stop is not None and n_stop < n_start:
         p.errors.append(f"config: n_stop must be at least n_start (got {n_start}..{n_stop})")
     template = _array(p, n_sites=n_start)
-    p.finish()
     points = chain.size_scan(template, range(n_start, n_stop + 1), host="last")
     return [
         _row(
@@ -431,7 +416,6 @@ def _size_scan(spec: SweepSpec) -> list[dict]:
 def _profile(spec: SweepSpec) -> list[dict]:
     p = _Params(spec.params)
     system = _array(p)
-    p.finish()
     try:
         g = chain.steady_state_matrix(system)
     except SolverError as exc:
@@ -457,7 +441,6 @@ def _regime_table(spec: SweepSpec) -> list[dict]:
     p = _Params(spec.params)
     alphas = p.float_list("alpha_values", default=[0.5, 1.0, 2.0])
     base = _two_cavity(p)
-    p.finish()
     if base.atom is None:
         raise ValidationError(["config: the regime table needs an atom (set chi and sigma_z)"])
     if not base.chi > base.omega_right:
@@ -508,15 +491,13 @@ def _relative_deviation(a: float, b: float, floor: float = 0.0) -> float:
 def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, list[dict]]:
     """Run the closed-form, moment, and Fock paths on one point."""
     p = _Params(spec.params)
-    system = _two_cavity(p)
     cfg = _fock_config(p)
     tol_cm = p.float_("tol_closedform_moments", default=1e-10)
     tol_mf = p.float_("tol_moments_fock", default=1e-6)
     for key, tol in (("tol_closedform_moments", tol_cm), ("tol_moments_fock", tol_mf)):
         if not (math.isfinite(tol) and tol >= 0):
             p.errors.append(f"config: {key} must be finite and non-negative, got {tol}")
-    p.finish()
-    validate(system)
+    system = _two_cavity(p)
 
     closed = closedform.current_general(system)
     state = moments.steady_states([system])[0]

@@ -11,9 +11,9 @@ exact for detuned cavities too.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
-from .model import TwoCavitySystem, atomic_sectors, validate
+from .model import TwoCavitySystem, atomic_sectors
 
 __all__ = [
     "REGIME_CONDUCTING",
@@ -102,20 +102,17 @@ def _lorentzian_denominator(system: TwoCavitySystem) -> float:
     return (chi**2 - dc**2 + g**2) ** 2 + 4.0 * g**2 * dc**2
 
 
-def _hopping_constant(system: TwoCavitySystem) -> float:
+def _hopping_constant(system: TwoCavitySystem, sz: float) -> float:
     """Effective rate of reservoir-to-reservoir transfer through the bond."""
-    j, chi, dc, g, sz = system.coupling, system.chi, system.detuning, system.gamma, system.sigma_z
+    j, chi, dc, g = system.coupling, system.chi, system.detuning, system.gamma
     num = dc**2 + chi**2 + 2.0 * dc * chi * sz + g**2
     return 2.0 * j**2 * g * num / _lorentzian_denominator(system)
 
 
 def _mixed(system: TwoCavitySystem, definite) -> tuple:
-    """sum_s p_s definite(system pinned to sigma_z = s), entry by entry; one
-    sector's tuple is returned as it is, so its bits (and signed zeros) stay."""
-    parts = [
-        (weight, definite(replace(system, atom=replace(system.atom, sigma_z=sign)) if system.atom else system))
-        for weight, sign in atomic_sectors(system)
-    ]
+    """sum_s p_s definite(system, s), entry by entry; one sector's tuple is
+    returned as it is, so its bits (and signed zeros) stay."""
+    parts = [(weight, definite(system, sign)) for weight, sign in atomic_sectors(system)]
     if len(parts) == 1:
         return parts[0][1]
     return tuple(sum(weight * values[k] for weight, values in parts) for k in range(len(parts[0][1])))
@@ -123,16 +120,16 @@ def _mixed(system: TwoCavitySystem, definite) -> tuple:
 
 def steady_moments(system: TwoCavitySystem) -> SteadyMoments:
     """Steady occupations and inter-cavity coherence of both fields."""
-    validate(system)
     return SteadyMoments(*_mixed(system, _definite_moments))
 
 
-def _definite_moments(system: TwoCavitySystem) -> tuple[float, float, float, complex]:
-    """(n_left, n_right, delta_n, coherence) at a definite atomic state, or without an atom."""
+def _definite_moments(system: TwoCavitySystem, sz: float) -> tuple[float, float, float, complex]:
+    """(n_left, n_right, delta_n, coherence) with the atom pinned to sigma_z = sz
+    (+-1), or without an atom (sz = 0)."""
     gl, gr = system.left.rate, system.right.rate
     nl, nr = system.left.mean_occupation, system.right.mean_occupation
-    chi, dc, g, sz = system.chi, system.detuning, system.gamma, system.sigma_z
-    c = _hopping_constant(system)
+    chi, dc, g = system.chi, system.detuning, system.gamma
+    c = _hopping_constant(system, sz)
     den = c * (gl + gr) + gl * gr
     pooled = c * (gl * nl + gr * nr)
     occ_left = (pooled + gl * gr * nl) / den
@@ -169,7 +166,6 @@ def _classification(system: TwoCavitySystem, i_left: float) -> tuple[float | Non
 
 def current_general(system: TwoCavitySystem) -> CurrentReport:
     """Left-reservoir current from the general non-resonant expression."""
-    validate(system)
     i_left, i_occ, i_coh = _mixed(system, _definite_current)
     alpha, regime = _classification(system, i_left)
     return CurrentReport(
@@ -182,12 +178,13 @@ def current_general(system: TwoCavitySystem) -> CurrentReport:
     )
 
 
-def _definite_current(system: TwoCavitySystem) -> tuple[float, float, float]:
-    """(i_left, i_occupation, i_coherence) at a definite atomic state, or without an atom."""
-    n_left, _, delta_n, coherence = _definite_moments(system)
+def _definite_current(system: TwoCavitySystem, sz: float) -> tuple[float, float, float]:
+    """(i_left, i_occupation, i_coherence) with the atom pinned to sigma_z = sz
+    (+-1), or without an atom (sz = 0)."""
+    n_left, _, delta_n, coherence = _definite_moments(system, sz)
     gl, gr = system.left.rate, system.right.rate
     wl, wr = system.omega_left, system.omega_right
-    j, chi, dc, g, sz = system.coupling, system.chi, system.detuning, system.gamma, system.sigma_z
+    j, chi, dc, g = system.coupling, system.chi, system.detuning, system.gamma
     num = (
         gl * chi * sz * (chi**2 - dc**2 + g**2)
         + (wl * gr + wr * gl) * (dc**2 + g**2)
@@ -200,7 +197,6 @@ def _definite_current(system: TwoCavitySystem) -> tuple[float, float, float]:
 
 def current_resonant_with_atom(system: TwoCavitySystem) -> float:
     """Current through resonant cavities with the dispersive atom present."""
-    validate(system)
     if system.atom is None:
         raise ValueError("resonant with-atom expression requires an atom")
     if system.detuning != 0.0:
@@ -220,7 +216,6 @@ def peak_rate(system: TwoCavitySystem) -> float:
     atom-induced shift; the current peaks when the reservoir exchange rate
     matches it.
     """
-    validate(system)
     if system.detuning != 0.0:
         raise ValueError(f"peak-rate condition assumes equal cavity frequencies (detuning {system.detuning})")
     return math.hypot(2.0 * system.coupling, system.chi)
@@ -234,7 +229,6 @@ def classify_regime(system: TwoCavitySystem) -> tuple[float, str]:
     alpha = 1 blocks, alpha < 1 reverses the current. The excited atom always
     conducts.
     """
-    validate(system)
     if system.atom is None:
         raise ValueError("switch classification requires an atom")
     if system.sigma_z not in (-1.0, 1.0):
@@ -258,16 +252,14 @@ def current_pm(system: TwoCavitySystem, sign: int) -> float:
     """Current with the atomic state pinned to sign = +1 (excited) or -1 (ground)."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
-    validate(system)
     if system.atom is None:
         raise ValueError("pinned-state current requires an atom")
-    pinned = replace(system, atom=replace(system.atom, sigma_z=float(sign)))
-    m = steady_moments(pinned)
+    delta_n = _definite_moments(system, float(sign))[2]
     gl, gr = system.left.rate, system.right.rate
     wl, wr = system.omega_left, system.omega_right
     j, chi, dc, g = system.coupling, system.chi, system.detuning, system.gamma
     omega_factor = wl * gr + gl * (wr + sign * chi)
-    return j**2 * m.delta_n * omega_factor * ((dc + sign * chi) ** 2 + g**2) / _lorentzian_denominator(pinned)
+    return j**2 * delta_n * omega_factor * ((dc + sign * chi) ** 2 + g**2) / _lorentzian_denominator(system)
 
 
 def _require_ground_state(system: TwoCavitySystem, what: str) -> None:
@@ -284,21 +276,19 @@ def forward_reverse_currents(system: TwoCavitySystem) -> tuple[float, float]:
     (nbar_L, Gamma_L) with (nbar_R, Gamma_R); it is negative when the forward
     current is conventional, since the flow direction is opposite.
     """
-    validate(system)
     _require_ground_state(system, "forward/reverse analysis")
-    m = steady_moments(system)
+    delta_n = _definite_moments(system, -1.0)[2]
     gl, gr = system.left.rate, system.right.rate
     wl, wr = system.omega_left, system.omega_right
     j, chi, dc, g = system.coupling, system.chi, system.detuning, system.gamma
     lorentz = ((dc - chi) ** 2 + g**2) / _lorentzian_denominator(system)
-    i_forward = j**2 * m.delta_n * (wl * gr + gl * (wr - chi)) * lorentz
-    i_reverse = -(j**2) * m.delta_n * (wl * gl + gr * (wr - chi)) * lorentz
+    i_forward = j**2 * delta_n * (wl * gr + gl * (wr - chi)) * lorentz
+    i_reverse = -(j**2) * delta_n * (wl * gl + gr * (wr - chi)) * lorentz
     return i_forward, i_reverse
 
 
 def rectification(system: TwoCavitySystem) -> RectificationResult:
     """Rectification coefficient -I_f/I_r; unity means no rectification."""
-    validate(system)
     _require_ground_state(system, "rectification")
     gl, gr = system.left.rate, system.right.rate
     wl, wr, chi = system.omega_left, system.omega_right, system.chi

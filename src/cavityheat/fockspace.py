@@ -31,7 +31,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .closedform import CurrentReport, _classification
-from .model import SolverError, TwoCavitySystem, ValidationError, atomic_sectors, validate
+from .model import SolverError, TwoCavitySystem, ValidationError, atomic_sectors
 
 __all__ = [
     "FockConfig",
@@ -184,7 +184,6 @@ def _destroy(n_levels: int) -> sp.csr_matrix:
 
 def fock_operators(system: TwoCavitySystem, cfg: FockConfig) -> FockOperators:
     """Mode and atom operators plus the full Hamiltonian on the truncated space."""
-    validate(system)
     d1 = cfg.levels
     a = _destroy(d1)
     eye1 = sp.identity(d1, format="csr")
@@ -250,7 +249,6 @@ def _liouvillian_from(h: sp.spmatrix, channels) -> sp.csr_matrix:
 
 def build_liouvillian(system: TwoCavitySystem, cfg: FockConfig) -> sp.csr_matrix:
     """Full Lindblad generator on the vectorised truncated space."""
-    validate(system)
     _check_config(system, cfg)
     ops = fock_operators(system, cfg)
     _guard_dim(ops.dim, cfg)
@@ -405,14 +403,14 @@ def _sector_steady(system: TwoCavitySystem, cfg: FockConfig, sector: float):
     channels = _collapse_channels(system, a_left, a_right)
     blocks = _excitation_blocks(cfg.levels)
     rho = _block_steady_state(h, channels, blocks)
-    _validate_state(rho, blocks)
+    _check_state(rho, blocks)
     residual = float(np.linalg.norm(_lindblad_rhs(h, channels, rho)))
     if not residual <= STEADY_RESIDUAL_TOL:
         raise SolverError(f"steady-state residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL}")
     return rho, residual
 
 
-def _validate_state(rho: np.ndarray, blocks: list[np.ndarray]) -> None:
+def _check_state(rho: np.ndarray, blocks: list[np.ndarray]) -> None:
     """Hermitian, trace one, and no eigenvalue below the floor; the state is
     block-diagonal in the excitation number, so each block's spectrum is exact."""
     hermiticity = np.linalg.norm(rho - rho.conj().T)
@@ -435,7 +433,6 @@ def steady_rho(system: TwoCavitySystem, cfg: FockConfig | None = None) -> Densit
     itself such a state.
     """
     cfg = cfg or FockConfig()
-    validate(system)
     _check_config(system, cfg)
     sectors = []
     residual_sq = 0.0
@@ -502,7 +499,6 @@ def oracle_currents(system: TwoCavitySystem, rho: DensityMatrix) -> CurrentRepor
     """Boundary currents evaluated as traces of the Hamiltonian against each
     reservoir's dissipator, sum_s p_s Tr(H_s D[rho_s]) over atomic sectors,
     each taken as Tr(D^dagger[H_s] rho_s)."""
-    validate(system)
     if [(weight, sign) for weight, sign, _ in rho.sectors] != atomic_sectors(system):
         raise ValueError("density matrix and system disagree about the atom factor or its sector weights")
     a_left, a_right = _field_ops(rho.n_max + 1)

@@ -7,7 +7,11 @@ mean photon number directly; temperature entry is a convenience routed
 through :func:`bose_occupation`.
 
 All records are frozen dataclasses: immutable after construction, safe to
-share across threads and reuse across parameter grids.
+share across threads and reuse across parameter grids. ``TwoCavitySystem``
+and ``ArraySystem`` are valid by construction: each runs :func:`validate`
+when it is built, also by ``dataclasses.replace``, and raises
+:class:`ValidationError` listing every violation, those of its reservoirs and
+atom included. No solver checks a system again.
 """
 
 from __future__ import annotations
@@ -50,10 +54,10 @@ class SolverError(RuntimeError):
 
 def bose_occupation(omega: float, temperature: float) -> float:
     """Mean thermal photon number 1/(exp(omega/T) - 1); zero at T = 0."""
-    if omega <= 0:
-        raise ValueError(f"frequency must be positive, got {omega}")
-    if temperature < 0:
-        raise ValueError(f"temperature must be non-negative, got {temperature}")
+    if not 0 < omega < math.inf:
+        raise ValueError(f"omega (frequency) must be positive and finite, got {omega}")
+    if not 0 <= temperature < math.inf:
+        raise ValueError(f"temperature must be non-negative and finite, got {temperature}")
     if temperature == 0:
         return 0.0
     x = omega / temperature
@@ -102,6 +106,10 @@ class TwoCavitySystem:
     right: ReservoirSpec
     atom: AtomSpec | None = None  # hosted by the right cavity when present
 
+    def __post_init__(self):
+        # the module global, looked up per call: a wrapper bound to model.validate sees every check
+        validate(self)
+
     @property
     def gamma(self) -> float:
         """Mean damping rate (Gamma_L + Gamma_R) / 2."""
@@ -131,6 +139,9 @@ class ArraySystem:
     left: ReservoirSpec
     right: ReservoirSpec
     atom: AtomSpec | None = None
+
+    def __post_init__(self):
+        validate(self)
 
     @property
     def chi(self) -> float:
@@ -221,7 +232,8 @@ def validation_errors(system: Union[TwoCavitySystem, ArraySystem]) -> list[str]:
 
 
 def validate(system: Union[TwoCavitySystem, ArraySystem]):
-    """Return the system unchanged, or raise ValidationError listing every violation."""
+    """Return the system unchanged, or raise ValidationError listing every
+    violation; each system runs it once, when it is built."""
     errs = validation_errors(system)
     if errs:
         raise ValidationError(errs)

@@ -17,6 +17,7 @@ chains; ``currents_from_moments`` evaluates it for one pair.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from typing import Sequence
@@ -82,10 +83,10 @@ def evolve(
     trajectory ends at that multiple of dt. The conserved sigma_z is carried
     through unchanged.
     """
-    if dt <= 0:
-        raise ValueError(f"dt must be positive, got {dt}")
-    if t_final < dt:
-        raise ValueError(f"t_final must be at least dt (got t_final={t_final}, dt={dt})")
+    if not 0 < dt < math.inf:
+        raise ValueError(f"dt must be positive and finite, got {dt}")
+    if not dt <= t_final < math.inf:
+        raise ValueError(f"t_final must be finite and at least dt (got t_final={t_final}, dt={dt})")
     gen = chain.build_generators(system)
     initial.check_system(system)
     # sector s relaxes with the eigenvalues b_i + conj(b_j) of its A_s = i (h + s x) + D

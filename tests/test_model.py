@@ -4,6 +4,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cavityheat import model
+from cavityheat.chain import boundary_currents, steady_state_matrix
+from cavityheat.closedform import current_general, rectification
+from cavityheat.fockspace import FockConfig, oracle_currents, steady_rho
 from cavityheat.model import (
     ArraySystem,
     AtomSpec,
@@ -13,8 +17,8 @@ from cavityheat.model import (
     atomic_sectors,
     bose_occupation,
     validate,
-    validation_errors,
 )
+from cavityheat.moments import steady_states
 
 
 def two_cavity(**overrides):
@@ -28,6 +32,15 @@ def two_cavity(**overrides):
     )
     base.update(overrides)
     return TwoCavitySystem(**base)
+
+
+def construction_errors(build, *args, **kwargs):
+    """The messages of the ValidationError raised while building a system; [] when it builds."""
+    try:
+        build(*args, **kwargs)
+    except ValidationError as exc:
+        return exc.errors
+    return []
 
 
 def test_bose_occupation_zero_temperature():
@@ -50,6 +63,12 @@ def test_bose_occupation_rejects_bad_inputs():
         bose_occupation(-1.0, 1.0)
     with pytest.raises(ValueError):
         bose_occupation(1.0, -0.5)
+    for omega in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="omega"):
+            bose_occupation(omega, 1.0)
+    for temperature in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="temperature"):
+            bose_occupation(1.0, temperature)
 
 
 def test_bose_occupation_extreme_ratio_underflows_to_zero():
@@ -71,16 +90,14 @@ def test_reservoir_from_temperature():
 
 
 def test_negative_rate_rejected():
-    system = two_cavity(left=ReservoirSpec(rate=-0.1, mean_occupation=0.5))
     with pytest.raises(ValidationError) as err:
-        validate(system)
+        two_cavity(left=ReservoirSpec(rate=-0.1, mean_occupation=0.5))
     assert any("rate must be positive" in msg for msg in err.value.errors)
 
 
 def test_negative_dispersive_strength_rejected():
-    system = two_cavity(atom=AtomSpec(dispersive_strength=-0.2, sigma_z=1.0))
     with pytest.raises(ValidationError) as err:
-        validate(system)
+        two_cavity(atom=AtomSpec(dispersive_strength=-0.2, sigma_z=1.0))
     assert any("dispersive strength must be non-negative" in msg for msg in err.value.errors)
 
 
@@ -90,23 +107,23 @@ def test_reference_parameter_set_accepted():
 
 
 def test_all_violations_reported_together():
-    system = two_cavity(
+    errors = construction_errors(
+        two_cavity,
         omega_left=-1.0,
         coupling=-0.5,
         left=ReservoirSpec(rate=-0.1, mean_occupation=-0.2),
         atom=AtomSpec(dispersive_strength=-0.1, sigma_z=2.0),
     )
-    errors = validation_errors(system)
     assert len(errors) == 6
 
 
 def test_sigma_z_out_of_range_rejected():
-    errors = validation_errors(two_cavity(atom=AtomSpec(dispersive_strength=0.1, sigma_z=-1.5)))
+    errors = construction_errors(two_cavity, atom=AtomSpec(dispersive_strength=0.1, sigma_z=-1.5))
     assert any("sigma_z" in msg for msg in errors)
 
 
 def test_two_cavity_atom_must_sit_in_right_cavity():
-    errors = validation_errors(two_cavity(atom=AtomSpec(dispersive_strength=0.1, sigma_z=1.0, host_index=1)))
+    errors = construction_errors(two_cavity, atom=AtomSpec(dispersive_strength=0.1, sigma_z=1.0, host_index=1))
     assert any("right cavity" in msg for msg in errors)
 
 
@@ -121,16 +138,16 @@ def test_array_host_site_bounds():
             atom=AtomSpec(dispersive_strength=0.1, sigma_z=-1.0, host_index=m),
         )
 
-    assert validation_errors(array_with_host(4)) == []
-    assert any("host cavity index" in msg for msg in validation_errors(array_with_host(5)))
-    assert any("host cavity index" in msg for msg in validation_errors(array_with_host(0)))
+    assert construction_errors(array_with_host, 4) == []
+    assert any("host cavity index" in msg for msg in construction_errors(array_with_host, 5))
+    assert any("host cavity index" in msg for msg in construction_errors(array_with_host, 0))
 
 
 def test_array_needs_two_sites():
-    system = ArraySystem(
-        n_sites=1, omega=1.0, coupling=0.05, left=ReservoirSpec(0.1, 0.1), right=ReservoirSpec(0.1, 0.0)
+    errors = construction_errors(
+        ArraySystem, n_sites=1, omega=1.0, coupling=0.05, left=ReservoirSpec(0.1, 0.1), right=ReservoirSpec(0.1, 0.0)
     )
-    assert any("at least 2" in msg for msg in validation_errors(system))
+    assert any("at least 2" in msg for msg in errors)
 
 
 def test_derived_quantities():
@@ -169,7 +186,7 @@ TWO_CAVITY_FIELDS = {
 @pytest.mark.parametrize("bad", NON_FINITE)
 @pytest.mark.parametrize("field", sorted(TWO_CAVITY_FIELDS))
 def test_non_finite_two_cavity_field_rejected_once(field, bad):
-    errors = validation_errors(TWO_CAVITY_FIELDS[field](bad))
+    errors = construction_errors(TWO_CAVITY_FIELDS[field], bad)
     assert len(errors) == 1 and "must be finite" in errors[0]
 
 
@@ -179,7 +196,7 @@ def test_non_finite_array_field_rejected_once(field, bad):
     system = ArraySystem(
         n_sites=3, omega=1.0, coupling=0.05, left=ReservoirSpec(0.1, 0.5), right=ReservoirSpec(0.1, 0.0)
     )
-    errors = validation_errors(replace(system, **{field: bad}))
+    errors = construction_errors(replace, system, **{field: bad})
     assert len(errors) == 1 and "must be finite" in errors[0]
 
 
@@ -203,3 +220,25 @@ def test_atomic_sectors_without_an_atom():
     assert atomic_sectors(chain) == [(1.0, 0.0)]
     hosted = replace(chain, atom=AtomSpec(dispersive_strength=0.1, sigma_z=-0.5, host_index=4))
     assert atomic_sectors(hosted) == [(0.25, 1.0), (0.75, -1.0)]
+
+
+def test_each_system_is_validated_once_when_built(monkeypatch):
+    calls = []
+    check = model.validation_errors
+    monkeypatch.setattr(model, "validation_errors", lambda system: calls.append(system) or check(system))
+    mixed = two_cavity(omega_right=1.1, atom=AtomSpec(dispersive_strength=0.3, sigma_z=0.2))
+    ground = replace(mixed, atom=AtomSpec(dispersive_strength=0.3, sigma_z=-1.0))
+    array = ArraySystem(
+        n_sites=4, omega=1.0, coupling=0.05, left=ReservoirSpec(0.1, 0.5), right=ReservoirSpec(0.1, 0.0),
+        atom=AtomSpec(dispersive_strength=0.2, sigma_z=0.5, host_index=4),
+    )
+    assert len(calls) == 3
+    pairs = [mixed, ground]
+    boundary_currents(pairs, steady_states(pairs))
+    boundary_currents([array], [steady_state_matrix(array)])
+    current_general(mixed)
+    rectification(ground)
+    oracle_currents(mixed, steady_rho(mixed, FockConfig(n_max=6, tail_bound=1e-3)))
+    assert len(calls) == 3  # no solver checks a system again
+    with pytest.raises(ValidationError, match="coupling"):
+        replace(mixed, coupling=math.nan)

@@ -1,3 +1,4 @@
+import math
 import warnings
 from dataclasses import replace
 
@@ -221,6 +222,12 @@ def test_evolve_rejects_bad_steps():
         evolve(system, zero_state(sigma_z=1.0), t_final=1.0, dt=0.0)
     with pytest.raises(ValueError):
         evolve(system, zero_state(sigma_z=1.0), t_final=0.001, dt=0.01)
+    for t_final in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="t_final"):
+            evolve(system, zero_state(sigma_z=1.0), t_final=t_final, dt=0.1)
+    for dt in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="dt must"):
+            evolve(system, zero_state(sigma_z=1.0), t_final=1.0, dt=dt)
 
 
 # --- currents ----------------------------------------------------------------
