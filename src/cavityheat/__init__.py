@@ -8,7 +8,8 @@ Three mutually cross-validating computational paths:
   equation per atomic sector, solved for a whole stack of sectors at once;
   ``moments`` treats two cavities as the N = 2 chain, solves a sweep grid as
   one stack, and integrates the moment equations in time;
-- ``fockspace``: a brute-force Lindbladian oracle on a truncated Fock space.
+- ``fockspace``: a brute-force Lindbladian oracle on a truncated Fock space,
+  loaded with scipy on the first use of one of its names.
 
 ``cli`` exposes named sweep experiments with CSV/JSON output.
 """
@@ -49,16 +50,27 @@ from .chain import (
     size_scan,
     steady_state_matrix,
 )
-from .fockspace import (
-    DensityMatrix,
-    FockConfig,
-    build_liouvillian,
-    converged_steady_rho,
-    g2_zero,
-    oracle_currents,
-    steady_rho,
-    thermal_fidelity,
-    thermal_state,
+# The oracle needs scipy.sparse, so its names are imported on first use
+# (PEP 562): the closed-form, moment and chain paths never load it.
+_FOCKSPACE = (
+    "DensityMatrix",
+    "FockConfig",
+    "build_liouvillian",
+    "converged_steady_rho",
+    "g2_zero",
+    "oracle_currents",
+    "steady_rho",
+    "thermal_fidelity",
+    "thermal_state",
 )
+
+
+def __getattr__(name):
+    if name in _FOCKSPACE:
+        from . import fockspace
+
+        return getattr(fockspace, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __version__ = "0.1.0"

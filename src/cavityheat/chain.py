@@ -17,7 +17,8 @@ with h the hopping matrix and on-site frequencies, x the atom shift, D the
 boundary damping and Q the thermal drive. ``sector_covariances`` solves a
 stack of these equations at once: as one batched Kronecker system up to
 KRONECKER_MAX_SITES sites, by Bartels-Stewart (O(N^3) time, O(N^2) memory)
-above. G is then [[F, S], [S, F]] with F = sum_s p_s C_s and
+above. Bartels-Stewart comes from scipy, which is imported on the first
+solve that needs it. G is then [[F, S], [S, F]] with F = sum_s p_s C_s and
 S = sum_s s p_s C_s; ``steady_state_matrix`` checks it against the block
 equation above, which is built apart from the sector solve.
 
@@ -35,7 +36,6 @@ from dataclasses import dataclass, replace
 from typing import Iterable, Sequence, Union
 
 import numpy as np
-import scipy.linalg as linalg
 
 from .closedform import CurrentReport, _classification
 from .model import ArraySystem, SolverError, TwoCavitySystem, atomic_sectors
@@ -209,7 +209,9 @@ def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
         op = a[:, :, None, :, None] * eye[None, None, :, None, :] + eye[None, :, None, :, None] * a.conj()[:, None, :, None, :]
         c = np.linalg.solve(op.reshape(k, n * n, n * n), -q.reshape(k, n * n, 1)).reshape(k, n, n)
     else:
-        c = np.stack([linalg.solve_continuous_lyapunov(a_k, -q_k) for a_k, q_k in zip(a, q)])
+        from scipy.linalg import solve_continuous_lyapunov
+
+        c = np.stack([solve_continuous_lyapunov(a_k, -q_k) for a_k, q_k in zip(a, q)])
     eigenvalues = np.linalg.eigvalsh(c)
     scale = np.max(np.abs(eigenvalues), axis=1)
     margin = np.divide(eigenvalues[:, 0], scale, out=np.zeros(k), where=scale > 0)

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chain, closedform, fockspace, moments
+from . import chain, closedform, moments
 from .model import (
     ArraySystem,
     AtomSpec,
@@ -223,7 +223,10 @@ def _reservoir(p: _Params, side: str, frequency: float) -> ReservoirSpec:
         if temp is not None and not (math.isfinite(temp) and temp >= 0):
             p.errors.append(f"config: temp_{side} must be finite and non-negative, got {temp}")
         elif temp is not None and 0 < frequency < math.inf:
-            occupation = bose_occupation(frequency, temp)
+            try:
+                occupation = bose_occupation(frequency, temp)
+            except ValueError as exc:
+                p.errors.append(f"config: temp_{side}: {exc}")
     else:
         occupation = p.float_(f"nbar_{side}", default=0.0)
     return ReservoirSpec(rate=rate, mean_occupation=occupation)
@@ -280,15 +283,6 @@ def _sweep_values(p: _Params) -> np.ndarray:
         p.errors.append("config: sweep must contain at least 2 points")
         return np.array([])
     return start + step * np.arange(count)
-
-
-def _fock_config(p: _Params) -> fockspace.FockConfig:
-    cfg = fockspace.FockConfig()
-    return fockspace.FockConfig(
-        n_max=p.int_("fock_n_max", default=cfg.n_max),
-        tail_bound=p.float_("fock_tail_bound", default=cfg.tail_bound),
-        max_vectorized_dim=p.int_("fock_max_dim", default=cfg.max_vectorized_dim),
-    )
 
 
 def _row(**fields) -> dict:
@@ -490,8 +484,15 @@ def _relative_deviation(a: float, b: float, floor: float = 0.0) -> float:
 
 def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, list[dict]]:
     """Run the closed-form, moment, and Fock paths on one point."""
+    from . import fockspace  # imported here: of all experiments, only the oracle needs scipy.sparse
+
     p = _Params(spec.params)
-    cfg = _fock_config(p)
+    default = fockspace.FockConfig()
+    cfg = fockspace.FockConfig(
+        n_max=p.int_("fock_n_max", default=default.n_max),
+        tail_bound=p.float_("fock_tail_bound", default=default.tail_bound),
+        max_vectorized_dim=p.int_("fock_max_dim", default=default.max_vectorized_dim),
+    )
     tol_cm = p.float_("tol_closedform_moments", default=1e-10)
     tol_mf = p.float_("tol_moments_fock", default=1e-6)
     for key, tol in (("tol_closedform_moments", tol_cm), ("tol_moments_fock", tol_mf)):
@@ -554,25 +555,39 @@ def _format_value(value) -> str:
     return format(value, ".17g")
 
 
+def _csv_cells(values: list) -> list[str]:
+    """One column of CSV cells: a finite float is formatted directly (``%`` gives
+    the bytes of ``format(v, ".17g")``, faster), every other value by ``_format_value``."""
+    return ["%.17g" % v if isinstance(v, float) and math.isfinite(v) else _format_value(v) for v in values]
+
+
+def _json_cells(values: list) -> list[str]:
+    """One column of JSON values, as ``json.dumps`` writes them; a non-finite
+    float is written as the string ``_format_value`` gives it. Finite floats
+    and None, the common cells, skip ``json.dumps``."""
+    return [
+        float.__repr__(v) if isinstance(v, float) and math.isfinite(v)
+        else "null" if v is None
+        else json.dumps(_format_value(v) if isinstance(v, float) else v)
+        for v in values
+    ]
+
+
+# one row object, laid out as json.dumps(..., indent=2) lays it out inside "rows"
+_JSON_ROW = "    {\n" + ",\n".join(f"      {json.dumps(column)}: %s" for column in COLUMNS) + "\n    }"
+
+
 def _write_rows(spec: SweepSpec, rows: list[dict]) -> None:
+    """The rows as CSV or as indented JSON, formatted a column at a time."""
+    columns = [[row[column] for row in rows] for column in COLUMNS]
     if spec.fmt == "csv":
-        lines = [",".join(COLUMNS)]
-        for row in rows:
-            lines.append(",".join(_format_value(row[column]) for column in COLUMNS))
-        spec.output.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
-        return
-    payload = {
-        "experiment": spec.experiment,
-        "columns": list(COLUMNS),
-        "rows": [
-            {
-                column: (_format_value(row[column]) if isinstance(row[column], float) and not math.isfinite(row[column]) else row[column])
-                for column in COLUMNS
-            }
-            for row in rows
-        ],
-    }
-    spec.output.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8", newline="\n")
+        lines = [",".join(COLUMNS), *map(",".join, zip(*map(_csv_cells, columns)))]
+        text = "\n".join(lines) + "\n"
+    else:
+        head = json.dumps({"experiment": spec.experiment, "columns": list(COLUMNS)}, indent=2)
+        body = ",\n".join(_JSON_ROW % cells for cells in zip(*map(_json_cells, columns)))
+        text = head[: -len("\n}")] + ',\n  "rows": ' + (f"[\n{body}\n  ]" if rows else "[]") + "\n}\n"
+    spec.output.write_text(text, encoding="utf-8", newline="\n")
 
 
 def _oracle_crosscheck(spec: SweepSpec) -> list[dict]:

@@ -53,7 +53,11 @@ class SolverError(RuntimeError):
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
-    """Mean thermal photon number 1/(exp(omega/T) - 1); zero at T = 0."""
+    """Mean thermal photon number 1/(exp(omega/T) - 1); zero at T = 0.
+
+    Raises ValueError for a non-finite or out-of-domain input, and when
+    omega/T is so small that the occupation is not a finite double.
+    """
     if not 0 < omega < math.inf:
         raise ValueError(f"omega (frequency) must be positive and finite, got {omega}")
     if not 0 <= temperature < math.inf:
@@ -64,7 +68,14 @@ def bose_occupation(omega: float, temperature: float) -> float:
     if x > 700.0:
         # occupation underflows double precision well before exp overflows
         return 0.0
-    return 1.0 / math.expm1(x)
+    # 1/expm1(x) ~ 1/x overflows for a subnormal x, and x = 0 when the ratio underflows
+    occupation = 1.0 / math.expm1(x) if x > 0 else math.inf
+    if occupation == math.inf:
+        raise ValueError(
+            f"omega/temperature underflows at omega={omega}, temperature={temperature}: "
+            "the thermal occupation is not finite"
+        )
+    return occupation
 
 
 @dataclass(frozen=True)

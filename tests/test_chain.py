@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from cavityheat import chain
 from cavityheat.chain import (
@@ -114,9 +115,9 @@ def test_sector_covariances_pass_the_positivity_check():
 def test_positivity_check_rejects_a_negative_covariance(monkeypatch):
     # a sign flip in either solver: Kronecker up to KRONECKER_MAX_SITES, Bartels-Stewart above
     small, large = chain.KRONECKER_MAX_SITES, chain.KRONECKER_MAX_SITES + 1
-    kronecker, bartels_stewart = np.linalg.solve, chain.linalg.solve_continuous_lyapunov
+    kronecker, bartels_stewart = np.linalg.solve, scipy.linalg.solve_continuous_lyapunov
     monkeypatch.setattr(chain.np.linalg, "solve", lambda a, b: -kronecker(a, b))
-    monkeypatch.setattr(chain.linalg, "solve_continuous_lyapunov", lambda a, q: -bartels_stewart(a, q))
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", lambda a, q: -bartels_stewart(a, q))
     for n in (small, large):
         with pytest.raises(SolverError, match="positive semidefinite"):
             steady_state_matrix(chain_system(n, chi=0.1, host=n))
@@ -124,9 +125,9 @@ def test_positivity_check_rejects_a_negative_covariance(monkeypatch):
 
 def test_sector_residual_check_rejects_a_perturbed_solution(monkeypatch):
     small, large = chain.KRONECKER_MAX_SITES, chain.KRONECKER_MAX_SITES + 1
-    kronecker, bartels_stewart = np.linalg.solve, chain.linalg.solve_continuous_lyapunov
+    kronecker, bartels_stewart = np.linalg.solve, scipy.linalg.solve_continuous_lyapunov
     monkeypatch.setattr(chain.np.linalg, "solve", lambda a, b: 1.001 * kronecker(a, b))
-    monkeypatch.setattr(chain.linalg, "solve_continuous_lyapunov", lambda a, q: 1.001 * bartels_stewart(a, q))
+    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", lambda a, q: 1.001 * bartels_stewart(a, q))
     for n in (small, large):
         with pytest.raises(SolverError, match="sector steady-state residual"):
             steady_state_matrix(chain_system(n, chi=0.1, host=n))

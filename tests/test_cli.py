@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import cavityheat
-from cavityheat import cli, moments
+from cavityheat import cli, fockspace, moments
 from cavityheat.cli import SweepSpec, crosscheck, main, parse_config_file, run_experiment
 from cavityheat.model import AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem, ValidationError
 
@@ -266,6 +266,46 @@ def test_exit_io_on_unwritable_output(tmp_path):
     assert main(argv) == cli.EXIT_IO
 
 
+def per_cell_text(spec, rows):
+    """The output of the per-cell row encoder that the column writer replaced."""
+    if spec.fmt == "csv":
+        lines = [",".join(cli.COLUMNS)]
+        for row in rows:
+            lines.append(",".join(cli._format_value(row[column]) for column in cli.COLUMNS))
+        return "\n".join(lines) + "\n"
+    payload = {
+        "experiment": spec.experiment,
+        "columns": list(cli.COLUMNS),
+        "rows": [
+            {
+                column: (cli._format_value(row[column]) if isinstance(row[column], float) and not math.isfinite(row[column]) else row[column])
+                for column in cli.COLUMNS
+            }
+            for row in rows
+        ],
+    }
+    return json.dumps(payload, indent=2) + "\n"
+
+
+CELLS = [
+    None, "blocking", 'q"é%s,', 7, True, 0.1, np.float64(1 / 3), math.inf, -math.inf, math.nan,
+    np.float64(-math.inf), np.float64(math.nan), -0.0, np.float64(-0.0), 5e-324, 1e300, -1e-300, 1e16,
+]
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, None], ids=["empty", "one", "every-cell-in-every-column"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_row_writer_matches_the_per_cell_encoder(tmp_path, fmt, n_rows):
+    # JSON has no encoding of numpy integers, so they are written only to CSV
+    cells = CELLS + [np.int64(-3)] if fmt == "csv" else CELLS
+    # row i, column j holds cells[i * 5 + j]; 5 is prime to the cell count, so each column meets every cell
+    rows = [{column: cells[(i * 5 + j) % len(cells)] for j, column in enumerate(cli.COLUMNS)}
+            for i in range(len(cells))][:n_rows]
+    spec = spec_for("gamma_sweep", tmp_path / f"rows.{fmt}", {}, fmt=fmt)
+    cli._write_rows(spec, rows)
+    assert spec.output.read_bytes() == per_cell_text(spec, rows).encode("utf-8")
+
+
 def test_exit_solver_mapping(monkeypatch, tmp_path):
     def boom(spec):
         raise SolverError("solver failure at gamma=0.05: synthetic")
@@ -381,6 +421,19 @@ def test_non_finite_input_exits_with_validation_error(tmp_path, capsys, override
     assert "error:" in capsys.readouterr().err
 
 
+
+@pytest.mark.parametrize("omega, temperature", [("1e-300", "1e300"), ("5e-324", "1.0")], ids=["ratio-zero", "ratio-subnormal"])
+def test_temperature_with_an_infinite_occupation_exits_with_validation_error(tmp_path, capsys, omega, temperature):
+    params = {k: v for k, v in SWEEP.items() if k != "nbar_left"}
+    params.update(omega_left=omega, temp_left=temperature)
+    assert run_main("gamma_sweep", tmp_path, params) == cli.EXIT_VALIDATION
+    assert not (tmp_path / "out.csv").exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: temp_left: omega/temperature underflows at omega={float(omega)}, "
+        f"temperature={float(temperature)}: the thermal occupation is not finite"
+    ]
+
+
 @pytest.mark.parametrize(
     "extra, message",
     [
@@ -464,7 +517,7 @@ def test_crosscheck_rejects_a_bad_tolerance_before_solving(monkeypatch, tmp_path
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the tolerances were checked")
 
-    monkeypatch.setattr(cli.fockspace, "steady_rho", no_solve)
+    monkeypatch.setattr(fockspace, "steady_rho", no_solve)
     monkeypatch.setattr(cli.moments, "steady_states", no_solve)
     params = dict(FIG2, fock_n_max="8", fock_tail_bound="1e-3", **{key: value})
     assert run_main("oracle_crosscheck", tmp_path, params) == cli.EXIT_VALIDATION

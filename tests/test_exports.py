@@ -1,10 +1,15 @@
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 import cavityheat
+from cavityheat import fockspace
 
 LAYERS = ("model", "closedform", "moments", "chain", "fockspace", "cli")
 
@@ -28,3 +33,48 @@ def test_package_reexports_resolve_to_their_modules():
             name = alias.asname or alias.name
             assert getattr(cavityheat, name) is getattr(module, alias.name), name
             assert alias.name in module.__all__, f"{node.module}.{alias.name} is re-exported but not public"
+    # the oracle's names come through the package __getattr__, which the AST walk does not see
+    assert cavityheat._FOCKSPACE
+    for name in cavityheat._FOCKSPACE:
+        assert name not in vars(cavityheat), f"{name} is bound eagerly"
+        assert getattr(cavityheat, name) is getattr(fockspace, name), name
+        assert name in fockspace.__all__, f"fockspace.{name} is re-exported but not public"
+    with pytest.raises(AttributeError, match="no_such_name"):
+        cavityheat.no_such_name
+
+
+# Runs in a fresh interpreter: prints the scipy modules loaded after the
+# two-cavity runs, then after an oracle crosscheck and a chain above the
+# Kronecker size.
+LAZY_SCIPY = """
+import json, sys
+import cavityheat.cli as cli
+
+def run(experiment, **params):
+    argv = ["run", "--experiment", experiment, "--out", sys.argv[1]]
+    for key, value in params.items():
+        argv += ["--set", f"{key}={value}"]
+    assert cli.main(argv) == 0, experiment
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.startswith("scipy"))
+
+pair = dict(coupling=0.02, gamma_left=0.1, gamma_right=0.1, nbar_left=0.01, nbar_right=0.0)
+run("gamma_sweep", **dict(pair, sweep_start=0.03, sweep_stop=0.05, sweep_step=0.01))
+run("profile", **dict(pair, n_sites=2))
+print(json.dumps(scipy_modules()))
+run("oracle_crosscheck", **dict(pair, chi=0.05, sigma_z=1.0, fock_n_max=6))
+run("profile", **dict(pair, n_sites=cli.chain.KRONECKER_MAX_SITES + 1))
+print(json.dumps(scipy_modules()))
+"""
+
+
+def test_two_cavity_runs_load_no_scipy(tmp_path):
+    package_root = str(Path(cavityheat.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", LAZY_SCIPY, str(tmp_path / "out.csv")],
+                            capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    before, after = (json.loads(line) for line in result.stdout.splitlines())
+    assert before == []
+    assert {"scipy.sparse", "scipy.linalg"} <= set(after)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -73,6 +74,17 @@ def test_bose_occupation_rejects_bad_inputs():
 
 def test_bose_occupation_extreme_ratio_underflows_to_zero():
     assert bose_occupation(1.0, 1e-4) == 0.0
+
+
+@pytest.mark.parametrize("omega, temperature", [(1e-300, 1e300), (5e-324, 1.0)], ids=["ratio-zero", "ratio-subnormal"])
+def test_bose_occupation_rejects_an_infinite_occupation(omega, temperature):
+    # omega/T underflows to 0, or is so small that 1/expm1 overflows
+    with pytest.raises(ValueError, match=re.escape(f"omega={omega}, temperature={temperature}")):
+        bose_occupation(omega, temperature)
+
+
+def test_bose_occupation_stays_finite_down_to_the_smallest_normal_ratio():
+    assert bose_occupation(1e-307, 1.0) == pytest.approx(1e307, rel=1e-14)
 
 
 def test_bose_occupation_monotonic_in_temperature_and_frequency():
