@@ -6,8 +6,9 @@ Three mutually cross-validating computational paths:
   and rectification for the two-cavity system;
 - ``chain``: the steady state of an N-cavity array as one N x N Lyapunov
   equation per atomic sector, solved for a whole stack of sectors at once;
-  ``moments`` treats two cavities as the N = 2 chain, solves a sweep grid as
-  one stack, and integrates the moment equations in time;
+  ``moments`` treats two cavities as the N = 2 chain, solves a sweep grid
+  (``PairGrid``, one array per parameter) as one stack, and integrates the
+  moment equations in time;
 - ``fockspace``: a brute-force Lindbladian oracle on a truncated Fock space,
   loaded with scipy on the first use of one of its names.
 
@@ -17,12 +18,14 @@ Three mutually cross-validating computational paths:
 from .model import (
     ArraySystem,
     AtomSpec,
+    PairGrid,
     ReservoirSpec,
     SolverError,
     TwoCavitySystem,
     ValidationError,
     atomic_sectors,
     bose_occupation,
+    sector_weights,
     validate,
     validation_errors,
 )
@@ -39,7 +42,7 @@ from .closedform import (
     rectification,
     steady_moments,
 )
-from .moments import MomentTrajectory, currents_from_moments, evolve, steady_state, steady_states
+from .moments import MomentTrajectory, currents_from_moments, evolve, steady_state, steady_states, sweep_currents
 from .chain import (
     BlockGenerators,
     MomentMatrix,
@@ -65,12 +68,59 @@ _FOCKSPACE = (
 )
 
 
+__all__ = [
+    "ArraySystem",
+    "AtomSpec",
+    "PairGrid",
+    "ReservoirSpec",
+    "SolverError",
+    "TwoCavitySystem",
+    "ValidationError",
+    "atomic_sectors",
+    "bose_occupation",
+    "sector_weights",
+    "validate",
+    "validation_errors",
+    "CurrentReport",
+    "RectificationResult",
+    "SteadyMoments",
+    "classify_regime",
+    "current_general",
+    "current_pm",
+    "current_resonant_with_atom",
+    "forward_reverse_currents",
+    "peak_rate",
+    "rectification",
+    "steady_moments",
+    "MomentTrajectory",
+    "currents_from_moments",
+    "evolve",
+    "steady_state",
+    "steady_states",
+    "sweep_currents",
+    "BlockGenerators",
+    "MomentMatrix",
+    "ballistic_current",
+    "boundary_currents",
+    "build_generators",
+    "occupation_profile",
+    "size_scan",
+    "steady_state_matrix",
+    *_FOCKSPACE,
+]
+
+
 def __getattr__(name):
     if name in _FOCKSPACE:
         from . import fockspace
 
         return getattr(fockspace, name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    # the lazily re-exported names are listed before their first use
+    return sorted(set(globals()) | set(_FOCKSPACE))
 
 
 __version__ = "0.1.0"

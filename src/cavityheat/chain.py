@@ -24,21 +24,25 @@ equation above, which is built apart from the sector solve.
 
 A ``TwoCavitySystem`` is the N = 2 chain with on-site frequencies omega_L,
 omega_R and the atom on site 2; ``moments`` solves it with the same core.
-``_sites`` alone states each site's frequency, atom shift, rate and nbar,
-and ``boundary_currents`` evaluates the reservoir currents of a stack of
-pairs or chains with one formula for both ends.
+Pairs are carried as one ``model.PairGrid``, chains as a list. ``_sites``
+alone states each site's frequency, atom shift, rate and nbar, as arrays
+over the whole stack, once per stack. ``_mixture`` and ``_currents`` are the
+array cores: the sector mixture, and the reservoir currents of a stack of
+pairs or chains with one formula for both ends. ``sector_mixtures`` and
+``boundary_currents`` take lists of systems and wrap these cores; a sweep
+grid (``moments.sweep_currents``) reads the arrays directly.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
 from .closedform import CurrentReport, _classification
-from .model import ArraySystem, SolverError, TwoCavitySystem, atomic_sectors
+from .model import ArraySystem, PairGrid, SolverError, TwoCavitySystem, sector_weights
 
 __all__ = [
     "BlockGenerators",
@@ -129,36 +133,56 @@ class SizeScanPoint:
     residual: float
 
 
-def _sites(systems: Sequence[Union[TwoCavitySystem, ArraySystem]]) -> tuple[np.ndarray, ...]:
-    """(h, x, D, Q, rates, nbar) of systems of one size N: as (M, N, N)
-    stacks, the hopping matrix with the on-site frequencies, the atom shift (chi
-    at the host site), the boundary damping -Gamma/2 and the thermal drive
-    Gamma nbar; as (M, 2) arrays, the rate and mean occupation of the
-    reservoirs at sites 1 and N. A cavity pair is the N = 2 chain with on-site
-    frequencies omega_L, omega_R and the atom on site 2."""
-    onsite = np.array([
-        [system.omega_left, system.omega_right] if isinstance(system, TwoCavitySystem)
-        else [system.omega] * system.n_sites
-        for system in systems
-    ])
+class _Sites(NamedTuple):
+    """A stack of M systems of one size N, as arrays."""
+
+    h: np.ndarray  # (M, N, N) hopping matrix with the on-site frequencies
+    x: np.ndarray  # (M, N, N) atom shift, chi at the host site
+    damping: np.ndarray  # (M, N, N) boundary damping -Gamma/2
+    drive: np.ndarray  # (M, N, N) thermal drive Gamma nbar
+    rates: np.ndarray  # (M, 2) rates of the reservoirs at sites 1 and N
+    nbar: np.ndarray  # (M, 2) their mean occupations
+    sigma_z: np.ndarray  # (M,)
+    atom: np.ndarray  # (M,) bool
+
+
+def _stack(systems: Sequence[Union[TwoCavitySystem, ArraySystem]]) -> Union[PairGrid, Sequence[ArraySystem]]:
+    """A non-empty list of systems of one kind as a stack: pairs as one grid, chains as they are."""
+    return PairGrid.from_systems(systems) if isinstance(systems[0], TwoCavitySystem) else systems
+
+
+def _sites(stack: Union[PairGrid, Sequence[ArraySystem]]) -> _Sites:
+    """The site arrays of a grid of pairs or a list of chains of one size N. A
+    cavity pair is the N = 2 chain with on-site frequencies omega_L, omega_R
+    and the atom on site 2."""
+    if isinstance(stack, PairGrid):
+        onsite = np.stack([stack.omega_left, stack.omega_right], axis=1)
+        host = np.ones(len(stack), dtype=int)
+        coupling, chi, sigma_z, atom = stack.coupling, stack.chi, stack.sigma_z, stack.atom
+        rates = np.stack([stack.left_rate, stack.right_rate], axis=1)
+        nbar = np.stack([stack.left_occupation, stack.right_occupation], axis=1)
+    else:
+        onsite = np.array([[system.omega] * system.n_sites for system in stack])
+        host = np.array([system.atom.host_index - 1 if system.atom is not None else 0 for system in stack])
+        coupling, chi, sigma_z = (np.array([getattr(system, name) for system in stack])
+                                  for name in ("coupling", "chi", "sigma_z"))
+        atom = np.array([system.atom is not None for system in stack])
+        rates = np.array([[system.left.rate, system.right.rate] for system in stack])
+        nbar = np.array([[system.left.mean_occupation, system.right.mean_occupation] for system in stack])
     m, n = onsite.shape
     h, x, damping, drive = np.zeros((4, m, n, n))
     sites, ends = np.arange(n), [0, n - 1]
     h[:, sites, sites] = onsite
-    h[:, sites[:-1], sites[1:]] = h[:, sites[1:], sites[:-1]] = np.array([[s.coupling] for s in systems])
-    for k, system in enumerate(systems):
-        if system.atom is not None:
-            x[k, system.atom.host_index - 1, system.atom.host_index - 1] = system.chi
-    rates = np.array([[s.left.rate, s.right.rate] for s in systems])
-    nbar = np.array([[s.left.mean_occupation, s.right.mean_occupation] for s in systems])
+    h[:, sites[:-1], sites[1:]] = h[:, sites[1:], sites[:-1]] = coupling[:, None]
+    x[np.arange(m), host, host] = chi
     damping[:, ends, ends] = -0.5 * rates
     drive[:, ends, ends] = rates * nbar
-    return h, x, damping, drive, rates, nbar
+    return _Sites(h, x, damping, drive, rates, nbar, sigma_z, atom)
 
 
 def build_generators(system: Union[TwoCavitySystem, ArraySystem]) -> BlockGenerators:
     """Assemble M1, M2, M3 for a chain or cavity pair."""
-    h, x, damping, drive, _, _ = (values[0] for values in _sites([system]))
+    h, x, damping, drive = (values[0] for values in _sites(_stack([system]))[:4])
     m1 = _pair_blocks(h, x)
     m2 = _pair_blocks(damping, np.zeros_like(damping))
     m3 = _pair_blocks(drive, drive * system.sigma_z)
@@ -224,6 +248,32 @@ def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     return c, residual, margin
 
 
+def _mixture(sites: _Sites) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Steady matrices G (M, 2N, 2N) of a stack, from one stack of sector
+    equations, with the largest residual and the smallest positivity margin
+    of each system's sectors. A SolverError carries in ``index`` the position
+    of the failing system."""
+    weight, sign = sector_weights(sites.sigma_z, sites.atom)
+    keep = weight > 0.0
+    owner = np.nonzero(keep)[0]  # the system of each sector, s = +1 before s = -1
+    weight, sign = weight[keep][:, None, None], sign[keep][:, None, None]
+    try:
+        c, residual, margin = sector_covariances(1j * (sites.h[owner] + sign * sites.x[owner]) + sites.damping[owner],
+                                                 sites.drive[owner].astype(complex))
+    except SolverError as exc:
+        exc.index = int(owner[exc.index])  # the failing system, not its sector matrix
+        raise
+    m, n = sites.h.shape[:2]
+    field = np.zeros((m, n, n), dtype=complex)
+    sz_block = np.zeros((m, n, n), dtype=complex)
+    np.add.at(field, owner, weight * c)
+    np.add.at(sz_block, owner, sign * weight * c)
+    largest, smallest = np.zeros(m), np.full(m, np.inf)
+    np.maximum.at(largest, owner, residual)
+    np.minimum.at(smallest, owner, margin)
+    return _pair_blocks(field, sz_block), largest, smallest
+
+
 def sector_mixtures(systems: Sequence[Union[TwoCavitySystem, ArraySystem]]) -> list[MomentMatrix]:
     """Steady moment matrices of systems of one size, from one stack of sector
     equations; each carries the largest residual of its sector equations.
@@ -232,30 +282,11 @@ def sector_mixtures(systems: Sequence[Union[TwoCavitySystem, ArraySystem]]) -> l
     """
     if not systems:
         return []
-    h, x, damping, drive, _, _ = _sites(systems)
-    owner, weight, sign = (np.array(column) for column in zip(*[
-        (k, p, s) for k, system in enumerate(systems) for p, s in atomic_sectors(system)
-    ]))
-    weight, sign = weight[:, None, None], sign[:, None, None]
-    try:
-        c, residual, margin = sector_covariances(1j * (h[owner] + sign * x[owner]) + damping[owner],
-                                                 drive[owner].astype(complex))
-    except SolverError as exc:
-        exc.index = int(owner[exc.index])  # the failing system, not its sector matrix
-        raise
-    m, n = h.shape[:2]
-    field = np.zeros((m, n, n), dtype=complex)
-    sz_block = np.zeros((m, n, n), dtype=complex)
-    np.add.at(field, owner, weight * c)
-    np.add.at(sz_block, owner, sign * weight * c)
-    g = _pair_blocks(field, sz_block)
-    largest, smallest = np.zeros(m), np.full(m, np.inf)
-    np.maximum.at(largest, owner, residual)
-    np.minimum.at(smallest, owner, margin)
+    g, residual, margin = _mixture(_sites(_stack(systems)))
     return [
-        MomentMatrix(values=g[i], n_sites=n, sigma_z=system.sigma_z, residual=float(largest[i]),
-                     positivity_margin=float(smallest[i]))
-        for i, system in enumerate(systems)
+        MomentMatrix(values=values, n_sites=values.shape[0] // 2, sigma_z=system.sigma_z, residual=largest,
+                     positivity_margin=smallest)
+        for system, values, largest, smallest in zip(systems, g, residual.tolist(), margin.tolist())
     ]
 
 
@@ -273,51 +304,60 @@ def steady_state_matrix(system: ArraySystem) -> MomentMatrix:
     return replace(state, residual=residual)
 
 
-def boundary_currents(
-    systems: Sequence[Union[TwoCavitySystem, ArraySystem]], states: Sequence[MomentMatrix]
-) -> list[CurrentReport]:
-    """Reservoir currents of a stack of systems of one size (cavity pairs or
-    chains), each evaluated on its moment matrix, in one pass over the stack.
+def _currents(stack: Union[PairGrid, Sequence[ArraySystem]], sites: _Sites, g: np.ndarray) -> CurrentReport:
+    """Reservoir currents of a stack of systems of one size on their moment
+    matrices G (M, 2N, 2N), as one CurrentReport of (M,) arrays.
 
     End site j, bonded to site k, sits at omega_j + s x_j in atomic sector s,
     so its reservoir current mixes the sectors exactly through S = <a+ a sz>:
 
         I_j = Gamma_j [(nbar_j - F_jj) omega_j + x_j (sz nbar_j - S_jj) - J Re(F_jk + F_kj)/2].
 
-    ``i_occupation`` and ``i_coherence`` are the two terms at site 1. Pairs
-    carry ``alpha`` and ``regime`` from the switch classification, chains
-    None. A ValueError is raised for a matrix of another size or sigma_z, and
-    a warning is emitted when the two boundary currents fail to balance,
-    which signals a non-steady input.
+    ``i_occupation`` and ``i_coherence`` are the two terms at site 1. A grid
+    of pairs carries ``alpha`` and ``regime`` from the switch classification,
+    as object arrays; chains carry None. A warning is emitted when the two
+    boundary currents fail to balance, which signals a non-steady input.
     """
-    for system, state in zip(systems, states, strict=True):
-        state.check_system(system)
-    if not systems:
-        return []
-    h, x, _, _, rates, nbar = _sites(systems)
-    n = h.shape[-1]
-    g = np.stack([state.values for state in states])
+    n = sites.h.shape[-1]
     ends, bonded = [0, n - 1], [1, n - 2]
-    sigma_z = np.array([[system.sigma_z] for system in systems])
-    omega = h[:, ends, ends]
+    omega = sites.h[:, ends, ends]
     f_ends, s_ends = g[:, ends, ends].real, g[:, ends, [n, 2 * n - 1]].real
-    occupation = (nbar - f_ends) * omega + x[:, ends, ends] * (sigma_z * nbar - s_ends)
-    coherence = 0.5 * h[:, ends, bonded] * (g[:, ends, bonded] + g[:, bonded, ends]).real
-    current = rates * (occupation - coherence)
+    occupation = ((sites.nbar - f_ends) * omega
+                  + sites.x[:, ends, ends] * (sites.sigma_z[:, None] * sites.nbar - s_ends))
+    coherence = 0.5 * sites.h[:, ends, bonded] * (g[:, ends, bonded] + g[:, bonded, ends]).real
+    current = sites.rates * (occupation - coherence)
     imbalance = np.abs(current.sum(axis=1))
     unbalanced = np.flatnonzero(imbalance > 1e-10 * np.maximum(np.abs(current[:, 0]), omega[:, 0] ** 2))
     if unbalanced.size:
         warnings.warn(
             f"boundary currents do not balance (|I_L + I_R| = {imbalance[unbalanced[0]]:.3e} for system "
             f"{unbalanced[0]}); the moment matrix is not a steady state",
-            stacklevel=2,
+            stacklevel=3,
         )
-    reports = []
-    for system, (i_left, i_right), i_occ, i_coh in zip(
-            systems, current.tolist(), occupation[:, 0].tolist(), coherence[:, 0].tolist()):
-        alpha, regime = _classification(system, i_left) if isinstance(system, TwoCavitySystem) else (None, None)
-        reports.append(CurrentReport(i_left, i_right, i_occ, i_coh, alpha, regime))
-    return reports
+    if isinstance(stack, PairGrid):
+        alpha, regime = _classification(stack, current[:, 0])
+    else:
+        alpha = regime = np.full(len(stack), None)
+    return CurrentReport(current[:, 0], current[:, 1], occupation[:, 0], coherence[:, 0], alpha, regime)
+
+
+def boundary_currents(
+    systems: Sequence[Union[TwoCavitySystem, ArraySystem]], states: Sequence[MomentMatrix]
+) -> list[CurrentReport]:
+    """Reservoir currents of a stack of systems of one size (cavity pairs or
+    chains), each evaluated on its moment matrix, in one pass over the stack
+    (``_currents``). Pairs carry ``alpha`` and ``regime`` from the switch
+    classification, chains None. A ValueError is raised for a matrix of
+    another size or sigma_z, and a warning is emitted when the two boundary
+    currents fail to balance, which signals a non-steady input.
+    """
+    for system, state in zip(systems, states, strict=True):
+        state.check_system(system)
+    if not systems:
+        return []
+    stack = _stack(systems)
+    report = _currents(stack, _sites(stack), np.stack([state.values for state in states]))
+    return [CurrentReport(*point) for point in zip(*(column.tolist() for column in vars(report).values()))]
 
 
 def bond_flows(system: ArraySystem, g: MomentMatrix) -> np.ndarray:

@@ -5,6 +5,10 @@ Every physical quantity is entered as a ratio to the reference frequency
 (the left-cavity frequency, or the common frequency of an array). Output
 rows carry a fixed column set; quantities a given experiment does not
 produce are emitted as empty fields so downstream parsing stays stable.
+
+A two-cavity sweep is one ``model.PairGrid``, solved or evaluated in one
+pass over the whole grid; its results reach the writer as columns
+(``Rows``), never as one object per row.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -22,6 +27,7 @@ from . import chain, closedform, moments
 from .model import (
     ArraySystem,
     AtomSpec,
+    PairGrid,
     ReservoirSpec,
     SolverError,
     TwoCavitySystem,
@@ -29,7 +35,7 @@ from .model import (
     bose_occupation,
 )
 
-__all__ = ["SweepSpec", "CrosscheckReport", "run_experiment", "crosscheck", "main"]
+__all__ = ["SweepSpec", "CrosscheckReport", "Rows", "run_experiment", "crosscheck", "main"]
 
 EXIT_OK = 0
 EXIT_VALIDATION = 2
@@ -285,108 +291,95 @@ def _sweep_values(p: _Params) -> np.ndarray:
     return start + step * np.arange(count)
 
 
-def _row(**fields) -> dict:
-    row = {column: None for column in COLUMNS}
-    row.update(fields)
-    return row
+def _is_column(value) -> bool:
+    return isinstance(value, (list, np.ndarray))
 
 
-def _report_fields(report: closedform.CurrentReport) -> dict:
-    return {
-        "i_left": report.i_left,
-        "i_right": report.i_right,
-        "i_occupation": report.i_occupation,
-        "i_coherence": report.i_coherence,
-        "alpha": report.alpha,
-        "regime": report.regime,
-    }
+class Rows(Sequence):
+    """Output rows, held as columns.
+
+    Each name of COLUMNS maps to None (an empty column), to one value that
+    every row holds, or to a list or array of one value per row. Indexing
+    and iteration give a row as a dict, built on access; the writer reads
+    the columns.
+    """
+
+    def __init__(self, n_rows: int, **columns):
+        unknown = sorted(set(columns) - set(COLUMNS))
+        if unknown:
+            raise ValueError(f"unknown output columns {unknown}")
+        uneven = sorted(name for name, value in columns.items() if _is_column(value) and len(value) != n_rows)
+        if uneven:
+            raise ValueError(f"columns {uneven} do not hold one value per row ({n_rows} rows)")
+        self.n_rows = n_rows
+        # arrays become lists of Python scalars, which format faster
+        self.columns = dict.fromkeys(COLUMNS)
+        for name, value in columns.items():
+            self.columns[name] = value.tolist() if isinstance(value, np.ndarray) else value
+
+    def __len__(self) -> int:
+        return self.n_rows
+
+    def __getitem__(self, index: int) -> dict:
+        k = range(self.n_rows)[index]
+        return {name: value[k] if _is_column(value) else value for name, value in self.columns.items()}
 
 
 def _solver_context(name: str, value) -> str:
     return f"solver failure at {name}={value}"
 
 
-def _moment_points(systems: list[TwoCavitySystem], name: str, values) -> list[tuple[closedform.CurrentReport, float]]:
-    """Currents and solver residual of each system, from one stack solve;
-    ``values[i]`` names system i in a solver failure."""
+def _moment_sweep(grid: PairGrid, name: str, values) -> tuple[closedform.CurrentReport, np.ndarray]:
+    """Currents (as arrays) and solver residual of every point of a grid, from
+    one stack solve; ``values[k]`` names point k in a solver failure."""
     try:
-        states = moments.steady_states(systems)
+        return moments.sweep_currents(grid)
     except SolverError as exc:
         raise SolverError(f"{_solver_context(name, values[exc.index])}: {exc}") from exc
-    return [(report, g.residual) for report, g in zip(chain.boundary_currents(systems, states), states)]
 
 
-def _gamma_sweep(spec: SweepSpec) -> list[dict]:
+def _gamma_sweep(spec: SweepSpec) -> Rows:
     p = _Params(spec.params)
     # both rates are swept, so the base values are placeholders
     p.raw.setdefault("gamma_left", "1.0")
     p.raw.setdefault("gamma_right", "1.0")
     values = _sweep_values(p)
     base = _two_cavity(p)
-    systems = [replace(base, left=replace(base.left, rate=value), right=replace(base.right, rate=value))
-               for value in values]
-    return [
-        _row(
-            experiment=spec.experiment,
-            value=value,
-            sigma_z=base.sigma_z if base.atom else None,
-            residual=residual,
-            **_report_fields(report),
-        )
-        for value, (report, residual) in zip(values, _moment_points(systems, "gamma", values))
-    ]
+    report, residual = _moment_sweep(PairGrid.sweep(base, left_rate=values, right_rate=values), "gamma", values)
+    # the fields of a CurrentReport are output columns
+    return Rows(len(values), experiment=spec.experiment, value=values, sigma_z=base.sigma_z if base.atom else None,
+                residual=residual, **vars(report))
 
 
-def _chi_sweep(spec: SweepSpec, with_ratio: bool) -> list[dict]:
+def _chi_sweep(spec: SweepSpec, with_ratio: bool) -> Rows:
     p = _Params(spec.params)
     values = _sweep_values(p)
     base = _two_cavity(p)
     if base.atom is None:
         raise ValidationError(["config: chi sweeps need an atom (set chi and sigma_z)"])
     # with a ratio, the chi = 0 baseline is solved first in the same stack
-    chis = ([0.0] if with_ratio else []) + list(values)
-    points = _moment_points([replace(base, atom=replace(base.atom, dispersive_strength=chi)) for chi in chis],
-                            "chi", chis)
-    baseline = points.pop(0)[0] if with_ratio else None
-    return [
-        _row(
-            experiment=spec.experiment,
-            value=value,
-            sigma_z=base.sigma_z,
-            i_ratio=report.i_left / baseline.i_left if (baseline and baseline.i_left != 0) else None,
-            residual=residual,
-            **_report_fields(report),
-        )
-        for value, (report, residual) in zip(values, points)
-    ]
+    chis = np.concatenate([[0.0], values]) if with_ratio else values
+    report, residual = _moment_sweep(PairGrid.sweep(base, chi=chis), "chi", chis)
+    first = 1 if with_ratio else 0
+    columns = {name: column[first:] for name, column in vars(report).items()}
+    baseline = report.i_left[0] if with_ratio else 0.0
+    return Rows(len(values), experiment=spec.experiment, value=values, sigma_z=base.sigma_z,
+                i_ratio=columns["i_left"] / baseline if baseline != 0 else None, residual=residual[first:], **columns)
 
 
-def _rectification_sweep(spec: SweepSpec) -> list[dict]:
+def _rectification_sweep(spec: SweepSpec) -> Rows:
     p = _Params(spec.params)
     values = _sweep_values(p)
     base = _two_cavity(p)
     if base.atom is None or base.sigma_z != -1.0:
         raise ValidationError(["config: the rectification sweep needs an atom in its ground state (sigma_z = -1)"])
-    rows = []
-    for value in values:
-        system = replace(base, left=replace(base.left, rate=value))
-        forward, reverse = closedform.forward_reverse_currents(system)
-        result = closedform.rectification(system)
-        rows.append(
-            _row(
-                experiment=spec.experiment,
-                value=value,
-                sigma_z=system.sigma_z,
-                i_left=forward,
-                i_right=reverse,
-                rectification=result.ratio,
-                residual=0.0,
-            )
-        )
-    return rows
+    grid = PairGrid.sweep(base, left_rate=values)
+    forward, reverse = closedform.forward_reverse_currents(grid)
+    return Rows(len(values), experiment=spec.experiment, value=values, sigma_z=base.sigma_z, i_left=forward,
+                i_right=reverse, rectification=closedform.rectification(grid).ratio, residual=0.0)
 
 
-def _size_scan(spec: SweepSpec) -> list[dict]:
+def _size_scan(spec: SweepSpec) -> Rows:
     p = _Params(spec.params)
     n_start = p.int_("n_start", default=2)
     n_stop = p.int_("n_stop", required=True)
@@ -394,44 +387,40 @@ def _size_scan(spec: SweepSpec) -> list[dict]:
         p.errors.append(f"config: n_stop must be at least n_start (got {n_start}..{n_stop})")
     template = _array(p, n_sites=n_start)
     points = chain.size_scan(template, range(n_start, n_stop + 1), host="last")
-    return [
-        _row(
-            experiment=spec.experiment,
-            value=point.n_sites,
-            sigma_z=template.sigma_z if template.atom else None,
-            i_left=point.current,
-            i_ratio=point.ratio,
-            residual=point.residual,
-        )
-        for point in points
-    ]
+    return Rows(
+        len(points),
+        experiment=spec.experiment,
+        value=[point.n_sites for point in points],
+        sigma_z=template.sigma_z if template.atom else None,
+        i_left=[point.current for point in points],
+        i_ratio=[point.ratio for point in points],
+        residual=[point.residual for point in points],
+    )
 
 
-def _profile(spec: SweepSpec) -> list[dict]:
+def _profile(spec: SweepSpec) -> Rows:
     p = _Params(spec.params)
     system = _array(p)
     try:
         g = chain.steady_state_matrix(system)
     except SolverError as exc:
         raise SolverError(f"{_solver_context('n_sites', system.n_sites)}: {exc}") from exc
-    occupations = chain.occupation_profile(system, g)
     report = chain.boundary_currents([system], [g])[0]
-    return [
-        _row(
-            experiment=spec.experiment,
-            value=site,
-            sigma_z=system.sigma_z if system.atom else None,
-            i_left=report.i_left,
-            i_right=report.i_right,
-            site=site,
-            occupation=occupations[site - 1],
-            residual=g.residual,
-        )
-        for site in range(1, system.n_sites + 1)
-    ]
+    sites = list(range(1, system.n_sites + 1))
+    return Rows(
+        system.n_sites,
+        experiment=spec.experiment,
+        value=sites,
+        sigma_z=system.sigma_z if system.atom else None,
+        i_left=report.i_left,
+        i_right=report.i_right,
+        site=sites,
+        occupation=chain.occupation_profile(system, g),
+        residual=g.residual,
+    )
 
 
-def _regime_table(spec: SweepSpec) -> list[dict]:
+def _regime_table(spec: SweepSpec) -> Rows:
     p = _Params(spec.params)
     alphas = p.float_list("alpha_values", default=[0.5, 1.0, 2.0])
     base = _two_cavity(p)
@@ -441,32 +430,15 @@ def _regime_table(spec: SweepSpec) -> list[dict]:
         raise ValidationError(["config: the regime table requires chi > omega_right"])
     if not base.left.mean_occupation > base.right.mean_occupation:
         raise ValidationError(["config: the regime table requires a hotter left reservoir (nbar_left > nbar_right)"])
-    grid = [(alpha, sigma) for alpha in alphas for sigma in (1.0, -1.0)]
-    systems = [
-        replace(
-            base,
-            right=replace(base.right, rate=alpha * base.left.rate * (base.chi - base.omega_right) / base.omega_left),
-            atom=replace(base.atom, sigma_z=sigma),
-        )
-        for alpha, sigma in grid
-    ]
-    regimes = [closedform.classify_regime(system) for system in systems]
-    points = _moment_points(systems, "alpha", [alpha for alpha, _ in grid])
-    return [
-        _row(
-            experiment=spec.experiment,
-            value=alpha,
-            sigma_z=sigma,
-            alpha=alpha_out,
-            regime=regime,
-            i_left=report.i_left,
-            i_right=report.i_right,
-            i_occupation=report.i_occupation,
-            i_coherence=report.i_coherence,
-            residual=residual,
-        )
-        for (alpha, sigma), (alpha_out, regime), (report, residual) in zip(grid, regimes, points)
-    ]
+    # each alpha at sigma_z = +1, then at -1
+    values, sigma_z = np.repeat(np.array(alphas, dtype=float), 2), np.tile([1.0, -1.0], len(alphas))
+    rate_right = values * base.left.rate * (base.chi - base.omega_right) / base.omega_left
+    grid = PairGrid.sweep(base, right_rate=rate_right, sigma_z=sigma_z)
+    alpha, regime = closedform.classify_regime(grid)
+    report, residual = _moment_sweep(grid, "alpha", values)
+    return Rows(len(values), experiment=spec.experiment, value=values, sigma_z=sigma_z, alpha=alpha, regime=regime,
+                i_left=report.i_left, i_right=report.i_right, i_occupation=report.i_occupation,
+                i_coherence=report.i_coherence, residual=residual)
 
 
 def _relative_deviation(a: float, b: float, floor: float = 0.0) -> float:
@@ -482,7 +454,7 @@ def _relative_deviation(a: float, b: float, floor: float = 0.0) -> float:
     return abs(a - b) / scale
 
 
-def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, list[dict]]:
+def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, Rows]:
     """Run the closed-form, moment, and Fock paths on one point."""
     from . import fockspace  # imported here: of all experiments, only the oracle needs scipy.sparse
 
@@ -523,20 +495,15 @@ def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, list[dict]]:
         tolerance_closedform_moments=tol_cm,
         tolerance_moments_fock=tol_mf,
     )
-    rows = [
-        _row(
-            experiment=spec.experiment,
-            path=path,
-            sigma_z=system.sigma_z if system.atom else None,
-            residual=residual,
-            **_report_fields(path_report),
-        )
-        for path, path_report, residual in (
-            ("closedform", closed, 0.0),
-            ("moments", moment_report, state.residual),
-            ("fock", fock_report, rho.residual),
-        )
-    ]
+    reports = (closed, moment_report, fock_report)
+    rows = Rows(
+        len(reports),
+        experiment=spec.experiment,
+        path=["closedform", "moments", "fock"],
+        sigma_z=system.sigma_z if system.atom else None,
+        residual=[0.0, state.residual, rho.residual],
+        **{name: [getattr(path_report, name) for path_report in reports] for name in vars(closed)},
+    )
     return report, rows
 
 
@@ -577,20 +544,22 @@ def _json_cells(values: list) -> list[str]:
 _JSON_ROW = "    {\n" + ",\n".join(f"      {json.dumps(column)}: %s" for column in COLUMNS) + "\n    }"
 
 
-def _write_rows(spec: SweepSpec, rows: list[dict]) -> None:
-    """The rows as CSV or as indented JSON, formatted a column at a time."""
-    columns = [[row[column] for row in rows] for column in COLUMNS]
+def _write_rows(spec: SweepSpec, rows: Rows) -> None:
+    """The rows as CSV or as indented JSON, formatted a column at a time; a
+    column that holds one value for every row is formatted once."""
+    encode = _csv_cells if spec.fmt == "csv" else _json_cells
+    columns = [encode(value) if _is_column(value) else encode([value]) * len(rows) for value in rows.columns.values()]
     if spec.fmt == "csv":
-        lines = [",".join(COLUMNS), *map(",".join, zip(*map(_csv_cells, columns)))]
+        lines = [",".join(COLUMNS), *map(",".join, zip(*columns))]
         text = "\n".join(lines) + "\n"
     else:
         head = json.dumps({"experiment": spec.experiment, "columns": list(COLUMNS)}, indent=2)
-        body = ",\n".join(_JSON_ROW % cells for cells in zip(*map(_json_cells, columns)))
-        text = head[: -len("\n}")] + ',\n  "rows": ' + (f"[\n{body}\n  ]" if rows else "[]") + "\n}\n"
+        body = ",\n".join(_JSON_ROW % cells for cells in zip(*columns))
+        text = head[: -len("\n}")] + ',\n  "rows": ' + (f"[\n{body}\n  ]" if len(rows) else "[]") + "\n}\n"
     spec.output.write_text(text, encoding="utf-8", newline="\n")
 
 
-def _oracle_crosscheck(spec: SweepSpec) -> list[dict]:
+def _oracle_crosscheck(spec: SweepSpec) -> Rows:
     """Crosscheck rows, with the report on stderr; on a breach the rows are
     written before CrosscheckError is raised."""
     report, rows = crosscheck(spec)
@@ -627,7 +596,7 @@ _ROWS = {
 EXPERIMENTS = tuple(_ROWS)
 
 
-def run_experiment(spec: SweepSpec) -> list[dict]:
+def run_experiment(spec: SweepSpec) -> Rows:
     """Compute the rows of one experiment and write the output file."""
     rows = _ROWS[spec.experiment](spec)
     _write_rows(spec, rows)

@@ -6,14 +6,22 @@ fixed parameter. The closed forms below are exact for sigma_z = +-1; at an
 intermediate sigma_z, ``steady_moments`` and ``current_general`` mix the two
 pinned-sector results with the weights of ``model.atomic_sectors``, which is
 exact for detuned cavities too.
+
+Every expression is evaluated on arrays: a function that takes a
+``TwoCavitySystem`` or a ``model.PairGrid`` runs the same code on the grid's
+arrays, and returns arrays for a grid and Python scalars for one pair. A
+sweep is therefore one evaluation over its whole grid.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Union
 
-from .model import TwoCavitySystem, atomic_sectors
+import numpy as np
+
+from .model import PairGrid, TwoCavitySystem, sector_weights
 
 __all__ = [
     "REGIME_CONDUCTING",
@@ -60,7 +68,8 @@ class SteadyMoments:
 
 @dataclass(frozen=True)
 class CurrentReport:
-    """Steady-state currents and their decomposition.
+    """Steady-state currents and their decomposition; for a grid, each field
+    is an array over its points (``alpha`` and ``regime`` of dtype object).
 
     ``i_left`` (``i_right``) is the energy flow from the left (right)
     reservoir into the system; in steady state they sum to zero.
@@ -72,17 +81,17 @@ class CurrentReport:
     atom with chi > omega_right and sigma_z = +-1).
     """
 
-    i_left: float
-    i_right: float
-    i_occupation: float
-    i_coherence: float
-    alpha: float | None = None
-    regime: str | None = None
+    i_left: float | np.ndarray
+    i_right: float | np.ndarray
+    i_occupation: float | np.ndarray
+    i_coherence: float | np.ndarray
+    alpha: float | np.ndarray | None = None
+    regime: str | np.ndarray | None = None
 
 
 @dataclass(frozen=True)
 class RectificationResult:
-    """Forward/reverse current asymmetry -I_f/I_r.
+    """Forward/reverse current asymmetry -I_f/I_r; arrays for a grid.
 
     When the reverse current vanishes exactly, ``divergent`` is set and
     ``ratio`` is +-inf with the sign of the limit taken from the side where
@@ -90,109 +99,124 @@ class RectificationResult:
     sign (the sweep rows on either side show the jump).
     """
 
-    ratio: float
-    divergent: bool = False
+    ratio: float | np.ndarray
+    divergent: bool | np.ndarray = False
 
     def __float__(self) -> float:
         return self.ratio
 
 
-def _lorentzian_denominator(system: TwoCavitySystem) -> float:
-    chi, dc, g = system.chi, system.detuning, system.gamma
+Pairs = Union[TwoCavitySystem, PairGrid]
+
+
+def _points(system: Pairs) -> PairGrid:
+    return system if isinstance(system, PairGrid) else PairGrid.from_systems([system])
+
+
+def _scalars(system: Pairs, *arrays) -> tuple:
+    """The arrays as they are for a grid; for one pair, their one entry each, as a Python scalar."""
+    if isinstance(system, PairGrid):
+        return arrays
+    return tuple(np.asarray(values).tolist()[0] for values in arrays)
+
+
+def _require(p: PairGrid, ok: np.ndarray, message: str) -> None:
+    """Raise ValueError at the first point that fails ``ok``, with ``message``
+    formatted by that point's fields."""
+    failed = np.flatnonzero(~np.asarray(ok))
+    if failed.size:
+        k = failed[0]
+        raise ValueError(message.format(**{name: getattr(p, name)[k].item() for name in p.__dataclass_fields__}))
+
+
+def _lorentzian_denominator(p: PairGrid) -> np.ndarray:
+    chi, dc, g = p.chi, p.detuning, p.gamma
     return (chi**2 - dc**2 + g**2) ** 2 + 4.0 * g**2 * dc**2
 
 
-def _hopping_constant(system: TwoCavitySystem, sz: float) -> float:
+def _hopping_constant(p: PairGrid, sz) -> np.ndarray:
     """Effective rate of reservoir-to-reservoir transfer through the bond."""
-    j, chi, dc, g = system.coupling, system.chi, system.detuning, system.gamma
+    j, chi, dc, g = p.coupling, p.chi, p.detuning, p.gamma
     num = dc**2 + chi**2 + 2.0 * dc * chi * sz + g**2
-    return 2.0 * j**2 * g * num / _lorentzian_denominator(system)
+    return 2.0 * j**2 * g * num / _lorentzian_denominator(p)
 
 
-def _mixed(system: TwoCavitySystem, definite) -> tuple:
-    """sum_s p_s definite(system, s), entry by entry; one sector's tuple is
-    returned as it is, so its bits (and signed zeros) stay."""
-    parts = [(weight, definite(system, sign)) for weight, sign in atomic_sectors(system)]
-    if len(parts) == 1:
-        return parts[0][1]
-    return tuple(sum(weight * values[k] for weight, values in parts) for k in range(len(parts[0][1])))
+def _mixed(p: PairGrid, definite) -> tuple:
+    """sum_s p_s definite(p, s), entry by entry, at every point. Where one
+    sector holds all the weight, its values are taken as they are, so their
+    bits (and signed zeros) stay."""
+    weight, sign = sector_weights(p.sigma_z, p.atom)
+    p_first, p_second = weight.T
+    # both sectors in one evaluation: row 0 of each entry is s = +1 (or the
+    # atom-free sector), row 1 is s = -1
+    return tuple(
+        np.where(p_second == 0.0, both[0], np.where(p_first == 0.0, both[1], p_first * both[0] + p_second * both[1]))
+        for both in definite(p, sign.T)
+    )
 
 
-def steady_moments(system: TwoCavitySystem) -> SteadyMoments:
+def steady_moments(system: Pairs) -> SteadyMoments:
     """Steady occupations and inter-cavity coherence of both fields."""
-    return SteadyMoments(*_mixed(system, _definite_moments))
+    return SteadyMoments(*_scalars(system, *_mixed(_points(system), _definite_moments)))
 
 
-def _definite_moments(system: TwoCavitySystem, sz: float) -> tuple[float, float, float, complex]:
+def _definite_moments(p: PairGrid, sz) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """(n_left, n_right, delta_n, coherence) with the atom pinned to sigma_z = sz
     (+-1), or without an atom (sz = 0)."""
-    gl, gr = system.left.rate, system.right.rate
-    nl, nr = system.left.mean_occupation, system.right.mean_occupation
-    chi, dc, g = system.chi, system.detuning, system.gamma
-    c = _hopping_constant(system, sz)
+    gl, gr = p.left_rate, p.right_rate
+    nl, nr = p.left_occupation, p.right_occupation
+    chi, dc, g = p.chi, p.detuning, p.gamma
+    c = _hopping_constant(p, sz)
     den = c * (gl + gr) + gl * gr
     pooled = c * (gl * nl + gr * nr)
     occ_left = (pooled + gl * gr * nl) / den
     occ_right = (pooled + gl * gr * nr) / den
     delta = gl * gr * (nl - nr) / den
-    coherence = -system.coupling * (chi * sz + dc + 1j * g) / (chi**2 - dc**2 + g**2 - 2j * g * dc) * delta
+    coherence = -p.coupling * (chi * sz + dc + 1j * g) / (chi**2 - dc**2 + g**2 - 2j * g * dc) * delta
     return occ_left, occ_right, delta, coherence
 
 
-def _classification(system: TwoCavitySystem, i_left: float) -> tuple[float | None, str | None]:
-    """Regime tag from the sign of the current, alpha when it is defined.
+def _classification(system: Pairs, i_left) -> tuple:
+    """Regime tag from the sign of the current, alpha where it is defined.
 
-    The tag is only meaningful for a hot left reservoir; otherwise both
-    entries are None.
+    The tag is only meaningful for a hot left reservoir; elsewhere both
+    entries are None. For a grid both are object arrays.
     """
-    if not system.left.mean_occupation > system.right.mean_occupation:
-        return None, None
-    scale = system.omega_left**2
-    if abs(i_left) < ZERO_CURRENT_TOL * scale:
-        regime = REGIME_INSULATING
-    elif i_left > 0:
-        regime = REGIME_CONDUCTING
-    else:
-        regime = REGIME_REVERSED
-    alpha = None
-    if (
-        system.atom is not None
-        and system.sigma_z in (-1.0, 1.0)
-        and system.chi > system.omega_right
-    ):
-        alpha = (system.right.rate / system.left.rate) / ((system.chi - system.omega_right) / system.omega_left)
-    return alpha, regime
+    p = _points(system)
+    i_left = np.asarray(i_left)
+    sign_tag = np.where(i_left > 0, REGIME_CONDUCTING, REGIME_REVERSED)
+    tag = np.where(np.abs(i_left) < ZERO_CURRENT_TOL * p.omega_left**2, REGIME_INSULATING, sign_tag)
+    hot = p.left_occupation > p.right_occupation
+    definite = (p.sigma_z == 1.0) | (p.sigma_z == -1.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        alpha = (p.right_rate / p.left_rate) / ((p.chi - p.omega_right) / p.omega_left)
+    alpha = np.where(hot & p.atom & definite & (p.chi > p.omega_right), alpha, None)
+    return _scalars(system, alpha, np.where(hot, tag, None))
 
 
-def current_general(system: TwoCavitySystem) -> CurrentReport:
+def current_general(system: Pairs) -> CurrentReport:
     """Left-reservoir current from the general non-resonant expression."""
-    i_left, i_occ, i_coh = _mixed(system, _definite_current)
-    alpha, regime = _classification(system, i_left)
-    return CurrentReport(
-        i_left=i_left,
-        i_right=-i_left,
-        i_occupation=i_occ,
-        i_coherence=i_coh,
-        alpha=alpha,
-        regime=regime,
-    )
+    p = _points(system)
+    i_left, i_occ, i_coh = _mixed(p, _definite_current)
+    alpha, regime = _classification(p, i_left)
+    return CurrentReport(*_scalars(system, i_left, -i_left, i_occ, i_coh, alpha, regime))
 
 
-def _definite_current(system: TwoCavitySystem, sz: float) -> tuple[float, float, float]:
+def _definite_current(p: PairGrid, sz) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(i_left, i_occupation, i_coherence) with the atom pinned to sigma_z = sz
     (+-1), or without an atom (sz = 0)."""
-    n_left, _, delta_n, coherence = _definite_moments(system, sz)
-    gl, gr = system.left.rate, system.right.rate
-    wl, wr = system.omega_left, system.omega_right
-    j, chi, dc, g = system.coupling, system.chi, system.detuning, system.gamma
+    n_left, _, delta_n, coherence = _definite_moments(p, sz)
+    gl, gr = p.left_rate, p.right_rate
+    wl, wr = p.omega_left, p.omega_right
+    j, chi, dc, g = p.coupling, p.chi, p.detuning, p.gamma
     num = (
         gl * chi * sz * (chi**2 - dc**2 + g**2)
         + (wl * gr + wr * gl) * (dc**2 + g**2)
         + chi**2 * (2.0 * wl * g + dc * gl)
         + 4.0 * dc * chi * sz * wl * g
     )
-    i_left = j**2 * delta_n * num / _lorentzian_denominator(system)
-    return i_left, (system.left.mean_occupation - n_left) * wl, j * coherence.real
+    i_left = j**2 * delta_n * num / _lorentzian_denominator(p)
+    return i_left, (p.left_occupation - n_left) * wl, j * coherence.real
 
 
 def current_resonant_with_atom(system: TwoCavitySystem) -> float:
@@ -221,31 +245,29 @@ def peak_rate(system: TwoCavitySystem) -> float:
     return math.hypot(2.0 * system.coupling, system.chi)
 
 
-def classify_regime(system: TwoCavitySystem) -> tuple[float, str]:
-    """Switch classification (alpha, regime) for the hot-left configuration.
+def classify_regime(system: Pairs) -> tuple:
+    """Switch classification (alpha, regime) for the hot-left configuration;
+    a grid gets an array of each, and a ValueError names its first point
+    outside the classification's domain.
 
     alpha compares the reservoir-rate ratio against the atom-shifted
     frequency ratio; with the atom in the ground state alpha > 1 conducts,
     alpha = 1 blocks, alpha < 1 reverses the current. The excited atom always
     conducts.
     """
-    if system.atom is None:
-        raise ValueError("switch classification requires an atom")
-    if system.sigma_z not in (-1.0, 1.0):
-        raise ValueError(f"switch classification is defined at sigma_z = +-1 (got {system.sigma_z})")
-    if not system.left.mean_occupation > system.right.mean_occupation:
-        raise ValueError("switch classification assumes the left reservoir is hotter (nbar_L > nbar_R)")
-    if not system.chi > system.omega_right:
-        raise ValueError(
-            "switching analysis assumes the dispersive shift exceeds the right-cavity "
-            f"frequency (chi > omega_right, got chi={system.chi}, omega_right={system.omega_right})"
-        )
-    alpha = (system.right.rate / system.left.rate) / ((system.chi - system.omega_right) / system.omega_left)
-    if system.sigma_z == 1.0:
-        return alpha, REGIME_CONDUCTING
-    if abs(alpha - 1.0) < INSULATING_ALPHA_TOL:
-        return alpha, REGIME_INSULATING
-    return alpha, (REGIME_CONDUCTING if alpha > 1.0 else REGIME_REVERSED)
+    p = _points(system)
+    _require(p, p.atom, "switch classification requires an atom")
+    _require(p, (p.sigma_z == 1.0) | (p.sigma_z == -1.0),
+             "switch classification is defined at sigma_z = +-1 (got {sigma_z})")
+    _require(p, p.left_occupation > p.right_occupation,
+             "switch classification assumes the left reservoir is hotter (nbar_L > nbar_R)")
+    _require(p, p.chi > p.omega_right,
+             "switching analysis assumes the dispersive shift exceeds the right-cavity "
+             "frequency (chi > omega_right, got chi={chi}, omega_right={omega_right})")
+    alpha = (p.right_rate / p.left_rate) / ((p.chi - p.omega_right) / p.omega_left)
+    ground = np.where(np.abs(alpha - 1.0) < INSULATING_ALPHA_TOL, REGIME_INSULATING,
+                      np.where(alpha > 1.0, REGIME_CONDUCTING, REGIME_REVERSED))
+    return _scalars(system, alpha, np.where(p.sigma_z == 1.0, REGIME_CONDUCTING, ground).astype(object))
 
 
 def current_pm(system: TwoCavitySystem, sign: int) -> float:
@@ -254,48 +276,51 @@ def current_pm(system: TwoCavitySystem, sign: int) -> float:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if system.atom is None:
         raise ValueError("pinned-state current requires an atom")
-    delta_n = _definite_moments(system, float(sign))[2]
-    gl, gr = system.left.rate, system.right.rate
-    wl, wr = system.omega_left, system.omega_right
-    j, chi, dc, g = system.coupling, system.chi, system.detuning, system.gamma
+    p = _points(system)
+    delta_n = _definite_moments(p, float(sign))[2]
+    gl, gr = p.left_rate, p.right_rate
+    wl, wr = p.omega_left, p.omega_right
+    j, chi, dc, g = p.coupling, p.chi, p.detuning, p.gamma
     omega_factor = wl * gr + gl * (wr + sign * chi)
-    return j**2 * delta_n * omega_factor * ((dc + sign * chi) ** 2 + g**2) / _lorentzian_denominator(system)
+    return _scalars(system, j**2 * delta_n * omega_factor * ((dc + sign * chi) ** 2 + g**2)
+                    / _lorentzian_denominator(p))[0]
 
 
-def _require_ground_state(system: TwoCavitySystem, what: str) -> None:
-    if system.atom is None:
-        raise ValueError(f"{what} requires an atom")
-    if system.sigma_z != -1.0:
-        raise ValueError(f"{what} takes the atom in its ground state (sigma_z = -1, got {system.sigma_z})")
+def _require_ground_state(p: PairGrid, what: str) -> None:
+    _require(p, p.atom, f"{what} requires an atom")
+    _require(p, p.sigma_z == -1.0, f"{what} takes the atom in its ground state (sigma_z = -1, got {{sigma_z}})")
 
 
-def forward_reverse_currents(system: TwoCavitySystem) -> tuple[float, float]:
+def forward_reverse_currents(system: Pairs) -> tuple:
     """Currents of the configuration and of its reservoir-swapped mirror.
 
     The reverse current is the left-boundary current after exchanging
     (nbar_L, Gamma_L) with (nbar_R, Gamma_R); it is negative when the forward
     current is conventional, since the flow direction is opposite.
     """
-    _require_ground_state(system, "forward/reverse analysis")
-    delta_n = _definite_moments(system, -1.0)[2]
-    gl, gr = system.left.rate, system.right.rate
-    wl, wr = system.omega_left, system.omega_right
-    j, chi, dc, g = system.coupling, system.chi, system.detuning, system.gamma
-    lorentz = ((dc - chi) ** 2 + g**2) / _lorentzian_denominator(system)
+    p = _points(system)
+    _require_ground_state(p, "forward/reverse analysis")
+    delta_n = _definite_moments(p, -1.0)[2]
+    gl, gr = p.left_rate, p.right_rate
+    wl, wr = p.omega_left, p.omega_right
+    j, chi, dc, g = p.coupling, p.chi, p.detuning, p.gamma
+    lorentz = ((dc - chi) ** 2 + g**2) / _lorentzian_denominator(p)
     i_forward = j**2 * delta_n * (wl * gr + gl * (wr - chi)) * lorentz
     i_reverse = -(j**2) * delta_n * (wl * gl + gr * (wr - chi)) * lorentz
-    return i_forward, i_reverse
+    return _scalars(system, i_forward, i_reverse)
 
 
-def rectification(system: TwoCavitySystem) -> RectificationResult:
+def rectification(system: Pairs) -> RectificationResult:
     """Rectification coefficient -I_f/I_r; unity means no rectification."""
-    _require_ground_state(system, "rectification")
-    gl, gr = system.left.rate, system.right.rate
-    wl, wr, chi = system.omega_left, system.omega_right, system.chi
+    p = _points(system)
+    _require_ground_state(p, "rectification")
+    gl, gr = p.left_rate, p.right_rate
+    wl, wr, chi = p.omega_left, p.omega_right, p.chi
     num = wl * gr + gl * (wr - chi)
     den = wl * gl + gr * (wr - chi)
-    if den == 0.0:
-        # one direction is fully blocked; report the limit from the
-        # positive-denominator side
-        return RectificationResult(ratio=math.copysign(math.inf, num), divergent=True)
-    return RectificationResult(ratio=num / den, divergent=False)
+    # where den == 0 one direction is fully blocked; report the limit from
+    # the positive-denominator side
+    divergent = den == 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(divergent, np.copysign(np.inf, num), num / den)
+    return RectificationResult(*_scalars(system, ratio, divergent))

@@ -12,13 +12,18 @@ and ``ArraySystem`` are valid by construction: each runs :func:`validate`
 when it is built, also by ``dataclasses.replace``, and raises
 :class:`ValidationError` listing every violation, those of its reservoirs and
 atom included. No solver checks a system again.
+
+A sweep of cavity pairs is one ``PairGrid``: one float64 array per field,
+checked by the same rules in one vectorised pass when it is built.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Union
+from dataclasses import dataclass, fields, replace
+from typing import Sequence, Union
+
+import numpy as np
 
 __all__ = [
     "ValidationError",
@@ -28,6 +33,8 @@ __all__ = [
     "AtomSpec",
     "TwoCavitySystem",
     "ArraySystem",
+    "PairGrid",
+    "sector_weights",
     "atomic_sectors",
     "validation_errors",
     "validate",
@@ -163,6 +170,92 @@ class ArraySystem:
         return self.atom.sigma_z if self.atom is not None else 0.0
 
 
+@dataclass(frozen=True, eq=False)
+class PairGrid:
+    """Cavity pairs at the M points of a parameter grid, one float64 array of
+    shape (M,) per field; ``atom`` marks the points whose right cavity hosts
+    an atom (chi and sigma_z are 0 where it does not).
+
+    Valid by construction, like ``TwoCavitySystem``: the fields are checked
+    in one vectorised pass when the grid is built, by the rules of
+    ``validation_errors``. A ValidationError lists the violations of the
+    first failing point, exactly as ``validate`` lists them for that point's
+    pair. The arrays are read-only; a scalar field is broadcast over the grid.
+    """
+
+    omega_left: np.ndarray
+    omega_right: np.ndarray
+    coupling: np.ndarray
+    left_rate: np.ndarray
+    left_occupation: np.ndarray
+    right_rate: np.ndarray
+    right_occupation: np.ndarray
+    chi: np.ndarray
+    sigma_z: np.ndarray
+    atom: np.ndarray  # bool
+
+    def __post_init__(self):
+        self._store_arrays()
+        errs = _grid_errors(self)
+        if errs:
+            raise ValidationError(errs)
+
+    def _store_arrays(self) -> None:
+        """Replace every field by a read-only array of the grid's shape."""
+        names = [field.name for field in fields(self)]
+        values = [np.array(getattr(self, name), dtype=bool if name == "atom" else float) for name in names]
+        shape = np.broadcast_shapes((1,), *(value.shape for value in values))
+        if len(shape) != 1:
+            raise ValueError(f"a pair grid is one-dimensional, got shape {shape}")
+        for name, value in zip(names, values):
+            value = value if value.shape == shape else np.broadcast_to(value, shape)
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_systems(cls, systems: Sequence[TwoCavitySystem]) -> "PairGrid":
+        """The grid of a list of pairs, point k being systems[k]. Each pair was
+        checked when it was built, so the grid is not checked again."""
+        grid = cls.__new__(cls)
+        for name, values in zip(cls.__dataclass_fields__, (
+            [s.omega_left for s in systems], [s.omega_right for s in systems], [s.coupling for s in systems],
+            [s.left.rate for s in systems], [s.left.mean_occupation for s in systems],
+            [s.right.rate for s in systems], [s.right.mean_occupation for s in systems],
+            [s.chi for s in systems], [s.sigma_z for s in systems], [s.atom is not None for s in systems],
+        )):
+            object.__setattr__(grid, name, values)
+        grid._store_arrays()
+        return grid
+
+    @classmethod
+    def sweep(cls, base: TwoCavitySystem, **arrays) -> "PairGrid":
+        """The pair ``base`` at every point, with the named fields taken from ``arrays``."""
+        return replace(cls.from_systems([base]), **arrays)
+
+    def __len__(self) -> int:
+        return self.omega_left.shape[0]
+
+    @property
+    def gamma(self) -> np.ndarray:
+        """Mean damping rate (Gamma_L + Gamma_R) / 2."""
+        return 0.5 * (self.left_rate + self.right_rate)
+
+    @property
+    def detuning(self) -> np.ndarray:
+        """Bare cavity detuning omega_left - omega_right."""
+        return self.omega_left - self.omega_right
+
+
+def sector_weights(sigma_z: np.ndarray, atom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(p, s) of the two atomic sectors of each point, as (M, 2) arrays: the
+    weights p = (1 + s sigma_z)/2 of s = +1, then s = -1, where ``atom`` is
+    set; (1, 0) and (0, 0), one atom-free sector, where it is not."""
+    atom = atom[:, None]
+    sign = np.where(atom, [1.0, -1.0], 0.0)
+    weight = np.where(atom, 0.5 * (1.0 + sign * sigma_z[:, None]), [1.0, 0.0])
+    return weight, sign
+
+
 def atomic_sectors(system: Union[TwoCavitySystem, ArraySystem]) -> list[tuple[float, float]]:
     """(p_s, s) of each atomic sector with non-zero weight: s = +1, then s = -1.
 
@@ -171,10 +264,8 @@ def atomic_sectors(system: Union[TwoCavitySystem, ArraySystem]) -> list[tuple[fl
     atom-free sectors in which the host cavity is shifted by s chi. Without
     an atom there is one sector, (1.0, 0.0).
     """
-    if system.atom is None:
-        return [(1.0, 0.0)]
-    weighted = ((0.5 * (1.0 + sign * system.sigma_z), sign) for sign in (1.0, -1.0))
-    return [(weight, sign) for weight, sign in weighted if weight > 0.0]
+    weight, sign = sector_weights(np.array([system.sigma_z]), np.array([system.atom is not None]))
+    return [(p, s) for p, s in zip(weight[0].tolist(), sign[0].tolist()) if p > 0.0]
 
 
 def _check(errs: list[str], label: str, value: float, ok, requirement: str) -> None:
@@ -185,30 +276,88 @@ def _check(errs: list[str], label: str, value: float, ok, requirement: str) -> N
         errs.append(f"{label} {requirement} (got {value})")
 
 
-def _positive(value: float) -> bool:
+def _positive(value):
     return value > 0
 
 
-def _non_negative(value: float) -> bool:
+def _non_negative(value):
     return value >= 0
 
 
-def _reservoir_errors(res: ReservoirSpec, name: str) -> list[str]:
+def _unit_interval(value):
+    return (-1.0 <= value) & (value <= 1.0)
+
+
+# (label, field, ok, requirement) of each real field, in the order in which
+# validation_errors reports them; ok takes a float or an array
+_RESERVOIR_RULES = tuple(
+    rule
+    for side in ("left", "right")
+    for rule in (
+        (f"{side} reservoir: rate", f"{side}_rate", _positive, "must be positive"),
+        (f"{side} reservoir: mean occupation", f"{side}_occupation", _non_negative, "must be non-negative"),
+    )
+)
+_PAIR_RULES = (
+    ("omega_left: frequency", "omega_left", _positive, "must be positive"),
+    ("omega_right: frequency", "omega_right", _positive, "must be positive"),
+    ("coupling:", "coupling", _non_negative, "must be non-negative"),
+) + _RESERVOIR_RULES
+_CHAIN_RULES = (
+    ("omega: frequency", "omega", _positive, "must be positive"),
+    ("coupling:", "coupling", _non_negative, "must be non-negative"),
+) + _RESERVOIR_RULES
+_ATOM_RULES = (
+    ("atom: dispersive strength", "chi", _non_negative, "must be non-negative"),
+    ("atom: sigma_z expectation", "sigma_z", _unit_interval, "must lie in [-1, 1]"),
+)
+
+
+def _rule_errors(rules, values: dict) -> list[str]:
     errs: list[str] = []
-    _check(errs, f"{name} reservoir: rate", res.rate, _positive, "must be positive")
-    _check(errs, f"{name} reservoir: mean occupation", res.mean_occupation, _non_negative, "must be non-negative")
+    for label, field, ok, requirement in rules:
+        _check(errs, label, values[field], ok, requirement)
     return errs
 
 
-def _atom_errors(atom: AtomSpec, n_sites: int) -> list[str]:
-    errs: list[str] = []
-    _check(errs, "atom: dispersive strength", atom.dispersive_strength, _non_negative, "must be non-negative")
-    _check(errs, "atom: sigma_z expectation", atom.sigma_z, lambda v: -1.0 <= v <= 1.0, "must lie in [-1, 1]")
+def _values(system: Union[TwoCavitySystem, ArraySystem]) -> dict:
+    """The real fields of a system, named as in the rules."""
+    values = {
+        "coupling": system.coupling,
+        "left_rate": system.left.rate, "left_occupation": system.left.mean_occupation,
+        "right_rate": system.right.rate, "right_occupation": system.right.mean_occupation,
+    }
+    if isinstance(system, TwoCavitySystem):
+        values.update(omega_left=system.omega_left, omega_right=system.omega_right)
+    else:
+        values["omega"] = system.omega
+    if system.atom is not None:
+        values.update(chi=system.atom.dispersive_strength, sigma_z=system.atom.sigma_z)
+    return values
+
+
+def _atom_errors(atom: AtomSpec, n_sites: int, values: dict) -> list[str]:
+    errs = _rule_errors(_ATOM_RULES, values)
     if not math.isfinite(atom.transition_frequency):
         errs.append(f"atom: transition frequency must be finite (got {atom.transition_frequency})")
     if not 1 <= atom.host_index <= n_sites:
         errs.append(f"atom: host cavity index must lie in [1, {n_sites}] (got {atom.host_index})")
     return errs
+
+
+def _grid_errors(grid: PairGrid) -> list[str]:
+    """The messages of ``validation_errors`` for the first point of a grid that
+    breaks a rule; empty when every point is valid."""
+    bad = np.zeros(len(grid), dtype=bool)
+    for rules, where in ((_PAIR_RULES, True), (_ATOM_RULES, grid.atom)):
+        for _, field, ok, _ in rules:
+            value = getattr(grid, field)
+            bad |= where & ~(np.isfinite(value) & ok(value))
+    if not bad.any():
+        return []
+    k = int(np.argmax(bad))
+    values = {field: getattr(grid, field)[k].item() for field in grid.__dataclass_fields__}
+    return _rule_errors(_PAIR_RULES + (_ATOM_RULES if grid.atom[k] else ()), values)
 
 
 def validation_errors(system: Union[TwoCavitySystem, ArraySystem]) -> list[str]:
@@ -219,24 +368,19 @@ def validation_errors(system: Union[TwoCavitySystem, ArraySystem]) -> list[str]:
     """
     errs: list[str] = []
     if isinstance(system, TwoCavitySystem):
-        _check(errs, "omega_left: frequency", system.omega_left, _positive, "must be positive")
-        _check(errs, "omega_right: frequency", system.omega_right, _positive, "must be positive")
-        _check(errs, "coupling:", system.coupling, _non_negative, "must be non-negative")
-        errs += _reservoir_errors(system.left, "left")
-        errs += _reservoir_errors(system.right, "right")
+        values = _values(system)
+        errs += _rule_errors(_PAIR_RULES, values)
         if system.atom is not None:
-            errs += _atom_errors(system.atom, 2)
+            errs += _atom_errors(system.atom, 2, values)
             if system.atom.host_index != 2:
                 errs.append("atom: the two-cavity system hosts the atom in the right cavity (index 2)")
     elif isinstance(system, ArraySystem):
         if system.n_sites < 2:
             errs.append(f"n_sites: need at least 2 cavities (got {system.n_sites})")
-        _check(errs, "omega: frequency", system.omega, _positive, "must be positive")
-        _check(errs, "coupling:", system.coupling, _non_negative, "must be non-negative")
-        errs += _reservoir_errors(system.left, "left")
-        errs += _reservoir_errors(system.right, "right")
+        values = _values(system)
+        errs += _rule_errors(_CHAIN_RULES, values)
         if system.atom is not None:
-            errs += _atom_errors(system.atom, system.n_sites)
+            errs += _atom_errors(system.atom, system.n_sites, values)
     else:
         errs.append(f"unsupported system type {type(system).__name__}")
     return errs

@@ -8,11 +8,13 @@ close without truncation: the steady state is the mixture of two atom-free
 sectors, each a 2 x 2 Lyapunov equation, and this path agrees with the
 density-matrix oracle up to Fock truncation error only.
 
-``steady_states`` solves a whole parameter grid as one stack of sector
-equations (``chain.sector_covariances``); each row carries the largest
-residual of its sector equations, held to RESIDUAL_TOL. Its currents are
-``chain.boundary_currents``, the one boundary-current formula of pairs and
-chains; ``currents_from_moments`` evaluates it for one pair.
+A sweep is one ``model.PairGrid``. ``sweep_currents`` solves the whole grid
+as one stack of sector equations (``chain.sector_covariances``) and returns
+its currents as arrays, with no per-point object; each point carries the
+largest residual of its sector equations, held to RESIDUAL_TOL. The currents
+come from ``chain._currents``, the one boundary-current formula of pairs and
+chains. ``steady_states`` and ``currents_from_moments`` take lists of pairs
+and run the same cores.
 """
 
 from __future__ import annotations
@@ -27,10 +29,11 @@ import numpy as np
 from . import chain
 from .chain import MomentMatrix
 from .closedform import CurrentReport
-from .model import TwoCavitySystem
+from .model import PairGrid, TwoCavitySystem
 
 __all__ = [
     "MomentTrajectory",
+    "sweep_currents",
     "steady_states",
     "steady_state",
     "evolve",
@@ -54,15 +57,32 @@ class MomentTrajectory:
         return MomentMatrix(values=self.values[-1], n_sites=2, sigma_z=self.sigma_z)
 
 
+def _check_residuals(residuals: np.ndarray) -> None:
+    chain._guard(residuals <= RESIDUAL_TOL, residuals, f"steady-state residual {{:.3e}} exceeds {RESIDUAL_TOL}")
+
+
+def sweep_currents(grid: PairGrid) -> tuple[CurrentReport, np.ndarray]:
+    """Currents of every point of a pair grid, from one stack solve: one
+    CurrentReport of arrays, and the residual of each point.
+
+    The arrays equal, point by point and bit for bit, the currents of
+    ``currents_from_moments`` on ``steady_state`` of that point alone. A
+    SolverError carries in ``index`` the failing point.
+    """
+    sites = chain._sites(grid)
+    g, residuals, _ = chain._mixture(sites)
+    _check_residuals(residuals)
+    return chain._currents(grid, sites, g), residuals
+
+
 def steady_states(systems: Sequence[TwoCavitySystem]) -> list[MomentMatrix]:
-    """Steady moment matrices of a grid of cavity pairs, from one stack solve.
+    """Steady moment matrices of a list of cavity pairs, from one stack solve.
 
     Each matrix equals ``steady_state`` of its system alone, bit for bit. A
     SolverError carries in ``index`` the position of the failing system.
     """
     states = chain.sector_mixtures(systems)
-    residuals = np.array([g.residual for g in states])
-    chain._guard(residuals <= RESIDUAL_TOL, residuals, f"steady-state residual {{:.3e}} exceeds {RESIDUAL_TOL}")
+    _check_residuals(np.array([g.residual for g in states]))
     return states
 
 

@@ -302,8 +302,30 @@ def test_row_writer_matches_the_per_cell_encoder(tmp_path, fmt, n_rows):
     rows = [{column: cells[(i * 5 + j) % len(cells)] for j, column in enumerate(cli.COLUMNS)}
             for i in range(len(cells))][:n_rows]
     spec = spec_for("gamma_sweep", tmp_path / f"rows.{fmt}", {}, fmt=fmt)
-    cli._write_rows(spec, rows)
+    cli._write_rows(spec, cli.Rows(len(rows), **{column: [row[column] for row in rows] for column in cli.COLUMNS}))
     assert spec.output.read_bytes() == per_cell_text(spec, rows).encode("utf-8")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_column_of_one_value_is_written_in_every_row(tmp_path, fmt):
+    cells = CELLS + [np.int64(-3)] if fmt == "csv" else CELLS
+    spec = spec_for("gamma_sweep", tmp_path / f"rows.{fmt}", {}, fmt=fmt)
+    for cell in cells:
+        rows = [{column: cell for column in cli.COLUMNS}] * 3
+        cli._write_rows(spec, cli.Rows(3, **{column: cell for column in cli.COLUMNS}))
+        assert spec.output.read_bytes() == per_cell_text(spec, rows).encode("utf-8"), cell
+
+
+def test_rows_read_as_dicts_and_reject_uneven_columns():
+    rows = cli.Rows(2, experiment="gamma_sweep", value=np.array([0.1, 0.2]), path=["a", "b"])
+    assert len(rows) == 2 and [row["value"] for row in rows] == [0.1, 0.2]
+    assert rows[-1] == dict.fromkeys(cli.COLUMNS) | {"experiment": "gamma_sweep", "value": 0.2, "path": "b"}
+    with pytest.raises(IndexError):
+        rows[2]
+    with pytest.raises(ValueError, match="one value per row"):
+        cli.Rows(3, value=[0.1, 0.2])
+    with pytest.raises(ValueError, match="unknown output columns"):
+        cli.Rows(1, bogus=1.0)
 
 
 def test_exit_solver_mapping(monkeypatch, tmp_path):
@@ -502,7 +524,7 @@ def test_regime_table_needs_a_hotter_left_reservoir(monkeypatch, tmp_path, capsy
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the reservoirs were checked")
 
-    monkeypatch.setattr(cli.moments, "steady_states", no_solve)
+    monkeypatch.setattr(cli.moments, "sweep_currents", no_solve)
     params = dict(FIG2, chi="1.5", sigma_z="1", nbar_left=nbar_left, nbar_right=nbar_right)
     assert run_main("regime_table", tmp_path, params) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.splitlines() == [
@@ -546,3 +568,35 @@ def test_moment_solver_failure_names_the_sweep_value(monkeypatch, tmp_path, caps
     params = dict(FIG2, sigma_z=sigma_z, sweep_start="0.05", sweep_stop="0.09", sweep_step="0.01")
     assert run_main("gamma_sweep", tmp_path, params) == cli.EXIT_SOLVER
     assert capsys.readouterr().err.startswith(f"error: solver failure at gamma=0.07: {message}")
+
+
+@pytest.mark.parametrize(
+    "experiment, override, expected",
+    [
+        ("gamma_sweep", {"sweep_start": "-0.02"},
+         ["left reservoir: rate must be positive (got -0.02)", "right reservoir: rate must be positive (got -0.02)"]),
+        ("chi_sweep", {"sweep_start": "-0.02"}, ["atom: dispersive strength must be non-negative (got -0.02)"]),
+        ("current_decomposition", {"sweep_start": "-0.02"},
+         ["atom: dispersive strength must be non-negative (got -0.02)"]),
+    ],
+    ids=["gamma", "chi", "decomposition"],
+)
+def test_a_sweep_value_outside_its_domain_is_named(tmp_path, capsys, experiment, override, expected):
+    # the first failing grid point is reported, with the messages its system alone would raise
+    assert run_main(experiment, tmp_path, dict(SWEEP, **override)) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [f"error: {line}" for line in expected]
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "alphas, message",
+    [("0.5,-1.0,0.0", "must be positive (got -0.030000000000000006)"),
+     ("0.5,0.0", "must be positive (got 0.0)"),
+     ("0.5,nan", "must be finite (got nan)")],
+    ids=["negative", "zero", "nan"],
+)
+def test_regime_table_names_a_bad_alpha(tmp_path, capsys, alphas, message):
+    params = dict(FIG2, omega_right="0.8", chi="1.1", gamma_left="0.1", alpha_values=alphas)
+    assert run_main("regime_table", tmp_path, params) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [f"error: right reservoir: rate {message}"]
+    assert not (tmp_path / "out.csv").exists()

@@ -41,6 +41,34 @@ def test_package_reexports_resolve_to_their_modules():
         assert name in fockspace.__all__, f"fockspace.{name} is re-exported but not public"
     with pytest.raises(AttributeError, match="no_such_name"):
         cavityheat.no_such_name
+    # __all__ lists every re-export, the lazy ones included, once
+    names = [alias.asname or alias.name for node in imports for alias in node.names]
+    assert sorted(cavityheat.__all__) == sorted(names + list(cavityheat._FOCKSPACE))
+    assert len(set(cavityheat.__all__)) == len(cavityheat.__all__)
+
+
+# Runs in a fresh interpreter: dir() lists the oracle's names before they are
+# loaded, and a star import binds them.
+STAR_IMPORT = """
+import json, sys
+import cavityheat
+listed = sorted(set(cavityheat._FOCKSPACE) & set(dir(cavityheat)))
+loaded_by_dir = "cavityheat.fockspace" in sys.modules
+namespace = {}
+exec("from cavityheat import *", namespace)
+print(json.dumps([listed, loaded_by_dir, sorted(set(cavityheat.__all__) - set(namespace))]))
+"""
+
+
+def test_star_import_and_dir_list_the_lazy_names():
+    package_root = str(Path(cavityheat.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [package_root, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-c", STAR_IMPORT], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    listed, loaded_by_dir, unbound = json.loads(result.stdout)
+    assert listed == sorted(cavityheat._FOCKSPACE)
+    assert not loaded_by_dir
+    assert unbound == []
 
 
 # Runs in a fresh interpreter: prints the scipy modules loaded after the
