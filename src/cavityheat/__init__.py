@@ -10,7 +10,7 @@ Three mutually cross-validating computational paths:
   (``PairGrid``, one array per parameter) as one stack, and integrates the
   moment equations in time;
 - ``fockspace``: a brute-force Lindbladian oracle on a truncated Fock space,
-  loaded with scipy on the first use of one of its names.
+  with every field operator held as a numpy gather.
 
 ``cli`` exposes named sweep experiments with CSV/JSON output.
 """
@@ -53,18 +53,15 @@ from .chain import (
     size_scan,
     steady_state_matrix,
 )
-# The oracle needs scipy.sparse, so its names are imported on first use
-# (PEP 562): the closed-form, moment and chain paths never load it.
-_FOCKSPACE = (
-    "DensityMatrix",
-    "FockConfig",
-    "build_liouvillian",
-    "converged_steady_rho",
-    "g2_zero",
-    "oracle_currents",
-    "steady_rho",
-    "thermal_fidelity",
-    "thermal_state",
+from .fockspace import (
+    DensityMatrix,
+    FockConfig,
+    converged_steady_rho,
+    g2_zero,
+    oracle_currents,
+    steady_rho,
+    thermal_fidelity,
+    thermal_state,
 )
 
 
@@ -106,21 +103,15 @@ __all__ = [
     "occupation_profile",
     "size_scan",
     "steady_state_matrix",
-    *_FOCKSPACE,
+    "DensityMatrix",
+    "FockConfig",
+    "converged_steady_rho",
+    "g2_zero",
+    "oracle_currents",
+    "steady_rho",
+    "thermal_fidelity",
+    "thermal_state",
 ]
-
-
-def __getattr__(name):
-    if name in _FOCKSPACE:
-        from . import fockspace
-
-        return getattr(fockspace, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    # the lazily re-exported names are listed before their first use
-    return sorted(set(globals()) | set(_FOCKSPACE))
 
 
 __version__ = "0.1.0"

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chain, closedform, moments
+from . import chain, closedform, fockspace, moments
 from .model import (
     ArraySystem,
     AtomSpec,
@@ -456,8 +456,6 @@ def _relative_deviation(a: float, b: float, floor: float = 0.0) -> float:
 
 def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, Rows]:
     """Run the closed-form, moment, and Fock paths on one point."""
-    from . import fockspace  # imported here: of all experiments, only the oracle needs scipy.sparse
-
     p = _Params(spec.params)
     default = fockspace.FockConfig()
     cfg = fockspace.FockConfig(
@@ -473,8 +471,8 @@ def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, Rows]:
     system = _two_cavity(p)
 
     closed = closedform.current_general(system)
-    state = moments.steady_states([system])[0]
-    moment_report = moments.currents_from_moments(system, state)
+    grid_report, moment_residual = moments.sweep_currents(PairGrid.from_systems([system]))
+    moment_report = closedform.CurrentReport(*(column.item() for column in vars(grid_report).values()))
     rho = fockspace.steady_rho(system, cfg)
     fock_report = fockspace.oracle_currents(system, rho)
 
@@ -501,7 +499,7 @@ def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, Rows]:
         experiment=spec.experiment,
         path=["closedform", "moments", "fock"],
         sigma_z=system.sigma_z if system.atom else None,
-        residual=[0.0, state.residual, rho.residual],
+        residual=[0.0, moment_residual[0], rho.residual],
         **{name: [getattr(path_report, name) for path_report in reports] for name in vars(closed)},
     )
     return report, rows

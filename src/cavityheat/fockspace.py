@@ -10,37 +10,38 @@ The atomic population is conserved, so the oracle works per atomic sector
 s chi, the field state rho_s solves the atom-free generator on the two-mode
 space, and every quantity is the p_s-weighted sum over sectors.
 
+Every field operator on the truncated two-mode space has at most one nonzero
+per row, so each is held as a gather (``_ladder``): the operator takes the
+entry at ``source[k]`` to row k with the factor ``weight[k]``. The sector
+Hamiltonian, the reservoir jumps, the damping sum_c rate c^dagger c (which
+is diagonal), the Lindblad residual and the currents are all stated in that
+one form, on numpy arrays.
+
 The generator conserves the difference between ket and bra excitation
 numbers, so rho_s is block-diagonal in the total excitation number
 n = 0 .. 2 n_max, and its equations couple block n only to n +- 1 through
 the reservoir jumps. Each sector is solved by dense block elimination over
 all of these blocks, no Gaussian assumption made. The result is then checked
 against the full Lindblad equation -i[H_s, rho] + sum_c rate D[c] rho,
-evaluated by sparse products on the whole of rho, not on the solved blocks.
-``fock_operators`` and ``build_liouvillian`` state the model on the full
-space, left mode (x) right mode (x) atom with the atom basis ordered
-(excited, ground), for checks on the generator itself.
+evaluated on the whole of rho, not on the solved blocks.
 """
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
 
 from .closedform import CurrentReport, _classification
 from .model import SolverError, TwoCavitySystem, ValidationError, atomic_sectors
 
 __all__ = [
     "FockConfig",
-    "FockOperators",
     "DensityMatrix",
     "gibbs_tail_mass",
     "thermal_state",
-    "fock_operators",
-    "build_liouvillian",
     "steady_rho",
     "converged_steady_rho",
     "oracle_currents",
@@ -60,9 +61,10 @@ class FockConfig:
 
     ``tail_bound`` caps the Gibbs weight beyond the truncation at the hotter
     reservoir occupation, so the cut cannot silently bias the steady state.
-    ``max_vectorized_dim`` caps the vectorised field-space dimension,
-    levels**4, that a steady solve or a generator may reach; raise it
-    deliberately for large truncations.
+    ``max_vectorized_dim`` caps levels**4, both the number of entries of the
+    whole field state, on which the Lindblad residual is evaluated, and that
+    of the generator on the largest excitation block (levels kets), which the
+    block elimination solves; raise it deliberately for large truncations.
     """
 
     n_max: int = 12
@@ -72,17 +74,6 @@ class FockConfig:
     @property
     def levels(self) -> int:
         return self.n_max + 1
-
-
-@dataclass(frozen=True)
-class FockOperators:
-    """Sparse operators on the truncated Hilbert space."""
-
-    a_left: sp.csr_matrix
-    a_right: sp.csr_matrix
-    hamiltonian: sp.csr_matrix
-    sigma_z: sp.csr_matrix | None  # None when the system has no atom
-    dim: int
 
 
 @dataclass(frozen=True)
@@ -99,20 +90,6 @@ class DensityMatrix:
     sectors: tuple[tuple[float, float, np.ndarray], ...]
     n_max: int
     residual: float = 0.0
-
-    @property
-    def includes_atom(self) -> bool:
-        return self.sectors[0][1] != 0.0
-
-    @property
-    def matrix(self) -> np.ndarray:
-        """The full state: sum_s p_s rho_s (x) |s><s| with an atom, rho without."""
-        if not self.includes_atom:
-            return self.sectors[0][2]
-        return sum(
-            weight * np.kron(rho, np.diag([1.0, 0.0] if sign > 0 else [0.0, 1.0]))
-            for weight, sign, rho in self.sectors
-        )
 
     @property
     def trace(self) -> float:
@@ -159,13 +136,14 @@ def thermal_state(n_levels: int, nbar: float) -> np.ndarray:
 
 
 def _check_config(system: TwoCavitySystem, cfg: FockConfig) -> None:
-    if cfg.n_max < 1:
-        raise ValidationError([f"fock: n_max must be at least 1, got {cfg.n_max}"])
+    n_max = cfg.n_max
+    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 1:
+        raise ValidationError([f"fock: n_max must be an integer of at least 1, got {n_max!r}"])
     hot = max(system.left.mean_occupation, system.right.mean_occupation)
-    tail = gibbs_tail_mass(cfg.n_max, hot)
+    tail = gibbs_tail_mass(n_max, hot)
     if not tail <= cfg.tail_bound:
         raise ValidationError([
-            f"fock: Gibbs tail mass {tail:.3e} beyond n_max={cfg.n_max} at nbar={hot} "
+            f"fock: Gibbs tail mass {tail:.3e} beyond n_max={n_max} at nbar={hot} "
             f"exceeds the bound {cfg.tail_bound:.1e}; raise n_max or the bound"
         ])
 
@@ -178,105 +156,59 @@ def _guard_dim(dim: int, cfg: FockConfig) -> None:
         ])
 
 
-def _destroy(n_levels: int) -> sp.csr_matrix:
-    return sp.diags(np.sqrt(np.arange(1, n_levels)), 1, format="csr")
+def _ladder(levels: int, di: int, dj: int) -> tuple[np.ndarray, np.ndarray]:
+    """The ladder operator taking |i + di, j + dj> to |i, j>, as a gather.
+
+    The ket |i, j> sits at index i * levels + j. Row k of the operator holds
+    its one nonzero, ``weight[k]``, at column ``source[k]``, so
+    (X psi)[k] = weight[k] psi[source[k]]. Each shift of -1, 0 or +1 is one
+    mode's a^dagger, identity or a, with the factor sqrt of the larger
+    occupation: a_L is (1, 0), a_R^dagger is (0, -1), a_L^dagger a_R is
+    (-1, 1). A row whose source lies beyond the truncation has weight 0 and
+    source 0.
+    """
+    i, j = np.divmod(np.arange(levels * levels), levels)
+    si, sj = i + di, j + dj
+    inside = (si >= 0) & (si < levels) & (sj >= 0) & (sj < levels)
+    weight = inside.astype(float)
+    for n, shift in ((i, di), (j, dj)):
+        if shift:
+            weight = weight * np.sqrt(np.maximum(n, n + shift))
+    return np.where(inside, si * levels + sj, 0), weight
 
 
-def fock_operators(system: TwoCavitySystem, cfg: FockConfig) -> FockOperators:
-    """Mode and atom operators plus the full Hamiltonian on the truncated space."""
-    d1 = cfg.levels
-    a = _destroy(d1)
-    eye1 = sp.identity(d1, format="csr")
-    if system.atom is not None:
-        eye_atom = sp.identity(2, format="csr")
-        a_left = sp.kron(sp.kron(a, eye1), eye_atom, format="csr")
-        a_right = sp.kron(sp.kron(eye1, a), eye_atom, format="csr")
-        sz_atom = sp.diags([1.0, -1.0], format="csr")
-        excited = sp.diags([1.0, 0.0], format="csr")
-        eye_field = sp.identity(d1 * d1, format="csr")
-        sigma_z = sp.kron(eye_field, sz_atom, format="csr")
-        proj_excited = sp.kron(eye_field, excited, format="csr")
-        dim = 2 * d1 * d1
-    else:
-        a_left = sp.kron(a, eye1, format="csr")
-        a_right = sp.kron(eye1, a, format="csr")
-        sigma_z = None
-        proj_excited = None
-        dim = d1 * d1
-
-    n_left = (a_left.conj().T @ a_left).tocsr()
-    n_right = (a_right.conj().T @ a_right).tocsr()
-    h = (
-        system.omega_left * n_left
-        + system.omega_right * n_right
-        + system.coupling * (a_left.conj().T @ a_right + a_left @ a_right.conj().T)
-    )
-    if system.atom is not None:
-        atom = system.atom
-        h = h + 0.5 * atom.transition_frequency * sigma_z
-        h = h + atom.dispersive_strength * (proj_excited + n_right @ sigma_z)
-    return FockOperators(
-        a_left=a_left,
-        a_right=a_right,
-        hamiltonian=h.tocsr(),
-        sigma_z=sigma_z,
-        dim=dim,
-    )
+def _squared(op: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+    """Diagonal of c^dagger c for a ladder gather c: each column of c holds
+    at most one nonzero, so c^dagger c is diagonal."""
+    source, weight = op
+    return np.bincount(source, weight * weight, minlength=source.size)
 
 
-def _collapse_channels(system: TwoCavitySystem, a_left: sp.csr_matrix, a_right: sp.csr_matrix):
-    """(operator, rate) pairs of the two thermal reservoirs, left then right."""
-    channels = []
-    for a_op, res in ((a_left, system.left), (a_right, system.right)):
-        channels.append((a_op, res.rate * (res.mean_occupation + 1.0)))
-        channels.append((a_op.conj().T.tocsr(), res.rate * res.mean_occupation))
-    return channels
-
-
-def _liouvillian_from(h: sp.spmatrix, channels) -> sp.csr_matrix:
-    """Generator acting on row-major vectorised density matrices."""
-    dim = h.shape[0]
-    eye = sp.identity(dim, format="csr")
-    gen = -1j * (sp.kron(h, eye) - sp.kron(eye, h.T))
-    for c_op, rate in channels:
-        if rate == 0.0:
-            continue
-        c = np.sqrt(rate) * c_op
-        cdc = (c.conj().T @ c).tocsr()
-        gen = gen + sp.kron(c, c.conj()) - 0.5 * (sp.kron(cdc, eye) + sp.kron(eye, cdc.T))
-    return gen.tocsr()
-
-
-def build_liouvillian(system: TwoCavitySystem, cfg: FockConfig) -> sp.csr_matrix:
-    """Full Lindblad generator on the vectorised truncated space."""
-    _check_config(system, cfg)
-    ops = fock_operators(system, cfg)
-    _guard_dim(ops.dim, cfg)
-    return _liouvillian_from(ops.hamiltonian, _collapse_channels(system, ops.a_left, ops.a_right))
-
-
-def _field_ops(levels: int) -> tuple[sp.csr_matrix, sp.csr_matrix]:
-    a = _destroy(levels)
-    eye1 = sp.identity(levels, format="csr")
-    return sp.kron(a, eye1, format="csr"), sp.kron(eye1, a, format="csr")
-
-
-def _sector_hamiltonian(
-    system: TwoCavitySystem, a_left: sp.csr_matrix, a_right: sp.csr_matrix, sector: float
-) -> sp.csr_matrix:
-    """Field Hamiltonian of one atomic sector.
+def _sector_hamiltonian(system: TwoCavitySystem, levels: int, sector: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Field Hamiltonian of one atomic sector, as the gathers it sums: the
+    hopping J a_L^dagger a_R, the diagonal omega_L n_L + (omega_R + sector chi) n_R,
+    and the hopping J a_L a_R^dagger, in the order of their columns.
 
     The dispersive pull shifts the right-cavity frequency by sector * chi;
     the shifted frequency may legitimately be negative when chi exceeds
     omega_right. Sector-constant terms drop out of the generator and of the
     dissipator traces, so they are omitted.
     """
-    h = (
-        system.omega_left * (a_left.conj().T @ a_left)
-        + (system.omega_right + system.chi * sector) * (a_right.conj().T @ a_right)
-        + system.coupling * (a_left.conj().T @ a_right + a_left @ a_right.conj().T)
-    )
-    return h.tocsr()
+    diagonal = (system.omega_left * _squared(_ladder(levels, 1, 0))
+                + (system.omega_right + system.chi * sector) * _squared(_ladder(levels, 0, 1)))
+    hop_in, hop_out = _ladder(levels, -1, 1), _ladder(levels, 1, -1)
+    return [(hop_in[0], system.coupling * hop_in[1]), (np.arange(levels * levels), diagonal),
+            (hop_out[0], system.coupling * hop_out[1])]
+
+
+def _channels(system: TwoCavitySystem, levels: int):
+    """(c, c^dagger, rate) of the reservoir jumps a_L, a_L^dagger, a_R, a_R^dagger."""
+    channels = []
+    for (di, dj), res in (((1, 0), system.left), ((0, 1), system.right)):
+        down, up = _ladder(levels, di, dj), _ladder(levels, -di, -dj)
+        channels.append((down, up, res.rate * (res.mean_occupation + 1.0)))
+        channels.append((up, down, res.rate * res.mean_occupation))
+    return channels
 
 
 def _excitation_blocks(levels: int) -> list[np.ndarray]:
@@ -308,41 +240,31 @@ def _block_generator(k: np.ndarray, gamma: np.ndarray) -> np.ndarray:
     return gen.reshape(m * m, m * m)
 
 
-def _jumps(channels, blocks: list[np.ndarray]) -> dict[int, list[list]]:
+def _jumps(channels, blocks: list[np.ndarray], block_of: np.ndarray, position: np.ndarray) -> dict[int, list[list]]:
     """sum_c rate c rho c^dagger between neighbouring excitation blocks.
 
-    Each jump operator is real and has at most one entry per row, at the
-    row's source ket s_k, so (c rho c^dagger)[k, l] =
-    c[k, s_k] c[l, s_l] rho[s_k, s_l]: a gather with real weights, which
-    acts on Y = Re rho + Im rho alike. ``jumps[step][n]`` lists one
-    (source, weight) pair per channel that feeds block n from block
-    n + step; ``source`` indexes vec Y of block n + step.
+    Each jump operator is a real gather, so (c rho c^dagger)[k, l] =
+    w_k w_l rho[s_k, s_l], which acts on Y = Re rho + Im rho alike.
+    ``jumps[step][n]`` lists one (source, weight) pair per channel that
+    feeds block n from block n + step; ``source`` indexes vec Y of block
+    n + step.
     """
-    dim = sum(kets.size for kets in blocks)
-    block_of = np.empty(dim, dtype=int)
-    position = np.empty(dim, dtype=int)
-    for n, kets in enumerate(blocks):
-        block_of[kets] = n
-        position[kets] = np.arange(kets.size)
     jumps = {-1: [[] for _ in blocks], 1: [[] for _ in blocks]}
-    for c_op, rate in channels:
+    for (source, weight), _, rate in channels:
         if rate == 0.0:
             continue
-        c = c_op.tocoo()
-        step = int(block_of[c.col[0]] - block_of[c.row[0]])
-        source = np.zeros(dim, dtype=int)
-        amplitude = np.zeros(dim)
-        source[c.row] = position[c.col]
-        amplitude[c.row] = np.sqrt(rate) * c.data
+        row = np.flatnonzero(weight)[0]
+        step = int(block_of[source[row]] - block_of[row])
+        amplitude = np.sqrt(rate) * weight
         for n, kets in enumerate(blocks):
             if 0 <= n + step < len(blocks):
-                s, w = source[kets], amplitude[kets]
+                s, w = position[source[kets]], amplitude[kets]
                 width = blocks[n + step].size
                 jumps[step][n].append(((s[:, None] * width + s).reshape(-1), np.outer(w, w).reshape(-1)))
     return jumps
 
 
-def _block_steady_state(h: sp.csr_matrix, channels, blocks: list[np.ndarray]) -> np.ndarray:
+def _block_steady_state(h, channels, blocks: list[np.ndarray]) -> np.ndarray:
     """Trace-one steady state of the generator, solved on its excitation blocks.
 
     The generator conserves the ket-minus-bra excitation difference, so the
@@ -354,13 +276,19 @@ def _block_steady_state(h: sp.csr_matrix, channels, blocks: list[np.ndarray]) ->
     gives y_n = offset_n - gain_n y_{n+1}; back-substitution then fills every
     block, and the state is normalised by its trace.
     """
-    gamma = sum(rate * (c.conj().T @ c) for c, rate in channels).toarray()
-    h = h.toarray()
-    jumps = _jumps(channels, blocks)
+    dim = sum(kets.size for kets in blocks)
+    block_of, position = np.empty(dim, dtype=int), np.empty(dim, dtype=int)
+    for n, kets in enumerate(blocks):
+        block_of[kets], position[kets] = n, np.arange(kets.size)
+    gamma = sum(rate * _squared(c) for c, _, rate in channels)
+    jumps = _jumps(channels, blocks, block_of, position)
     sizes = [kets.size**2 for kets in blocks] + [0]
     steps = [np.column_stack([np.zeros((1, sizes[1])), np.ones(1)])]  # [gain | offset] of y_0 = 1
     for n in range(1, len(blocks)):
-        kets = np.ix_(blocks[n], blocks[n])
+        kets = blocks[n]
+        k = np.zeros((kets.size, kets.size))
+        for source, weight in h:  # the Hamiltonian conserves n
+            k[np.arange(kets.size), position[source[kets]]] += weight[kets]
         fed = np.zeros((sizes[n], steps[-1].shape[1]))
         for source, weight in jumps[-1][n]:
             fed += weight[:, None] * steps[-1][source]
@@ -369,10 +297,10 @@ def _block_steady_state(h: sp.csr_matrix, channels, blocks: list[np.ndarray]) ->
             rhs[np.arange(sizes[n]), source] += weight
         rhs[:, -1] = -fed[:, -1]
         try:
-            steps.append(np.linalg.solve(_block_generator(h[kets], gamma[kets]) - fed[:, :-1], rhs))
+            steps.append(np.linalg.solve(_block_generator(k, np.diag(gamma[kets])) - fed[:, :-1], rhs))
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"no unique steady state: {exc}") from exc
-    rho = np.zeros(h.shape, dtype=complex)
+    rho = np.zeros((dim, dim), dtype=complex)
     y = np.zeros(0)
     for kets, step in zip(reversed(blocks), reversed(steps)):
         y = step[:, -1] - step[:, :-1] @ y
@@ -384,23 +312,33 @@ def _block_steady_state(h: sp.csr_matrix, channels, blocks: list[np.ndarray]) ->
     return rho / trace
 
 
-def _lindblad_rhs(h: sp.csr_matrix, channels, rho: np.ndarray) -> np.ndarray:
-    """-i[H, rho] + sum_c rate D[c] rho, from sparse products.
+def _lindblad_rhs(h, channels, rho: np.ndarray) -> np.ndarray:
+    """-i[H, rho] + sum_c rate D[c] rho on the whole of rho, from the gathers;
+    nothing of the excitation-block structure is assumed.
 
-    rho enters as a sparse matrix holding every nonzero entry, so nothing of
-    the excitation-block structure is assumed.
+    For a gather X, (X rho)[k, l] = w_k rho[s_k, l] and
+    (c rho c^dagger)[k, l] = w_k rho[s_k, s_l] w_l; H is real symmetric, so
+    (rho H)[k, l] = sum_X rho[k, s_l] w_l over its gathers. The rows are
+    evaluated a few at a time, so that each pass over them stays in cache.
     """
-    rho = sp.csr_matrix(rho)
-    return (-1j * (h @ rho - rho @ h) + sum(rate * _dissipator(rho, c) for c, rate in channels)).toarray()
+    channels = [(s, w, _squared((s, w)), rate) for (s, w), _, rate in channels if rate != 0.0]
+    rhs = np.empty_like(rho)
+    for start in range(0, rho.shape[0], 32):
+        k = slice(start, start + 32)
+        h_rho = sum(w[k, None] * rho[s[k]] for s, w in h)
+        rho_h = sum(rho[k][:, s] * w for s, w in h)
+        dissipation = sum(rate * ((w[k, None] * rho[s[k]])[:, s] * w - 0.5 * (g[k, None] * rho[k] + rho[k] * g))
+                          for s, w, g, rate in channels)
+        rhs[k] = -1j * (h_rho - rho_h) + dissipation
+    return rhs
 
 
 def _sector_steady(system: TwoCavitySystem, cfg: FockConfig, sector: float):
     """Steady field state of one atomic sector and the norm of the full
     Lindblad right-hand side on it."""
     _guard_dim(cfg.levels**2, cfg)
-    a_left, a_right = _field_ops(cfg.levels)
-    h = _sector_hamiltonian(system, a_left, a_right, sector)
-    channels = _collapse_channels(system, a_left, a_right)
+    h = _sector_hamiltonian(system, cfg.levels, sector)
+    channels = _channels(system, cfg.levels)
     blocks = _excitation_blocks(cfg.levels)
     rho = _block_steady_state(h, channels, blocks)
     _check_state(rho, blocks)
@@ -476,23 +414,26 @@ def converged_steady_rho(
                               f"converged: {exc}") from exc
 
 
-def _dissipator(rho: sp.csr_matrix, c: sp.csr_matrix) -> sp.csr_matrix:
-    cd = c.conj().T
-    cdc = cd @ c
-    return c @ rho @ cd - 0.5 * (cdc @ rho + rho @ cdc)
+def _adjoint_dissipator(h, c, c_dagger):
+    """D^dagger[H] = c^dagger H c - {c^dagger c, H}/2 as gathers, term by term
+    of H, so that Tr(H D[rho]) = Tr(D^dagger[H] rho). Ladder shifts commute,
+    so each term keeps the columns of its term of H."""
+    gamma, middle = _squared(c), c_dagger[0]
+    terms = []
+    for source, weight in h:
+        sandwich = (c_dagger[1] * weight[middle]) * c[1][source[middle]]
+        terms.append((source, sandwich - 0.5 * (gamma * weight + weight * gamma[source])))
+    return terms
 
 
-def _adjoint_dissipator(h: sp.csr_matrix, c: sp.csr_matrix) -> sp.csr_matrix:
-    """D^dagger[H] = c^dagger H c - {c^dagger c, H}/2, so Tr(H D[rho]) = Tr(D^dagger[H] rho)."""
-    cd = c.conj().T
-    cdc = cd @ c
-    return (cd @ h @ c - 0.5 * (cdc @ h + h @ cdc)).tocsr()
-
-
-def _expectation(op: sp.spmatrix, rho: np.ndarray) -> float:
-    """Re Tr(op rho), summed over the nonzeros of the sparse op."""
-    op = op.tocoo()
-    return float(np.dot(op.data, rho[op.col, op.row]).real)
+def _expectation(op, rho: np.ndarray) -> float:
+    """Re Tr(X rho) = sum_k w_k rho[s_k, k] for X the sum of the gathers
+    ``op``, listed in the order of their columns; the sum runs over the
+    nonzero entries of X, row by row."""
+    source = np.stack([s for s, _ in op], axis=-1).reshape(-1)
+    weight = np.stack([w for _, w in op], axis=-1).reshape(-1)
+    entries = np.flatnonzero(weight)
+    return float(np.dot(weight[entries], rho[source[entries], entries // len(op)]).real)
 
 
 def oracle_currents(system: TwoCavitySystem, rho: DensityMatrix) -> CurrentReport:
@@ -501,17 +442,17 @@ def oracle_currents(system: TwoCavitySystem, rho: DensityMatrix) -> CurrentRepor
     each taken as Tr(D^dagger[H_s] rho_s)."""
     if [(weight, sign) for weight, sign, _ in rho.sectors] != atomic_sectors(system):
         raise ValueError("density matrix and system disagree about the atom factor or its sector weights")
-    a_left, a_right = _field_ops(rho.n_max + 1)
-    channels = _collapse_channels(system, a_left, a_right)
-    n_left_op = a_left.conj().T @ a_left
-    coherence_op = a_left.conj().T @ a_right
+    levels = rho.n_max + 1
+    channels = _channels(system, levels)
+    n_left = [(np.arange(levels * levels), _squared(_ladder(levels, 1, 0)))]
+    coherence_op = [_ladder(levels, -1, 1)]  # a_L^dagger a_R
     i_left = i_right = occ_left = coherence = 0.0
     for weight, sign, state in rho.sectors:
-        h = _sector_hamiltonian(system, a_left, a_right, sign)
-        flows = [rate * _expectation(_adjoint_dissipator(h, c), state) for c, rate in channels]
+        h = _sector_hamiltonian(system, levels, sign)
+        flows = [rate * _expectation(_adjoint_dissipator(h, c, c_dagger), state) for c, c_dagger, rate in channels]
         i_left += weight * (flows[0] + flows[1])
         i_right += weight * (flows[2] + flows[3])
-        occ_left += weight * _expectation(n_left_op, state)
+        occ_left += weight * _expectation(n_left, state)
         coherence += weight * _expectation(coherence_op, state)
     i_occ = (system.left.mean_occupation - occ_left) * system.omega_left
     i_coh = system.coupling * coherence

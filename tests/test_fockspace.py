@@ -1,23 +1,20 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from scipy.sparse.linalg import expm_multiply, spsolve
+from scipy.sparse.linalg import expm_multiply
 
 from cavityheat import fockspace
 from cavityheat.fockspace import (
     FockConfig,
-    _collapse_channels,
+    _channels,
     _excitation_blocks,
-    _field_ops,
     _lindblad_rhs,
-    _liouvillian_from,
     _sector_hamiltonian,
-    build_liouvillian,
     converged_steady_rho,
-    fock_operators,
     g2_zero,
     gibbs_tail_mass,
     oracle_currents,
@@ -25,8 +22,17 @@ from cavityheat.fockspace import (
     thermal_fidelity,
     thermal_state,
 )
-from cavityheat.model import AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem
+from cavityheat.model import AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem, ValidationError
 from cavityheat.moments import steady_state
+from fock_reference import (
+    build_liouvillian,
+    fock_operators,
+    full_matrix,
+    full_space_currents,
+    liouvillian,
+    sector_generator,
+    sector_state,
+)
 
 
 def system_for(
@@ -73,7 +79,13 @@ def test_default_tail_bound_forces_larger_truncation():
 def test_dimension_guard():
     cfg = FockConfig(n_max=12, tail_bound=1e-6, max_vectorized_dim=10_000)
     with pytest.raises(ValueError, match="guard"):
-        build_liouvillian(system_for(), cfg)
+        steady_rho(system_for(), cfg)
+
+
+@pytest.mark.parametrize("n_max", [2.5, True, math.nan])
+def test_truncation_must_be_an_integer(n_max):
+    with pytest.raises(ValidationError, match=r"n_max must be an integer of at least 1, got " + re.escape(repr(n_max))):
+        steady_rho(system_for(nbar_left=0.01), FockConfig(n_max=n_max, tail_bound=1.0))
 
 
 def test_thermal_state_normalised():
@@ -84,22 +96,22 @@ def test_thermal_state_normalised():
     assert vacuum[0, 0] == 1.0
 
 
-# --- generator structure --------------------------------------------------------
+# --- the full-space reference generator -----------------------------------------
 
 
 def test_generator_annihilates_the_trace():
     # the identity functional is a left null vector of any Lindblad generator
     for atom in (True, False):
         system = system_for(atom=atom)
-        gen = build_liouvillian(system, SMALL)
+        gen = build_liouvillian(system, SMALL.n_max)
         dim = int(round(math.sqrt(gen.shape[0])))
         trace_vector = np.eye(dim).reshape(-1)
         assert np.max(np.abs(trace_vector @ gen)) < 1e-12
 
 
 def test_closed_generator_is_antihermitian():
-    ops = fock_operators(system_for(), SMALL)
-    gen = _liouvillian_from(ops.hamiltonian, [])
+    ops = fock_operators(system_for(), SMALL.n_max)
+    gen = liouvillian(ops.hamiltonian, [])
     dense = gen.toarray()
     assert np.linalg.norm(dense + dense.conj().T) < 1e-12
 
@@ -107,8 +119,8 @@ def test_closed_generator_is_antihermitian():
 def test_generator_commutes_with_population_conjugation():
     system = system_for(chi=0.3, sigma_z=-1.0, nbar_left=0.2, nbar_right=0.1)
     cfg = FockConfig(n_max=3, tail_bound=1e-1)
-    gen = build_liouvillian(system, cfg)
-    sz = fock_operators(system, cfg).sigma_z
+    gen = build_liouvillian(system, cfg.n_max)
+    sz = fock_operators(system, cfg.n_max).sigma_z
     conjugation = sp.kron(sz, sz, format="csr")
     assert abs(gen @ conjugation - conjugation @ gen).max() < 1e-12
 
@@ -116,8 +128,8 @@ def test_generator_commutes_with_population_conjugation():
 def test_population_expectation_conserved_under_evolution():
     system = system_for(chi=0.2, sigma_z=0.0, nbar_left=0.2, nbar_right=0.1)
     cfg = FockConfig(n_max=3, tail_bound=1e-1)
-    gen = build_liouvillian(system, cfg)
-    ops = fock_operators(system, cfg)
+    gen = build_liouvillian(system, cfg.n_max)
+    ops = fock_operators(system, cfg.n_max)
     dim = ops.dim
     rng = np.random.default_rng(41)
     raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
@@ -138,7 +150,7 @@ def test_equal_reservoirs_give_product_of_gibbs_states():
     cfg = FockConfig(n_max=10, tail_bound=1e-4)
     rho = steady_rho(system, cfg)
     gibbs = thermal_state(cfg.levels, 0.3)
-    assert np.max(np.abs(rho.matrix - np.kron(gibbs, gibbs))) < 1e-11
+    assert np.max(np.abs(full_matrix(rho) - np.kron(gibbs, gibbs))) < 1e-11
     assert rho.residual < 1e-10
 
 
@@ -147,7 +159,7 @@ def test_uncoupled_cavities_give_product_of_distinct_gibbs_states():
     cfg = FockConfig(n_max=12, tail_bound=1e-5)
     rho = steady_rho(system, cfg)
     expected = np.kron(thermal_state(cfg.levels, 0.4), thermal_state(cfg.levels, 0.1))
-    assert np.max(np.abs(rho.matrix - expected)) < 1e-11
+    assert np.max(np.abs(full_matrix(rho) - expected)) < 1e-11
 
 
 def test_reference_point_matches_moment_solver():
@@ -187,9 +199,10 @@ def test_mixed_atom_state_is_the_sector_mixture():
 def test_steady_state_is_physical():
     system = system_for(omega_right=0.8, chi=1.1, sigma_z=-1.0, gamma_left=0.1, gamma_right=0.03)
     rho = steady_rho(system, WORK)
-    assert np.linalg.norm(rho.matrix - rho.matrix.conj().T) < 1e-10
+    mat = full_matrix(rho)
+    assert np.linalg.norm(mat - mat.conj().T) < 1e-10
     assert rho.trace == pytest.approx(1.0, abs=1e-10)
-    assert np.linalg.eigvalsh(rho.matrix)[0] > -1e-8
+    assert np.linalg.eigvalsh(mat)[0] > -1e-8
     left = rho.reduced_left()
     assert np.trace(left).real == pytest.approx(1.0, abs=1e-10)
 
@@ -283,34 +296,6 @@ def test_g2_limits():
 # --- per-sector state against the full atom (x) field space ---------------------
 
 
-def full_space_currents(system, rho):
-    """(I_L, I_R, i_occupation, i_coherence) as Tr(H D[rho]) on the full
-    atom (x) field space, with dense dissipators and the full Hamiltonian."""
-    ops = fock_operators(system, FockConfig(n_max=rho.n_max, tail_bound=np.inf))
-    h = ops.hamiltonian.toarray()
-    mat = rho.matrix
-
-    def dissipator(c):
-        cd = c.conj().T
-        return c @ mat @ cd - 0.5 * (cd @ c @ mat + mat @ cd @ c)
-
-    currents = []
-    for a_op, res in ((ops.a_left, system.left), (ops.a_right, system.right)):
-        a = a_op.toarray()
-        flow = res.rate * (res.mean_occupation + 1.0) * dissipator(a)
-        flow += res.rate * res.mean_occupation * dissipator(a.conj().T)
-        currents.append(np.trace(h @ flow).real)
-    a_left, a_right = ops.a_left.toarray(), ops.a_right.toarray()
-    occ_left = np.trace(mat @ a_left.conj().T @ a_left).real
-    coherence = np.trace(mat @ a_left.conj().T @ a_right).real
-    return (
-        currents[0],
-        currents[1],
-        (system.left.mean_occupation - occ_left) * system.omega_left,
-        system.coupling * coherence,
-    )
-
-
 @pytest.mark.parametrize("sigma_z", [-1.0, 0.3, 1.0, None], ids=["ground", "mixed", "excited", "no-atom"])
 def test_sector_currents_match_the_full_space_trace(sigma_z):
     # a transition frequency puts sector-constant terms into the full Hamiltonian;
@@ -330,14 +315,13 @@ def test_sector_currents_match_the_full_space_trace(sigma_z):
 def test_density_matrix_is_the_kron_assembly_of_its_sectors(sigma_z):
     system = system_for(omega_right=0.9, chi=0.3, sigma_z=sigma_z, nbar_left=0.3, nbar_right=0.1)
     rho = steady_rho(system, SMALL)
-    expected = np.zeros((2 * SMALL.levels**2,) * 2, dtype=complex)
-    for weight, sign, state in rho.sectors:
-        expected += weight * np.kron(state, np.diag([1.0, 0.0] if sign == 1.0 else [0.0, 1.0]))
-    assert np.array_equal(rho.matrix, expected)
+    mat = full_matrix(rho)
+    sz = fock_operators(system, SMALL.n_max).sigma_z
+    assert np.trace(sz @ mat).real == pytest.approx(sigma_z, abs=1e-12)
     assert rho.sigma_z_expectation() == pytest.approx(sigma_z, abs=1e-12)
     # the assembled state is steady under the full atom (x) field generator
-    gen = build_liouvillian(system, SMALL)
-    assert np.linalg.norm(gen @ rho.matrix.reshape(-1)) < 1e-10
+    gen = build_liouvillian(system, SMALL.n_max)
+    assert np.linalg.norm(gen @ mat.reshape(-1)) < 1e-10
 
 
 @pytest.mark.parametrize("other", [0.3, -1.0, None], ids=["other-weights", "one-sector", "no-atom"])
@@ -351,25 +335,7 @@ def test_currents_reject_a_state_of_another_atomic_mixture(other):
         oracle_currents(solved_for, steady_rho(system, SMALL))
 
 
-# --- excitation-block solve against the full vectorised generator --------------
-
-
-def sector_generator(system, sign, n_max):
-    a_left, a_right = _field_ops(n_max + 1)
-    h = _sector_hamiltonian(system, a_left, a_right, sign)
-    channels = _collapse_channels(system, a_left, a_right)
-    return h, channels, _liouvillian_from(h, channels)
-
-
-def reference_sector_state(system, sign, n_max):
-    """Trace-one null vector of the full vectorised sector generator: a sparse
-    LU solve with the trace functional in place of the first equation."""
-    _, _, gen = sector_generator(system, sign, n_max)
-    dim = (n_max + 1) ** 2
-    trace_row = sp.csr_matrix(np.eye(dim).reshape(1, -1))
-    rhs = np.zeros(dim * dim, dtype=complex)
-    rhs[0] = 1.0
-    return spsolve(sp.vstack([trace_row, gen[1:]]).tocsc(), rhs).reshape(dim, dim)
+# --- excitation-block solve against the reference sector generator ------------
 
 
 BLOCK_CASES = {
@@ -399,7 +365,7 @@ def test_block_solve_matches_the_full_generator_solve(case, n_max):
     system = system_for(**{"coupling": 0.05, **BLOCK_CASES[case]})
     rho = steady_rho(system, FockConfig(n_max=n_max, tail_bound=1e-2))
     for _, sign, state in rho.sectors:
-        assert np.max(np.abs(state - reference_sector_state(system, sign, n_max))) < 1e-12
+        assert np.max(np.abs(state - sector_state(system, sign, n_max))) < 1e-12
 
 
 @pytest.mark.parametrize("sigma_z", [-1.0, 1.0, None], ids=["ground", "excited", "no-atom"])
@@ -408,13 +374,14 @@ def test_carried_residual_is_the_full_generator_residual(sigma_z):
     n_max = 8
     rho = steady_rho(system, FockConfig(n_max=n_max, tail_bound=1e-2))
     ((_, sign, state),) = rho.sectors
-    h, channels, gen = sector_generator(system, sign, n_max)
+    gen = sector_generator(system, sign, n_max)
     assert rho.residual < 1e-10
     assert rho.residual == pytest.approx(np.linalg.norm(gen @ state.reshape(-1)), abs=1e-15)
     # away from the steady state the two evaluations agree to rounding as well
     rng = np.random.default_rng(7)
     raw = rng.normal(size=state.shape) + 1j * rng.normal(size=state.shape)
     other = raw + raw.conj().T
+    h, channels = _sector_hamiltonian(system, n_max + 1, sign), _channels(system, n_max + 1)
     assert np.linalg.norm(_lindblad_rhs(h, channels, other)) == pytest.approx(
         np.linalg.norm(gen @ other.reshape(-1)), rel=1e-12
     )

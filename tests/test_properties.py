@@ -1,7 +1,8 @@
 """Property tests: validation at construction, balanced currents, agreement of
 the closed form with the moment path, hot-to-cold flow without an atom, the
 equilibrium state, currents affine in sigma_z, the pair as the two-site
-chain, positive covariances, and sweep grids equal to their points."""
+chain, positive covariances, sweep grids equal to their points, and balanced
+oracle currents."""
 
 import math
 from dataclasses import replace
@@ -14,6 +15,7 @@ from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from cavityheat.chain import boundary_currents, steady_state_matrix  # noqa: E402
 from cavityheat.closedform import ZERO_CURRENT_TOL, current_general  # noqa: E402
+from cavityheat.fockspace import FockConfig, oracle_currents, steady_rho  # noqa: E402
 from cavityheat.model import (  # noqa: E402
     ArraySystem, AtomSpec, PairGrid, ReservoirSpec, TwoCavitySystem, ValidationError,
 )
@@ -71,8 +73,8 @@ def test_a_field_outside_its_domain_is_named_once(case):
 
 
 @st.composite
-def pairs(draw, atom=True):
-    unit = st.floats(0.0, 1.0)
+def pairs(draw, atom=True, nbar=1.0):
+    unit = st.floats(0.0, nbar)
     has_atom = atom and draw(st.booleans())
     return TwoCavitySystem(
         omega_left=1.0,
@@ -220,3 +222,15 @@ def test_grid_currents_equal_the_currents_of_each_point(points):
         hot = system.left.mean_occupation > system.right.mean_occupation
         if abs(single.i_left) > ZERO_CURRENT_TOL * system.omega_left**2:
             assert single.regime == (("conducting" if single.i_left > 0 else "reversed") if hot else None)
+
+
+# The oracle costs milliseconds a point, so it runs on few examples, at small
+# truncations and occupations low enough for the Gibbs tail guard.
+@settings(PROPERTY, max_examples=20)
+@given(pairs(nbar=0.05), st.integers(3, 6))
+def test_oracle_currents_balance(system, n_max):
+    report = oracle_currents(system, steady_rho(system, FockConfig(n_max=n_max, tail_bound=1e-4)))
+    # the size of the reservoirs' energy flows, which cancel in I_L + I_R
+    scale = (system.left.rate * system.omega_left * (system.left.mean_occupation + 1.0)
+             + system.right.rate * system.omega_right * (system.right.mean_occupation + 1.0))
+    assert abs(report.i_left + report.i_right) <= 1e-12 * scale
