@@ -42,7 +42,7 @@ from .closedform import (
     rectification,
     steady_moments,
 )
-from .moments import MomentTrajectory, currents_from_moments, evolve, steady_state, steady_states, sweep_currents
+from .moments import MomentTrajectory, evolve, steady_state, sweep_currents
 from .chain import (
     BlockGenerators,
     MomentMatrix,
@@ -90,10 +90,8 @@ __all__ = [
     "rectification",
     "steady_moments",
     "MomentTrajectory",
-    "currents_from_moments",
     "evolve",
     "steady_state",
-    "steady_states",
     "sweep_currents",
     "BlockGenerators",
     "MomentMatrix",

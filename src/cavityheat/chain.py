@@ -20,17 +20,17 @@ KRONECKER_MAX_SITES sites, by Bartels-Stewart (O(N^3) time, O(N^2) memory)
 above. Bartels-Stewart comes from scipy, which is imported on the first
 solve that needs it. G is then [[F, S], [S, F]] with F = sum_s p_s C_s and
 S = sum_s s p_s C_s; ``steady_state_matrix`` checks it against the block
-equation above, which is built apart from the sector solve.
+equation above, assembled in its 2N x 2N form from the same site arrays.
 
 A ``TwoCavitySystem`` is the N = 2 chain with on-site frequencies omega_L,
 omega_R and the atom on site 2; ``moments`` solves it with the same core.
-Pairs are carried as one ``model.PairGrid``, chains as a list. ``_sites``
-alone states each site's frequency, atom shift, rate and nbar, as arrays
-over the whole stack, once per stack. ``_mixture`` and ``_currents`` are the
-array cores: the sector mixture, and the reservoir currents of a stack of
-pairs or chains with one formula for both ends. ``sector_mixtures`` and
-``boundary_currents`` take lists of systems and wrap these cores; a sweep
-grid (``moments.sweep_currents``) reads the arrays directly.
+A stack of pairs is one ``model.PairGrid``; a chain is solved on its own.
+``_sites`` alone states each site's frequency, atom shift, rate and nbar, as
+arrays over the whole stack, once per stack. ``_mixture`` and ``_currents``
+are the array cores: the sector mixture, and the reservoir currents of a
+stack with one formula for both ends. ``steady_state_matrix`` and
+``boundary_currents`` run them on one system; a sweep grid
+(``moments.sweep_currents``) runs them on the whole grid.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ __all__ = [
     "SizeScanPoint",
     "build_generators",
     "sector_covariances",
-    "sector_mixtures",
     "steady_state_matrix",
     "boundary_currents",
     "bond_flows",
@@ -146,15 +145,10 @@ class _Sites(NamedTuple):
     atom: np.ndarray  # (M,) bool
 
 
-def _stack(systems: Sequence[Union[TwoCavitySystem, ArraySystem]]) -> Union[PairGrid, Sequence[ArraySystem]]:
-    """A non-empty list of systems of one kind as a stack: pairs as one grid, chains as they are."""
-    return PairGrid.from_systems(systems) if isinstance(systems[0], TwoCavitySystem) else systems
-
-
-def _sites(stack: Union[PairGrid, Sequence[ArraySystem]]) -> _Sites:
-    """The site arrays of a grid of pairs or a list of chains of one size N. A
-    cavity pair is the N = 2 chain with on-site frequencies omega_L, omega_R
-    and the atom on site 2."""
+def _sites(stack: Union[PairGrid, ArraySystem]) -> _Sites:
+    """The site arrays of a grid of pairs, or of one chain as a stack of one.
+    A cavity pair is the N = 2 chain with on-site frequencies omega_L,
+    omega_R and the atom on site 2."""
     if isinstance(stack, PairGrid):
         onsite = np.stack([stack.omega_left, stack.omega_right], axis=1)
         host = np.ones(len(stack), dtype=int)
@@ -162,13 +156,12 @@ def _sites(stack: Union[PairGrid, Sequence[ArraySystem]]) -> _Sites:
         rates = np.stack([stack.left_rate, stack.right_rate], axis=1)
         nbar = np.stack([stack.left_occupation, stack.right_occupation], axis=1)
     else:
-        onsite = np.array([[system.omega] * system.n_sites for system in stack])
-        host = np.array([system.atom.host_index - 1 if system.atom is not None else 0 for system in stack])
-        coupling, chi, sigma_z = (np.array([getattr(system, name) for system in stack])
-                                  for name in ("coupling", "chi", "sigma_z"))
-        atom = np.array([system.atom is not None for system in stack])
-        rates = np.array([[system.left.rate, system.right.rate] for system in stack])
-        nbar = np.array([[system.left.mean_occupation, system.right.mean_occupation] for system in stack])
+        onsite = np.full((1, stack.n_sites), stack.omega)
+        host = np.array([stack.atom.host_index - 1 if stack.atom is not None else 0])
+        coupling, chi, sigma_z = (np.array([getattr(stack, name)]) for name in ("coupling", "chi", "sigma_z"))
+        atom = np.array([stack.atom is not None])
+        rates = np.array([[stack.left.rate, stack.right.rate]])
+        nbar = np.array([[stack.left.mean_occupation, stack.right.mean_occupation]])
     m, n = onsite.shape
     h, x, damping, drive = np.zeros((4, m, n, n))
     sites, ends = np.arange(n), [0, n - 1]
@@ -180,13 +173,18 @@ def _sites(stack: Union[PairGrid, Sequence[ArraySystem]]) -> _Sites:
     return _Sites(h, x, damping, drive, rates, nbar, sigma_z, atom)
 
 
-def build_generators(system: Union[TwoCavitySystem, ArraySystem]) -> BlockGenerators:
-    """Assemble M1, M2, M3 for a chain or cavity pair."""
-    h, x, damping, drive = (values[0] for values in _sites(_stack([system]))[:4])
+def _generators(sites: _Sites) -> BlockGenerators:
+    """M1, M2, M3 of the one system of a stack of site arrays."""
+    h, x, damping, drive = (values[0] for values in sites[:4])
     m1 = _pair_blocks(h, x)
     m2 = _pair_blocks(damping, np.zeros_like(damping))
-    m3 = _pair_blocks(drive, drive * system.sigma_z)
+    m3 = _pair_blocks(drive, drive * sites.sigma_z[0])
     return BlockGenerators(m1=m1, m2=m2, m3=m3, h_c=h, x=x)
+
+
+def build_generators(system: Union[TwoCavitySystem, ArraySystem]) -> BlockGenerators:
+    """Assemble M1, M2, M3 for a chain or cavity pair."""
+    return _generators(_sites(PairGrid.from_systems([system]) if isinstance(system, TwoCavitySystem) else system))
 
 
 def _pair_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -274,38 +272,23 @@ def _mixture(sites: _Sites) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _pair_blocks(field, sz_block), largest, smallest
 
 
-def sector_mixtures(systems: Sequence[Union[TwoCavitySystem, ArraySystem]]) -> list[MomentMatrix]:
-    """Steady moment matrices of systems of one size, from one stack of sector
-    equations; each carries the largest residual of its sector equations.
-
-    A SolverError carries in ``index`` the position of the failing system.
-    """
-    if not systems:
-        return []
-    g, residual, margin = _mixture(_sites(_stack(systems)))
-    return [
-        MomentMatrix(values=values, n_sites=values.shape[0] // 2, sigma_z=system.sigma_z, residual=largest,
-                     positivity_margin=smallest)
-        for system, values, largest, smallest in zip(systems, g, residual.tolist(), margin.tolist())
-    ]
-
-
 def steady_state_matrix(system: ArraySystem) -> MomentMatrix:
     """Solve i [M1, G] + {M2, G} + M3 = 0 as one Lyapunov equation per atomic
     sector; the result carries the residual of the block equation."""
-    state = sector_mixtures([system])[0]
-    g = state.values
-    residual = _residual(build_generators(system), g)
+    sites = _sites(system)
+    (g,), _, margin = _mixture(sites)
+    residual = _residual(_generators(sites), g)
     if not residual <= RESIDUAL_TOL:
         raise SolverError(f"chain steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL}")
     hermiticity = np.linalg.norm(g - g.conj().T)
     if not hermiticity <= HERMITICITY_TOL * max(1.0, np.linalg.norm(g)):
         raise SolverError(f"steady matrix is not Hermitian (deviation {hermiticity:.3e})")
-    return replace(state, residual=residual)
+    return MomentMatrix(values=g, n_sites=system.n_sites, sigma_z=system.sigma_z, residual=residual,
+                        positivity_margin=margin.item())
 
 
-def _currents(stack: Union[PairGrid, Sequence[ArraySystem]], sites: _Sites, g: np.ndarray) -> CurrentReport:
-    """Reservoir currents of a stack of systems of one size on their moment
+def _currents(stack: Union[PairGrid, ArraySystem], sites: _Sites, g: np.ndarray) -> CurrentReport:
+    """Reservoir currents of a grid of pairs, or of one chain, on their moment
     matrices G (M, 2N, 2N), as one CurrentReport of (M,) arrays.
 
     End site j, bonded to site k, sits at omega_j + s x_j in atomic sector s,
@@ -315,7 +298,7 @@ def _currents(stack: Union[PairGrid, Sequence[ArraySystem]], sites: _Sites, g: n
 
     ``i_occupation`` and ``i_coherence`` are the two terms at site 1. A grid
     of pairs carries ``alpha`` and ``regime`` from the switch classification,
-    as object arrays; chains carry None. A warning is emitted when the two
+    as object arrays; a chain carries None. A warning is emitted when the two
     boundary currents fail to balance, which signals a non-steady input.
     """
     n = sites.h.shape[-1]
@@ -337,27 +320,21 @@ def _currents(stack: Union[PairGrid, Sequence[ArraySystem]], sites: _Sites, g: n
     if isinstance(stack, PairGrid):
         alpha, regime = _classification(stack, current[:, 0])
     else:
-        alpha = regime = np.full(len(stack), None)
+        alpha = regime = np.full(1, None)
     return CurrentReport(current[:, 0], current[:, 1], occupation[:, 0], coherence[:, 0], alpha, regime)
 
 
-def boundary_currents(
-    systems: Sequence[Union[TwoCavitySystem, ArraySystem]], states: Sequence[MomentMatrix]
-) -> list[CurrentReport]:
-    """Reservoir currents of a stack of systems of one size (cavity pairs or
-    chains), each evaluated on its moment matrix, in one pass over the stack
-    (``_currents``). Pairs carry ``alpha`` and ``regime`` from the switch
-    classification, chains None. A ValueError is raised for a matrix of
+def boundary_currents(system: Union[TwoCavitySystem, ArraySystem], state: MomentMatrix) -> CurrentReport:
+    """Reservoir currents of a cavity pair or a chain on its moment matrix
+    (``_currents``). A pair carries ``alpha`` and ``regime`` from the switch
+    classification, a chain None. A ValueError is raised for a matrix of
     another size or sigma_z, and a warning is emitted when the two boundary
     currents fail to balance, which signals a non-steady input.
     """
-    for system, state in zip(systems, states, strict=True):
-        state.check_system(system)
-    if not systems:
-        return []
-    stack = _stack(systems)
-    report = _currents(stack, _sites(stack), np.stack([state.values for state in states]))
-    return [CurrentReport(*point) for point in zip(*(column.tolist() for column in vars(report).values()))]
+    state.check_system(system)
+    stack = PairGrid.from_systems([system]) if isinstance(system, TwoCavitySystem) else system
+    report = _currents(stack, _sites(stack), state.values[None])
+    return CurrentReport(*(column.item() for column in vars(report).values()))
 
 
 def bond_flows(system: ArraySystem, g: MomentMatrix) -> np.ndarray:
@@ -407,7 +384,7 @@ def size_scan(
             g = steady_state_matrix(system)
         except SolverError as exc:
             raise SolverError(f"chain solve failed at n_sites={n}: {exc}") from exc
-        current = boundary_currents([system], [g])[0].i_left
+        current = boundary_currents(system, g).i_left
         points.append(
             SizeScanPoint(
                 n_sites=int(n),

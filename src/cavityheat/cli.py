@@ -405,7 +405,7 @@ def _profile(spec: SweepSpec) -> Rows:
         g = chain.steady_state_matrix(system)
     except SolverError as exc:
         raise SolverError(f"{_solver_context('n_sites', system.n_sites)}: {exc}") from exc
-    report = chain.boundary_currents([system], [g])[0]
+    report = chain.boundary_currents(system, g)
     sites = list(range(1, system.n_sites + 1))
     return Rows(
         system.n_sites,

@@ -16,7 +16,7 @@ sweep is therefore one evaluation over its whole grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -209,12 +209,7 @@ def _definite_current(p: PairGrid, sz) -> tuple[np.ndarray, np.ndarray, np.ndarr
     gl, gr = p.left_rate, p.right_rate
     wl, wr = p.omega_left, p.omega_right
     j, chi, dc, g = p.coupling, p.chi, p.detuning, p.gamma
-    num = (
-        gl * chi * sz * (chi**2 - dc**2 + g**2)
-        + (wl * gr + wr * gl) * (dc**2 + g**2)
-        + chi**2 * (2.0 * wl * g + dc * gl)
-        + 4.0 * dc * chi * sz * wl * g
-    )
+    num = (wl * gr + gl * (wr + sz * chi)) * ((dc + sz * chi) ** 2 + g**2)
     i_left = j**2 * delta_n * num / _lorentzian_denominator(p)
     return i_left, (p.left_occupation - n_left) * wl, j * coherence.real
 
@@ -276,14 +271,7 @@ def current_pm(system: TwoCavitySystem, sign: int) -> float:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if system.atom is None:
         raise ValueError("pinned-state current requires an atom")
-    p = _points(system)
-    delta_n = _definite_moments(p, float(sign))[2]
-    gl, gr = p.left_rate, p.right_rate
-    wl, wr = p.omega_left, p.omega_right
-    j, chi, dc, g = p.coupling, p.chi, p.detuning, p.gamma
-    omega_factor = wl * gr + gl * (wr + sign * chi)
-    return _scalars(system, j**2 * delta_n * omega_factor * ((dc + sign * chi) ** 2 + g**2)
-                    / _lorentzian_denominator(p))[0]
+    return _scalars(system, _definite_current(_points(system), float(sign))[0])[0]
 
 
 def _require_ground_state(p: PairGrid, what: str) -> None:
@@ -300,14 +288,9 @@ def forward_reverse_currents(system: Pairs) -> tuple:
     """
     p = _points(system)
     _require_ground_state(p, "forward/reverse analysis")
-    delta_n = _definite_moments(p, -1.0)[2]
-    gl, gr = p.left_rate, p.right_rate
-    wl, wr = p.omega_left, p.omega_right
-    j, chi, dc, g = p.coupling, p.chi, p.detuning, p.gamma
-    lorentz = ((dc - chi) ** 2 + g**2) / _lorentzian_denominator(p)
-    i_forward = j**2 * delta_n * (wl * gr + gl * (wr - chi)) * lorentz
-    i_reverse = -(j**2) * delta_n * (wl * gl + gr * (wr - chi)) * lorentz
-    return _scalars(system, i_forward, i_reverse)
+    mirror = replace(p, left_rate=p.right_rate, left_occupation=p.right_occupation,
+                     right_rate=p.left_rate, right_occupation=p.left_occupation)
+    return _scalars(system, _definite_current(p, -1.0)[0], _definite_current(mirror, -1.0)[0])
 
 
 def rectification(system: Pairs) -> RectificationResult:

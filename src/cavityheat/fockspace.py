@@ -28,6 +28,7 @@ evaluated on the whole of rho, not on the solved blocks.
 
 from __future__ import annotations
 
+import math
 import numbers
 import warnings
 from dataclasses import dataclass, replace
@@ -149,7 +150,7 @@ def _check_config(system: TwoCavitySystem, cfg: FockConfig) -> None:
 
 
 def _guard_dim(dim: int, cfg: FockConfig) -> None:
-    if dim * dim > cfg.max_vectorized_dim:
+    if not dim * dim <= cfg.max_vectorized_dim:
         raise ValidationError([
             f"fock: vectorised space dimension {dim * dim} exceeds the guard "
             f"{cfg.max_vectorized_dim}; raise max_vectorized_dim to override"
@@ -390,8 +391,14 @@ def converged_steady_rho(
     """Escalate the truncation until the steady occupations stop moving.
 
     Returns the converged state and the configuration that produced it.
-    Raises SolverError when the dimension guard is hit before convergence.
+    Raises ValueError, before the first solve, unless ``occupation_tol`` is
+    positive and finite and ``step`` at least 1, and SolverError when the
+    dimension guard is hit before convergence.
     """
+    if not 0.0 < occupation_tol < math.inf:
+        raise ValueError(f"occupation_tol must be positive and finite, got {occupation_tol}")
+    if not step >= 1:
+        raise ValueError(f"step must be at least 1, got {step}")
     cfg = cfg or FockConfig()
     previous = None
     current_cfg = cfg

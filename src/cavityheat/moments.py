@@ -13,8 +13,8 @@ as one stack of sector equations (``chain.sector_covariances``) and returns
 its currents as arrays, with no per-point object; each point carries the
 largest residual of its sector equations, held to RESIDUAL_TOL. The currents
 come from ``chain._currents``, the one boundary-current formula of pairs and
-chains. ``steady_states`` and ``currents_from_moments`` take lists of pairs
-and run the same cores.
+chains. One pair is solved by ``steady_state`` on the same cores, and its
+currents are ``chain.boundary_currents``.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
@@ -34,10 +33,8 @@ from .model import PairGrid, TwoCavitySystem
 __all__ = [
     "MomentTrajectory",
     "sweep_currents",
-    "steady_states",
     "steady_state",
     "evolve",
-    "currents_from_moments",
 ]
 
 # relative residual bound of the sector equations of a two-cavity row
@@ -66,7 +63,7 @@ def sweep_currents(grid: PairGrid) -> tuple[CurrentReport, np.ndarray]:
     CurrentReport of arrays, and the residual of each point.
 
     The arrays equal, point by point and bit for bit, the currents of
-    ``currents_from_moments`` on ``steady_state`` of that point alone. A
+    ``chain.boundary_currents`` on ``steady_state`` of that point alone. A
     SolverError carries in ``index`` the failing point.
     """
     sites = chain._sites(grid)
@@ -75,20 +72,12 @@ def sweep_currents(grid: PairGrid) -> tuple[CurrentReport, np.ndarray]:
     return chain._currents(grid, sites, g), residuals
 
 
-def steady_states(systems: Sequence[TwoCavitySystem]) -> list[MomentMatrix]:
-    """Steady moment matrices of a list of cavity pairs, from one stack solve.
-
-    Each matrix equals ``steady_state`` of its system alone, bit for bit. A
-    SolverError carries in ``index`` the position of the failing system.
-    """
-    states = chain.sector_mixtures(systems)
-    _check_residuals(np.array([g.residual for g in states]))
-    return states
-
-
 def steady_state(system: TwoCavitySystem) -> MomentMatrix:
     """Steady moment matrix of one pair; it carries its sector residual."""
-    return steady_states([system])[0]
+    (g,), residuals, margins = chain._mixture(chain._sites(PairGrid.from_systems([system])))
+    _check_residuals(residuals)
+    return MomentMatrix(values=g, n_sites=2, sigma_z=system.sigma_z, residual=residuals.item(),
+                        positivity_margin=margins.item())
 
 
 def evolve(
@@ -133,9 +122,3 @@ def evolve(
         out[i + 1] = g
     times = dt * np.arange(n_steps + 1)
     return MomentTrajectory(times=times, values=out, sigma_z=initial.sigma_z)
-
-
-def currents_from_moments(system: TwoCavitySystem, g: MomentMatrix) -> CurrentReport:
-    """Currents of one pair on its moment matrix: ``chain.boundary_currents``
-    of a stack of one, with its ValueError and its balance warning."""
-    return chain.boundary_currents([system], [g])[0]

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cavityheat import chain, cli
+from cavityheat.chain import boundary_currents
 from cavityheat.closedform import (
     current_general,
     current_resonant_with_atom,
@@ -16,7 +17,7 @@ from cavityheat.closedform import (
 )
 from cavityheat.fockspace import FockConfig, g2_zero, oracle_currents, steady_rho, thermal_fidelity
 from cavityheat.model import ArraySystem, AtomSpec, ReservoirSpec, TwoCavitySystem
-from cavityheat.moments import currents_from_moments, steady_state
+from cavityheat.moments import steady_state
 
 
 def two_cavity(omega_right=1.0, coupling=0.02, chi=0.05, sigma_z=1.0,
@@ -44,7 +45,7 @@ def chain_template(chi, sigma_z=-1.0):
 
 
 def moments_current(system):
-    return currents_from_moments(system, steady_state(system))
+    return boundary_currents(system, steady_state(system))
 
 
 def rel_dev(a, b):
@@ -236,7 +237,7 @@ def test_criterion_06_array_ballistic_baseline():
     for n in range(2, 11):
         system = replace(template, n_sites=n)
         g = chain.steady_state_matrix(system)
-        worst_current_gap = max(worst_current_gap, abs(chain.boundary_currents([system], [g])[0].i_left - baseline))
+        worst_current_gap = max(worst_current_gap, abs(boundary_currents(system, g).i_left - baseline))
         field = g.field_block
         worst_real_part = max(
             worst_real_part, max(abs(field[j, j + 1].real) for j in range(n - 1))

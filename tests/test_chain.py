@@ -18,11 +18,7 @@ from cavityheat.chain import (
 )
 from cavityheat.closedform import current_general
 from cavityheat.model import ArraySystem, AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem
-from cavityheat.moments import steady_state, steady_states
-
-
-def currents(system, g):
-    return boundary_currents([system], [g])[0]
+from cavityheat.moments import steady_state
 
 
 def chain_system(n_sites, chi=0.0, host=None, sigma_z=-1.0, coupling=0.05,
@@ -138,7 +134,7 @@ def test_long_atom_free_chain_is_ballistic():
     system = chain_system(60)
     g = steady_state_matrix(system)
     assert g.residual < 1e-10
-    assert currents(system, g).i_left == pytest.approx(ballistic_current(system), rel=1e-9)
+    assert boundary_currents(system, g).i_left == pytest.approx(ballistic_current(system), rel=1e-9)
 
 
 def test_steady_matrix_residual_and_hermiticity():
@@ -183,7 +179,7 @@ def test_resonant_pair_is_the_two_site_chain(sigma_z):
     assert (g.n_sites, g.sigma_z) == (v.n_sites, v.sigma_z)
     assert np.max(np.abs(g.values - v.values)) < 1e-13
     assert g.positivity_margin == pytest.approx(v.positivity_margin, abs=1e-13)
-    as_chain, as_pair = currents(system, g), currents(pair, v)
+    as_chain, as_pair = boundary_currents(system, g), boundary_currents(pair, v)
     for field in ("i_left", "i_right", "i_occupation", "i_coherence"):
         assert getattr(as_chain, field) == pytest.approx(getattr(as_pair, field), rel=1e-12, abs=1e-16)
     # the switch classification belongs to the pair only
@@ -212,14 +208,14 @@ def test_ballistic_current_independent_of_size():
     for n in range(2, 11):
         system = chain_system(n)
         g = steady_state_matrix(system)
-        assert currents(system, g).i_left == pytest.approx(expected, abs=1e-12)
+        assert boundary_currents(system, g).i_left == pytest.approx(expected, abs=1e-12)
     assert ballistic_current(chain_system(4)) == pytest.approx(expected, rel=1e-15)
 
 
 def test_zero_bias_no_current():
     system = chain_system(4, nbar_left=0.2, nbar_right=0.2)
     g = steady_state_matrix(system)
-    assert currents(system, g).i_left == pytest.approx(0.0, abs=1e-14)
+    assert boundary_currents(system, g).i_left == pytest.approx(0.0, abs=1e-14)
 
 
 def test_two_site_current_matches_general_expression():
@@ -229,7 +225,7 @@ def test_two_site_current_matches_general_expression():
         omega_left=1.0, omega_right=1.0, coupling=0.05,
         left=system.left, right=system.right, atom=system.atom,
     )
-    assert currents(system, g).i_left == pytest.approx(current_general(pair).i_left, rel=1e-10)
+    assert boundary_currents(system, g).i_left == pytest.approx(current_general(pair).i_left, rel=1e-10)
 
 
 def test_boundary_currents_balance():
@@ -238,11 +234,11 @@ def test_boundary_currents_balance():
         system = chain_system(6, chi=0.12, host=host, sigma_z=sigma_z, gamma_right=0.1, nbar_right=0.1)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            report = currents(system, steady_state_matrix(system))
+            report = boundary_currents(system, steady_state_matrix(system))
         assert abs(report.i_left + report.i_right) < 1e-10 * abs(report.i_left)
         # the p_s-weighted currents of the two pinned sectors
         sectors = [(0.5 * (1 + s * sigma_z), replace(system, atom=replace(system.atom, sigma_z=s))) for s in (1.0, -1.0)]
-        sectors = [(weight, currents(pinned, steady_state_matrix(pinned))) for weight, pinned in sectors]
+        sectors = [(weight, boundary_currents(pinned, steady_state_matrix(pinned))) for weight, pinned in sectors]
         for field in ("i_left", "i_right", "i_occupation", "i_coherence"):
             mixed = sum(weight * getattr(sector, field) for weight, sector in sectors)
             assert getattr(report, field) == pytest.approx(mixed, rel=1e-11, abs=1e-16)
@@ -253,28 +249,7 @@ def test_non_steady_chain_state_warns():
     g = steady_state_matrix(system)
     g.values[0, 0] += 0.1
     with pytest.warns(UserWarning, match="not a steady state"):
-        currents(system, g)
-
-
-def test_stack_of_currents_equals_single_calls_bitwise():
-    chains = [chain_system(5, chi=0.12, host=host, sigma_z=sigma_z, nbar_right=0.1)
-              for host in (1, 3, 5) for sigma_z in (-1.0, 0.3, 1.0)] + [chain_system(5)]
-    rng = np.random.default_rng(47)
-    pairs = [
-        TwoCavitySystem(
-            omega_left=1.0, omega_right=rng.uniform(0.8, 1.2), coupling=rng.uniform(0.01, 0.1),
-            left=ReservoirSpec(rng.uniform(0.02, 0.2), rng.uniform(0.1, 1.0)),
-            right=ReservoirSpec(rng.uniform(0.02, 0.2), rng.uniform(0.0, 0.1)),
-            atom=AtomSpec(rng.uniform(0.0, 1.5), rng.uniform(-1.0, 1.0)) if k % 4 else None,
-        )
-        for k in range(20)
-    ]
-    chain_states = [steady_state_matrix(s) for s in chains]
-    for systems, states in ((chains, chain_states), (pairs, steady_states(pairs))):
-        assert boundary_currents(systems, states) == [currents(s, g) for s, g in zip(systems, states)]
-    assert boundary_currents([], []) == []
-    with pytest.raises(ValueError):
-        boundary_currents(chains, chain_states[:-1])
+        boundary_currents(system, g)
 
 
 def test_bond_flow_uniform_along_atom_free_chain():
@@ -283,7 +258,7 @@ def test_bond_flow_uniform_along_atom_free_chain():
     flows = bond_flows(system, g)
     assert np.ptp(flows) < 1e-12
     # energy flux through the bonds equals the injected boundary current
-    assert flows[0] * system.omega == pytest.approx(currents(system, g).i_left, rel=1e-10)
+    assert flows[0] * system.omega == pytest.approx(boundary_currents(system, g).i_left, rel=1e-10)
 
 
 # --- profiles -------------------------------------------------------------------
@@ -355,16 +330,11 @@ def test_size_scan_host_rules():
         size_scan(template, [3], host="middle")
 
 
-def stacked_currents(system, g):
-    # the foreign state sits in the second row of the stack
-    return boundary_currents([system, system], [steady_state_matrix(system), g])
-
-
 @pytest.mark.parametrize(
     "observable",
-    [lambda s, g: currents(s, g).left, lambda s, g: currents(s, g).right,
-     stacked_currents, occupation_profile, bond_flows],
-    ids=["array_current", "right_boundary_current", "boundary_currents", "occupation_profile", "bond_flows"],
+    [lambda s, g: boundary_currents(s, g).i_left, lambda s, g: boundary_currents(s, g).i_right,
+     occupation_profile, bond_flows],
+    ids=["array_current", "right_boundary_current", "occupation_profile", "bond_flows"],
 )
 def test_observables_reject_a_state_of_another_system(observable):
     system = chain_system(5, chi=0.1, host=5, sigma_z=1.0)

@@ -540,7 +540,8 @@ def test_crosscheck_rejects_a_bad_tolerance_before_solving(monkeypatch, tmp_path
         raise AssertionError("solved before the tolerances were checked")
 
     monkeypatch.setattr(fockspace, "steady_rho", no_solve)
-    monkeypatch.setattr(cli.moments, "steady_states", no_solve)
+    monkeypatch.setattr(cli.moments, "sweep_currents", no_solve)
+    monkeypatch.setattr(cli.closedform, "current_general", no_solve)
     params = dict(FIG2, fock_n_max="8", fock_tail_bound="1e-3", **{key: value})
     assert run_main("oracle_crosscheck", tmp_path, params) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.splitlines() == [

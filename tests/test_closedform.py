@@ -17,9 +17,9 @@ from cavityheat.closedform import (
     rectification,
     steady_moments,
 )
-from cavityheat.chain import ballistic_current
+from cavityheat.chain import ballistic_current, boundary_currents
 from cavityheat.model import ArraySystem, AtomSpec, ReservoirSpec, TwoCavitySystem
-from cavityheat.moments import currents_from_moments, steady_state
+from cavityheat.moments import steady_state
 
 
 def system_for(
@@ -383,7 +383,7 @@ def test_mixed_atom_detuned_current_is_the_sector_mixture():
     report = current_general(system)
     assert report.i_left == pytest.approx(2.500e-3, rel=1e-6)
     assert report.i_right == -report.i_left
-    from_moments = currents_from_moments(system, steady_state(system))
+    from_moments = boundary_currents(system, steady_state(system))
     assert report.i_left == pytest.approx(from_moments.i_left, rel=1e-10)
     assert report.i_occupation == pytest.approx(from_moments.i_occupation, rel=1e-10)
     assert report.i_coherence == pytest.approx(from_moments.i_coherence, abs=1e-10 * abs(report.i_left))

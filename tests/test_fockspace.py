@@ -82,6 +82,12 @@ def test_dimension_guard():
         steady_rho(system_for(), cfg)
 
 
+def test_dimension_guard_rejects_a_nan_limit():
+    cfg = FockConfig(n_max=6, tail_bound=1e-3, max_vectorized_dim=math.nan)
+    with pytest.raises(ValidationError, match="exceeds the guard nan"):
+        steady_rho(system_for(nbar_left=0.01), cfg)
+
+
 @pytest.mark.parametrize("n_max", [2.5, True, math.nan])
 def test_truncation_must_be_an_integer(n_max):
     with pytest.raises(ValidationError, match=r"n_max must be an integer of at least 1, got " + re.escape(repr(n_max))):
@@ -223,6 +229,26 @@ def test_truncation_escalation_stops_at_the_dimension_guard():
     cfg = FockConfig(n_max=2, tail_bound=1e-2, max_vectorized_dim=81)
     with pytest.raises(SolverError, match="n_max=4 before occupations converged.*625 exceeds the guard 81"):
         converged_steady_rho(system, cfg)
+
+
+@pytest.mark.parametrize(
+    "occupation_tol, step, message",
+    [(0.0, 2, "occupation_tol must be positive and finite, got 0.0"),
+     (math.nan, 2, "occupation_tol must be positive and finite, got nan"),
+     (math.inf, 2, "occupation_tol must be positive and finite, got inf"),
+     (1e-8, 0, "step must be at least 1, got 0")],
+    ids=["zero-tol", "nan-tol", "inf-tol", "zero-step"],
+)
+def test_truncation_escalation_rejects_its_arguments_before_solving(monkeypatch, occupation_tol, step, message):
+    # a zero step re-solves one truncation and calls it converged; a zero or
+    # NaN tolerance escalates until the guard, an infinite one stops at once
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the arguments were checked")
+
+    monkeypatch.setattr(fockspace, "steady_rho", no_solve)
+    with pytest.raises(ValueError, match=re.escape(message)):
+        converged_steady_rho(system_for(nbar_left=0.01), FockConfig(n_max=2, tail_bound=1e-2),
+                             occupation_tol=occupation_tol, step=step)
 
 
 # --- currents -----------------------------------------------------------------------

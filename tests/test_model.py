@@ -19,7 +19,7 @@ from cavityheat.model import (
     bose_occupation,
     validate,
 )
-from cavityheat.moments import steady_states
+from cavityheat.moments import steady_state
 
 
 def two_cavity(**overrides):
@@ -245,9 +245,9 @@ def test_each_system_is_validated_once_when_built(monkeypatch):
         atom=AtomSpec(dispersive_strength=0.2, sigma_z=0.5, host_index=4),
     )
     assert len(calls) == 3
-    pairs = [mixed, ground]
-    boundary_currents(pairs, steady_states(pairs))
-    boundary_currents([array], [steady_state_matrix(array)])
+    for pair in (mixed, ground):
+        boundary_currents(pair, steady_state(pair))
+    boundary_currents(array, steady_state_matrix(array))
     current_general(mixed)
     rectification(ground)
     oracle_currents(mixed, steady_rho(mixed, FockConfig(n_max=6, tail_bound=1e-3)))

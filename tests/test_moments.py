@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cavityheat.chain import MomentMatrix, build_generators, sector_covariances
+from cavityheat.chain import MomentMatrix, boundary_currents, build_generators, sector_covariances
 from cavityheat.closedform import current_general, steady_moments
 from cavityheat.model import AtomSpec, ReservoirSpec, TwoCavitySystem, atomic_sectors
-from cavityheat.moments import currents_from_moments, evolve, steady_state, steady_states
+from cavityheat.moments import evolve, steady_state
 
 
 def system_for(
@@ -235,7 +235,7 @@ def test_evolve_rejects_bad_steps():
 
 def test_equilibrium_currents_vanish():
     system = system_for(chi=0.0, sigma_z=0.0, nbar_left=0.4, nbar_right=0.4, atom=False)
-    report = currents_from_moments(system, steady_state(system))
+    report = boundary_currents(system, steady_state(system))
     assert abs(report.i_left) < 1e-14
     assert abs(report.i_right) < 1e-14
 
@@ -245,11 +245,11 @@ def test_coherence_contribution_dominates_past_reversal():
     # occupation share exactly where the current changes sign
     base = system_for(coupling=0.05, sigma_z=-1.0, gamma_left=0.1, gamma_right=0.03)
     crossing = 1.3  # chi where Gamma_R/Gamma_L = (chi - omega_R)/omega_L
-    below = currents_from_moments(
+    below = boundary_currents(
         replace(base, atom=replace(base.atom, dispersive_strength=crossing - 0.2)),
         steady_state(replace(base, atom=replace(base.atom, dispersive_strength=crossing - 0.2))),
     )
-    above = currents_from_moments(
+    above = boundary_currents(
         replace(base, atom=replace(base.atom, dispersive_strength=crossing + 0.2)),
         steady_state(replace(base, atom=replace(base.atom, dispersive_strength=crossing + 0.2))),
     )
@@ -260,7 +260,7 @@ def test_coherence_contribution_dominates_past_reversal():
 def test_currents_match_closed_form_path():
     rng = np.random.default_rng(31)
     for system in random_systems(rng, 25):
-        report = currents_from_moments(system, steady_state(system))
+        report = boundary_currents(system, steady_state(system))
         reference = current_general(system)
         assert report.i_left == pytest.approx(reference.i_left, rel=1e-10, abs=1e-18)
 
@@ -268,7 +268,7 @@ def test_currents_match_closed_form_path():
 def test_boundary_currents_balance_on_random_grid():
     rng = np.random.default_rng(37)
     for system in random_systems(rng, 100):
-        report = currents_from_moments(system, steady_state(system))
+        report = boundary_currents(system, steady_state(system))
         assert abs(report.i_left + report.i_right) < 1e-10
 
 
@@ -277,7 +277,7 @@ def test_non_steady_vector_warns():
     off = zero_state(sigma_z=1.0)
     off.values[0, 0] = off.values[2, 2] = 0.3
     with pytest.warns(UserWarning, match="not a steady state"):
-        currents_from_moments(system, off)
+        boundary_currents(system, off)
 
 
 def test_steady_vector_does_not_warn():
@@ -285,7 +285,7 @@ def test_steady_vector_does_not_warn():
     v = steady_state(system)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        currents_from_moments(system, v)
+        boundary_currents(system, v)
 
 
 def test_mixed_atom_right_current_mixes_the_sectors():
@@ -296,7 +296,7 @@ def test_mixed_atom_right_current_mixes_the_sectors():
     v = steady_state(system)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        report = currents_from_moments(system, v)
+        report = boundary_currents(system, v)
     assert report.i_right == pytest.approx(-2.50e-3, rel=1e-3)
     assert report.i_right == pytest.approx(-report.i_left, rel=1e-12)
 
@@ -314,7 +314,7 @@ def test_currents_reject_a_state_of_another_sigma_z():
     excited = system_for(chi=0.05, sigma_z=1.0)
     ground = replace(excited, atom=replace(excited.atom, sigma_z=-1.0))
     with pytest.raises(ValueError, match="does not belong"):
-        currents_from_moments(excited, steady_state(ground))
+        boundary_currents(excited, steady_state(ground))
     with pytest.raises(ValueError, match="does not belong"):
         evolve(excited, zero_state(sigma_z=-1.0), t_final=1.0, dt=0.1)
 
@@ -329,25 +329,10 @@ def test_moment_currents_are_affine_in_sigma_z(field):
 
     def current(sigma_z):
         system = replace(base, atom=replace(base.atom, sigma_z=sigma_z))
-        return getattr(currents_from_moments(system, steady_state(system)), field)
+        return getattr(boundary_currents(system, steady_state(system)), field)
 
     up, down = current(1.0), current(-1.0)
     scale = max(abs(up), abs(down))
     for sigma_z in (-0.7, -0.2, 0.0, 0.3, 0.9):
         mixed = 0.5 * (1 + sigma_z) * up + 0.5 * (1 - sigma_z) * down
         assert current(sigma_z) == pytest.approx(mixed, rel=1e-12, abs=1e-13 * scale)
-
-
-def test_empty_grid_has_no_rows():
-    assert steady_states([]) == []
-
-
-def test_grid_rows_equal_single_solves_bitwise():
-    rng = np.random.default_rng(43)
-    grid = random_systems(rng, 40) + [system_for(omega_right=1.1, chi=0.3, sigma_z=s) for s in (-0.4, 0.2)]
-    for system, row in zip(grid, steady_states(grid)):
-        alone = steady_state(system)
-        assert np.array_equal(row.values, alone.values)
-        assert (row.residual, row.positivity_margin, row.sigma_z) == (
-            alone.residual, alone.positivity_margin, alone.sigma_z
-        )

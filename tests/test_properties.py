@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 from cavityheat.chain import boundary_currents, steady_state_matrix  # noqa: E402
 from cavityheat.closedform import ZERO_CURRENT_TOL, current_general  # noqa: E402
@@ -19,7 +19,7 @@ from cavityheat.fockspace import FockConfig, oracle_currents, steady_rho  # noqa
 from cavityheat.model import (  # noqa: E402
     ArraySystem, AtomSpec, PairGrid, ReservoirSpec, TwoCavitySystem, ValidationError,
 )
-from cavityheat.moments import currents_from_moments, steady_state, sweep_currents  # noqa: E402
+from cavityheat.moments import steady_state, sweep_currents  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None, database=None)
 
@@ -89,7 +89,7 @@ def pairs(draw, atom=True, nbar=1.0):
 @PROPERTY
 @given(pairs())
 def test_currents_balance_and_the_closed_form_matches_the_moments(system):
-    report = currents_from_moments(system, steady_state(system))
+    report = boundary_currents(system, steady_state(system))
     closed = current_general(system)
     # the size of the terms that cancel in I_L and I_R: the reservoirs' and the cavities' energy flows
     scale = (system.left.rate * (system.omega_left * system.left.mean_occupation
@@ -106,7 +106,7 @@ def test_without_an_atom_heat_flows_from_hot_to_cold(system):
     # the closed form carries the sign of nbar_L - nbar_R exactly
     assert np.sign(current_general(system).i_left) == np.sign(bias)
     if abs(bias) > 1e-6:
-        assert np.sign(currents_from_moments(system, steady_state(system)).i_left) == np.sign(bias)
+        assert np.sign(boundary_currents(system, steady_state(system)).i_left) == np.sign(bias)
 
 
 @st.composite
@@ -131,7 +131,7 @@ def chains(draw, max_sites=10):
 def solved(system):
     """The steady state and the currents of a pair (moment path) or a chain."""
     state = steady_state(system) if isinstance(system, TwoCavitySystem) else steady_state_matrix(system)
-    return state, boundary_currents([system], [state])[0]
+    return state, boundary_currents(system, state)
 
 
 def energy_scale(system, report):
@@ -205,15 +205,24 @@ def test_the_positivity_margin_holds(system):
     assert solved(system)[0].positivity_margin >= -1e-10
 
 
+def detuned_mixed(sigma_z):
+    return TwoCavitySystem(
+        omega_left=1.0, omega_right=1.1, coupling=0.02,
+        left=ReservoirSpec(0.064, 0.5), right=ReservoirSpec(0.064, 0.0),
+        atom=AtomSpec(dispersive_strength=0.3, sigma_z=sigma_z),
+    )
+
+
 @PROPERTY
 @given(st.lists(pairs(), min_size=1, max_size=6))
+@example([detuned_mixed(-0.4), detuned_mixed(0.2)])
 def test_grid_currents_equal_the_currents_of_each_point(points):
     grid = PairGrid.from_systems(points)
     report, residuals = sweep_currents(grid)
     closed = current_general(grid)
     for k, system in enumerate(points):
         state = steady_state(system)
-        single, single_closed = currents_from_moments(system, state), current_general(system)
+        single, single_closed = boundary_currents(system, state), current_general(system)
         assert residuals[k] == state.residual
         for field in CURRENT_FIELDS + ("alpha", "regime"):
             assert getattr(report, field)[k] == getattr(single, field), field
