@@ -44,11 +44,9 @@ from .closedform import (
 )
 from .moments import MomentTrajectory, evolve, steady_state, sweep_currents
 from .chain import (
-    BlockGenerators,
     MomentMatrix,
     ballistic_current,
     boundary_currents,
-    build_generators,
     occupation_profile,
     size_scan,
     steady_state_matrix,
@@ -93,11 +91,9 @@ __all__ = [
     "evolve",
     "steady_state",
     "sweep_currents",
-    "BlockGenerators",
     "MomentMatrix",
     "ballistic_current",
     "boundary_currents",
-    "build_generators",
     "occupation_profile",
     "size_scan",
     "steady_state_matrix",

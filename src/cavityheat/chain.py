@@ -3,24 +3,30 @@
 The 2N x 2N matrix of expectation values G = <A+ A>, with operator row
 A = (a_1, ..., a_N, a_1 sz, ..., a_N sz), evolves as
 
-    dG/dt = i [M1, G] + {M2, G} + M3
-
-with M1 collecting the chain Hamiltonian and the atom shift, M2 the boundary
-damping, and M3 the thermal drive. The atomic population is conserved, so the
-state is a mixture (``model.atomic_sectors``) of two atom-free sectors
-s = +-1 in which the host cavity is shifted by s chi. Each sector covariance
-C_s = <a_j+ a_k> solves one N x N Lyapunov equation
-
-    A_s C_s + C_s A_s+ = -Q,    A_s = i (h + s x) + D,
+    dG/dt = i [M1, G] + {M2, G} + M3,
+    M1 = [[h, x], [x, h]],   M2 = [[D, 0], [0, D]],   M3 = [[Q, sz Q], [sz Q, Q]],
 
 with h the hopping matrix and on-site frequencies, x the atom shift, D the
-boundary damping and Q the thermal drive. ``sector_covariances`` solves a
-stack of these equations at once: as one batched Kronecker system up to
-KRONECKER_MAX_SITES sites, by Bartels-Stewart (O(N^3) time, O(N^2) memory)
-above. Bartels-Stewart comes from scipy, which is imported on the first
-solve that needs it. G is then [[F, S], [S, F]] with F = sum_s p_s C_s and
-S = sum_s s p_s C_s; ``steady_state_matrix`` checks it against the block
-equation above, assembled in its 2N x 2N form from the same site arrays.
+boundary damping and Q the thermal drive. The atomic population is
+conserved, so the state is a mixture (``model.atomic_sectors``) of two
+atom-free sectors s = +-1 in which the host cavity is shifted by s chi. Each
+sector covariance C_s = <a_j+ a_k> solves one N x N Lyapunov equation
+
+    A_s C_s + C_s A_s+ = -Q,    A_s = i (h + s x) + D.
+
+``sector_covariances`` solves a stack of these equations at once: as one
+batched Kronecker system up to KRONECKER_MAX_SITES sites, by Bartels-Stewart
+(O(N^3) time, O(N^2) memory) above. Bartels-Stewart comes from scipy, which
+is imported on the first solve that needs it. G is then [[F, S], [S, F]]
+with F = sum_s p_s C_s and S = sum_s s p_s C_s. At such a G the block
+equation is its two N x N blocks (``_motion``), read straight from the site
+arrays, with no 2N x 2N coefficient matrix:
+
+    R_F = i ([h, F] + x S - S x) + D F + F D + Q,
+    R_S = i ([h, S] + x F - F x) + D S + S D + sz Q.
+
+``steady_state_matrix`` checks the mixture against them, without the sector
+weights or signs; ``moments.evolve`` integrates them in time.
 
 A ``TwoCavitySystem`` is the N = 2 chain with on-site frequencies omega_L,
 omega_R and the atom on site 2; ``moments`` solves it with the same core.
@@ -45,10 +51,8 @@ from .closedform import CurrentReport, _classification
 from .model import ArraySystem, PairGrid, SolverError, TwoCavitySystem, sector_weights
 
 __all__ = [
-    "BlockGenerators",
     "MomentMatrix",
     "SizeScanPoint",
-    "build_generators",
     "sector_covariances",
     "steady_state_matrix",
     "boundary_currents",
@@ -70,17 +74,6 @@ POSITIVITY_TOL = 1e-10
 # Bartels-Stewart per matrix is faster (with one BLAS thread, for two sector
 # matrices: 259 us against 331 us at N = 8, 437 us against 368 us at N = 9)
 KRONECKER_MAX_SITES = 8
-
-
-@dataclass(frozen=True)
-class BlockGenerators:
-    """Coefficient matrices of the block equation of motion."""
-
-    m1: np.ndarray  # Hermitian 2N x 2N: chain Hamiltonian + atom shift
-    m2: np.ndarray  # diagonal, negative semidefinite: boundary damping
-    m3: np.ndarray  # thermal drive
-    h_c: np.ndarray  # N x N tridiagonal hopping matrix with the on-site frequencies
-    x: np.ndarray  # N x N atom shift, single entry chi at the host site
 
 
 @dataclass(frozen=True)
@@ -173,33 +166,29 @@ def _sites(stack: Union[PairGrid, ArraySystem]) -> _Sites:
     return _Sites(h, x, damping, drive, rates, nbar, sigma_z, atom)
 
 
-def _generators(sites: _Sites) -> BlockGenerators:
-    """M1, M2, M3 of the one system of a stack of site arrays."""
-    h, x, damping, drive = (values[0] for values in sites[:4])
-    m1 = _pair_blocks(h, x)
-    m2 = _pair_blocks(damping, np.zeros_like(damping))
-    m3 = _pair_blocks(drive, drive * sites.sigma_z[0])
-    return BlockGenerators(m1=m1, m2=m2, m3=m3, h_c=h, x=x)
-
-
-def build_generators(system: Union[TwoCavitySystem, ArraySystem]) -> BlockGenerators:
-    """Assemble M1, M2, M3 for a chain or cavity pair."""
-    return _generators(_sites(PairGrid.from_systems([system]) if isinstance(system, TwoCavitySystem) else system))
-
-
 def _pair_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[[a, b], [b, a]] over the last two axes: the layout of the field and
-    sz-weighted blocks in every 2N x 2N matrix of the block equation."""
+    """[[a, b], [b, a]] over the last two axes: the layout of G = [[F, S], [S, F]]."""
     return np.concatenate([np.concatenate([a, b], -1), np.concatenate([b, a], -1)], -2)
 
 
-def _motion(gen: BlockGenerators, g: np.ndarray) -> np.ndarray:
-    return 1j * (gen.m1 @ g - g @ gen.m1) + gen.m2 @ g + g @ gen.m2 + gen.m3
+def _motion(sites: _Sites, f: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """dG/dt at G = [[F, S], [S, F]] as its two N x N blocks, stacked (R_F, R_S).
+    The atom shift x and the damping D are diagonal, so (x B - B x)_jk =
+    (x_j - x_k) B_jk and (D B + B D)_jk = (D_j + D_k) B_jk."""
+    x, d = (np.diagonal(values, axis1=-2, axis2=-1) for values in (sites.x, sites.damping))
+    shift, decay = x[..., :, None] - x[..., None, :], d[..., :, None] + d[..., None, :]
+
+    def block(a: np.ndarray, b: np.ndarray, drive: np.ndarray) -> np.ndarray:
+        return 1j * (sites.h @ a - a @ sites.h + shift * b) + decay * a + drive
+
+    return np.stack([block(f, s, sites.drive), block(s, f, sites.sigma_z[:, None, None] * sites.drive)])
 
 
-def _residual(gen: BlockGenerators, g: np.ndarray) -> float:
-    norm_drive = np.linalg.norm(gen.m3)
-    res = np.linalg.norm(_motion(gen, g))
+def _residual(sites: _Sites, f: np.ndarray, s: np.ndarray) -> float:
+    """||dG/dt|| / ||M3|| of the one system of a stack at G = [[F, S], [S, F]];
+    both norms are taken over the top row of blocks, since the bottom row repeats it."""
+    norm_drive = np.linalg.norm(sites.drive) * np.hypot(1.0, sites.sigma_z[0])
+    res = np.linalg.norm(_motion(sites, f, s))
     return float(res / norm_drive) if norm_drive > 0 else float(res)
 
 
@@ -246,11 +235,11 @@ def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     return c, residual, margin
 
 
-def _mixture(sites: _Sites) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Steady matrices G (M, 2N, 2N) of a stack, from one stack of sector
-    equations, with the largest residual and the smallest positivity margin
-    of each system's sectors. A SolverError carries in ``index`` the position
-    of the failing system."""
+def _mixture(sites: _Sites) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Steady blocks F = sum_s p_s C_s and S = sum_s s p_s C_s (M, N, N) of a
+    stack, from one stack of sector equations, with the largest residual and
+    the smallest positivity margin of each system's sectors. A SolverError
+    carries in ``index`` the position of the failing system."""
     weight, sign = sector_weights(sites.sigma_z, sites.atom)
     keep = weight > 0.0
     owner = np.nonzero(keep)[0]  # the system of each sector, s = +1 before s = -1
@@ -269,15 +258,16 @@ def _mixture(sites: _Sites) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     largest, smallest = np.zeros(m), np.full(m, np.inf)
     np.maximum.at(largest, owner, residual)
     np.minimum.at(smallest, owner, margin)
-    return _pair_blocks(field, sz_block), largest, smallest
+    return field, sz_block, largest, smallest
 
 
 def steady_state_matrix(system: ArraySystem) -> MomentMatrix:
     """Solve i [M1, G] + {M2, G} + M3 = 0 as one Lyapunov equation per atomic
     sector; the result carries the residual of the block equation."""
     sites = _sites(system)
-    (g,), _, margin = _mixture(sites)
-    residual = _residual(_generators(sites), g)
+    f, s, _, margin = _mixture(sites)
+    residual = _residual(sites, f, s)
+    g = _pair_blocks(f[0], s[0])
     if not residual <= RESIDUAL_TOL:
         raise SolverError(f"chain steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL}")
     hermiticity = np.linalg.norm(g - g.conj().T)
@@ -287,9 +277,10 @@ def steady_state_matrix(system: ArraySystem) -> MomentMatrix:
                         positivity_margin=margin.item())
 
 
-def _currents(stack: Union[PairGrid, ArraySystem], sites: _Sites, g: np.ndarray) -> CurrentReport:
-    """Reservoir currents of a grid of pairs, or of one chain, on their moment
-    matrices G (M, 2N, 2N), as one CurrentReport of (M,) arrays.
+def _currents(stack: Union[PairGrid, ArraySystem], sites: _Sites, f: np.ndarray, s: np.ndarray) -> CurrentReport:
+    """Reservoir currents of a grid of pairs, or of one chain, on the blocks
+    F and S (M, N, N) of their moment matrices, as one CurrentReport of (M,)
+    arrays.
 
     End site j, bonded to site k, sits at omega_j + s x_j in atomic sector s,
     so its reservoir current mixes the sectors exactly through S = <a+ a sz>:
@@ -304,10 +295,9 @@ def _currents(stack: Union[PairGrid, ArraySystem], sites: _Sites, g: np.ndarray)
     n = sites.h.shape[-1]
     ends, bonded = [0, n - 1], [1, n - 2]
     omega = sites.h[:, ends, ends]
-    f_ends, s_ends = g[:, ends, ends].real, g[:, ends, [n, 2 * n - 1]].real
-    occupation = ((sites.nbar - f_ends) * omega
-                  + sites.x[:, ends, ends] * (sites.sigma_z[:, None] * sites.nbar - s_ends))
-    coherence = 0.5 * sites.h[:, ends, bonded] * (g[:, ends, bonded] + g[:, bonded, ends]).real
+    occupation = ((sites.nbar - f[:, ends, ends].real) * omega
+                  + sites.x[:, ends, ends] * (sites.sigma_z[:, None] * sites.nbar - s[:, ends, ends].real))
+    coherence = 0.5 * sites.h[:, ends, bonded] * (f[:, ends, bonded] + f[:, bonded, ends]).real
     current = sites.rates * (occupation - coherence)
     imbalance = np.abs(current.sum(axis=1))
     unbalanced = np.flatnonzero(imbalance > 1e-10 * np.maximum(np.abs(current[:, 0]), omega[:, 0] ** 2))
@@ -333,7 +323,7 @@ def boundary_currents(system: Union[TwoCavitySystem, ArraySystem], state: Moment
     """
     state.check_system(system)
     stack = PairGrid.from_systems([system]) if isinstance(system, TwoCavitySystem) else system
-    report = _currents(stack, _sites(stack), state.values[None])
+    report = _currents(stack, _sites(stack), state.field_block[None], state.sz_block[None])
     return CurrentReport(*(column.item() for column in vars(report).values()))
 
 
@@ -360,25 +350,14 @@ def ballistic_current(system: ArraySystem) -> float:
     return 4.0 * w * j**2 * gl * gr * dn / ((4.0 * j**2 + gl * gr) * (gl + gr))
 
 
-def size_scan(
-    template: ArraySystem,
-    n_values: Iterable[int] | Sequence[int],
-    host: str = "last",
-) -> list[SizeScanPoint]:
+def size_scan(template: ArraySystem, n_values: Iterable[int] | Sequence[int]) -> list[SizeScanPoint]:
     """Solve the chain for each size and report the current against the
-    atom-free baseline.
-
-    ``host='last'`` re-pins the atom to the final cavity of each chain;
-    ``host='fixed'`` keeps the template's host index.
+    atom-free baseline; the atom is re-pinned to the final cavity of each chain.
     """
-    if host not in ("last", "fixed"):
-        raise ValueError(f"host rule must be 'last' or 'fixed', got {host!r}")
     baseline = ballistic_current(replace(template, atom=None))
     points = []
     for n in n_values:
-        atom = template.atom
-        if atom is not None and host == "last":
-            atom = replace(atom, host_index=n)
+        atom = None if template.atom is None else replace(template.atom, host_index=n)
         system = replace(template, n_sites=int(n), atom=atom)
         try:
             g = steady_state_matrix(system)

@@ -386,7 +386,7 @@ def _size_scan(spec: SweepSpec) -> Rows:
     if n_stop is not None and n_stop < n_start:
         p.errors.append(f"config: n_stop must be at least n_start (got {n_start}..{n_stop})")
     template = _array(p, n_sites=n_start)
-    points = chain.size_scan(template, range(n_start, n_stop + 1), host="last")
+    points = chain.size_scan(template, range(n_start, n_stop + 1))
     return Rows(
         len(points),
         experiment=spec.experiment,

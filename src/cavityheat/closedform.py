@@ -16,7 +16,7 @@ sweep is therefore one evaluation over its whole grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Union
 
 import numpy as np
@@ -279,28 +279,41 @@ def _require_ground_state(p: PairGrid, what: str) -> None:
     _require(p, p.sigma_z == -1.0, f"{what} takes the atom in its ground state (sigma_z = -1, got {{sigma_z}})")
 
 
+def _rectification_terms(p: PairGrid) -> tuple[np.ndarray, np.ndarray]:
+    """(omega_L Gamma_R + Gamma_L (omega_R - chi), omega_L Gamma_L + Gamma_R (omega_R - chi)).
+    With the atom in its ground state, the forward current is the first
+    times one factor and the reverse current minus the second times it."""
+    gl, gr = p.left_rate, p.right_rate
+    wl, wr, chi = p.omega_left, p.omega_right, p.chi
+    return wl * gr + gl * (wr - chi), wl * gl + gr * (wr - chi)
+
+
 def forward_reverse_currents(system: Pairs) -> tuple:
     """Currents of the configuration and of its reservoir-swapped mirror.
 
     The reverse current is the left-boundary current after exchanging
     (nbar_L, Gamma_L) with (nbar_R, Gamma_R); it is negative when the forward
-    current is conventional, since the flow direction is opposite.
+    current is conventional, since the flow direction is opposite. The swap
+    leaves the hopping constant and the denominator of delta_n as they are
+    and negates delta_n exactly, so both currents come from one evaluation
+    of ``_definite_current``'s formula at sigma_z = -1.
     """
     p = _points(system)
     _require_ground_state(p, "forward/reverse analysis")
-    mirror = replace(p, left_rate=p.right_rate, left_occupation=p.right_occupation,
-                     right_rate=p.left_rate, right_occupation=p.left_occupation)
-    return _scalars(system, _definite_current(p, -1.0)[0], _definite_current(mirror, -1.0)[0])
+    _, _, delta_n, _ = _definite_moments(p, -1.0)
+    scale = p.coupling**2 * delta_n
+    lorentzian = (p.detuning - p.chi) ** 2 + p.gamma**2
+    denominator = _lorentzian_denominator(p)
+    forward, reverse = _rectification_terms(p)
+    return _scalars(system, scale * (forward * lorentzian) / denominator,
+                    -scale * (reverse * lorentzian) / denominator)
 
 
 def rectification(system: Pairs) -> RectificationResult:
     """Rectification coefficient -I_f/I_r; unity means no rectification."""
     p = _points(system)
     _require_ground_state(p, "rectification")
-    gl, gr = p.left_rate, p.right_rate
-    wl, wr, chi = p.omega_left, p.omega_right, p.chi
-    num = wl * gr + gl * (wr - chi)
-    den = wl * gl + gr * (wr - chi)
+    num, den = _rectification_terms(p)
     # where den == 0 one direction is fully blocked; report the limit from
     # the positive-denominator side
     divergent = den == 0.0

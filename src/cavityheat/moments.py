@@ -14,7 +14,8 @@ its currents as arrays, with no per-point object; each point carries the
 largest residual of its sector equations, held to RESIDUAL_TOL. The currents
 come from ``chain._currents``, the one boundary-current formula of pairs and
 chains. One pair is solved by ``steady_state`` on the same cores, and its
-currents are ``chain.boundary_currents``.
+currents are ``chain.boundary_currents``. ``evolve`` integrates the block
+equation in time on its two N x N blocks (F, S), with ``chain._motion``.
 """
 
 from __future__ import annotations
@@ -67,17 +68,17 @@ def sweep_currents(grid: PairGrid) -> tuple[CurrentReport, np.ndarray]:
     SolverError carries in ``index`` the failing point.
     """
     sites = chain._sites(grid)
-    g, residuals, _ = chain._mixture(sites)
+    f, s, residuals, _ = chain._mixture(sites)
     _check_residuals(residuals)
-    return chain._currents(grid, sites, g), residuals
+    return chain._currents(grid, sites, f, s), residuals
 
 
 def steady_state(system: TwoCavitySystem) -> MomentMatrix:
     """Steady moment matrix of one pair; it carries its sector residual."""
-    (g,), residuals, margins = chain._mixture(chain._sites(PairGrid.from_systems([system])))
+    (f,), (s,), residuals, margins = chain._mixture(chain._sites(PairGrid.from_systems([system])))
     _check_residuals(residuals)
-    return MomentMatrix(values=g, n_sites=2, sigma_z=system.sigma_z, residual=residuals.item(),
-                        positivity_margin=margins.item())
+    return MomentMatrix(values=chain._pair_blocks(f, s), n_sites=2, sigma_z=system.sigma_z,
+                        residual=residuals.item(), positivity_margin=margins.item())
 
 
 def evolve(
@@ -88,6 +89,8 @@ def evolve(
 ) -> MomentTrajectory:
     """Fixed-step 4th-order integration of the block equation of motion.
 
+    The matrix G = [[F, S], [S, F]] is integrated as its two blocks (F, S),
+    so ``initial`` must have that layout; a ValueError is raised otherwise.
     The step count is t_final/dt rounded to the nearest integer, so the
     trajectory ends at that multiple of dt. The conserved sigma_z is carried
     through unchanged.
@@ -96,13 +99,15 @@ def evolve(
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not dt <= t_final < math.inf:
         raise ValueError(f"t_final must be finite and at least dt (got t_final={t_final}, dt={dt})")
-    gen = chain.build_generators(system)
     initial.check_system(system)
+    f, s = initial.field_block, initial.sz_block
+    if not np.array_equal(initial.values, chain._pair_blocks(f, s)):
+        raise ValueError("initial matrix is not a moment matrix: its blocks are not [[F, S], [S, F]]")
+    sites = chain._sites(PairGrid.from_systems([system]))
     # sector s relaxes with the eigenvalues b_i + conj(b_j) of its A_s = i (h + s x) + D
-    spectral_bound = 0.0
-    for sign in (1.0, -1.0):
-        b = np.linalg.eigvals(1j * (gen.h_c + sign * gen.x) + gen.m2[:2, :2])
-        spectral_bound = max(spectral_bound, float(np.max(np.abs(b[:, None] + b.conj()[None, :]))))
+    signs = np.array([1.0, -1.0])[:, None, None]
+    b = np.linalg.eigvals(1j * (sites.h + signs * sites.x) + sites.damping)
+    spectral_bound = float(np.max(np.abs(b[:, :, None] + b.conj()[:, None, :])))
     if dt * spectral_bound >= 0.1:
         warnings.warn(
             f"dt * max|eigenvalue| = {dt * spectral_bound:.3g} >= 0.1; "
@@ -110,15 +115,16 @@ def evolve(
             stacklevel=2,
         )
     n_steps = max(1, int(round(t_final / dt)))
-    g = np.array(initial.values, dtype=complex)
-    out = np.empty((n_steps + 1,) + g.shape, dtype=complex)
-    out[0] = g
+    y = np.array([f[None], s[None]], dtype=complex)  # (F, S) of a stack of one system
+    out = np.empty((n_steps + 1,) + y.shape, dtype=complex)
+    out[0] = y
     for i in range(n_steps):
-        k1 = chain._motion(gen, g)
-        k2 = chain._motion(gen, g + 0.5 * dt * k1)
-        k3 = chain._motion(gen, g + 0.5 * dt * k2)
-        k4 = chain._motion(gen, g + dt * k3)
-        g = g + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        out[i + 1] = g
+        k1 = chain._motion(sites, *y)
+        k2 = chain._motion(sites, *(y + 0.5 * dt * k1))
+        k3 = chain._motion(sites, *(y + 0.5 * dt * k2))
+        k4 = chain._motion(sites, *(y + dt * k3))
+        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        out[i + 1] = y
     times = dt * np.arange(n_steps + 1)
-    return MomentTrajectory(times=times, values=out, sigma_z=initial.sigma_z)
+    values = chain._pair_blocks(out[:, 0, 0], out[:, 1, 0])
+    return MomentTrajectory(times=times, values=values, sigma_z=initial.sigma_z)

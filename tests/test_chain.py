@@ -11,7 +11,6 @@ from cavityheat.chain import (
     ballistic_current,
     bond_flows,
     boundary_currents,
-    build_generators,
     occupation_profile,
     size_scan,
     steady_state_matrix,
@@ -19,6 +18,8 @@ from cavityheat.chain import (
 from cavityheat.closedform import current_general
 from cavityheat.model import ArraySystem, AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem
 from cavityheat.moments import steady_state
+
+from block_reference import block_generators, block_residual, kronecker_steady_matrix
 
 
 def chain_system(n_sites, chi=0.0, host=None, sigma_z=-1.0, coupling=0.05,
@@ -36,41 +37,37 @@ def chain_system(n_sites, chi=0.0, host=None, sigma_z=-1.0, coupling=0.05,
     )
 
 
-# --- generators ---------------------------------------------------------------
+# --- site arrays ----------------------------------------------------------------
 
 
 def test_two_site_generators_without_atom():
-    gen = build_generators(chain_system(2))
-    assert np.allclose(gen.h_c, [[1.0, 0.05], [0.05, 1.0]])
-    assert np.all(gen.x == 0)
+    (h,), (x,) = chain._sites(chain_system(2))[:2]
+    assert np.allclose(h, [[1.0, 0.05], [0.05, 1.0]])
+    assert np.all(x == 0)
 
 
 def test_atom_shift_lands_on_host_site():
-    gen = build_generators(chain_system(3, chi=0.1, host=3))
+    x = chain._sites(chain_system(3, chi=0.1, host=3)).x[0]
     expected = np.zeros((3, 3))
     expected[2, 2] = 0.1
-    assert np.allclose(gen.x, expected)
+    assert np.allclose(x, expected)
 
 
 def test_generator_matrix_properties():
     for n in (2, 4, 7):
-        gen = build_generators(chain_system(n, chi=0.12, host=n))
-        assert np.allclose(gen.m1, gen.m1.conj().T)
-        assert np.all(np.diag(gen.m2) <= 0)
-        assert np.allclose(gen.m2, np.diag(np.diag(gen.m2)))
+        sites = chain._sites(chain_system(n, chi=0.12, host=n))
+        h, x, damping = sites.h[0], sites.x[0], sites.damping[0]
+        assert np.allclose(h, h.conj().T)
+        assert np.allclose(x, np.diag(np.diag(x)))
+        assert np.all(np.diag(damping) <= 0)
+        assert np.allclose(damping, np.diag(np.diag(damping)))
+        # and they are the blocks of the reference's M1 and M2
+        gen = block_generators(chain_system(n, chi=0.12, host=n))
+        assert np.array_equal(gen.m1[:n, :n], h) and np.array_equal(gen.m1[:n, n:], x)
+        assert np.array_equal(gen.m2[:n, :n], damping)
 
 
 # --- steady state --------------------------------------------------------------
-
-
-def kronecker_steady_matrix(system):
-    """The 2N x 2N block equation i [M1, G] + {M2, G} + M3 = 0 solved as one
-    dense (2N)^2 linear system: an independent check of the sector solve."""
-    gen = build_generators(system)
-    eye = np.eye(2 * system.n_sites)
-    # row-major vec(P G Q) = (P kron Q^T) vec(G); M1 is real symmetric, M2 diagonal
-    op = 1j * (np.kron(gen.m1, eye) - np.kron(eye, gen.m1)) + np.kron(gen.m2, eye) + np.kron(eye, gen.m2)
-    return np.linalg.solve(op, -gen.m3.reshape(-1).astype(complex)).reshape(eye.shape)
 
 
 @pytest.mark.parametrize("n", [2, 5, 7])
@@ -83,17 +80,18 @@ def test_sector_solve_matches_kronecker_solve(n, sigma_z, host):
     assert np.max(np.abs(g.values - kronecker_steady_matrix(system))) < 1e-10
 
 
-def block_residual(system, g):
-    """Relative residual of the block equation i [M1, G] + {M2, G} + M3 = 0."""
-    gen = build_generators(system)
-    motion = 1j * (gen.m1 @ g.values - g.values @ gen.m1) + gen.m2 @ g.values + g.values @ gen.m2 + gen.m3
-    return np.linalg.norm(motion) / np.linalg.norm(gen.m3)
-
-
 def test_steady_matrix_carries_its_residual():
     system = chain_system(6, chi=0.1, host=3, sigma_z=0.2)
     g = steady_state_matrix(system)
-    assert g.residual == block_residual(system, g)
+    assert g.residual <= 1e-10
+    # off the steady state the N x N block residual is the 2N x 2N one
+    moved = g.values.copy()
+    moved[1, 2] += 1e-3
+    moved[7, 8] += 1e-3
+    sites = chain._sites(system)
+    residual = chain._residual(sites, moved[None, :6, :6], moved[None, :6, 6:])
+    assert residual == pytest.approx(block_residual(system, moved), rel=1e-12)
+    assert residual > 1e-5
 
 
 def test_undamped_interior_mode_has_no_unique_steady_state():
@@ -141,7 +139,7 @@ def test_steady_matrix_residual_and_hermiticity():
     for n in (2, 5, 9):
         system = chain_system(n, chi=0.1, host=n)
         g = steady_state_matrix(system)
-        assert block_residual(system, g) < 1e-10
+        assert block_residual(system, g.values) < 1e-10
         assert np.linalg.norm(g.values - g.values.conj().T) < 1e-10
         assert np.all(g.occupations >= 0)
 
@@ -321,13 +319,14 @@ def test_size_scan_orders_by_dispersive_strength():
 
 
 def test_size_scan_host_rules():
-    # an interior atom scatters differently from an end-of-chain one
+    # the scan pins the atom to the last site, and an interior atom scatters
+    # differently from an end-of-chain one
     template = chain_system(2, chi=0.1, host=2, sigma_z=-1.0)
-    fixed = size_scan(template, [4], host="fixed")
-    last = size_scan(template, [4], host="last")
-    assert fixed[0].current != pytest.approx(last[0].current, rel=1e-6)
-    with pytest.raises(ValueError, match="host rule"):
-        size_scan(template, [3], host="middle")
+    (point,) = size_scan(template, [4])
+    interior, end = (chain_system(4, chi=0.1, host=host, sigma_z=-1.0) for host in (2, 4))
+    interior_current = boundary_currents(interior, steady_state_matrix(interior)).i_left
+    assert point.current == boundary_currents(end, steady_state_matrix(end)).i_left
+    assert interior_current != pytest.approx(point.current, rel=1e-6)
 
 
 @pytest.mark.parametrize(

@@ -5,10 +5,12 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cavityheat.chain import MomentMatrix, boundary_currents, build_generators, sector_covariances
+from cavityheat.chain import MomentMatrix, boundary_currents, sector_covariances
 from cavityheat.closedform import current_general, steady_moments
 from cavityheat.model import AtomSpec, ReservoirSpec, TwoCavitySystem, atomic_sectors
 from cavityheat.moments import evolve, steady_state
+
+from block_reference import block_generators
 
 
 def system_for(
@@ -73,9 +75,9 @@ def sector_mixture(system):
 
 
 def sector_stack(system):
-    """The sector matrices A_s = i (h + s x) + D and drives Q, from the block generators."""
-    gen = build_generators(system)
-    a = np.array([1j * (gen.h_c + sign * gen.x) + gen.m2[:2, :2] for _, sign in atomic_sectors(system)])
+    """The sector matrices A_s = i (h + s x) + D and drives Q, from the block reference."""
+    gen = block_generators(system)
+    a = np.array([1j * (gen.h + sign * gen.x) + gen.m2[:2, :2] for _, sign in atomic_sectors(system)])
     return a, np.array([gen.m3[:2, :2].astype(complex)] * len(a))
 
 
@@ -85,7 +87,7 @@ def sector_stack(system):
 def test_decoupled_generator_eigenvalues():
     # dG/dt = B G + G B+ + M3 has the eigenvalues b_i + conj(b_j) of B = i M1 + M2
     system = system_for(omega_right=0.7, coupling=0.0, chi=0.0, gamma_left=0.1, gamma_right=0.04)
-    gen = build_generators(system)
+    gen = block_generators(system)
     b = np.linalg.eigvals(1j * gen.m1 + gen.m2)
     eigenvalues = (b[:, None] + b.conj()[None, :]).ravel()
     gamma = system.gamma
@@ -96,7 +98,7 @@ def test_decoupled_generator_eigenvalues():
 
 
 def test_population_sector_decouples_without_dispersion():
-    gen = build_generators(system_for(chi=0.0, sigma_z=-1.0))
+    gen = block_generators(system_for(chi=0.0, sigma_z=-1.0))
     assert np.all(gen.m1[:2, 2:] == 0)
     assert np.all(gen.m1[2:, :2] == 0)
     # the drive still reaches the population-weighted block
@@ -214,6 +216,23 @@ def test_oversized_step_warns():
     system = system_for()
     with pytest.warns(UserWarning, match="eigenvalue"):
         evolve(system, zero_state(sigma_z=1.0), t_final=200.0, dt=100.0)
+
+
+def test_evolve_rejects_a_matrix_that_is_not_a_moment_matrix():
+    # the bottom row of blocks must repeat the top row, [[F, S], [S, F]]
+    system = system_for()
+    unstructured = zero_state(sigma_z=1.0)
+    unstructured.values[2, 2] = 0.3
+    with pytest.raises(ValueError, match="not a moment matrix"):
+        evolve(system, unstructured, t_final=1.0, dt=0.1)
+    wrong_size = MomentMatrix(values=np.zeros((3, 3), dtype=complex), n_sites=2, sigma_z=1.0)
+    with pytest.raises(ValueError, match="not a moment matrix"):
+        evolve(system, wrong_size, t_final=1.0, dt=0.1)
+    # the steady state has the layout, and so has the trajectory
+    v = steady_state(system)
+    n = 2
+    for g in evolve(system, v, t_final=1.0, dt=0.1).values:
+        assert np.array_equal(g[n:, n:], g[:n, :n]) and np.array_equal(g[n:, :n], g[:n, n:])
 
 
 def test_evolve_rejects_bad_steps():
