@@ -18,9 +18,10 @@ sector covariance C_s = <a_j+ a_k> solves one N x N Lyapunov equation
 batched Kronecker system up to KRONECKER_MAX_SITES sites, by Bartels-Stewart
 (O(N^3) time, O(N^2) memory) above. Bartels-Stewart comes from scipy, which
 is imported on the first solve that needs it. G is then [[F, S], [S, F]]
-with F = sum_s p_s C_s and S = sum_s s p_s C_s. At such a G the block
-equation is its two N x N blocks (``_motion``), read straight from the site
-arrays, with no 2N x 2N coefficient matrix:
+with F = sum_s p_s C_s and S = sum_s s p_s C_s, so F and S state it
+completely: a ``MomentMatrix`` holds these two N x N blocks and nothing
+else. The block equation is their two N x N equations (``_motion``), read
+straight from the site arrays, with no 2N x 2N coefficient matrix:
 
     R_F = i ([h, F] + x S - S x) + D F + F D + Q,
     R_S = i ([h, S] + x F - F x) + D S + S D + sz Q.
@@ -78,30 +79,32 @@ KRONECKER_MAX_SITES = 8
 
 @dataclass(frozen=True)
 class MomentMatrix:
-    """Steady expectation-value matrix <A+ A> of the chain.
+    """Steady expectation-value matrix G = <A+ A> of the chain, as its two blocks.
 
-    The top-left N x N block holds the field moments <a_j+ a_k> (site
-    occupations on its diagonal); the off-diagonal blocks hold the
-    sz-weighted moments <a_j+ a_k sz>.
+    The atomic population is conserved, so G = [[F, S], [S, F]], and F and S
+    state it completely. ``field_block`` F holds the field moments
+    <a_j+ a_k> (site occupations on its diagonal); ``sz_block`` S holds the
+    sz-weighted moments <a_j+ a_k sz>. A ValueError is raised unless both are
+    square arrays of one shape.
     """
 
-    values: np.ndarray  # 2N x 2N complex
-    n_sites: int
+    field_block: np.ndarray  # F, N x N complex
+    sz_block: np.ndarray  # S, N x N complex
     sigma_z: float = 0.0
     # relative residual from the solve: of the block equation from
     # steady_state_matrix, the largest over the sector equations otherwise
     residual: float | None = None
     positivity_margin: float | None = None  # smallest sector-covariance eigenvalue over the largest
 
-    @property
-    def field_block(self) -> np.ndarray:
-        n = self.n_sites
-        return self.values[:n, :n]
+    def __post_init__(self) -> None:
+        shape = np.shape(self.field_block)
+        if len(shape) != 2 or shape[0] != shape[1] or np.shape(self.sz_block) != shape:
+            raise ValueError(f"moment blocks must be square arrays of one shape "
+                             f"(got {shape} and {np.shape(self.sz_block)})")
 
     @property
-    def sz_block(self) -> np.ndarray:
-        n = self.n_sites
-        return self.values[:n, n:]
+    def n_sites(self) -> int:
+        return self.field_block.shape[0]
 
     @property
     def occupations(self) -> np.ndarray:
@@ -166,9 +169,9 @@ def _sites(stack: Union[PairGrid, ArraySystem]) -> _Sites:
     return _Sites(h, x, damping, drive, rates, nbar, sigma_z, atom)
 
 
-def _pair_blocks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[[a, b], [b, a]] over the last two axes: the layout of G = [[F, S], [S, F]]."""
-    return np.concatenate([np.concatenate([a, b], -1), np.concatenate([b, a], -1)], -2)
+def _sector_matrices(sites: _Sites, owner: np.ndarray, sign: np.ndarray) -> np.ndarray:
+    """A_s = i (h + s x) + D of the systems ``owner`` of a stack, each in its sector ``sign``."""
+    return 1j * (sites.h[owner] + sign * sites.x[owner]) + sites.damping[owner]
 
 
 def _motion(sites: _Sites, f: np.ndarray, s: np.ndarray) -> np.ndarray:
@@ -245,8 +248,8 @@ def _mixture(sites: _Sites) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     owner = np.nonzero(keep)[0]  # the system of each sector, s = +1 before s = -1
     weight, sign = weight[keep][:, None, None], sign[keep][:, None, None]
     try:
-        c, residual, margin = sector_covariances(1j * (sites.h[owner] + sign * sites.x[owner]) + sites.damping[owner],
-                                                 sites.drive[owner].astype(complex))
+        a = _sector_matrices(sites, owner, sign)
+        c, residual, margin = sector_covariances(a, sites.drive[owner].astype(complex))
     except SolverError as exc:
         exc.index = int(owner[exc.index])  # the failing system, not its sector matrix
         raise
@@ -267,14 +270,14 @@ def steady_state_matrix(system: ArraySystem) -> MomentMatrix:
     sites = _sites(system)
     f, s, _, margin = _mixture(sites)
     residual = _residual(sites, f, s)
-    g = _pair_blocks(f[0], s[0])
     if not residual <= RESIDUAL_TOL:
         raise SolverError(f"chain steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL}")
-    hermiticity = np.linalg.norm(g - g.conj().T)
-    if not hermiticity <= HERMITICITY_TOL * max(1.0, np.linalg.norm(g)):
+    # ||[[a, b], [b, a]]|| = sqrt(2 (||a||^2 + ||b||^2)), for G - G+ as for G
+    f, s = f[0], s[0]
+    hermiticity = np.sqrt(2.0) * np.linalg.norm([f - f.conj().T, s - s.conj().T])
+    if not hermiticity <= HERMITICITY_TOL * max(1.0, np.sqrt(2.0) * np.linalg.norm([f, s])):
         raise SolverError(f"steady matrix is not Hermitian (deviation {hermiticity:.3e})")
-    return MomentMatrix(values=g, n_sites=system.n_sites, sigma_z=system.sigma_z, residual=residual,
-                        positivity_margin=margin.item())
+    return MomentMatrix(f, s, sigma_z=system.sigma_z, residual=residual, positivity_margin=margin.item())
 
 
 def _currents(stack: Union[PairGrid, ArraySystem], sites: _Sites, f: np.ndarray, s: np.ndarray) -> CurrentReport:
@@ -331,9 +334,7 @@ def bond_flows(system: ArraySystem, g: MomentMatrix) -> np.ndarray:
     """Photon flow across each bond, left to right; site-independent for a
     uniform atom-free chain in steady state."""
     g.check_system(system)
-    f = g.field_block
-    j = system.coupling
-    return np.array([-2.0 * j * f[k, k + 1].imag for k in range(system.n_sites - 1)])
+    return -2.0 * system.coupling * np.diagonal(g.field_block, 1).imag
 
 
 def occupation_profile(system: ArraySystem, g: MomentMatrix) -> np.ndarray:

@@ -110,7 +110,6 @@ class AtomSpec:
     dispersive_strength: float  # chi >= 0
     sigma_z: float  # population inversion expectation value
     host_index: int = 2  # 1-based site index; the right cavity of a pair
-    transition_frequency: float = 0.0  # additive constant per sector; no effect on currents
 
 
 @dataclass(frozen=True)
@@ -338,8 +337,6 @@ def _values(system: Union[TwoCavitySystem, ArraySystem]) -> dict:
 
 def _atom_errors(atom: AtomSpec, n_sites: int, values: dict) -> list[str]:
     errs = _rule_errors(_ATOM_RULES, values)
-    if not math.isfinite(atom.transition_frequency):
-        errs.append(f"atom: transition frequency must be finite (got {atom.transition_frequency})")
     if not 1 <= atom.host_index <= n_sites:
         errs.append(f"atom: host cavity index must lie in [1, {n_sites}] (got {atom.host_index})")
     return errs

@@ -14,8 +14,11 @@ its currents as arrays, with no per-point object; each point carries the
 largest residual of its sector equations, held to RESIDUAL_TOL. The currents
 come from ``chain._currents``, the one boundary-current formula of pairs and
 chains. One pair is solved by ``steady_state`` on the same cores, and its
-currents are ``chain.boundary_currents``. ``evolve`` integrates the block
-equation in time on its two N x N blocks (F, S), with ``chain._motion``.
+currents are ``chain.boundary_currents``. The state is a
+``chain.MomentMatrix``: the two 2 x 2 blocks F = <a_j+ a_k> and
+S = <a_j+ a_k sz> of G = [[F, S], [S, F]]. ``evolve`` integrates the block
+equation in time on these blocks, with ``chain._motion``, and a
+``MomentTrajectory`` holds their stacks.
 """
 
 from __future__ import annotations
@@ -44,15 +47,16 @@ RESIDUAL_TOL = 1e-12
 
 @dataclass(frozen=True)
 class MomentTrajectory:
-    """Fixed-step time evolution of the moment matrix."""
+    """Fixed-step time evolution of the moment matrix, as the stacks of its two blocks."""
 
     times: np.ndarray  # shape (n+1,)
-    values: np.ndarray  # shape (n+1, 4, 4), complex
+    field_block: np.ndarray  # F at each time, shape (n+1, 2, 2), complex
+    sz_block: np.ndarray  # S at each time, shape (n+1, 2, 2), complex
     sigma_z: float
 
     @property
     def final(self) -> MomentMatrix:
-        return MomentMatrix(values=self.values[-1], n_sites=2, sigma_z=self.sigma_z)
+        return MomentMatrix(self.field_block[-1], self.sz_block[-1], sigma_z=self.sigma_z)
 
 
 def _check_residuals(residuals: np.ndarray) -> None:
@@ -77,8 +81,7 @@ def steady_state(system: TwoCavitySystem) -> MomentMatrix:
     """Steady moment matrix of one pair; it carries its sector residual."""
     (f,), (s,), residuals, margins = chain._mixture(chain._sites(PairGrid.from_systems([system])))
     _check_residuals(residuals)
-    return MomentMatrix(values=chain._pair_blocks(f, s), n_sites=2, sigma_z=system.sigma_z,
-                        residual=residuals.item(), positivity_margin=margins.item())
+    return MomentMatrix(f, s, sigma_z=system.sigma_z, residual=residuals.item(), positivity_margin=margins.item())
 
 
 def evolve(
@@ -89,24 +92,21 @@ def evolve(
 ) -> MomentTrajectory:
     """Fixed-step 4th-order integration of the block equation of motion.
 
-    The matrix G = [[F, S], [S, F]] is integrated as its two blocks (F, S),
-    so ``initial`` must have that layout; a ValueError is raised otherwise.
-    The step count is t_final/dt rounded to the nearest integer, so the
-    trajectory ends at that multiple of dt. The conserved sigma_z is carried
-    through unchanged.
+    The matrix G = [[F, S], [S, F]] is integrated as its two blocks (F, S);
+    a ValueError is raised for an ``initial`` matrix of another size or
+    sigma_z. The step count is t_final/dt rounded to the nearest integer, so
+    the trajectory ends at that multiple of dt. The conserved sigma_z is
+    carried through unchanged.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
     if not dt <= t_final < math.inf:
         raise ValueError(f"t_final must be finite and at least dt (got t_final={t_final}, dt={dt})")
     initial.check_system(system)
-    f, s = initial.field_block, initial.sz_block
-    if not np.array_equal(initial.values, chain._pair_blocks(f, s)):
-        raise ValueError("initial matrix is not a moment matrix: its blocks are not [[F, S], [S, F]]")
     sites = chain._sites(PairGrid.from_systems([system]))
     # sector s relaxes with the eigenvalues b_i + conj(b_j) of its A_s = i (h + s x) + D
     signs = np.array([1.0, -1.0])[:, None, None]
-    b = np.linalg.eigvals(1j * (sites.h + signs * sites.x) + sites.damping)
+    b = np.linalg.eigvals(chain._sector_matrices(sites, np.array([0, 0]), signs))
     spectral_bound = float(np.max(np.abs(b[:, :, None] + b.conj()[:, None, :])))
     if dt * spectral_bound >= 0.1:
         warnings.warn(
@@ -115,7 +115,7 @@ def evolve(
             stacklevel=2,
         )
     n_steps = max(1, int(round(t_final / dt)))
-    y = np.array([f[None], s[None]], dtype=complex)  # (F, S) of a stack of one system
+    y = np.array([initial.field_block, initial.sz_block], dtype=complex)[:, None]  # (F, S) of a stack of one
     out = np.empty((n_steps + 1,) + y.shape, dtype=complex)
     out[0] = y
     for i in range(n_steps):
@@ -125,6 +125,4 @@ def evolve(
         k4 = chain._motion(sites, *(y + dt * k3))
         y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         out[i + 1] = y
-    times = dt * np.arange(n_steps + 1)
-    values = chain._pair_blocks(out[:, 0, 0], out[:, 1, 0])
-    return MomentTrajectory(times=times, values=values, sigma_z=initial.sigma_z)
+    return MomentTrajectory(dt * np.arange(n_steps + 1), out[:, 0, 0], out[:, 1, 0], initial.sigma_z)

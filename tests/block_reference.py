@@ -12,9 +12,10 @@ the host site), D the boundary damping -Gamma/2 and Q the thermal drive
 Gamma nbar at sites 1 and N. Everything here is read from a system's own
 fields, apart from ``cavityheat.chain`` and ``cavityheat.moments``, so the
 tests compare the library's N x N block evaluation and its sector solve
-against an independent statement of the 2N x 2N equation. A
-``TwoCavitySystem`` is the N = 2 chain with on-site frequencies omega_L,
-omega_R and the atom on site 2.
+against an independent statement of the 2N x 2N equation. The library holds
+G only as its blocks F and S; ``block_matrix`` lays them out as
+G = [[F, S], [S, F]] for these comparisons. A ``TwoCavitySystem`` is the
+N = 2 chain with on-site frequencies omega_L, omega_R and the atom on site 2.
 """
 
 from dataclasses import dataclass
@@ -61,6 +62,12 @@ def block_generators(system) -> BlockGenerators:
         h=h,
         x=x,
     )
+
+
+def block_matrix(state) -> np.ndarray:
+    """G = [[F, S], [S, F]] of a MomentMatrix, or the (T, 2N, 2N) stack of a MomentTrajectory."""
+    f, s = state.field_block, state.sz_block
+    return np.block([[f, s], [s, f]])
 
 
 def block_residual(system, g: np.ndarray) -> float:

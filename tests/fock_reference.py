@@ -43,8 +43,9 @@ def field_hamiltonian(system, a_left, a_right, omega_right):
     ).tocsr()
 
 
-def fock_operators(system, n_max: int) -> FockOperators:
-    """Mode and atom operators plus the full Hamiltonian on the truncated space."""
+def fock_operators(system, n_max: int, transition_frequency: float = 0.0) -> FockOperators:
+    """Mode and atom operators plus the full Hamiltonian on the truncated
+    space, with the atom's bare term transition_frequency * sz / 2."""
     levels = n_max + 1
     if system.atom is None:
         a_left, a_right = mode_operators(levels)
@@ -57,7 +58,7 @@ def fock_operators(system, n_max: int) -> FockOperators:
     atom = system.atom
     h = (
         field_hamiltonian(system, a_left, a_right, system.omega_right)
-        + 0.5 * atom.transition_frequency * sigma_z
+        + 0.5 * transition_frequency * sigma_z
         + atom.dispersive_strength * (excited + (a_right.T @ a_right) @ sigma_z)
     )
     return FockOperators(a_left, a_right, h.tocsr(), sigma_z, 2 * levels**2)
@@ -119,10 +120,10 @@ def full_matrix(rho) -> np.ndarray:
     )
 
 
-def full_space_currents(system, rho):
+def full_space_currents(system, rho, transition_frequency: float = 0.0):
     """(I_L, I_R, i_occupation, i_coherence) as Tr(H D[rho]) on the full
     atom (x) field space, with dense dissipators and the full Hamiltonian."""
-    ops = fock_operators(system, rho.n_max)
+    ops = fock_operators(system, rho.n_max, transition_frequency)
     h = ops.hamiltonian.toarray()
     mat = full_matrix(rho)
 

@@ -8,6 +8,7 @@ import scipy.linalg
 
 from cavityheat import chain
 from cavityheat.chain import (
+    MomentMatrix,
     ballistic_current,
     bond_flows,
     boundary_currents,
@@ -19,7 +20,7 @@ from cavityheat.closedform import current_general
 from cavityheat.model import ArraySystem, AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem
 from cavityheat.moments import steady_state
 
-from block_reference import block_generators, block_residual, kronecker_steady_matrix
+from block_reference import block_generators, block_matrix, block_residual, kronecker_steady_matrix
 
 
 def chain_system(n_sites, chi=0.0, host=None, sigma_z=-1.0, coupling=0.05,
@@ -77,7 +78,15 @@ def test_sector_solve_matches_kronecker_solve(n, sigma_z, host):
     host_index = {"first": 1, "middle": (n + 1) // 2, "last": n}[host]
     system = chain_system(n, chi=0.12, host=host_index, sigma_z=sigma_z, gamma_right=0.1, nbar_right=0.1)
     g = steady_state_matrix(system)
-    assert np.max(np.abs(g.values - kronecker_steady_matrix(system))) < 1e-10
+    assert np.max(np.abs(block_matrix(g) - kronecker_steady_matrix(system))) < 1e-10
+
+
+@pytest.mark.parametrize("shapes", [((4, 4), (3, 3)), ((2, 3), (2, 3)), ((4,), (4,)), ((2, 2), (2, 3))])
+def test_moment_matrix_rejects_blocks_that_are_not_square_or_of_one_shape(shapes):
+    # F and S state G = [[F, S], [S, F]] only as two N x N blocks
+    field, sz = (np.zeros(shape, dtype=complex) for shape in shapes)
+    with pytest.raises(ValueError, match="square arrays of one shape"):
+        MomentMatrix(field, sz)
 
 
 def test_steady_matrix_carries_its_residual():
@@ -85,7 +94,7 @@ def test_steady_matrix_carries_its_residual():
     g = steady_state_matrix(system)
     assert g.residual <= 1e-10
     # off the steady state the N x N block residual is the 2N x 2N one
-    moved = g.values.copy()
+    moved = block_matrix(g)
     moved[1, 2] += 1e-3
     moved[7, 8] += 1e-3
     sites = chain._sites(system)
@@ -139,8 +148,8 @@ def test_steady_matrix_residual_and_hermiticity():
     for n in (2, 5, 9):
         system = chain_system(n, chi=0.1, host=n)
         g = steady_state_matrix(system)
-        assert block_residual(system, g.values) < 1e-10
-        assert np.linalg.norm(g.values - g.values.conj().T) < 1e-10
+        assert block_residual(system, block_matrix(g)) < 1e-10
+        assert np.linalg.norm(block_matrix(g) - block_matrix(g).conj().T) < 1e-10
         assert np.all(g.occupations >= 0)
 
 
@@ -175,7 +184,7 @@ def test_resonant_pair_is_the_two_site_chain(sigma_z):
     )
     g, v = steady_state_matrix(system), steady_state(pair)
     assert (g.n_sites, g.sigma_z) == (v.n_sites, v.sigma_z)
-    assert np.max(np.abs(g.values - v.values)) < 1e-13
+    assert np.max(np.abs(block_matrix(g) - block_matrix(v))) < 1e-13
     assert g.positivity_margin == pytest.approx(v.positivity_margin, abs=1e-13)
     as_chain, as_pair = boundary_currents(system, g), boundary_currents(pair, v)
     for field in ("i_left", "i_right", "i_occupation", "i_coherence"):
@@ -245,7 +254,7 @@ def test_boundary_currents_balance():
 def test_non_steady_chain_state_warns():
     system = chain_system(5, chi=0.1, host=5, sigma_z=0.3)
     g = steady_state_matrix(system)
-    g.values[0, 0] += 0.1
+    g.field_block[0, 0] += 0.1
     with pytest.warns(UserWarning, match="not a steady state"):
         boundary_currents(system, g)
 

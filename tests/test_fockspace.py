@@ -324,15 +324,15 @@ def test_g2_limits():
 
 @pytest.mark.parametrize("sigma_z", [-1.0, 0.3, 1.0, None], ids=["ground", "mixed", "excited", "no-atom"])
 def test_sector_currents_match_the_full_space_trace(sigma_z):
-    # a transition frequency puts sector-constant terms into the full Hamiltonian;
-    # they must drop out of every current
+    # the atom's bare frequency puts sector-constant terms into the full
+    # Hamiltonian; they must drop out of every current
     system = replace(
         system_for(omega_right=0.9, coupling=0.05, nbar_left=0.3, nbar_right=0.1),
-        atom=None if sigma_z is None else AtomSpec(dispersive_strength=0.3, sigma_z=sigma_z, transition_frequency=2.0),
+        atom=None if sigma_z is None else AtomSpec(dispersive_strength=0.3, sigma_z=sigma_z),
     )
     rho = steady_rho(system, SMALL)
     report = oracle_currents(system, rho)
-    reference = full_space_currents(system, rho)
+    reference = full_space_currents(system, rho, transition_frequency=2.0)
     got = (report.i_left, report.i_right, report.i_occupation, report.i_coherence)
     assert got == pytest.approx(reference, rel=1e-12, abs=1e-12 * abs(reference[0]))
 

@@ -189,9 +189,6 @@ TWO_CAVITY_FIELDS = {
     "mean_occupation": lambda x: two_cavity(right=ReservoirSpec(rate=0.064, mean_occupation=x)),
     "dispersive_strength": lambda x: two_cavity(atom=AtomSpec(dispersive_strength=x, sigma_z=1.0)),
     "sigma_z": lambda x: two_cavity(atom=AtomSpec(dispersive_strength=0.05, sigma_z=x)),
-    "transition_frequency": lambda x: two_cavity(
-        atom=AtomSpec(dispersive_strength=0.05, sigma_z=1.0, transition_frequency=x)
-    ),
 }
 
 
