@@ -12,6 +12,7 @@ from cavityheat.fockspace import (
     FockConfig,
     _channels,
     _excitation_blocks,
+    _inverse,
     _lindblad_rhs,
     _sector_hamiltonian,
     converged_steady_rho,
@@ -319,6 +320,45 @@ def test_g2_limits():
         g2_zero(vacuum)
 
 
+# --- non-finite input ----------------------------------------------------------------
+
+
+def nan_entry(mat):
+    mat = np.array(mat, dtype=complex)
+    mat[1, 1] = math.nan
+    return mat
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [(lambda: gibbs_tail_mass(6, math.nan), "nbar (mean occupation) must be non-negative and finite, got nan"),
+     (lambda: gibbs_tail_mass(6, math.inf), "nbar (mean occupation) must be non-negative and finite, got inf"),
+     (lambda: gibbs_tail_mass(6, -0.5), "nbar (mean occupation) must be non-negative and finite, got -0.5"),
+     (lambda: gibbs_tail_mass(math.nan, 0.5), "n_max must be finite, got nan"),
+     (lambda: thermal_state(4, math.nan), "nbar (mean occupation) must be non-negative and finite, got nan"),
+     (lambda: thermal_fidelity(nan_entry(thermal_state(4, 0.5)), 0.5), "rho_mode (single-mode state) has a non-finite"),
+     (lambda: thermal_fidelity(thermal_state(4, 0.5), math.nan), "nbar (mean occupation) must be non-negative"),
+     (lambda: g2_zero(nan_entry(thermal_state(4, 0.5))), "rho_mode (single-mode state) has a non-finite")],
+    ids=["tail-nan", "tail-inf", "tail-negative", "tail-nan-n_max", "thermal-nan", "fidelity-nan-state",
+         "fidelity-nan-nbar", "g2-nan-state"],
+)
+def test_scalar_helpers_reject_a_non_finite_argument_by_name(call, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        call()
+
+
+def test_a_density_matrix_with_a_non_finite_entry_cannot_reach_a_current():
+    system = system_for(nbar_left=0.01)
+    rho = steady_rho(system, SMALL)
+    ((weight, sign, state),) = rho.sectors
+    with pytest.raises(ValueError, match="atomic sector 1.0 has a non-finite weight or entry"):
+        replace(rho, sectors=((weight, sign, nan_entry(state)),))
+    with pytest.raises(ValueError, match="non-finite weight or entry"):
+        replace(rho, sectors=((math.inf, sign, state),))
+    # the state itself still gives finite currents
+    assert math.isfinite(oracle_currents(system, rho).i_left)
+
+
 # --- per-sector state against the full atom (x) field space ---------------------
 
 
@@ -375,6 +415,29 @@ BLOCK_CASES = {
 }
 
 
+@pytest.mark.parametrize("size", [47, 48, 49, 97, 289])
+def test_block_recursive_inverse_matches_the_lapack_inverse(size):
+    # 48 is the leaf: 47 and 48 are one LAPACK call, 49 and up split. The
+    # splits do not pivot, so the shift keeps every leading block well
+    # conditioned; then the recursion must agree to rounding.
+    rng = np.random.default_rng(size)
+    mat = rng.normal(size=(size, size)) + 2.0 * math.sqrt(size) * np.eye(size)
+    expected = np.linalg.inv(mat)
+    assert np.linalg.norm(_inverse(mat) - expected) <= 1e-12 * np.linalg.norm(expected)
+
+
+def test_refinement_restores_the_digits_the_unpivoted_splits_lose(monkeypatch):
+    # a hop of J ~ 1e5 Gamma: the Schur complements of the split inverses at
+    # n_max 8 (blocks of 49 to 81 entries) cancel most of their terms
+    system = system_for(omega_right=1.545, coupling=8.72, gamma_left=1.19e-4, gamma_right=2.5e-4,
+                        nbar_left=3.62, nbar_right=0.856, atom=False)
+    cfg = FockConfig(n_max=8, tail_bound=1.0)
+    assert steady_rho(system, cfg).residual <= 1e-14
+    # without the correction the same solve is still steady, to far fewer digits
+    monkeypatch.setattr(fockspace, "_block_residual", lambda hamiltonians, structure, ys: [0.0 * y for y in ys])
+    assert 1e-13 < steady_rho(system, cfg).residual <= 1e-10
+
+
 def test_excitation_blocks_partition_the_kets():
     levels = 5
     blocks = _excitation_blocks(levels)
@@ -416,9 +479,9 @@ def test_carried_residual_is_the_full_generator_residual(sigma_z):
 def test_negative_eigenvalue_in_one_excitation_block_is_rejected(monkeypatch):
     solve = fockspace._block_steady_state
 
-    def with_negative_block(h, channels, blocks):
-        rho = solve(h, channels, blocks)
-        kets = np.ix_(blocks[3], blocks[3])
+    def with_negative_block(h, structure):
+        rho = solve(h, structure)
+        kets = np.ix_(structure.blocks[3], structure.blocks[3])
         values, vectors = np.linalg.eigh(rho[kets])
         # move weight from the smallest to the largest eigenvector: Hermitian, trace kept
         shift = values[0] + 1e-6
@@ -432,7 +495,7 @@ def test_negative_eigenvalue_in_one_excitation_block_is_rejected(monkeypatch):
 
 
 def test_non_finite_elimination_is_rejected(monkeypatch):
-    monkeypatch.setattr(np.linalg, "solve", lambda a, b: np.full(np.shape(b), np.nan))
+    monkeypatch.setattr(np.linalg, "inv", lambda a: np.full(np.shape(a), np.nan))
     with pytest.raises(SolverError, match="no unique steady state"):
         steady_rho(system_for(), SMALL)
 

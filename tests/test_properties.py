@@ -22,6 +22,7 @@ from cavityheat.model import (  # noqa: E402
 from cavityheat.moments import steady_state, sweep_currents  # noqa: E402
 
 from block_reference import block_matrix  # noqa: E402
+from fock_reference import sector_state  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None, database=None)
 
@@ -244,3 +245,31 @@ def test_oracle_currents_balance(system, n_max):
     scale = (system.left.rate * system.omega_left * (system.left.mean_occupation + 1.0)
              + system.right.rate * system.omega_right * (system.right.mean_occupation + 1.0))
     assert abs(report.i_left + report.i_right) <= 1e-12 * scale
+
+
+@st.composite
+def hot_pairs(draw):
+    rate = st.floats(-4.0, 1.0).map(lambda exponent: 10.0**exponent)
+    has_atom = draw(st.booleans())
+    return TwoCavitySystem(
+        omega_left=1.0,
+        omega_right=draw(st.floats(0.5, 3.0)),
+        coupling=draw(st.floats(0.0, 10.0)),
+        left=ReservoirSpec(draw(rate), draw(st.floats(0.0, 3.0))),
+        right=ReservoirSpec(draw(rate), draw(st.floats(0.0, 3.0))),
+        atom=AtomSpec(draw(st.floats(0.0, 2.0)), draw(st.floats(-1.0, 1.0))) if has_atom else None,
+    )
+
+
+# Hot reservoirs cut at a few levels (tail_bound 1) with rates over five
+# decades: here Schur blocks of the elimination are far from definite. At
+# n_max 6 the largest block (49 entries) also passes one split of the
+# block-recursive inverse; below it every block is a pivoted leaf.
+@settings(PROPERTY, max_examples=30)
+@given(hot_pairs(), st.integers(1, 6))
+@example(TwoCavitySystem(omega_left=1.0, omega_right=2.55, coupling=0.0133,
+                         left=ReservoirSpec(5.78, 0.0061), right=ReservoirSpec(2.0e-4, 2.80)), 6)
+def test_oracle_state_is_the_full_generator_solve_with_hot_reservoirs(system, n_max):
+    rho = steady_rho(system, FockConfig(n_max=n_max, tail_bound=1.0))
+    for _, sign, state in rho.sectors:
+        assert np.max(np.abs(state - sector_state(system, sign, n_max))) <= 1e-10
