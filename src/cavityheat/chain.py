@@ -85,7 +85,7 @@ class MomentMatrix:
     state it completely. ``field_block`` F holds the field moments
     <a_j+ a_k> (site occupations on its diagonal); ``sz_block`` S holds the
     sz-weighted moments <a_j+ a_k sz>. A ValueError is raised unless both are
-    square arrays of one shape.
+    finite square arrays of one shape; each is held as a read-only view.
     """
 
     field_block: np.ndarray  # F, N x N complex
@@ -101,6 +101,12 @@ class MomentMatrix:
         if len(shape) != 2 or shape[0] != shape[1] or np.shape(self.sz_block) != shape:
             raise ValueError(f"moment blocks must be square arrays of one shape "
                              f"(got {shape} and {np.shape(self.sz_block)})")
+        for name in ("field_block", "sz_block"):
+            block = np.asarray(getattr(self, name)).view()
+            if not np.isfinite(block).all():
+                raise ValueError(f"moment block {name} has a non-finite entry")
+            block.flags.writeable = False
+            object.__setattr__(self, name, block)
 
     @property
     def n_sites(self) -> int:
@@ -303,7 +309,7 @@ def _currents(stack: Union[PairGrid, ArraySystem], sites: _Sites, f: np.ndarray,
     coherence = 0.5 * sites.h[:, ends, bonded] * (f[:, ends, bonded] + f[:, bonded, ends]).real
     current = sites.rates * (occupation - coherence)
     imbalance = np.abs(current.sum(axis=1))
-    unbalanced = np.flatnonzero(imbalance > 1e-10 * np.maximum(np.abs(current[:, 0]), omega[:, 0] ** 2))
+    unbalanced = np.flatnonzero(~(imbalance <= 1e-10 * np.maximum(np.abs(current[:, 0]), omega[:, 0] ** 2)))
     if unbalanced.size:
         warnings.warn(
             f"boundary currents do not balance (|I_L + I_R| = {imbalance[unbalanced[0]]:.3e} for system "

@@ -61,32 +61,50 @@ COLUMNS = (
     "residual",
 )
 
-_KNOWN_KEYS = {
-    "omega_left",
-    "omega_right",
-    "omega",
-    "coupling",
-    "atom",
-    "chi",
-    "sigma_z",
-    "gamma_left",
-    "gamma_right",
-    "nbar_left",
-    "nbar_right",
-    "temp_left",
-    "temp_right",
-    "sweep_start",
-    "sweep_stop",
-    "sweep_step",
-    "n_sites",
-    "n_start",
-    "n_stop",
-    "alpha_values",
-    "fock_n_max",
-    "fock_tail_bound",
-    "fock_max_dim",
-    "tol_closedform_moments",
-    "tol_moments_fock",
+
+def _parse_bool(text: str) -> bool:
+    lowered = text.strip().lower()
+    if lowered in ("true", "1", "yes"):
+        return True
+    if lowered in ("false", "0", "no"):
+        return False
+    raise ValueError(text)
+
+
+def _parse_numbers(text: str) -> list[float]:
+    return [float(part) for part in text.split(",") if part.strip()]
+
+
+_NUMBER = (float, "a number")
+_INTEGER = (int, "an integer")
+
+# every config key, with its parser and the valid value its error names
+_KEYS = {
+    "omega_left": _NUMBER,
+    "omega_right": _NUMBER,
+    "omega": _NUMBER,
+    "coupling": _NUMBER,
+    "atom": (_parse_bool, "true/false"),
+    "chi": _NUMBER,
+    "sigma_z": _NUMBER,
+    "gamma_left": _NUMBER,
+    "gamma_right": _NUMBER,
+    "nbar_left": _NUMBER,
+    "temp_left": _NUMBER,
+    "nbar_right": _NUMBER,
+    "temp_right": _NUMBER,
+    "sweep_start": _NUMBER,
+    "sweep_stop": _NUMBER,
+    "sweep_step": _NUMBER,
+    "n_sites": _INTEGER,
+    "n_start": _INTEGER,
+    "n_stop": _INTEGER,
+    "alpha_values": (_parse_numbers, "a comma-separated number list"),
+    "fock_n_max": _INTEGER,
+    "fock_tail_bound": _NUMBER,
+    "fock_max_dim": _INTEGER,
+    "tol_closedform_moments": _NUMBER,
+    "tol_moments_fock": _NUMBER,
 }
 
 
@@ -147,52 +165,32 @@ class CrosscheckReport:
 
 
 class _Params:
-    """Typed access to the flat key/value config with collected errors."""
+    """The flat key/value config, every key given parsed once, against ``_KEYS``.
+
+    Unknown keys, then malformed values, are collected in ``errors`` when it
+    is built; a malformed key reads as absent but does not count as missing.
+    """
 
     def __init__(self, raw: dict[str, str]):
-        self.raw = dict(raw)
-        self.errors: list[str] = []
-        unknown = sorted(set(raw) - _KNOWN_KEYS)
-        for key in unknown:
-            self.errors.append(f"config: unknown key {key!r}")
+        self.errors = [f"config: unknown key {key!r}" for key in sorted(set(raw) - set(_KEYS))]
+        self.values: dict[str, object] = {}  # a malformed value is held as None
+        for key, (parse, kind) in _KEYS.items():
+            if key in raw:
+                try:
+                    self.values[key] = parse(raw[key])
+                except ValueError:
+                    self.values[key] = None
+                    self.errors.append(f"config: key {key!r} expects {kind}, got {raw[key]!r}")
 
-    def _convert(self, key, caster, default, required, kind):
-        text = self.raw.get(key)
-        if text is None:
-            if required:
-                self.errors.append(f"config: missing required key {key!r}")
-            return default
-        try:
-            return caster(text)
-        except ValueError:
-            self.errors.append(f"config: key {key!r} expects {kind}, got {text!r}")
-            return default
-
-    def float_(self, key, default=None, required=False):
-        return self._convert(key, float, default, required, "a number")
-
-    def int_(self, key, default=None, required=False):
-        return self._convert(key, int, default, required, "an integer")
-
-    def bool_(self, key, default=None, required=False):
-        def cast(text):
-            lowered = text.strip().lower()
-            if lowered in ("true", "1", "yes"):
-                return True
-            if lowered in ("false", "0", "no"):
-                return False
-            raise ValueError(text)
-
-        return self._convert(key, cast, default, required, "true/false")
-
-    def float_list(self, key, default):
-        def cast(text):
-            return [float(part) for part in text.split(",") if part.strip()]
-
-        return self._convert(key, cast, default, False, "a comma-separated number list")
+    def get(self, key, default=None, required=False):
+        """The parsed value of a key, or ``default`` when it is absent or malformed."""
+        if required and key not in self.values:
+            self.errors.append(f"config: missing required key {key!r}")
+        value = self.values.get(key)
+        return default if value is None else value
 
     def has(self, key) -> bool:
-        return key in self.raw
+        return key in self.values
 
     def finish(self):
         if self.errors:
@@ -218,40 +216,39 @@ def parse_config_file(path: Path) -> dict[str, str]:
 
 
 def _reservoir(p: _Params, side: str, frequency: float) -> ReservoirSpec:
-    rate = p.float_(f"gamma_{side}", required=True)
+    rate = p.get(f"gamma_{side}", required=True)
     has_nbar = p.has(f"nbar_{side}")
     has_temp = p.has(f"temp_{side}")
     if has_nbar and has_temp:
         p.errors.append(f"config: give either nbar_{side} or temp_{side}, not both")
     occupation = 0.0
     if has_temp:
-        temp = p.float_(f"temp_{side}")
-        if temp is not None and not (math.isfinite(temp) and temp >= 0):
-            p.errors.append(f"config: temp_{side} must be finite and non-negative, got {temp}")
-        elif temp is not None and 0 < frequency < math.inf:
+        temp = p.get(f"temp_{side}")
+        if temp is not None and 0 < frequency < math.inf:
             try:
                 occupation = bose_occupation(frequency, temp)
             except ValueError as exc:
                 p.errors.append(f"config: temp_{side}: {exc}")
     else:
-        occupation = p.float_(f"nbar_{side}", default=0.0)
+        occupation = p.get(f"nbar_{side}", default=0.0)
     return ReservoirSpec(rate=rate, mean_occupation=occupation)
 
 
 def _atom(p: _Params) -> AtomSpec | None:
-    present = p.bool_("atom", default=p.has("chi") or p.has("sigma_z"))
+    present = p.get("atom", default=p.has("chi") or p.has("sigma_z"))
     if not present:
         return None
-    return AtomSpec(dispersive_strength=p.float_("chi", required=True), sigma_z=p.float_("sigma_z", required=True))
+    return AtomSpec(dispersive_strength=p.get("chi", required=True), sigma_z=p.get("sigma_z", required=True))
 
 
 def _two_cavity(p: _Params) -> TwoCavitySystem:
     """The pair of the config. A system checks itself when it is built, so the
-    config errors collected so far are raised first: read every other key
-    before this call."""
-    omega_left = p.float_("omega_left", default=1.0)
-    omega_right = p.float_("omega_right", default=omega_left)
-    coupling = p.float_("coupling", required=True)
+    config errors collected so far are raised first. Malformed values are all
+    collected when the config is parsed, but a missing key or a domain error is
+    found only when its key is read: read every other key before this call."""
+    omega_left = p.get("omega_left", default=1.0)
+    omega_right = p.get("omega_right", default=omega_left)
+    coupling = p.get("coupling", required=True)
     left, right = _reservoir(p, "left", omega_left), _reservoir(p, "right", omega_right)
     atom = _atom(p)
     p.finish()
@@ -259,23 +256,24 @@ def _two_cavity(p: _Params) -> TwoCavitySystem:
 
 
 def _array(p: _Params, n_sites: int | None = None) -> ArraySystem:
-    """The chain of the config, built after the config errors are raised, as in ``_two_cavity``."""
-    omega = p.float_("omega", default=1.0)
+    """The chain of the config, built after the config errors are raised; as in
+    ``_two_cavity``, read every other key before this call."""
+    omega = p.get("omega", default=1.0)
     if n_sites is None:
-        n_sites = p.int_("n_sites", required=True)
+        n_sites = p.get("n_sites", required=True)
     atom = _atom(p)
     if atom is not None:
         atom = replace(atom, host_index=n_sites)
-    coupling = p.float_("coupling", required=True)
+    coupling = p.get("coupling", required=True)
     left, right = _reservoir(p, "left", omega), _reservoir(p, "right", omega)
     p.finish()
     return ArraySystem(n_sites, omega, coupling, left, right, atom)
 
 
 def _sweep_values(p: _Params) -> np.ndarray:
-    start = p.float_("sweep_start", required=True)
-    stop = p.float_("sweep_stop", required=True)
-    step = p.float_("sweep_step", required=True)
+    start = p.get("sweep_start", required=True)
+    stop = p.get("sweep_stop", required=True)
+    step = p.get("sweep_step", required=True)
     if None in (start, stop, step):
         return np.array([])
     if not (math.isfinite(start) and math.isfinite(stop)):
@@ -341,8 +339,8 @@ def _moment_sweep(grid: PairGrid, name: str, values) -> tuple[closedform.Current
 def _gamma_sweep(spec: SweepSpec) -> Rows:
     p = _Params(spec.params)
     # both rates are swept, so the base values are placeholders
-    p.raw.setdefault("gamma_left", "1.0")
-    p.raw.setdefault("gamma_right", "1.0")
+    p.values.setdefault("gamma_left", 1.0)
+    p.values.setdefault("gamma_right", 1.0)
     values = _sweep_values(p)
     base = _two_cavity(p)
     report, residual = _moment_sweep(PairGrid.sweep(base, left_rate=values, right_rate=values), "gamma", values)
@@ -381,8 +379,8 @@ def _rectification_sweep(spec: SweepSpec) -> Rows:
 
 def _size_scan(spec: SweepSpec) -> Rows:
     p = _Params(spec.params)
-    n_start = p.int_("n_start", default=2)
-    n_stop = p.int_("n_stop", required=True)
+    n_start = p.get("n_start", default=2)
+    n_stop = p.get("n_stop", required=True)
     if n_stop is not None and n_stop < n_start:
         p.errors.append(f"config: n_stop must be at least n_start (got {n_start}..{n_stop})")
     template = _array(p, n_sites=n_start)
@@ -422,7 +420,7 @@ def _profile(spec: SweepSpec) -> Rows:
 
 def _regime_table(spec: SweepSpec) -> Rows:
     p = _Params(spec.params)
-    alphas = p.float_list("alpha_values", default=[0.5, 1.0, 2.0])
+    alphas = p.get("alpha_values", default=[0.5, 1.0, 2.0])
     base = _two_cavity(p)
     if base.atom is None:
         raise ValidationError(["config: the regime table needs an atom (set chi and sigma_z)"])
@@ -459,12 +457,12 @@ def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, Rows]:
     p = _Params(spec.params)
     default = fockspace.FockConfig()
     cfg = fockspace.FockConfig(
-        n_max=p.int_("fock_n_max", default=default.n_max),
-        tail_bound=p.float_("fock_tail_bound", default=default.tail_bound),
-        max_vectorized_dim=p.int_("fock_max_dim", default=default.max_vectorized_dim),
+        n_max=p.get("fock_n_max", default=default.n_max),
+        tail_bound=p.get("fock_tail_bound", default=default.tail_bound),
+        max_vectorized_dim=p.get("fock_max_dim", default=default.max_vectorized_dim),
     )
-    tol_cm = p.float_("tol_closedform_moments", default=1e-10)
-    tol_mf = p.float_("tol_moments_fock", default=1e-6)
+    tol_cm = p.get("tol_closedform_moments", default=1e-10)
+    tol_mf = p.get("tol_moments_fock", default=1e-6)
     for key, tol in (("tol_closedform_moments", tol_cm), ("tol_moments_fock", tol_mf)):
         if not (math.isfinite(tol) and tol >= 0):
             p.errors.append(f"config: {key} must be finite and non-negative, got {tol}")

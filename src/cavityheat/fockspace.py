@@ -91,7 +91,8 @@ class DensityMatrix:
     sector and its two-mode field state, as ``model.atomic_sectors`` orders
     them; without an atom it is the single entry (1.0, 0.0, rho).
     ``residual`` is the norm of the full Lindblad right-hand side on the
-    state, combined over atomic sectors.
+    state, combined over atomic sectors. Each field state is checked finite
+    and held as a read-only view.
     """
 
     sectors: tuple[tuple[float, float, np.ndarray], ...]
@@ -99,9 +100,14 @@ class DensityMatrix:
     residual: float = 0.0
 
     def __post_init__(self):
+        sectors = []
         for weight, sign, rho in self.sectors:
+            rho = np.asarray(rho).view()
             if not (math.isfinite(weight) and math.isfinite(sign) and np.all(np.isfinite(rho))):
                 raise ValueError(f"density matrix: the atomic sector {sign} has a non-finite weight or entry")
+            rho.flags.writeable = False
+            sectors.append((weight, sign, rho))
+        object.__setattr__(self, "sectors", tuple(sectors))
 
     @property
     def trace(self) -> float:

@@ -32,7 +32,7 @@ import numpy as np
 from . import chain
 from .chain import MomentMatrix
 from .closedform import CurrentReport
-from .model import PairGrid, TwoCavitySystem
+from .model import PairGrid, SolverError, TwoCavitySystem
 
 __all__ = [
     "MomentTrajectory",
@@ -96,7 +96,8 @@ def evolve(
     a ValueError is raised for an ``initial`` matrix of another size or
     sigma_z. The step count is t_final/dt rounded to the nearest integer, so
     the trajectory ends at that multiple of dt. The conserved sigma_z is
-    carried through unchanged.
+    carried through unchanged. A SolverError is raised when a step leaves the
+    finite range.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
@@ -119,10 +120,14 @@ def evolve(
     out = np.empty((n_steps + 1,) + y.shape, dtype=complex)
     out[0] = y
     for i in range(n_steps):
-        k1 = chain._motion(sites, *y)
-        k2 = chain._motion(sites, *(y + 0.5 * dt * k1))
-        k3 = chain._motion(sites, *(y + 0.5 * dt * k2))
-        k4 = chain._motion(sites, *(y + dt * k3))
-        y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # an overflow is caught below, the same whether or not numpy warnings are errors
+        with np.errstate(over="ignore", invalid="ignore"):
+            k1 = chain._motion(sites, *y)
+            k2 = chain._motion(sites, *(y + 0.5 * dt * k1))
+            k3 = chain._motion(sites, *(y + 0.5 * dt * k2))
+            k4 = chain._motion(sites, *(y + dt * k3))
+            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        if not np.isfinite(y).all():
+            raise SolverError(f"moment evolution left the finite range at step {i + 1} (t = {dt * (i + 1):.6g})")
         out[i + 1] = y
     return MomentTrajectory(dt * np.arange(n_steps + 1), out[:, 0, 0], out[:, 1, 0], initial.sigma_z)

@@ -89,6 +89,36 @@ def test_moment_matrix_rejects_blocks_that_are_not_square_or_of_one_shape(shapes
         MomentMatrix(field, sz)
 
 
+@pytest.mark.parametrize("block", ["field_block", "sz_block"])
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_moment_matrix_rejects_a_non_finite_block_by_name(block, value):
+    g = steady_state_matrix(chain_system(4, chi=0.1, host=4, sigma_z=0.3))
+    edited = getattr(g, block).copy()
+    edited[1, 1] = value
+    with pytest.raises(ValueError, match=f"moment block {block} has a non-finite entry"):
+        replace(g, **{block: edited})
+
+
+def test_moment_matrix_holds_its_blocks_as_read_only_views():
+    field, sz = np.eye(3, dtype=complex), np.zeros((3, 3), dtype=complex)
+    g = MomentMatrix(field, sz)
+    assert np.shares_memory(g.field_block, field) and np.shares_memory(g.sz_block, sz)
+    for block in (g.field_block, g.sz_block):
+        with pytest.raises(ValueError, match="read-only"):
+            block[0, 0] = np.nan
+
+
+def test_a_nan_current_is_reported_as_unbalanced():
+    # _currents is the one formula behind every boundary current; a NaN moment must not pass its balance check
+    system = chain_system(4, chi=0.1, host=4, sigma_z=0.3)
+    g = steady_state_matrix(system)
+    field = g.field_block.copy()
+    field[0, 0] = np.nan
+    with pytest.warns(UserWarning, match="not a steady state"):
+        report = chain._currents(system, chain._sites(system), field[None], g.sz_block[None])
+    assert np.isnan(report.i_left).all()
+
+
 def test_steady_matrix_carries_its_residual():
     system = chain_system(6, chi=0.1, host=3, sigma_z=0.2)
     g = steady_state_matrix(system)
@@ -254,7 +284,9 @@ def test_boundary_currents_balance():
 def test_non_steady_chain_state_warns():
     system = chain_system(5, chi=0.1, host=5, sigma_z=0.3)
     g = steady_state_matrix(system)
-    g.field_block[0, 0] += 0.1
+    field = g.field_block.copy()
+    field[0, 0] += 0.1
+    g = replace(g, field_block=field)
     with pytest.warns(UserWarning, match="not a steady state"):
         boundary_currents(system, g)
 

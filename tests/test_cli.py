@@ -1,6 +1,8 @@
+import ast
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -246,7 +248,7 @@ def test_exit_validation_on_bad_config(tmp_path):
 
 @pytest.mark.parametrize("value", ["abc", "0"], ids=["malformed", "zero"])
 def test_profile_reports_a_bad_size_once(tmp_path, capsys, value):
-    # the atom is re-hosted at site n_sites, so the key is read for the atom too
+    # the atom is re-hosted at site n_sites, so the size reaches both the atom and the chain
     argv = ["run", "--experiment", "profile", "--out", str(tmp_path / "x.csv")]
     for key, item in dict(FIG2, n_sites=value).items():
         argv += ["--set", f"{key}={item}"]
@@ -256,6 +258,50 @@ def test_profile_reports_a_bad_size_once(tmp_path, capsys, value):
                 else "error: n_sites: need at least 2 cavities (got 0)")
     assert lines.count(expected) == 1
     assert not (tmp_path / "x.csv").exists()
+
+
+def test_a_malformed_key_the_experiment_does_not_read_is_an_error(tmp_path, capsys):
+    assert run_main("gamma_sweep", tmp_path, dict(SWEEP, n_sites="abc")) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == ["error: config: key 'n_sites' expects an integer, got 'abc'"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_config_errors_come_unknown_then_malformed_then_missing(tmp_path, capsys):
+    params = {key: value for key, value in dict(SWEEP, coupling="abc", typo="1").items() if key != "sweep_step"}
+    assert run_main("gamma_sweep", tmp_path, params) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config: unknown key 'typo'",
+        "error: config: key 'coupling' expects a number, got 'abc'",
+        "error: config: missing required key 'sweep_step'",
+    ]
+
+
+def _keys_read_in_cli() -> set[str]:
+    """Every key ``cli`` reads through ``p.get`` or ``p.has``; an f-string key
+    is expanded over both sides."""
+    keys = set()
+    for node in ast.walk(ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and node.func.attr in ("get", "has") and isinstance(node.func.value, ast.Name)
+                and node.func.value.id == "p"):
+            continue
+        key = node.args[0]
+        if isinstance(key, ast.JoinedStr):
+            parts = [part.value if isinstance(part, ast.Constant) else None for part in key.values]
+            keys.update("".join(side if part is None else part for part in parts) for side in ("left", "right"))
+        else:
+            keys.add(key.value)
+    return keys
+
+
+def test_every_key_read_is_in_the_key_table_and_every_table_key_is_read():
+    assert _keys_read_in_cli() == set(cli._KEYS)
+
+
+def test_readme_lists_the_keys_of_the_key_table():
+    readme = (Path(cavityheat.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
+    listed = re.search(r"Keys:(.*?)\.\s", readme, re.DOTALL).group(1)
+    assert re.findall(r"`(\w+)`", listed) == list(cli._KEYS)
 
 
 def test_exit_io_on_unwritable_output(tmp_path):
@@ -453,6 +499,15 @@ def test_temperature_with_an_infinite_occupation_exits_with_validation_error(tmp
     assert capsys.readouterr().err.splitlines() == [
         f"error: config: temp_left: omega/temperature underflows at omega={float(omega)}, "
         f"temperature={float(temperature)}: the thermal occupation is not finite"
+    ]
+
+
+@pytest.mark.parametrize("temperature", ["nan", "inf", "-1"])
+def test_a_bad_temperature_is_reported_once(tmp_path, capsys, temperature):
+    params = {k: v for k, v in SWEEP.items() if k != "nbar_left"}
+    assert run_main("gamma_sweep", tmp_path, dict(params, temp_left=temperature)) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: temp_left: temperature must be non-negative and finite, got {float(temperature)}"
     ]
 
 

@@ -355,6 +355,8 @@ def test_a_density_matrix_with_a_non_finite_entry_cannot_reach_a_current():
         replace(rho, sectors=((weight, sign, nan_entry(state)),))
     with pytest.raises(ValueError, match="non-finite weight or entry"):
         replace(rho, sectors=((math.inf, sign, state),))
+    with pytest.raises(ValueError, match="read-only"):
+        rho.sectors[0][2][1, 1] = math.nan
     # the state itself still gives finite currents
     assert math.isfinite(oracle_currents(system, rho).i_left)
 

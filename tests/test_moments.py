@@ -7,7 +7,7 @@ import pytest
 
 from cavityheat.chain import MomentMatrix, boundary_currents, sector_covariances
 from cavityheat.closedform import current_general, steady_moments
-from cavityheat.model import AtomSpec, ReservoirSpec, TwoCavitySystem, atomic_sectors
+from cavityheat.model import AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem, atomic_sectors
 from cavityheat.moments import evolve, steady_state
 
 from block_reference import block_generators, block_matrix
@@ -176,8 +176,7 @@ def test_mixed_atom_with_detuning_equals_sector_mixture():
 def test_single_mode_relaxation_against_closed_form():
     gamma_left = 0.1
     system = system_for(coupling=0.0, chi=0.0, sigma_z=0.0, gamma_left=gamma_left, atom=False)
-    start = zero_state()
-    start.field_block[0, 0] = 2.0
+    start = replace(zero_state(), field_block=np.diag([2.0, 0.0]).astype(complex))
     dt = 1e-3 / gamma_left
     trajectory = evolve(system, start, t_final=5.0 / gamma_left, dt=dt)
     expected = 0.5 + (2.0 - 0.5) * np.exp(-gamma_left * trajectory.times)
@@ -276,10 +275,20 @@ def test_boundary_currents_balance_on_random_grid():
 
 def test_non_steady_vector_warns():
     system = system_for()
-    off = zero_state(sigma_z=1.0)
-    off.field_block[0, 0] = 0.3
+    off = replace(zero_state(sigma_z=1.0), field_block=np.diag([0.3, 0.0]).astype(complex))
     with pytest.warns(UserWarning, match="not a steady state"):
         boundary_currents(system, off)
+
+
+@pytest.mark.parametrize("action", ["error", "ignore"])
+def test_evolve_raises_when_a_step_leaves_the_finite_range(action):
+    # far past the stability limit of the fixed step, each step multiplies the state by ~1e6
+    system = system_for()
+    with warnings.catch_warnings():
+        warnings.simplefilter(action)
+        warnings.filterwarnings("ignore", message="dt \\* max", category=UserWarning)
+        with pytest.raises(SolverError, match="left the finite range at step 49"):
+            evolve(system, zero_state(sigma_z=system.sigma_z), t_final=1e5, dt=1e3)
 
 
 def test_steady_vector_does_not_warn():
