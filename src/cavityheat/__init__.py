@@ -37,7 +37,6 @@ from .closedform import (
     current_general,
     current_pm,
     current_resonant_with_atom,
-    forward_reverse_currents,
     peak_rate,
     rectification,
     steady_moments,
@@ -83,7 +82,6 @@ __all__ = [
     "current_general",
     "current_pm",
     "current_resonant_with_atom",
-    "forward_reverse_currents",
     "peak_rate",
     "rectification",
     "steady_moments",

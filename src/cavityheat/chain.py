@@ -360,12 +360,14 @@ def ballistic_current(system: ArraySystem) -> float:
 def size_scan(template: ArraySystem, n_values: Iterable[int] | Sequence[int]) -> list[SizeScanPoint]:
     """Solve the chain for each size and report the current against the
     atom-free baseline; the atom is re-pinned to the final cavity of each chain.
+    Each chain is checked when it is built, so a size that is not an integer
+    of at least 2 raises ValidationError.
     """
     baseline = ballistic_current(replace(template, atom=None))
     points = []
     for n in n_values:
         atom = None if template.atom is None else replace(template.atom, host_index=n)
-        system = replace(template, n_sites=int(n), atom=atom)
+        system = replace(template, n_sites=n, atom=atom)
         try:
             g = steady_state_matrix(system)
         except SolverError as exc:
@@ -373,7 +375,7 @@ def size_scan(template: ArraySystem, n_values: Iterable[int] | Sequence[int]) ->
         current = boundary_currents(system, g).i_left
         points.append(
             SizeScanPoint(
-                n_sites=int(n),
+                n_sites=n,
                 current=current,
                 ratio=current / baseline if baseline != 0 else float("nan"),
                 residual=g.residual,

@@ -371,10 +371,9 @@ def _rectification_sweep(spec: SweepSpec) -> Rows:
     base = _two_cavity(p)
     if base.atom is None or base.sigma_z != -1.0:
         raise ValidationError(["config: the rectification sweep needs an atom in its ground state (sigma_z = -1)"])
-    grid = PairGrid.sweep(base, left_rate=values)
-    forward, reverse = closedform.forward_reverse_currents(grid)
-    return Rows(len(values), experiment=spec.experiment, value=values, sigma_z=base.sigma_z, i_left=forward,
-                i_right=reverse, rectification=closedform.rectification(grid).ratio, residual=0.0)
+    result = closedform.rectification(PairGrid.sweep(base, left_rate=values))
+    return Rows(len(values), experiment=spec.experiment, value=values, sigma_z=base.sigma_z, i_left=result.forward,
+                i_right=result.reverse, rectification=result.ratio, residual=0.0)
 
 
 def _size_scan(spec: SweepSpec) -> Rows:
@@ -469,8 +468,8 @@ def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, Rows]:
     system = _two_cavity(p)
 
     closed = closedform.current_general(system)
-    grid_report, moment_residual = moments.sweep_currents(PairGrid.from_systems([system]))
-    moment_report = closedform.CurrentReport(*(column.item() for column in vars(grid_report).values()))
+    state = moments.steady_state(system)
+    moment_report = chain.boundary_currents(system, state)
     rho = fockspace.steady_rho(system, cfg)
     fock_report = fockspace.oracle_currents(system, rho)
 
@@ -497,7 +496,7 @@ def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, Rows]:
         experiment=spec.experiment,
         path=["closedform", "moments", "fock"],
         sigma_z=system.sigma_z if system.atom else None,
-        residual=[0.0, moment_residual[0], rho.residual],
+        residual=[0.0, state.residual, rho.residual],
         **{name: [getattr(path_report, name) for path_report in reports] for name in vars(closed)},
     )
     return report, rows

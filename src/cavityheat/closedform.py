@@ -1,5 +1,6 @@
 """Closed-form steady state of the two-cavity system: moments, currents,
-switch-regime classification, and rectification.
+switch-regime classification, and rectification (the forward and reverse
+currents and their ratio, from one call).
 
 The atomic population is conserved, so sigma_z enters every expression as a
 fixed parameter. The closed forms below are exact for sigma_z = +-1; at an
@@ -36,7 +37,6 @@ __all__ = [
     "peak_rate",
     "classify_regime",
     "current_pm",
-    "forward_reverse_currents",
     "rectification",
 ]
 
@@ -91,19 +91,18 @@ class CurrentReport:
 
 @dataclass(frozen=True)
 class RectificationResult:
-    """Forward/reverse current asymmetry -I_f/I_r; arrays for a grid.
+    """Forward and reverse currents and their asymmetry ``ratio`` = -I_f/I_r;
+    arrays for a grid.
 
-    When the reverse current vanishes exactly, ``divergent`` is set and
-    ``ratio`` is +-inf with the sign of the limit taken from the side where
+    Where the reverse current vanishes exactly, one direction is blocked and
+    ``ratio`` is +-inf, with the sign of the limit taken from the side where
     the denominator is positive; approaching from the other side flips the
     sign (the sweep rows on either side show the jump).
     """
 
+    forward: float | np.ndarray
+    reverse: float | np.ndarray
     ratio: float | np.ndarray
-    divergent: bool | np.ndarray = False
-
-    def __float__(self) -> float:
-        return self.ratio
 
 
 Pairs = Union[TwoCavitySystem, PairGrid]
@@ -274,49 +273,28 @@ def current_pm(system: TwoCavitySystem, sign: int) -> float:
     return _scalars(system, _definite_current(_points(system), float(sign))[0])[0]
 
 
-def _require_ground_state(p: PairGrid, what: str) -> None:
-    _require(p, p.atom, f"{what} requires an atom")
-    _require(p, p.sigma_z == -1.0, f"{what} takes the atom in its ground state (sigma_z = -1, got {{sigma_z}})")
+def rectification(system: Pairs) -> RectificationResult:
+    """Forward current I_f, reverse current I_r and the rectification
+    coefficient -I_f/I_r (unity means no rectification), in one evaluation.
 
-
-def _rectification_terms(p: PairGrid) -> tuple[np.ndarray, np.ndarray]:
-    """(omega_L Gamma_R + Gamma_L (omega_R - chi), omega_L Gamma_L + Gamma_R (omega_R - chi)).
-    With the atom in its ground state, the forward current is the first
-    times one factor and the reverse current minus the second times it."""
-    gl, gr = p.left_rate, p.right_rate
-    wl, wr, chi = p.omega_left, p.omega_right, p.chi
-    return wl * gr + gl * (wr - chi), wl * gl + gr * (wr - chi)
-
-
-def forward_reverse_currents(system: Pairs) -> tuple:
-    """Currents of the configuration and of its reservoir-swapped mirror.
-
-    The reverse current is the left-boundary current after exchanging
-    (nbar_L, Gamma_L) with (nbar_R, Gamma_R); it is negative when the forward
-    current is conventional, since the flow direction is opposite. The swap
-    leaves the hopping constant and the denominator of delta_n as they are
-    and negates delta_n exactly, so both currents come from one evaluation
-    of ``_definite_current``'s formula at sigma_z = -1.
+    I_r is the left-boundary current after exchanging (nbar_L, Gamma_L) with
+    (nbar_R, Gamma_R), negative when I_f is conventional. With the atom in
+    its ground state the swap negates delta_n exactly and turns the factor
+    f = omega_L Gamma_R + Gamma_L (omega_R - chi) of the current into
+    r = omega_L Gamma_L + Gamma_R (omega_R - chi), so the ratio is f/r.
     """
     p = _points(system)
-    _require_ground_state(p, "forward/reverse analysis")
+    _require(p, p.atom, "rectification requires an atom")
+    _require(p, p.sigma_z == -1.0, "rectification takes the atom in its ground state (sigma_z = -1, got {sigma_z})")
+    gl, gr = p.left_rate, p.right_rate
+    wl, wr, chi = p.omega_left, p.omega_right, p.chi
+    f, r = wl * gr + gl * (wr - chi), wl * gl + gr * (wr - chi)
     _, _, delta_n, _ = _definite_moments(p, -1.0)
     scale = p.coupling**2 * delta_n
-    lorentzian = (p.detuning - p.chi) ** 2 + p.gamma**2
+    lorentzian = (p.detuning - chi) ** 2 + p.gamma**2
     denominator = _lorentzian_denominator(p)
-    forward, reverse = _rectification_terms(p)
-    return _scalars(system, scale * (forward * lorentzian) / denominator,
-                    -scale * (reverse * lorentzian) / denominator)
-
-
-def rectification(system: Pairs) -> RectificationResult:
-    """Rectification coefficient -I_f/I_r; unity means no rectification."""
-    p = _points(system)
-    _require_ground_state(p, "rectification")
-    num, den = _rectification_terms(p)
-    # where den == 0 one direction is fully blocked; report the limit from
-    # the positive-denominator side
-    divergent = den == 0.0
+    # r == 0 blocks one direction: report the limit from the side where r > 0
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(divergent, np.copysign(np.inf, num), num / den)
-    return RectificationResult(*_scalars(system, ratio, divergent))
+        ratio = np.where(r == 0.0, np.copysign(np.inf, f), f / r)
+    return RectificationResult(*_scalars(system, scale * (f * lorentzian) / denominator,
+                                         -scale * (r * lorentzian) / denominator, ratio))

@@ -35,14 +35,13 @@ the solved blocks.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .closedform import CurrentReport, _classification
-from .model import SolverError, TwoCavitySystem, ValidationError, atomic_sectors
+from .model import SolverError, TwoCavitySystem, ValidationError, _is_integer, atomic_sectors
 
 __all__ = [
     "FockConfig",
@@ -159,7 +158,7 @@ def thermal_state(n_levels: int, nbar: float) -> np.ndarray:
 
 def _check_config(system: TwoCavitySystem, cfg: FockConfig) -> None:
     n_max = cfg.n_max
-    if isinstance(n_max, bool) or not isinstance(n_max, numbers.Integral) or n_max < 1:
+    if not _is_integer(n_max) or n_max < 1:
         raise ValidationError([f"fock: n_max must be an integer of at least 1, got {n_max!r}"])
     hot = max(system.left.mean_occupation, system.right.mean_occupation)
     tail = gibbs_tail_mass(n_max, hot)
@@ -517,11 +516,13 @@ def converged_steady_rho(
 
     Returns the converged state and the configuration that produced it.
     Raises ValueError, before the first solve, unless ``occupation_tol`` is
-    positive and finite and ``step`` at least 1, and SolverError when the
-    dimension guard is hit before convergence.
+    positive and finite and ``step`` an integer of at least 1, and
+    SolverError when the dimension guard is hit before convergence.
     """
     if not 0.0 < occupation_tol < math.inf:
         raise ValueError(f"occupation_tol must be positive and finite, got {occupation_tol}")
+    if not _is_integer(step):
+        raise ValueError(f"step must be an integer, got {step!r}")
     if not step >= 1:
         raise ValueError(f"step must be at least 1, got {step}")
     cfg = cfg or FockConfig()

@@ -20,6 +20,7 @@ checked by the same rules in one vectorised pass when it is built.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Sequence, Union
 
@@ -173,7 +174,7 @@ class ArraySystem:
 class PairGrid:
     """Cavity pairs at the M points of a parameter grid, one float64 array of
     shape (M,) per field; ``atom`` marks the points whose right cavity hosts
-    an atom (chi and sigma_z are 0 where it does not).
+    an atom (chi and sigma_z must be 0 where it does not).
 
     Valid by construction, like ``TwoCavitySystem``: the fields are checked
     in one vectorised pass when the grid is built, by the rules of
@@ -248,7 +249,12 @@ class PairGrid:
 def sector_weights(sigma_z: np.ndarray, atom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(p, s) of the two atomic sectors of each point, as (M, 2) arrays: the
     weights p = (1 + s sigma_z)/2 of s = +1, then s = -1, where ``atom`` is
-    set; (1, 0) and (0, 0), one atom-free sector, where it is not."""
+    set; (1, 0) and (0, 0), one atom-free sector, where it is not. A
+    ValueError names the first sigma_z outside [-1, 1] (NaN included) at a
+    point with an atom."""
+    bad = np.flatnonzero(atom & ~_unit_interval(sigma_z))
+    if bad.size:
+        raise ValueError(f"sigma_z of point {bad[0]}, which has an atom, must lie in [-1, 1] (got {sigma_z[bad[0]]})")
     atom = atom[:, None]
     sign = np.where(atom, [1.0, -1.0], 0.0)
     weight = np.where(atom, 0.5 * (1.0 + sign * sigma_z[:, None]), [1.0, 0.0])
@@ -283,6 +289,14 @@ def _non_negative(value):
     return value >= 0
 
 
+def _is_integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def _zero(value):
+    return value == 0
+
+
 def _unit_interval(value):
     return (-1.0 <= value) & (value <= 1.0)
 
@@ -309,6 +323,11 @@ _CHAIN_RULES = (
 _ATOM_RULES = (
     ("atom: dispersive strength", "chi", _non_negative, "must be non-negative"),
     ("atom: sigma_z expectation", "sigma_z", _unit_interval, "must lie in [-1, 1]"),
+)
+# a grid point without an atom holds chi = sigma_z = 0, as a pair without one reads them
+_ATOM_FREE_RULES = (
+    ("no atom: dispersive strength", "chi", _zero, "must be 0"),
+    ("no atom: sigma_z expectation", "sigma_z", _zero, "must be 0"),
 )
 
 
@@ -346,7 +365,7 @@ def _grid_errors(grid: PairGrid) -> list[str]:
     """The messages of ``validation_errors`` for the first point of a grid that
     breaks a rule; empty when every point is valid."""
     bad = np.zeros(len(grid), dtype=bool)
-    for rules, where in ((_PAIR_RULES, True), (_ATOM_RULES, grid.atom)):
+    for rules, where in ((_PAIR_RULES, True), (_ATOM_RULES, grid.atom), (_ATOM_FREE_RULES, ~grid.atom)):
         for _, field, ok, _ in rules:
             value = getattr(grid, field)
             bad |= where & ~(np.isfinite(value) & ok(value))
@@ -354,7 +373,7 @@ def _grid_errors(grid: PairGrid) -> list[str]:
         return []
     k = int(np.argmax(bad))
     values = {field: getattr(grid, field)[k].item() for field in grid.__dataclass_fields__}
-    return _rule_errors(_PAIR_RULES + (_ATOM_RULES if grid.atom[k] else ()), values)
+    return _rule_errors(_PAIR_RULES + (_ATOM_RULES if grid.atom[k] else _ATOM_FREE_RULES), values)
 
 
 def validation_errors(system: Union[TwoCavitySystem, ArraySystem]) -> list[str]:
@@ -372,7 +391,9 @@ def validation_errors(system: Union[TwoCavitySystem, ArraySystem]) -> list[str]:
             if system.atom.host_index != 2:
                 errs.append("atom: the two-cavity system hosts the atom in the right cavity (index 2)")
     elif isinstance(system, ArraySystem):
-        if system.n_sites < 2:
+        if not _is_integer(system.n_sites):
+            errs.append(f"n_sites: must be an integer (got {system.n_sites})")
+        elif system.n_sites < 2:
             errs.append(f"n_sites: need at least 2 cavities (got {system.n_sites})")
         values = _values(system)
         errs += _rule_errors(_CHAIN_RULES, values)

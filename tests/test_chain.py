@@ -1,4 +1,5 @@
 import itertools
+import math
 import warnings
 from dataclasses import replace
 
@@ -368,6 +369,12 @@ def test_size_scan_host_rules():
     interior_current = boundary_currents(interior, steady_state_matrix(interior)).i_left
     assert point.current == boundary_currents(end, steady_state_matrix(end)).i_left
     assert interior_current != pytest.approx(point.current, rel=1e-6)
+
+
+@pytest.mark.parametrize("size", [math.inf, 2.5, 1, 3.0])
+def test_size_scan_rejects_a_size_that_is_not_an_integer_of_at_least_2(size):
+    with pytest.raises(ValueError, match="n_sites"):
+        size_scan(chain_system(2, chi=0.1, host=2), [3, size])
 
 
 @pytest.mark.parametrize(

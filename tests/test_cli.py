@@ -588,6 +588,37 @@ def test_regime_table_needs_a_hotter_left_reservoir(monkeypatch, tmp_path, capsy
     assert not (tmp_path / "out.csv").exists()
 
 
+ATOM_FREE = {k: v for k, v in FIG2.items() if k not in ("chi", "sigma_z")}
+SWEEP_BOUNDS = {k: SWEEP[k] for k in ("sweep_start", "sweep_stop", "sweep_step")}
+
+
+@pytest.mark.parametrize(
+    "experiment, params, extra, message",
+    [("gamma_sweep", dict(SWEEP, atom="maybe"), [], "config: key 'atom' expects true/false, got 'maybe'"),
+     ("gamma_sweep", dict(SWEEP, sweep_start="inf"), [], "config: sweep bounds must be finite"),
+     ("chi_sweep", dict(ATOM_FREE, **SWEEP_BOUNDS), [], "config: chi sweeps need an atom (set chi and sigma_z)"),
+     ("size_scan", dict(FIG2, n_start="5", n_stop="3"), [], "config: n_stop must be at least n_start (got 5..3)"),
+     ("regime_table", ATOM_FREE, [], "config: the regime table needs an atom (set chi and sigma_z)"),
+     ("regime_table", dict(FIG2, chi="0.5", sigma_z="1"), [], "config: the regime table requires chi > omega_right"),
+     ("gamma_sweep", SWEEP, ["coupling"], "config: --set expects key=value, got 'coupling'")],
+    ids=["atom-flag", "infinite-bound", "chi-sweep-without-atom", "n-stop-below-n-start", "regime-table-without-atom",
+         "regime-table-chi-below-omega", "set-without-value"],
+)
+def test_a_config_rejection_prints_one_line_and_writes_nothing(tmp_path, capsys, experiment, params, extra, message):
+    argv = ["run", "--experiment", experiment, "--out", str(tmp_path / "out.csv")]
+    for item in [f"{key}={value}" for key, value in params.items()] + extra:
+        argv += ["--set", item]
+    assert main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_the_atom_flag_reads_yes_as_true(tmp_path):
+    assert run_main("gamma_sweep", tmp_path, dict(SWEEP, atom="yes")) == cli.EXIT_OK
+    _, rows = read_csv(tmp_path / "out.csv")
+    assert {row["sigma_z"] for row in rows} == {"1"}
+
+
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
 @pytest.mark.parametrize("key", ["tol_closedform_moments", "tol_moments_fock"])
 def test_crosscheck_rejects_a_bad_tolerance_before_solving(monkeypatch, tmp_path, capsys, key, value):
@@ -595,7 +626,7 @@ def test_crosscheck_rejects_a_bad_tolerance_before_solving(monkeypatch, tmp_path
         raise AssertionError("solved before the tolerances were checked")
 
     monkeypatch.setattr(fockspace, "steady_rho", no_solve)
-    monkeypatch.setattr(cli.moments, "sweep_currents", no_solve)
+    monkeypatch.setattr(cli.moments, "steady_state", no_solve)
     monkeypatch.setattr(cli.closedform, "current_general", no_solve)
     params = dict(FIG2, fock_n_max="8", fock_tail_bound="1e-3", **{key: value})
     assert run_main("oracle_crosscheck", tmp_path, params) == cli.EXIT_VALIDATION

@@ -237,8 +237,10 @@ def test_truncation_escalation_stops_at_the_dimension_guard():
     [(0.0, 2, "occupation_tol must be positive and finite, got 0.0"),
      (math.nan, 2, "occupation_tol must be positive and finite, got nan"),
      (math.inf, 2, "occupation_tol must be positive and finite, got inf"),
-     (1e-8, 0, "step must be at least 1, got 0")],
-    ids=["zero-tol", "nan-tol", "inf-tol", "zero-step"],
+     (1e-8, 0, "step must be at least 1, got 0"),
+     (1e-8, math.inf, "step must be an integer, got inf"),
+     (1e-8, 2.5, "step must be an integer, got 2.5")],
+    ids=["zero-tol", "nan-tol", "inf-tol", "zero-step", "inf-step", "fractional-step"],
 )
 def test_truncation_escalation_rejects_its_arguments_before_solving(monkeypatch, occupation_tol, step, message):
     # a zero step re-solves one truncation and calls it converged; a zero or

@@ -12,11 +12,13 @@ from cavityheat.fockspace import FockConfig, oracle_currents, steady_rho
 from cavityheat.model import (
     ArraySystem,
     AtomSpec,
+    PairGrid,
     ReservoirSpec,
     TwoCavitySystem,
     ValidationError,
     atomic_sectors,
     bose_occupation,
+    sector_weights,
     validate,
 )
 from cavityheat.moments import steady_state
@@ -162,6 +164,15 @@ def test_array_needs_two_sites():
     assert any("at least 2" in msg for msg in errors)
 
 
+@pytest.mark.parametrize("n_sites", [2.5, math.nan, math.inf, True])
+def test_array_size_must_be_an_integer(n_sites):
+    errors = construction_errors(
+        ArraySystem, n_sites=n_sites, omega=1.0, coupling=0.05, left=ReservoirSpec(0.1, 0.1),
+        right=ReservoirSpec(0.1, 0.0),
+    )
+    assert errors == [f"n_sites: must be an integer (got {n_sites})"]
+
+
 def test_derived_quantities():
     system = two_cavity(omega_right=0.8, left=ReservoirSpec(0.1, 0.5), right=ReservoirSpec(0.03, 0.0))
     assert system.gamma == pytest.approx(0.065)
@@ -251,3 +262,36 @@ def test_each_system_is_validated_once_when_built(monkeypatch):
     assert len(calls) == 3  # no solver checks a system again
     with pytest.raises(ValidationError, match="coupling"):
         replace(mixed, coupling=math.nan)
+
+
+# --- pair grids -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, values, message",
+    [("chi", [0.0, 0.1, 0.5], "no atom: dispersive strength must be 0 (got 0.1)"),
+     ("chi", [math.nan, 0.1], "no atom: dispersive strength must be finite (got nan)"),
+     ("sigma_z", [0.0, 7.0], "no atom: sigma_z expectation must be 0 (got 7.0)")],
+    ids=["chi", "nan-chi", "sigma_z"],
+)
+def test_a_grid_point_without_an_atom_holds_chi_and_sigma_z_at_zero(field, values, message):
+    # chi at an atom-free point would shift the closed form's cavity but not the moment path's
+    with pytest.raises(ValidationError) as err:
+        PairGrid.sweep(two_cavity(atom=None, left=ReservoirSpec(0.05, 0.5), right=ReservoirSpec(0.05, 0.0)),
+                       **{field: values})
+    assert err.value.errors == [message]
+
+
+def test_a_grid_of_systems_meets_the_atom_rules():
+    systems = [two_cavity(), two_cavity(atom=None)]
+    grid = PairGrid.from_systems(systems)
+    assert model._grid_errors(grid) == []
+    hosted = PairGrid.sweep(systems[1], chi=[0.0, 0.1], sigma_z=[0.0, -0.5], atom=[False, True])
+    assert hosted.chi.tolist() == [0.0, 0.1]
+
+
+@pytest.mark.parametrize("sigma_z", [math.nan, math.inf, -math.inf, 3.0, -1.5])
+def test_sector_weights_reject_a_sigma_z_outside_the_unit_interval(sigma_z):
+    with pytest.raises(ValueError, match=re.escape(f"sigma_z of point 1, which has an atom, must lie in [-1, 1] "
+                                                   f"(got {sigma_z})")):
+        sector_weights(np.array([0.5, sigma_z]), np.array([True, True]))

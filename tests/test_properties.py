@@ -1,9 +1,11 @@
 """Property tests: validation at construction, balanced currents, agreement of
 the closed form with the moment path, hot-to-cold flow without an atom, the
 equilibrium state, currents affine in sigma_z, the pair as the two-site
-chain, positive covariances, sweep grids equal to their points, and balanced
-oracle currents."""
+chain, positive covariances, sweep grids equal to their points, balanced
+oracle currents, and every public call given a non-finite number raising or
+returning finite numbers."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -13,13 +15,17 @@ import pytest
 pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from cavityheat.chain import boundary_currents, steady_state_matrix  # noqa: E402
-from cavityheat.closedform import ZERO_CURRENT_TOL, current_general  # noqa: E402
-from cavityheat.fockspace import FockConfig, oracle_currents, steady_rho  # noqa: E402
-from cavityheat.model import (  # noqa: E402
-    ArraySystem, AtomSpec, PairGrid, ReservoirSpec, TwoCavitySystem, ValidationError,
+import cavityheat  # noqa: E402
+from cavityheat.chain import boundary_currents, size_scan, steady_state_matrix  # noqa: E402
+from cavityheat.closedform import ZERO_CURRENT_TOL, current_general, current_pm, rectification  # noqa: E402
+from cavityheat.fockspace import (  # noqa: E402
+    FockConfig, converged_steady_rho, oracle_currents, steady_rho, thermal_fidelity, thermal_state,
 )
-from cavityheat.moments import steady_state, sweep_currents  # noqa: E402
+from cavityheat.model import (  # noqa: E402
+    ArraySystem, AtomSpec, PairGrid, ReservoirSpec, TwoCavitySystem, ValidationError, bose_occupation,
+    sector_weights,
+)
+from cavityheat.moments import evolve, steady_state, sweep_currents  # noqa: E402
 
 from block_reference import block_matrix  # noqa: E402
 from fock_reference import sector_state  # noqa: E402
@@ -235,6 +241,32 @@ def test_grid_currents_equal_the_currents_of_each_point(points):
             assert single.regime == (("conducting" if single.i_left > 0 else "reversed") if hot else None)
 
 
+@st.composite
+def ground_state_pairs(draw):
+    return replace(draw(pairs(atom=False)), omega_right=draw(st.floats(0.5, 2.0)),
+                   atom=AtomSpec(draw(st.floats(0.0, 2.5)), -1.0))
+
+
+def bits(value):
+    return float(value).hex()
+
+
+# r = omega_L Gamma_L + Gamma_R (omega_R - chi) = 0: the reverse direction is blocked
+BLOCKED = TwoCavitySystem(omega_left=1.0, omega_right=1.0, coupling=0.05, left=ReservoirSpec(0.1, 0.5),
+                          right=ReservoirSpec(0.2, 0.0), atom=AtomSpec(1.5, -1.0))
+
+
+@PROPERTY
+@given(st.lists(ground_state_pairs(), min_size=1, max_size=6))
+@example([BLOCKED, replace(BLOCKED, left=ReservoirSpec(0.099, 0.5)), replace(BLOCKED, left=ReservoirSpec(0.101, 0.5))])
+def test_grid_rectification_equals_the_rectification_of_each_point(points):
+    result = rectification(PairGrid.from_systems(points))
+    for k, system in enumerate(points):
+        single = rectification(system)
+        for field in ("forward", "reverse", "ratio"):
+            assert bits(getattr(result, field)[k]) == bits(getattr(single, field)), field
+
+
 # The oracle costs milliseconds a point, so it runs on few examples, at small
 # truncations and occupations low enough for the Gibbs tail guard.
 @settings(PROPERTY, max_examples=20)
@@ -273,3 +305,107 @@ def test_oracle_state_is_the_full_generator_solve_with_hot_reservoirs(system, n_
     rho = steady_rho(system, FockConfig(n_max=n_max, tail_bound=1.0))
     for _, sign, state in rho.sectors:
         assert np.max(np.abs(state - sector_state(system, sign, n_max))) <= 1e-10
+
+
+# --- finite or raise, across cavityheat.__all__ ------------------------------------
+
+
+def pair_of(omega_left, omega_right, coupling, left_rate, left_occupation, right_rate, right_occupation, chi,
+            sigma_z):
+    return TwoCavitySystem(omega_left, omega_right, coupling, ReservoirSpec(left_rate, left_occupation),
+                           ReservoirSpec(right_rate, right_occupation), AtomSpec(chi, sigma_z))
+
+
+def chain_of(n_sites, omega, coupling, left_rate, left_occupation, right_rate, right_occupation, chi, sigma_z,
+             host_index):
+    return ArraySystem(n_sites, omega, coupling, ReservoirSpec(left_rate, left_occupation),
+                       ReservoirSpec(right_rate, right_occupation), AtomSpec(chi, sigma_z, host_index))
+
+
+PAIR_NUMBERS = dict(omega_left=1.0, omega_right=1.1, coupling=0.03, left_rate=0.06, left_occupation=0.5,
+                    right_rate=0.08, right_occupation=0.1, chi=0.3, sigma_z=0.2)
+CHAIN_NUMBERS = dict(n_sites=4, omega=1.0, coupling=0.05, left_rate=0.1, left_occupation=0.5, right_rate=0.1,
+                     right_occupation=0.0, chi=0.2, sigma_z=-1.0, host_index=4)
+# cold enough for a Fock truncation at n_max = 3
+COLD_PAIR = pair_of(**dict(PAIR_NUMBERS, left_occupation=0.01, right_occupation=0.0))
+COLD_FOCK = FockConfig(n_max=3, tail_bound=1e-3)
+
+# (public name, a call that takes numbers, a valid set of them, the names of those that are sizes)
+NUMBER_CALLS = [
+    ("bose_occupation", bose_occupation, dict(omega=1.0, temperature=0.5), ()),
+    ("sector_weights", lambda sigma_z: sector_weights(np.array([sigma_z]), np.array([True])), dict(sigma_z=0.3), ()),
+    ("current_pm", lambda sign: current_pm(PAIR, sign), dict(sign=1), ()),
+    ("evolve", lambda t_final, dt: evolve(PAIR, steady_state(PAIR), t_final, dt), dict(t_final=0.02, dt=0.01), ()),
+    ("converged_steady_rho",
+     lambda occupation_tol, step: converged_steady_rho(COLD_PAIR, COLD_FOCK, occupation_tol, step),
+     dict(occupation_tol=1e-6, step=1), ("step",)),
+    ("thermal_state", thermal_state, dict(n_levels=4, nbar=0.3), ("n_levels",)),
+    ("thermal_fidelity", lambda nbar: thermal_fidelity(thermal_state(4, 0.3), nbar), dict(nbar=0.3), ()),
+    ("size_scan", lambda size: size_scan(CHAIN, [size]), dict(size=3), ("size",)),
+    ("PairGrid", lambda **fields: PairGrid.sweep(PAIR, **fields), PAIR_NUMBERS, ()),
+    ("steady_rho", lambda **fields: steady_rho(COLD_PAIR, FockConfig(**fields)),
+     dict(n_max=3, tail_bound=1e-3, max_vectorized_dim=200_000), ("n_max", "max_vectorized_dim")),
+    ("TwoCavitySystem", pair_of, PAIR_NUMBERS, ()),
+    ("ArraySystem", chain_of, CHAIN_NUMBERS, ("n_sites", "host_index")),
+]
+# every other public name, with what it takes in place of numbers
+TAKES_NO_NUMBER = {
+    "ValidationError": "messages", "SolverError": "a message",
+    "atomic_sectors": "a system", "validate": "a system", "validation_errors": "a system",
+    "current_general": "a system or grid", "steady_moments": "a system or grid", "classify_regime": "a system or grid",
+    "rectification": "a system or grid", "current_resonant_with_atom": "a system", "peak_rate": "a system",
+    "steady_state": "a system", "sweep_currents": "a grid", "steady_state_matrix": "a system",
+    "ballistic_current": "a system", "boundary_currents": "a system and a state",
+    "occupation_profile": "a system and a state", "oracle_currents": "a system and a state",
+    "g2_zero": "a state", "MomentMatrix": "a state, which it checks", "DensityMatrix": "a state, which it checks",
+    "CurrentReport": "solver results", "RectificationResult": "solver results", "SteadyMoments": "solver results",
+    "MomentTrajectory": "solver results",
+}
+# plain records: they hold numbers as given, and the system or solve that reads them checks them
+PLAIN_RECORDS = ("ReservoirSpec", "AtomSpec", "FockConfig")
+
+
+def test_every_public_name_is_walked_or_listed():
+    walked = [name for name, *_ in NUMBER_CALLS]
+    listed = walked + list(TAKES_NO_NUMBER) + list(PLAIN_RECORDS)
+    assert len(set(listed)) == len(listed)
+    assert sorted(listed) == sorted(cavityheat.__all__)
+
+
+def finite_numbers(value) -> bool:
+    """Whether every number in a returned value is finite."""
+    if value is None or isinstance(value, str):
+        return True
+    if dataclasses.is_dataclass(value):
+        return all(finite_numbers(getattr(value, field.name)) for field in dataclasses.fields(value))
+    if isinstance(value, (tuple, list)):
+        return all(map(finite_numbers, value))
+    array = np.asarray(value)
+    if array.dtype == object:
+        assert array.ndim > 0, f"unexpected result {value!r}"
+        return all(map(finite_numbers, array.flat))
+    return bool(np.isfinite(array).all())
+
+
+@st.composite
+def non_finite_calls(draw):
+    name, call, numbers, sizes = draw(st.sampled_from(NUMBER_CALLS))
+    argument = draw(st.sampled_from(sorted(numbers)))
+    value = draw(st.sampled_from([math.nan, math.inf, -math.inf] + ([2.5] if argument in sizes else [])))
+    return name, call, dict(numbers, **{argument: value})
+
+
+@settings(PROPERTY, max_examples=200)
+@given(non_finite_calls())
+def test_a_public_call_given_a_non_finite_number_raises_or_returns_finite_numbers(case):
+    name, call, numbers = case
+    try:
+        result = call(**numbers)
+    except ValueError:
+        return
+    assert finite_numbers(result), (name, numbers)
+
+
+@pytest.mark.parametrize("name, call, numbers, sizes", NUMBER_CALLS, ids=[name for name, *_ in NUMBER_CALLS])
+def test_each_walked_call_is_valid_as_given(name, call, numbers, sizes):
+    assert finite_numbers(call(**numbers))
