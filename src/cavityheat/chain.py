@@ -15,9 +15,10 @@ sector covariance C_s = <a_j+ a_k> solves one N x N Lyapunov equation
     A_s C_s + C_s A_s+ = -Q,    A_s = i (h + s x) + D.
 
 ``sector_covariances`` solves a stack of these equations at once: as one
-batched Kronecker system up to KRONECKER_MAX_SITES sites, by Bartels-Stewart
-(O(N^3) time, O(N^2) memory) above. Bartels-Stewart comes from scipy, which
-is imported on the first solve that needs it. G is then [[F, S], [S, F]]
+batched Kronecker system up to KRONECKER_MAX_SITES sites, and above it in the
+eigenbasis of each A_s (O(N^3) time, O(N^2) memory), where the equation is
+elementwise and the same eigenvalues give the stability guard; numpy alone
+does both. G is then [[F, S], [S, F]]
 with F = sum_s p_s C_s and S = sum_s s p_s C_s, so F and S state it
 completely: a ``MomentMatrix`` holds these two N x N blocks and nothing
 else. The block equation is their two N x N equations (``_motion``), read
@@ -71,10 +72,13 @@ STABILITY_TOL = 1e-12
 # smallest eigenvalue of a sector covariance, relative to its largest, that
 # still counts as positive semidefinite
 POSITIVITY_TOL = 1e-10
-# largest N solved as a batched N^2 x N^2 Kronecker system; above it
-# Bartels-Stewart per matrix is faster (with one BLAS thread, for two sector
-# matrices: 259 us against 331 us at N = 8, 437 us against 368 us at N = 9)
+# largest N solved as a batched N^2 x N^2 Kronecker system, the eigenbasis
+# solve above it (with one BLAS thread, two sector matrices with their guard
+# take 227 us by Kronecker and 176 us by eigenbasis at N = 8, 508 and 187 us
+# at N = 9)
 KRONECKER_MAX_SITES = 8
+# steps of iterative refinement of the eigenbasis solve
+REFINEMENT_STEPS = 3
 
 
 @dataclass(frozen=True)
@@ -210,28 +214,69 @@ def _guard(ok: np.ndarray, values: np.ndarray, message: str) -> None:
         raise error
 
 
+def _adjoint(m: np.ndarray) -> np.ndarray:
+    return m.conj().transpose(0, 2, 1)
+
+
+def _eigenbasis_solve(a: np.ndarray, q: np.ndarray, exponents: np.ndarray, basis: np.ndarray) -> np.ndarray:
+    """C (K, N, N) solving A C + C A+ = -Q in the eigenbasis A = V diag(lambda) V^-1.
+
+    With P = V^-1, A X + X A+ = R reads elementwise (P X P+)_ij (lambda_i +
+    conj(lambda_j)) = (P R P+)_ij, so X = V [(P R P+) / (lambda_i +
+    conj(lambda_j))] V+. The exact C is Hermitian, so each solve keeps its
+    Hermitian part. Near an exceptional point V is ill-conditioned, so
+    REFINEMENT_STEPS steps each solve again against the exact residual
+    A C + C A+ + Q. A singular V raises SolverError with its index.
+    """
+    inverse = np.empty_like(basis)
+    for index, v in enumerate(basis):
+        try:
+            inverse[index] = np.linalg.inv(v)
+        except np.linalg.LinAlgError as exc:
+            error = SolverError("no unique steady state: a sector matrix has no basis of eigenvectors")
+            error.index = index
+            raise error from exc
+    basis_h, inverse_h, a_h = _adjoint(basis), _adjoint(inverse), _adjoint(a)
+    denominator = exponents[:, :, None] + exponents.conj()[:, None, :]
+
+    def solve(rhs: np.ndarray) -> np.ndarray:
+        x = basis @ ((inverse @ rhs @ inverse_h) / denominator) @ basis_h
+        return 0.5 * (x + _adjoint(x))
+
+    c = solve(-q)
+    for _ in range(REFINEMENT_STEPS):
+        c = c - solve(a @ c + c @ a_h + q)
+    return c
+
+
 def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve A_k C_k + C_k A_k+ = -Q_k for a stack of K sector matrices (K, N, N).
 
-    Returns the covariances C (K, N, N), the relative residual of each
-    equation and each positivity margin (smallest eigenvalue of C_k over its
-    largest magnitude). Raises SolverError, with ``index`` the first failing
-    k, when a mode is undamped, a covariance is not positive semidefinite or
-    a residual exceeds RESIDUAL_TOL.
+    Up to KRONECKER_MAX_SITES sites it solves one batched N^2 x N^2
+    Kronecker system and takes the decay exponents from ``eigvals``; above,
+    one batched ``eig`` gives both the exponents and the eigenbasis that
+    ``_eigenbasis_solve`` works in. Returns the covariances C (K, N, N), the
+    relative residual of each equation and each positivity margin (smallest
+    eigenvalue of C_k over its largest magnitude). Raises SolverError, with
+    ``index`` the first failing k, when a mode is undamped (or A_k has no
+    basis of eigenvectors), a covariance is not positive semidefinite or a
+    residual exceeds RESIDUAL_TOL.
     """
     k, n, _ = a.shape
-    slowest = np.max(np.linalg.eigvals(a).real, axis=1)
+    if n <= KRONECKER_MAX_SITES:
+        exponents, basis = np.linalg.eigvals(a), None
+    else:
+        exponents, basis = np.linalg.eig(a)
+    slowest = np.max(exponents.real, axis=1)
     _guard(slowest < -STABILITY_TOL * np.linalg.norm(a, axis=(1, 2)), slowest,
            "no unique steady state: a chain mode is undamped (largest decay exponent {:.3e})")
-    if n <= KRONECKER_MAX_SITES:
+    if basis is None:
         # row-major vec(A C + C A+) = (A kron I + I kron conj(A)) vec(C)
         eye = np.eye(n)
         op = a[:, :, None, :, None] * eye[None, None, :, None, :] + eye[None, :, None, :, None] * a.conj()[:, None, :, None, :]
         c = np.linalg.solve(op.reshape(k, n * n, n * n), -q.reshape(k, n * n, 1)).reshape(k, n, n)
     else:
-        from scipy.linalg import solve_continuous_lyapunov
-
-        c = np.stack([solve_continuous_lyapunov(a_k, -q_k) for a_k, q_k in zip(a, q)])
+        c = _eigenbasis_solve(a, q, exponents, basis)
     eigenvalues = np.linalg.eigvalsh(c)
     scale = np.max(np.abs(eigenvalues), axis=1)
     margin = np.divide(eigenvalues[:, 0], scale, out=np.zeros(k), where=scale > 0)

@@ -144,6 +144,8 @@ def gibbs_tail_mass(n_max: int, nbar: float) -> float:
 
 def thermal_state(n_levels: int, nbar: float) -> np.ndarray:
     """Truncated single-mode Gibbs state, renormalised on the kept levels."""
+    if not _is_integer(n_levels) or n_levels < 1:
+        raise ValueError(f"n_levels must be an integer of at least 1, got {n_levels!r}")
     if not 0 <= nbar < math.inf:
         raise ValueError(f"nbar (mean occupation) must be non-negative and finite, got {nbar}")
     if nbar == 0:

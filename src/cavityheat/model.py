@@ -356,7 +356,9 @@ def _values(system: Union[TwoCavitySystem, ArraySystem]) -> dict:
 
 def _atom_errors(atom: AtomSpec, n_sites: int, values: dict) -> list[str]:
     errs = _rule_errors(_ATOM_RULES, values)
-    if not 1 <= atom.host_index <= n_sites:
+    if not _is_integer(atom.host_index):
+        errs.append(f"atom: host cavity index must be an integer (got {atom.host_index!r})")
+    elif not 1 <= atom.host_index <= n_sites:
         errs.append(f"atom: host cavity index must lie in [1, {n_sites}] (got {atom.host_index})")
     return errs
 

@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.linalg
 
 from cavityheat import chain
 from cavityheat.chain import (
@@ -147,11 +146,11 @@ def test_sector_covariances_pass_the_positivity_check():
 
 
 def test_positivity_check_rejects_a_negative_covariance(monkeypatch):
-    # a sign flip in either solver: Kronecker up to KRONECKER_MAX_SITES, Bartels-Stewart above
+    # a sign flip in either solver: Kronecker up to KRONECKER_MAX_SITES, the eigenbasis above
     small, large = chain.KRONECKER_MAX_SITES, chain.KRONECKER_MAX_SITES + 1
-    kronecker, bartels_stewart = np.linalg.solve, scipy.linalg.solve_continuous_lyapunov
+    kronecker, eigenbasis = np.linalg.solve, chain._eigenbasis_solve
     monkeypatch.setattr(chain.np.linalg, "solve", lambda a, b: -kronecker(a, b))
-    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", lambda a, q: -bartels_stewart(a, q))
+    monkeypatch.setattr(chain, "_eigenbasis_solve", lambda *args: -eigenbasis(*args))
     for n in (small, large):
         with pytest.raises(SolverError, match="positive semidefinite"):
             steady_state_matrix(chain_system(n, chi=0.1, host=n))
@@ -159,9 +158,9 @@ def test_positivity_check_rejects_a_negative_covariance(monkeypatch):
 
 def test_sector_residual_check_rejects_a_perturbed_solution(monkeypatch):
     small, large = chain.KRONECKER_MAX_SITES, chain.KRONECKER_MAX_SITES + 1
-    kronecker, bartels_stewart = np.linalg.solve, scipy.linalg.solve_continuous_lyapunov
+    kronecker, eigenbasis = np.linalg.solve, chain._eigenbasis_solve
     monkeypatch.setattr(chain.np.linalg, "solve", lambda a, b: 1.001 * kronecker(a, b))
-    monkeypatch.setattr(scipy.linalg, "solve_continuous_lyapunov", lambda a, q: 1.001 * bartels_stewart(a, q))
+    monkeypatch.setattr(chain, "_eigenbasis_solve", lambda *args: 1.001 * eigenbasis(*args))
     for n in (small, large):
         with pytest.raises(SolverError, match="sector steady-state residual"):
             steady_state_matrix(chain_system(n, chi=0.1, host=n))
@@ -173,6 +172,66 @@ def test_long_atom_free_chain_is_ballistic():
     g = steady_state_matrix(system)
     assert g.residual < 1e-10
     assert boundary_currents(system, g).i_left == pytest.approx(ballistic_current(system), rel=1e-9)
+
+
+def sector_stack(system):
+    """The sector matrices A_s of a chain in the sectors s = +1 and -1, with their drives."""
+    sites = chain._sites(system)
+    a = chain._sector_matrices(sites, np.array([0, 0]), np.array([1.0, -1.0])[:, None, None])
+    return a, sites.drive[[0, 0]].astype(complex)
+
+
+# atom-free chains tuned close to an exceptional point of A_s, where its
+# eigenbasis V is ill-conditioned: (N, Gamma_L, Gamma_R)
+NEAR_EXCEPTIONAL = [
+    (9, 0.155302604067, 0.155302604067),
+    (9, 0.448780753275, 0.3 * 0.448780753275),
+    (16, 0.121664982741, 0.5 * 0.121664982741),
+]
+
+
+@pytest.mark.parametrize("n, gamma_left, gamma_right", NEAR_EXCEPTIONAL, ids=["9-symmetric", "9-asymmetric", "16"])
+def test_near_exceptional_chain_is_refined_to_the_lyapunov_solution(n, gamma_left, gamma_right):
+    scipy_linalg = pytest.importorskip("scipy.linalg")
+    system = chain_system(n, gamma_left=gamma_left, gamma_right=gamma_right, nbar_right=0.01)
+    a, q = sector_stack(system)
+    assert np.linalg.cond(np.linalg.eig(a[0])[1]) >= 1e6
+    _, residual, _ = chain.sector_covariances(a, q)
+    assert np.all(residual <= 1e-13)
+    reference = scipy_linalg.solve_continuous_lyapunov(a[0], -q[0])
+    current = boundary_currents(system, steady_state_matrix(system)).i_left
+    expected = boundary_currents(system, MomentMatrix(reference, 0 * reference, sigma_z=system.sigma_z)).i_left
+    assert current == pytest.approx(expected, rel=1e-12, abs=0)
+
+
+def test_interior_atom_mode_is_solved_until_it_is_undamped():
+    # chi > 2 J binds a mode at a mid-chain host; it reaches the ends only as
+    # e^(-kappa d), so its decay exponent falls to rounding as N grows
+    def interior(n):
+        return chain_system(n, chi=0.05, host=n // 2, sigma_z=0.3, coupling=0.02, nbar_right=0.01)
+
+    system = interior(20)
+    assert steady_state_matrix(system).positivity_margin >= 0.0  # the solve also checks that G is Hermitian
+    c, _, _ = chain.sector_covariances(*sector_stack(system))
+    assert np.array_equal(c, c.conj().transpose(0, 2, 1))  # each eigenbasis solve keeps its Hermitian part
+    with pytest.raises(SolverError, match="a chain mode is undamped"):
+        steady_state_matrix(interior(30))
+
+
+def test_a_sector_matrix_without_an_eigenbasis_has_no_unique_steady_state(monkeypatch):
+    n = chain.KRONECKER_MAX_SITES + 1
+    a, q = sector_stack(chain_system(n, chi=0.1, host=n, sigma_z=0.3))
+    eig = np.linalg.eig
+
+    def singular(matrices):
+        exponents, basis = eig(matrices)
+        basis[1][:, 1] = 0.0  # the second sector loses an eigenvector
+        return exponents, basis
+
+    monkeypatch.setattr(chain.np.linalg, "eig", singular)
+    with pytest.raises(SolverError, match="no unique steady state") as err:
+        chain.sector_covariances(a, q)
+    assert err.value.index == 1
 
 
 def test_steady_matrix_residual_and_hermiticity():

@@ -103,6 +103,13 @@ def test_thermal_state_normalised():
     assert vacuum[0, 0] == 1.0
 
 
+@pytest.mark.parametrize("n_levels", [2.5, 0, -1, True, math.nan, math.inf])
+@pytest.mark.parametrize("nbar", [0.0, 0.3])
+def test_thermal_state_takes_an_integer_count_of_at_least_one_level(n_levels, nbar):
+    with pytest.raises(ValueError, match=re.escape(f"n_levels must be an integer of at least 1, got {n_levels!r}")):
+        thermal_state(n_levels, nbar)
+
+
 # --- the full-space reference generator -----------------------------------------
 
 

@@ -157,6 +157,15 @@ def test_array_host_site_bounds():
     assert any("host cavity index" in msg for msg in construction_errors(array_with_host, 0))
 
 
+@pytest.mark.parametrize("host_index", [2.5, 4.0, math.nan, True])
+def test_array_host_site_must_be_an_integer(host_index):
+    errors = construction_errors(
+        ArraySystem, n_sites=4, omega=1.0, coupling=0.05, left=ReservoirSpec(0.15, 0.5),
+        right=ReservoirSpec(0.15, 0.0), atom=AtomSpec(dispersive_strength=0.1, sigma_z=-1.0, host_index=host_index),
+    )
+    assert errors == [f"atom: host cavity index must be an integer (got {host_index!r})"]
+
+
 def test_array_needs_two_sites():
     errors = construction_errors(
         ArraySystem, n_sites=1, omega=1.0, coupling=0.05, left=ReservoirSpec(0.1, 0.1), right=ReservoirSpec(0.1, 0.0)

@@ -1,9 +1,10 @@
 """Property tests: validation at construction, balanced currents, agreement of
 the closed form with the moment path, hot-to-cold flow without an atom, the
 equilibrium state, currents affine in sigma_z, the pair as the two-site
-chain, positive covariances, sweep grids equal to their points, balanced
-oracle currents, and every public call given a non-finite number raising or
-returning finite numbers."""
+chain, positive covariances, chains above the Kronecker size against the
+block equation, sweep grids equal to their points, balanced oracle currents,
+and every public call given a non-finite number raising or returning finite
+numbers, and given a fractional size raising."""
 
 import dataclasses
 import math
@@ -16,7 +17,9 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import cavityheat  # noqa: E402
-from cavityheat.chain import boundary_currents, size_scan, steady_state_matrix  # noqa: E402
+from cavityheat.chain import (  # noqa: E402
+    KRONECKER_MAX_SITES, RESIDUAL_TOL, boundary_currents, size_scan, steady_state_matrix,
+)
 from cavityheat.closedform import ZERO_CURRENT_TOL, current_general, current_pm, rectification  # noqa: E402
 from cavityheat.fockspace import (  # noqa: E402
     FockConfig, converged_steady_rho, oracle_currents, steady_rho, thermal_fidelity, thermal_state,
@@ -27,7 +30,7 @@ from cavityheat.model import (  # noqa: E402
 )
 from cavityheat.moments import evolve, steady_state, sweep_currents  # noqa: E402
 
-from block_reference import block_matrix  # noqa: E402
+from block_reference import block_matrix, block_residual, kronecker_steady_matrix  # noqa: E402
 from fock_reference import sector_state  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None, database=None)
@@ -117,10 +120,10 @@ def test_without_an_atom_heat_flows_from_hot_to_cold(system):
 
 
 @st.composite
-def chains(draw, max_sites=10):
+def chains(draw, min_sites=2, max_sites=10):
     # chi <= 3 J keeps a mode trapped at an interior host coupled to the ends:
     # a stronger shift leaves it all but undamped, and the solver refuses it
-    n = draw(st.integers(2, max_sites))
+    n = draw(st.integers(min_sites, max_sites))
     unit = st.floats(0.0, 1.0)
     coupling = draw(st.floats(0.03, 0.1))
     atom = None
@@ -211,6 +214,17 @@ def test_the_two_site_chain_is_the_resonant_pair(pair, omega):
 @given(SYSTEMS)
 def test_the_positivity_margin_holds(system):
     assert solved(system)[0].positivity_margin >= -1e-10
+
+
+@settings(PROPERTY, max_examples=25)
+@given(chains(min_sites=KRONECKER_MAX_SITES + 1, max_sites=14))
+def test_a_chain_above_the_kronecker_size_solves_the_block_equation(system):
+    # the eigenbasis solve against the 2N x 2N block equation, solved densely
+    g = block_matrix(steady_state_matrix(system))
+    reference = kronecker_steady_matrix(system)
+    assert np.max(np.abs(g - reference)) <= 1e-10 * max(1.0, np.max(np.abs(reference)))
+    if system.left.mean_occupation or system.right.mean_occupation:  # else M3 = 0 and G = 0
+        assert block_residual(system, g) <= RESIDUAL_TOL
 
 
 def detuned_mixed(sigma_z):
@@ -387,22 +401,32 @@ def finite_numbers(value) -> bool:
     return bool(np.isfinite(array).all())
 
 
+def walked_call(name, argument, value):
+    """One walked call with one of its numbers replaced, and whether that makes
+    it a fractional size, which must raise: a finite result would be of another size."""
+    _, call, numbers, sizes = next(entry for entry in NUMBER_CALLS if entry[0] == name)
+    return name, call, dict(numbers, **{argument: value}), argument in sizes and value == 2.5
+
+
 @st.composite
 def non_finite_calls(draw):
-    name, call, numbers, sizes = draw(st.sampled_from(NUMBER_CALLS))
+    name, _, numbers, sizes = draw(st.sampled_from(NUMBER_CALLS))
     argument = draw(st.sampled_from(sorted(numbers)))
     value = draw(st.sampled_from([math.nan, math.inf, -math.inf] + ([2.5] if argument in sizes else [])))
-    return name, call, dict(numbers, **{argument: value})
+    return walked_call(name, argument, value)
 
 
 @settings(PROPERTY, max_examples=200)
 @given(non_finite_calls())
+@example(walked_call("thermal_state", "n_levels", 2.5))
+@example(walked_call("ArraySystem", "host_index", 2.5))
 def test_a_public_call_given_a_non_finite_number_raises_or_returns_finite_numbers(case):
-    name, call, numbers = case
+    name, call, numbers, fractional_size = case
     try:
         result = call(**numbers)
     except ValueError:
         return
+    assert not fractional_size, (name, numbers)
     assert finite_numbers(result), (name, numbers)
 
 
