@@ -14,11 +14,11 @@ sector covariance C_s = <a_j+ a_k> solves one N x N Lyapunov equation
 
     A_s C_s + C_s A_s+ = -Q,    A_s = i (h + s x) + D.
 
-``sector_covariances`` solves a stack of these equations at once: as one
-batched Kronecker system up to KRONECKER_MAX_SITES sites, and above it in the
-eigenbasis of each A_s (O(N^3) time, O(N^2) memory), where the equation is
-elementwise and the same eigenvalues give the stability guard; numpy alone
-does both. G is then [[F, S], [S, F]]
+``sector_covariances`` solves a stack of these equations at once: pairs as
+one batched Kronecker system, every chain of three or more sites in the
+eigenbasis of each A_s (O(N^3) time, O(N^2) memory). A_s is complex
+symmetric, so that basis W has W^-1 = W^T; the equation is elementwise there,
+and the same eigenvalues give the stability guard. G is then [[F, S], [S, F]]
 with F = sum_s p_s C_s and S = sum_s s p_s C_s, so F and S state it
 completely: a ``MomentMatrix`` holds these two N x N blocks and nothing
 else. The block equation is their two N x N equations (``_motion``), read
@@ -72,11 +72,6 @@ STABILITY_TOL = 1e-12
 # smallest eigenvalue of a sector covariance, relative to its largest, that
 # still counts as positive semidefinite
 POSITIVITY_TOL = 1e-10
-# largest N solved as a batched N^2 x N^2 Kronecker system, the eigenbasis
-# solve above it (with one BLAS thread, two sector matrices with their guard
-# take 227 us by Kronecker and 176 us by eigenbasis at N = 8, 508 and 187 us
-# at N = 9)
-KRONECKER_MAX_SITES = 8
 # steps of iterative refinement of the eigenbasis solve
 REFINEMENT_STEPS = 3
 
@@ -219,28 +214,25 @@ def _adjoint(m: np.ndarray) -> np.ndarray:
 
 
 def _eigenbasis_solve(a: np.ndarray, q: np.ndarray, exponents: np.ndarray, basis: np.ndarray) -> np.ndarray:
-    """C (K, N, N) solving A C + C A+ = -Q in the eigenbasis A = V diag(lambda) V^-1.
+    """C (K, N, N) solving A C + C A+ = -Q in the eigenbasis A = W diag(lambda) W^-1.
 
-    With P = V^-1, A X + X A+ = R reads elementwise (P X P+)_ij (lambda_i +
-    conj(lambda_j)) = (P R P+)_ij, so X = V [(P R P+) / (lambda_i +
-    conj(lambda_j))] V+. The exact C is Hermitian, so each solve keeps its
-    Hermitian part. Near an exceptional point V is ill-conditioned, so
-    REFINEMENT_STEPS steps each solve again against the exact residual
-    A C + C A+ + Q. A singular V raises SolverError with its index.
+    A is complex symmetric, so v^T A = lambda v^T, and eigenvectors of distinct
+    eigenvalues have v_i^T v_j = 0: scaled to w^T w = 1 they give W^-1 = W^T.
+    With P = W^T, A X + X A+ = R reads (P X P+)_ij (lambda_i + conj(lambda_j))
+    = (P R P+)_ij. The exact C is Hermitian, so each solve keeps its Hermitian
+    part. Near an exceptional point W is ill-conditioned, so REFINEMENT_STEPS
+    steps each solve again against the exact residual A C + C A+ + Q. An
+    eigenvector with v^T v = 0 (no basis of eigenvectors) raises SolverError.
     """
-    inverse = np.empty_like(basis)
-    for index, v in enumerate(basis):
-        try:
-            inverse[index] = np.linalg.inv(v)
-        except np.linalg.LinAlgError as exc:
-            error = SolverError("no unique steady state: a sector matrix has no basis of eigenvectors")
-            error.index = index
-            raise error from exc
-    basis_h, inverse_h, a_h = _adjoint(basis), _adjoint(inverse), _adjoint(a)
+    products = np.einsum("kij,kij->kj", basis, basis)  # v^T v of each eigenvector
+    _guard(np.all(products != 0, axis=1), products,
+           "no unique steady state: a sector matrix has no basis of eigenvectors")
+    basis = basis / np.sqrt(products)[:, None, :]
+    transpose, conjugate, basis_h, a_h = basis.transpose(0, 2, 1), basis.conj(), _adjoint(basis), _adjoint(a)
     denominator = exponents[:, :, None] + exponents.conj()[:, None, :]
 
     def solve(rhs: np.ndarray) -> np.ndarray:
-        x = basis @ ((inverse @ rhs @ inverse_h) / denominator) @ basis_h
+        x = basis @ ((transpose @ rhs @ conjugate) / denominator) @ basis_h
         return 0.5 * (x + _adjoint(x))
 
     c = solve(-q)
@@ -252,18 +244,20 @@ def _eigenbasis_solve(a: np.ndarray, q: np.ndarray, exponents: np.ndarray, basis
 def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve A_k C_k + C_k A_k+ = -Q_k for a stack of K sector matrices (K, N, N).
 
-    Up to KRONECKER_MAX_SITES sites it solves one batched N^2 x N^2
-    Kronecker system and takes the decay exponents from ``eigvals``; above,
-    one batched ``eig`` gives both the exponents and the eigenbasis that
-    ``_eigenbasis_solve`` works in. Returns the covariances C (K, N, N), the
-    relative residual of each equation and each positivity margin (smallest
-    eigenvalue of C_k over its largest magnitude). Raises SolverError, with
-    ``index`` the first failing k, when a mode is undamped (or A_k has no
-    basis of eigenvectors), a covariance is not positive semidefinite or a
-    residual exceeds RESIDUAL_TOL.
+    Each A_k must be complex symmetric, as every sector matrix i (h + s x) + D
+    is. A stack that is not either still refines to its solution or fails the
+    positivity or residual guard; it never returns a wrong C. Pairs (N = 2)
+    are one batched 4 x 4 Kronecker system, with the decay exponents from
+    ``eigvals``; chains take one batched ``eig``, whose exponents and
+    eigenbasis ``_eigenbasis_solve`` works in. Returns the covariances C
+    (K, N, N), the relative residual of each equation and each positivity
+    margin (smallest eigenvalue of C_k over its largest magnitude). Raises
+    SolverError, with ``index`` the first failing k, when a mode is undamped
+    (or A_k has no basis of eigenvectors), a covariance is not positive
+    semidefinite or a residual exceeds RESIDUAL_TOL.
     """
     k, n, _ = a.shape
-    if n <= KRONECKER_MAX_SITES:
+    if n == 2:
         exponents, basis = np.linalg.eigvals(a), None
     else:
         exponents, basis = np.linalg.eig(a)

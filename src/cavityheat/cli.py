@@ -282,7 +282,11 @@ def _sweep_values(p: _Params) -> np.ndarray:
     if not (math.isfinite(step) and step > 0):
         p.errors.append(f"config: sweep_step must be positive and finite, got {step}")
         return np.array([])
-    count = int(math.floor((stop - start) / step + 1e-9)) + 1
+    points = (stop - start) / step + 1e-9
+    if not points < np.iinfo(np.intp).max:
+        p.errors.append(f"config: sweep has more points than an array can hold ((stop - start) / step = {points:.3g})")
+        return np.array([])
+    count = int(math.floor(points)) + 1
     if count < 2:
         p.errors.append("config: sweep must contain at least 2 points")
         return np.array([])

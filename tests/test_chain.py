@@ -17,8 +17,8 @@ from cavityheat.chain import (
     steady_state_matrix,
 )
 from cavityheat.closedform import current_general
-from cavityheat.model import ArraySystem, AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem
-from cavityheat.moments import steady_state
+from cavityheat.model import ArraySystem, AtomSpec, PairGrid, ReservoirSpec, SolverError, TwoCavitySystem
+from cavityheat.moments import steady_state, sweep_currents
 
 from block_reference import block_generators, block_matrix, block_residual, kronecker_steady_matrix
 
@@ -146,24 +146,79 @@ def test_sector_covariances_pass_the_positivity_check():
 
 
 def test_positivity_check_rejects_a_negative_covariance(monkeypatch):
-    # a sign flip in either solver: Kronecker up to KRONECKER_MAX_SITES, the eigenbasis above
-    small, large = chain.KRONECKER_MAX_SITES, chain.KRONECKER_MAX_SITES + 1
+    # a sign flip in either solver: Kronecker for a pair, the eigenbasis for a chain
     kronecker, eigenbasis = np.linalg.solve, chain._eigenbasis_solve
     monkeypatch.setattr(chain.np.linalg, "solve", lambda a, b: -kronecker(a, b))
     monkeypatch.setattr(chain, "_eigenbasis_solve", lambda *args: -eigenbasis(*args))
-    for n in (small, large):
+    for n in (2, 3):
         with pytest.raises(SolverError, match="positive semidefinite"):
             steady_state_matrix(chain_system(n, chi=0.1, host=n))
 
 
 def test_sector_residual_check_rejects_a_perturbed_solution(monkeypatch):
-    small, large = chain.KRONECKER_MAX_SITES, chain.KRONECKER_MAX_SITES + 1
     kronecker, eigenbasis = np.linalg.solve, chain._eigenbasis_solve
     monkeypatch.setattr(chain.np.linalg, "solve", lambda a, b: 1.001 * kronecker(a, b))
     monkeypatch.setattr(chain, "_eigenbasis_solve", lambda *args: 1.001 * eigenbasis(*args))
-    for n in (small, large):
+    for n in (2, 3):
         with pytest.raises(SolverError, match="sector steady-state residual"):
             steady_state_matrix(chain_system(n, chi=0.1, host=n))
+
+
+def refuse(name):
+    def call(*args, **kwargs):
+        raise AssertionError(f"np.linalg.{name} called")
+    return call
+
+
+def test_a_pair_grid_is_solved_by_kronecker_without_an_eigenbasis(monkeypatch):
+    pair = TwoCavitySystem(omega_left=1.0, omega_right=1.1, coupling=0.02, left=ReservoirSpec(0.06, 0.5),
+                           right=ReservoirSpec(0.08, 0.1), atom=AtomSpec(0.1, 0.3))
+    monkeypatch.setattr(chain.np.linalg, "eig", refuse("eig"))
+    report, residual = sweep_currents(PairGrid.sweep(pair, chi=[0.0, 0.1, 0.2]))
+    assert np.all(residual <= chain.RESIDUAL_TOL) and np.all(np.isfinite(report.i_left))
+
+
+def test_a_three_site_chain_is_solved_in_the_eigenbasis_without_kronecker(monkeypatch):
+    monkeypatch.setattr(chain.np.linalg, "solve", refuse("solve"))
+    assert steady_state_matrix(chain_system(3, chi=0.1, host=3, sigma_z=0.3)).residual <= chain.RESIDUAL_TOL
+
+
+def test_a_sector_stack_that_is_not_complex_symmetric_is_refined_or_refused():
+    # the eigenbasis solve takes W^-1 = W^T, exact only for A^T = A; refinement
+    # absorbs a small asymmetry, and the residual guard refuses a larger one
+    a, q = sector_stack(chain_system(5, chi=0.1, host=5, sigma_z=0.3))
+    nearly = a.copy()
+    nearly[:, 0, 1] += 1e-6
+    _, residual, _ = chain.sector_covariances(nearly, q)
+    assert np.all(residual <= 1e-13)
+    skewed = a.copy()
+    skewed[:, 0, 1] += 1e-3
+    with pytest.raises(SolverError, match="sector steady-state residual") as err:
+        chain.sector_covariances(skewed, q)
+    assert err.value.index == 0
+
+
+def test_the_block_checks_and_the_size_scan_wrap_fire_with_their_messages(monkeypatch):
+    with pytest.raises(SolverError) as err:
+        size_scan(chain_system(4, coupling=0.0), [3])  # the interior site decouples
+    assert str(err.value) == ("chain solve failed at n_sites=3: no unique steady state: a chain mode is undamped "
+                              "(largest decay exponent 0.000e+00)")
+    mixture, eps = chain._mixture, 1e-10
+
+    def skewed(sites):  # an interior occupation off the real axis, within the residual bound
+        f, s, residual, margin = mixture(sites)
+        f[0, 2, 2] += 1j * eps
+        return f, s, residual, margin
+
+    system = chain_system(5, chi=0.1, host=5, sigma_z=0.3, coupling=0.01)
+    monkeypatch.setattr(chain, "_mixture", skewed)
+    with pytest.raises(SolverError) as err:
+        steady_state_matrix(system)
+    assert str(err.value) == f"steady matrix is not Hermitian (deviation {2.0 * math.sqrt(2.0) * eps:.3e})"
+    monkeypatch.setattr(chain, "_residual", lambda sites, f, s: 2e-10)
+    with pytest.raises(SolverError) as err:
+        steady_state_matrix(system)
+    assert str(err.value) == f"chain steady-state residual 2.000e-10 exceeds {chain.RESIDUAL_TOL}"
 
 
 def test_long_atom_free_chain_is_ballistic():
@@ -219,7 +274,7 @@ def test_interior_atom_mode_is_solved_until_it_is_undamped():
 
 
 def test_a_sector_matrix_without_an_eigenbasis_has_no_unique_steady_state(monkeypatch):
-    n = chain.KRONECKER_MAX_SITES + 1
+    n = 9
     a, q = sector_stack(chain_system(n, chi=0.1, host=n, sigma_z=0.3))
     eig = np.linalg.eig
 

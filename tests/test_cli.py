@@ -600,9 +600,14 @@ SWEEP_BOUNDS = {k: SWEEP[k] for k in ("sweep_start", "sweep_stop", "sweep_step")
      ("size_scan", dict(FIG2, n_start="5", n_stop="3"), [], "config: n_stop must be at least n_start (got 5..3)"),
      ("regime_table", ATOM_FREE, [], "config: the regime table needs an atom (set chi and sigma_z)"),
      ("regime_table", dict(FIG2, chi="0.5", sigma_z="1"), [], "config: the regime table requires chi > omega_right"),
-     ("gamma_sweep", SWEEP, ["coupling"], "config: --set expects key=value, got 'coupling'")],
+     ("gamma_sweep", SWEEP, ["coupling"], "config: --set expects key=value, got 'coupling'"),
+     # point counts numpy refuses before it allocates anything
+     ("gamma_sweep", dict(SWEEP, sweep_start="0", sweep_stop="1", sweep_step="1e-300"), [],
+      "config: sweep has more points than an array can hold ((stop - start) / step = 1e+300)"),
+     ("gamma_sweep", dict(SWEEP, sweep_start="-1e308", sweep_stop="1e308", sweep_step="1"), [],
+      "config: sweep has more points than an array can hold ((stop - start) / step = inf)")],
     ids=["atom-flag", "infinite-bound", "chi-sweep-without-atom", "n-stop-below-n-start", "regime-table-without-atom",
-         "regime-table-chi-below-omega", "set-without-value"],
+         "regime-table-chi-below-omega", "set-without-value", "count-beyond-intp", "count-infinite"],
 )
 def test_a_config_rejection_prints_one_line_and_writes_nothing(tmp_path, capsys, experiment, params, extra, message):
     argv = ["run", "--experiment", experiment, "--out", str(tmp_path / "out.csv")]
@@ -611,6 +616,13 @@ def test_a_config_rejection_prints_one_line_and_writes_nothing(tmp_path, capsys,
     assert main(argv) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.splitlines() == [f"error: {message}"]
     assert not (tmp_path / "out.csv").exists()
+
+
+def test_a_spec_in_an_unknown_output_format_is_refused(tmp_path):
+    # the command line offers csv and json alone; a spec built in code is checked too
+    with pytest.raises(ValidationError) as err:
+        SweepSpec("gamma_sweep", dict(SWEEP), tmp_path / "out.xml", fmt="xml")
+    assert err.value.errors == ["config: unknown output format 'xml'"]
 
 
 def test_the_atom_flag_reads_yes_as_true(tmp_path):

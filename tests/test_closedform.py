@@ -391,3 +391,15 @@ def test_mixed_atom_detuned_current_is_the_sector_mixture():
     assert report.regime == "conducting" and report.alpha is None
     pinned = [current_general(replace(system, atom=replace(system.atom, sigma_z=s))).i_left for s in (1.0, -1.0)]
     assert report.i_left == pytest.approx(0.6 * pinned[0] + 0.4 * pinned[1], rel=1e-14)
+
+
+def test_the_single_point_expressions_refuse_a_pair_outside_their_assumptions():
+    atom_free, detuned = system_for(atom=False), system_for(omega_right=0.95)
+    for call, system, message in [
+        (current_resonant_with_atom, atom_free, "resonant with-atom expression requires an atom"),
+        (peak_rate, detuned, f"peak-rate condition assumes equal cavity frequencies (detuning {detuned.detuning})"),
+        (lambda system: current_pm(system, 1), atom_free, "pinned-state current requires an atom"),
+    ]:
+        with pytest.raises(ValueError) as err:
+            call(system)
+        assert str(err.value) == message

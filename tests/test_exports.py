@@ -57,8 +57,8 @@ def test_star_import_binds_every_public_name():
 
 
 # Runs in a fresh interpreter: prints the scipy modules loaded after the
-# two-cavity runs, after an oracle crosscheck, and after a chain above the
-# Kronecker size. The library runs on numpy alone, so each list is empty.
+# two-cavity runs, after an oracle crosscheck, and after a 9-site chain.
+# The library runs on numpy alone, so each list is empty.
 SCIPY_MODULES = """
 import json, sys
 import cavityheat.cli as cli
@@ -78,7 +78,7 @@ run("profile", **dict(pair, n_sites=2))
 print(json.dumps(scipy_modules()))
 run("oracle_crosscheck", **dict(pair, chi=0.05, sigma_z=1.0, fock_n_max=6))
 print(json.dumps(scipy_modules()))
-run("profile", **dict(pair, n_sites=cli.chain.KRONECKER_MAX_SITES + 1))
+run("profile", **dict(pair, n_sites=9))
 print(json.dumps(scipy_modules()))
 """
 

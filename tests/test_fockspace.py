@@ -515,3 +515,39 @@ def test_singular_elimination_is_rejected(monkeypatch):
     monkeypatch.setattr(fockspace, "_block_generator", lambda k, gamma: np.zeros((k.size, k.size)))
     with pytest.raises(SolverError, match="no unique steady state"):
         steady_rho(system_for(), SMALL)
+
+
+def test_the_state_checks_and_the_balance_warning_fire_with_their_messages(monkeypatch):
+    # each guard reached through steady_rho or oracle_currents, with one private step altered
+    solve, system = fockspace._block_steady_state, system_for()
+
+    def entry(rho, value):  # value at (0, 1) alone
+        out = np.zeros_like(rho)
+        out[0, 1] = value
+        return out
+
+    def skewed(h, structure):
+        rho = solve(h, structure)
+        return rho + entry(rho, 1e-6)
+
+    cases = [
+        ("_lindblad_rhs", lambda h, channels, rho: entry(rho, 1e-3),
+         f"steady-state residual 1.000e-03 exceeds {fockspace.STEADY_RESIDUAL_TOL}"),
+        ("_block_steady_state", skewed, f"steady state is not Hermitian (deviation {math.sqrt(2.0) * 1e-6:.3e})"),
+        ("_block_steady_state", lambda h, structure: 2.0 * solve(h, structure),
+         "steady state trace deviates from one by 1.000e+00"),
+    ]
+    for name, step, message in cases:
+        with monkeypatch.context() as patch:
+            patch.setattr(fockspace, name, step)
+            with pytest.raises(SolverError) as err:
+                steady_rho(system, SMALL)
+        assert str(err.value) == message
+    # the state of one pair is not steady for a pair with a faster right reservoir
+    rho, faster = steady_rho(system, SMALL), replace(system, right=ReservoirSpec(0.128, 0.0))
+    with pytest.warns(UserWarning) as record:
+        report = oracle_currents(faster, rho)
+    assert [str(w.message) for w in record] == [
+        f"boundary currents do not balance (|I_L + I_R| = {abs(report.i_left + report.i_right):.3e}); "
+        "the density matrix is not steady"
+    ]

@@ -304,3 +304,12 @@ def test_sector_weights_reject_a_sigma_z_outside_the_unit_interval(sigma_z):
     with pytest.raises(ValueError, match=re.escape(f"sigma_z of point 1, which has an atom, must lie in [-1, 1] "
                                                    f"(got {sigma_z})")):
         sector_weights(np.array([0.5, sigma_z]), np.array([True, True]))
+
+
+def test_a_two_dimensional_grid_and_an_unknown_system_type_are_refused():
+    with pytest.raises(ValueError) as err:
+        PairGrid.sweep(two_cavity(), chi=[[0.0, 0.1, 0.2], [0.3, 0.4, 0.5]])
+    assert str(err.value) == "a pair grid is one-dimensional, got shape (2, 3)"
+    with pytest.raises(ValidationError) as err:
+        validate(object())
+    assert err.value.errors == ["unsupported system type object"]

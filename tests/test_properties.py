@@ -1,7 +1,7 @@
 """Property tests: validation at construction, balanced currents, agreement of
 the closed form with the moment path, hot-to-cold flow without an atom, the
 equilibrium state, currents affine in sigma_z, the pair as the two-site
-chain, positive covariances, chains above the Kronecker size against the
+chain, positive covariances, chains of three or more sites against the
 block equation, sweep grids equal to their points, balanced oracle currents,
 and every public call given a non-finite number raising or returning finite
 numbers, and given a fractional size raising."""
@@ -18,7 +18,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import cavityheat  # noqa: E402
 from cavityheat.chain import (  # noqa: E402
-    KRONECKER_MAX_SITES, RESIDUAL_TOL, boundary_currents, size_scan, steady_state_matrix,
+    RESIDUAL_TOL, boundary_currents, size_scan, steady_state_matrix,
 )
 from cavityheat.closedform import ZERO_CURRENT_TOL, current_general, current_pm, rectification  # noqa: E402
 from cavityheat.fockspace import (  # noqa: E402
@@ -217,8 +217,8 @@ def test_the_positivity_margin_holds(system):
 
 
 @settings(PROPERTY, max_examples=25)
-@given(chains(min_sites=KRONECKER_MAX_SITES + 1, max_sites=14))
-def test_a_chain_above_the_kronecker_size_solves_the_block_equation(system):
+@given(chains(min_sites=3, max_sites=14))
+def test_a_chain_of_three_or_more_sites_solves_the_block_equation(system):
     # the eigenbasis solve against the 2N x 2N block equation, solved densely
     g = block_matrix(steady_state_matrix(system))
     reference = kronecker_steady_matrix(system)
