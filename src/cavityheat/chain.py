@@ -15,7 +15,8 @@ sector covariance C_s = <a_j+ a_k> solves one N x N Lyapunov equation
     A_s C_s + C_s A_s+ = -Q,    A_s = i (h + s x) + D.
 
 ``sector_covariances`` solves a stack of these equations at once: pairs as
-one batched Kronecker system, every chain of three or more sites in the
+one batched Kronecker system, with the eigenvalues of A_s and C_s of each
+2 x 2 sector in closed form, and every chain of three or more sites in the
 eigenbasis of each A_s (O(N^3) time, O(N^2) memory). A_s is complex
 symmetric, so that basis W has W^-1 = W^T; the equation is elementwise there,
 and the same eigenvalues give the stability guard. G is then [[F, S], [S, F]]
@@ -35,10 +36,11 @@ omega_R and the atom on site 2; ``moments`` solves it with the same core.
 A stack of pairs is one ``model.PairGrid``; a chain is solved on its own.
 ``_sites`` alone states each site's frequency, atom shift, rate and nbar, as
 arrays over the whole stack, once per stack. ``_mixture`` and ``_currents``
-are the array cores: the sector mixture, and the reservoir currents of a
-stack with one formula for both ends. ``steady_state_matrix`` and
-``boundary_currents`` run them on one system; a sweep grid
-(``moments.sweep_currents``) runs them on the whole grid.
+are the array cores: the sector mixture (each system's consecutive sectors
+summed by ``reduceat``), and the reservoir currents of a stack with one
+formula for both ends. ``steady_state_matrix`` and ``boundary_currents``
+run them on one system; a sweep grid (``moments.sweep_currents``) runs them
+on the whole grid.
 """
 
 from __future__ import annotations
@@ -241,15 +243,37 @@ def _eigenbasis_solve(a: np.ndarray, q: np.ndarray, exponents: np.ndarray, basis
     return c
 
 
+def _pair_exponents(a: np.ndarray) -> np.ndarray:
+    """Eigenvalues (..., 2) of a stack of 2 x 2 matrices (..., 2, 2), slowest
+    decaying first: t/2 +- sqrt(t^2/4 - det A), with t^2/4 - det A taken as
+    ((a_00 - a_11)/2)^2 + a_01 a_10, which does not cancel when the diagonal
+    entries are close. It squares the entries, as the norm of the stability
+    guard does, so both need them within about 1e-150..1e150."""
+    half_trace = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
+    root = np.sqrt((0.5 * (a[..., 0, 0] - a[..., 1, 1])) ** 2 + a[..., 0, 1] * a[..., 1, 0])
+    return np.stack([half_trace + root, half_trace - root], axis=-1)
+
+
+def _pair_spectrum(c: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (K, 2) of a stack of Hermitian 2 x 2 matrices,
+    read from the real diagonal and the lower triangle as ``eigvalsh`` reads
+    them: (c_00 + c_11)/2 -+ hypot((c_00 - c_11)/2, |c_10|)."""
+    diagonal = np.diagonal(c, axis1=1, axis2=2).real
+    mean = 0.5 * (diagonal[:, 0] + diagonal[:, 1])
+    radius = np.hypot(0.5 * (diagonal[:, 0] - diagonal[:, 1]), np.abs(c[:, 1, 0]))
+    return np.stack([mean - radius, mean + radius], axis=1)
+
+
 def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve A_k C_k + C_k A_k+ = -Q_k for a stack of K sector matrices (K, N, N).
 
     Each A_k must be complex symmetric, as every sector matrix i (h + s x) + D
     is. A stack that is not either still refines to its solution or fails the
     positivity or residual guard; it never returns a wrong C. Pairs (N = 2)
-    are one batched 4 x 4 Kronecker system, with the decay exponents from
-    ``eigvals``; chains take one batched ``eig``, whose exponents and
-    eigenbasis ``_eigenbasis_solve`` works in. Returns the covariances C
+    are one batched 4 x 4 Kronecker system, with their decay exponents
+    (``_pair_exponents``) and the eigenvalues of C in closed form; chains take
+    one batched ``eig``, whose exponents and eigenbasis ``_eigenbasis_solve``
+    works in, and ``eigvalsh`` for the positivity guard. Returns the covariances C
     (K, N, N), the relative residual of each equation and each positivity
     margin (smallest eigenvalue of C_k over its largest magnitude). Raises
     SolverError, with ``index`` the first failing k, when a mode is undamped
@@ -257,12 +281,14 @@ def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     semidefinite or a residual exceeds RESIDUAL_TOL.
     """
     k, n, _ = a.shape
-    if n == 2:
-        exponents, basis = np.linalg.eigvals(a), None
-    else:
-        exponents, basis = np.linalg.eig(a)
-    slowest = np.max(exponents.real, axis=1)
-    _guard(slowest < -STABILITY_TOL * np.linalg.norm(a, axis=(1, 2)), slowest,
+    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry makes the bound -inf or NaN
+        if n == 2:
+            exponents, basis = _pair_exponents(a), None
+        else:
+            exponents, basis = np.linalg.eig(a)
+        slowest = np.max(exponents.real, axis=1)
+        bound = -STABILITY_TOL * np.linalg.norm(a, axis=(1, 2))
+    _guard(slowest < bound, slowest,
            "no unique steady state: a chain mode is undamped (largest decay exponent {:.3e})")
     if basis is None:
         # row-major vec(A C + C A+) = (A kron I + I kron conj(A)) vec(C)
@@ -271,7 +297,7 @@ def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
         c = np.linalg.solve(op.reshape(k, n * n, n * n), -q.reshape(k, n * n, 1)).reshape(k, n, n)
     else:
         c = _eigenbasis_solve(a, q, exponents, basis)
-    eigenvalues = np.linalg.eigvalsh(c)
+    eigenvalues = _pair_spectrum(c) if n == 2 else np.linalg.eigvalsh(c)
     scale = np.max(np.abs(eigenvalues), axis=1)
     margin = np.divide(eigenvalues[:, 0], scale, out=np.zeros(k), where=scale > 0)
     _guard(margin >= -POSITIVITY_TOL, margin,
@@ -298,15 +324,12 @@ def _mixture(sites: _Sites) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     except SolverError as exc:
         exc.index = int(owner[exc.index])  # the failing system, not its sector matrix
         raise
-    m, n = sites.h.shape[:2]
-    field = np.zeros((m, n, n), dtype=complex)
-    sz_block = np.zeros((m, n, n), dtype=complex)
-    np.add.at(field, owner, weight * c)
-    np.add.at(sz_block, owner, sign * weight * c)
-    largest, smallest = np.zeros(m), np.full(m, np.inf)
-    np.maximum.at(largest, owner, residual)
-    np.minimum.at(smallest, owner, margin)
-    return field, sz_block, largest, smallest
+    # every system has one or two sectors, and they are consecutive
+    start = np.searchsorted(owner, np.arange(len(sites.h)))
+    # + 0.0 turns a sum of -0.0 into +0.0, as a sum from zero does
+    field = np.add.reduceat(weight * c, start) + 0.0
+    sz_block = np.add.reduceat(sign * weight * c, start) + 0.0
+    return field, sz_block, np.maximum.reduceat(residual, start), np.minimum.reduceat(margin, start)
 
 
 def steady_state_matrix(system: ArraySystem) -> MomentMatrix:

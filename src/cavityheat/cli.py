@@ -14,6 +14,7 @@ pass over the whole grid; its results reach the writer as columns
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -619,7 +620,9 @@ def _build_spec(args: argparse.Namespace) -> SweepSpec:
     )
 
 
-def main(argv: list[str] | None = None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on first use; parsing does not change it."""
     parser = argparse.ArgumentParser(prog="cavityheat", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     run = sub.add_parser("run", help="run a named sweep experiment")
@@ -628,8 +631,11 @@ def main(argv: list[str] | None = None) -> int:
     run.add_argument("--set", action="append", metavar="KEY=VALUE", help="override a config key")
     run.add_argument("--out", required=True, help="output file path")
     run.add_argument("--format", default="csv", choices=("csv", "json"))
+    return parser
 
-    args = parser.parse_args(argv)
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parser().parse_args(argv)
     try:
         spec = _build_spec(args)
         run_experiment(spec)

@@ -9,16 +9,19 @@ sectors, each a 2 x 2 Lyapunov equation, and this path agrees with the
 density-matrix oracle up to Fock truncation error only.
 
 A sweep is one ``model.PairGrid``. ``sweep_currents`` solves the whole grid
-as one stack of sector equations (``chain.sector_covariances``) and returns
-its currents as arrays, with no per-point object; each point carries the
-largest residual of its sector equations, held to RESIDUAL_TOL. The currents
-come from ``chain._currents``, the one boundary-current formula of pairs and
-chains. One pair is solved by ``steady_state`` on the same cores, and its
-currents are ``chain.boundary_currents``. The state is a
+as one stack of sector equations (``chain.sector_covariances``, which takes
+the eigenvalues of each 2 x 2 sector in closed form, with no LAPACK
+eigensolver) and returns its currents as arrays, with no per-point object;
+each point carries the largest residual of its sector equations, held to
+RESIDUAL_TOL. The currents come from ``chain._currents``, the one
+boundary-current formula of pairs and chains. One pair is solved by
+``steady_state`` on the same cores, and its currents are
+``chain.boundary_currents``. The state is a
 ``chain.MomentMatrix``: the two 2 x 2 blocks F = <a_j+ a_k> and
 S = <a_j+ a_k sz> of G = [[F, S], [S, F]]. ``evolve`` integrates the block
 equation in time on these blocks, with ``chain._motion``, and a
-``MomentTrajectory`` holds their stacks.
+``MomentTrajectory`` holds their stacks; its step warning reads the sector
+decay exponents from the same closed form (``chain._pair_exponents``).
 """
 
 from __future__ import annotations
@@ -107,7 +110,7 @@ def evolve(
     sites = chain._sites(PairGrid.from_systems([system]))
     # sector s relaxes with the eigenvalues b_i + conj(b_j) of its A_s = i (h + s x) + D
     signs = np.array([1.0, -1.0])[:, None, None]
-    b = np.linalg.eigvals(chain._sector_matrices(sites, np.array([0, 0]), signs))
+    b = chain._pair_exponents(chain._sector_matrices(sites, np.array([0, 0]), signs))
     spectral_bound = float(np.max(np.abs(b[:, :, None] + b.conj()[:, None, :])))
     if dt * spectral_bound >= 0.1:
         warnings.warn(

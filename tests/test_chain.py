@@ -17,7 +17,9 @@ from cavityheat.chain import (
     steady_state_matrix,
 )
 from cavityheat.closedform import current_general
-from cavityheat.model import ArraySystem, AtomSpec, PairGrid, ReservoirSpec, SolverError, TwoCavitySystem
+from cavityheat.model import (
+    ArraySystem, AtomSpec, PairGrid, ReservoirSpec, SolverError, TwoCavitySystem, sector_weights,
+)
 from cavityheat.moments import steady_state, sweep_currents
 
 from block_reference import block_generators, block_matrix, block_residual, kronecker_steady_matrix
@@ -173,9 +175,36 @@ def refuse(name):
 def test_a_pair_grid_is_solved_by_kronecker_without_an_eigenbasis(monkeypatch):
     pair = TwoCavitySystem(omega_left=1.0, omega_right=1.1, coupling=0.02, left=ReservoirSpec(0.06, 0.5),
                            right=ReservoirSpec(0.08, 0.1), atom=AtomSpec(0.1, 0.3))
-    monkeypatch.setattr(chain.np.linalg, "eig", refuse("eig"))
+    for name in ("eig", "eigvals", "eigvalsh"):  # pairs take their spectra in closed form
+        monkeypatch.setattr(chain.np.linalg, name, refuse(name))
     report, residual = sweep_currents(PairGrid.sweep(pair, chi=[0.0, 0.1, 0.2]))
     assert np.all(residual <= chain.RESIDUAL_TOL) and np.all(np.isfinite(report.i_left))
+
+
+def test_the_sector_mixture_is_the_sum_of_each_systems_sectors_bit_for_bit():
+    # pinned atoms have one sector, a mixed atom two, and an atom-free point one with s = 0
+    base = TwoCavitySystem(omega_left=1.0, omega_right=1.0, coupling=0.02, left=ReservoirSpec(0.06, 0.5),
+                           right=ReservoirSpec(0.06, 0.0), atom=AtomSpec(0.05, 1.0))
+    systems = [replace(base, atom=atom) for atom in
+               (AtomSpec(0.05, 1.0), None, AtomSpec(0.05, 0.3), AtomSpec(0.05, -1.0), None, AtomSpec(0.1, -0.6))]
+    sites = chain._sites(PairGrid.from_systems(systems))
+    field, sz_block, largest, smallest = chain._mixture(sites)
+    weight, sign = sector_weights(sites.sigma_z, sites.atom)
+    owner, sector = np.nonzero(weight > 0.0)
+    c, residual, margin = chain.sector_covariances(
+        chain._sector_matrices(sites, owner, sign[owner, sector][:, None, None]), sites.drive[owner].astype(complex))
+    for m in range(len(systems)):
+        f = s = 0.0
+        for k in np.flatnonzero(owner == m):
+            p, z = weight[m, sector[k]], sign[m, sector[k]]
+            f, s = f + p * c[k], s + z * p * c[k]
+        for got, want in ((field[m], f), (sz_block[m], s)):
+            assert np.array_equal(got, want)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(got)), np.signbit(part(want)))
+        assert largest[m] == residual[owner == m].max() and smallest[m] == margin[owner == m].min()
+    # the atom-free point's products s p C, s = 0, hold -0.0 entries; its S is +0.0, as a sum from zero gives
+    assert np.signbit(sign[1, 0] * c[owner == 1].real).any() and not np.signbit(sz_block[1].real).any()
 
 
 def test_a_three_site_chain_is_solved_in_the_eigenbasis_without_kronecker(monkeypatch):

@@ -246,6 +246,28 @@ def test_exit_validation_on_bad_config(tmp_path):
     ) == cli.EXIT_VALIDATION
 
 
+def test_each_main_call_in_one_process_parses_only_its_own_argv(tmp_path, capsys):
+    def argv(out, params, *extra):
+        return ["run", "--experiment", "gamma_sweep", "--out", str(tmp_path / out), *extra,
+                *(f"--set={key}={value}" for key, value in params.items())]
+
+    assert main(argv("a.json", SWEEP, "--format", "json")) == cli.EXIT_OK
+    assert main(argv("b.csv", SWEEP)) == cli.EXIT_OK  # the default format again, not the last call's
+    assert json.loads((tmp_path / "a.json").read_text()) and read_csv(tmp_path / "b.csv")[1]
+    incomplete = {key: value for key, value in SWEEP.items() if key != "sweep_step"}
+    assert main(argv("c.csv", incomplete)) == cli.EXIT_VALIDATION  # no --set is left over either
+    assert capsys.readouterr().err.splitlines() == ["error: config: missing required key 'sweep_step'"]
+    errors = []
+    for _ in range(2):
+        with pytest.raises(SystemExit) as exit_:
+            main(["run", "--experiment", "nope", "--out", str(tmp_path / "d.csv")])
+        assert exit_.value.code == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] and errors[0].startswith("usage: cavityheat run")
+    assert "argument --experiment: invalid choice: 'nope'" in errors[0]
+    assert cli._parser() is cli._parser()
+
+
 @pytest.mark.parametrize("value", ["abc", "0"], ids=["malformed", "zero"])
 def test_profile_reports_a_bad_size_once(tmp_path, capsys, value):
     # the atom is re-hosted at site n_sites, so the size reaches both the atom and the chain

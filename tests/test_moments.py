@@ -212,9 +212,19 @@ def test_sigma_z_is_carried_bitwise():
 
 
 def test_oversized_step_warns():
-    system = system_for()
-    with pytest.warns(UserWarning, match="eigenvalue"):
+    system = system_for(omega_right=1.1, gamma_right=0.08)
+    # the sectors relax at b_i + conj(b_j), b the eigenvalues of A_s = i (h + s x) + D
+    h = np.array([[system.omega_left, system.coupling], [system.coupling, system.omega_right]])
+    x, d = np.diag([0.0, system.atom.dispersive_strength]), np.diag([-system.left.rate, -system.right.rate]) / 2
+    b = np.linalg.eigvals(np.array([1j * (h + x) + d, 1j * (h - x) + d]))
+    bound = np.max(np.abs(b[:, :, None] + b.conj()[:, None, :]))
+    with pytest.warns(UserWarning) as record:
         evolve(system, zero_state(sigma_z=1.0), t_final=200.0, dt=100.0)
+    assert [str(w.message) for w in record] == [
+        f"dt * max|eigenvalue| = {100.0 * bound:.3g} >= 0.1; reduce the step for a faithful transient"]
+    with pytest.warns(UserWarning, match="eigenvalue"):
+        evolve(system, zero_state(sigma_z=1.0), t_final=1.0, dt=0.1001 / bound)
+    evolve(system, zero_state(sigma_z=1.0), t_final=1.0, dt=0.0999 / bound)  # warnings are errors here
 
 
 def test_evolve_rejects_bad_steps():

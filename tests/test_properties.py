@@ -2,7 +2,9 @@
 the closed form with the moment path, hot-to-cold flow without an atom, the
 equilibrium state, currents affine in sigma_z, the pair as the two-site
 chain, positive covariances, chains of three or more sites against the
-block equation, sweep grids equal to their points, balanced oracle currents,
+block equation, the closed-form 2 x 2 eigenvalues of the pair solve against
+LAPACK, a sector stack with a non-finite entry refused at the first such
+matrix, sweep grids equal to their points, balanced oracle currents,
 and every public call given a non-finite number raising or returning finite
 numbers, and given a fractional size raising."""
 
@@ -18,14 +20,15 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import cavityheat  # noqa: E402
 from cavityheat.chain import (  # noqa: E402
-    RESIDUAL_TOL, boundary_currents, size_scan, steady_state_matrix,
+    RESIDUAL_TOL, _pair_exponents, _pair_spectrum, _sector_matrices, _sites, boundary_currents,
+    sector_covariances, size_scan, steady_state_matrix,
 )
 from cavityheat.closedform import ZERO_CURRENT_TOL, current_general, current_pm, rectification  # noqa: E402
 from cavityheat.fockspace import (  # noqa: E402
     FockConfig, converged_steady_rho, oracle_currents, steady_rho, thermal_fidelity, thermal_state,
 )
 from cavityheat.model import (  # noqa: E402
-    ArraySystem, AtomSpec, PairGrid, ReservoirSpec, TwoCavitySystem, ValidationError, bose_occupation,
+    ArraySystem, AtomSpec, PairGrid, ReservoirSpec, SolverError, TwoCavitySystem, ValidationError, bose_occupation,
     sector_weights,
 )
 from cavityheat.moments import evolve, steady_state, sweep_currents  # noqa: E402
@@ -225,6 +228,93 @@ def test_a_chain_of_three_or_more_sites_solves_the_block_equation(system):
     assert np.max(np.abs(g - reference)) <= 1e-10 * max(1.0, np.max(np.abs(reference)))
     if system.left.mean_occupation or system.right.mean_occupation:  # else M3 = 0 and G = 0
         assert block_residual(system, g) <= RESIDUAL_TOL
+
+
+EPS = np.finfo(float).eps
+# parts whose squares neither over- nor underflow, the range of the 2 x 2 closed forms
+PART = st.just(0.0) | st.floats(1e-6, 1e6) | st.floats(-1e6, -1e-6)
+ENTRY = st.builds(complex, PART, PART)
+
+
+@st.composite
+def two_by_two(draw):
+    """A stack of 2 x 2 complex matrices of one kind: any, defective
+    [[l, 1], [0, l]], undamped i S with S real symmetric, or zero."""
+    kind = draw(st.sampled_from(["any", "defective", "undamped", "zero"]))
+    k = draw(st.integers(1, 4))
+    a = np.array(draw(st.lists(ENTRY, min_size=4 * k, max_size=4 * k))).reshape(k, 2, 2)
+    if kind == "defective":
+        a[:, 1, 1], a[:, 0, 1], a[:, 1, 0] = a[:, 0, 0], 1.0, 0.0
+    elif kind == "undamped":
+        a = 1j * (a.real + a.real.transpose(0, 2, 1))
+    elif kind == "zero":
+        a[:] = 0.0
+    return kind, a
+
+
+def paired_distance(got, want):
+    """Largest distance between two stacks of eigenvalue pairs, each pair in its better order."""
+    return np.minimum(np.max(np.abs(got - want), axis=1), np.max(np.abs(got - want[:, ::-1]), axis=1))
+
+
+@settings(PROPERTY, max_examples=200)
+@given(two_by_two())
+@example(("defective", np.array([[[0.3 - 2.0j, 1.0], [0.0, 0.3 - 2.0j]]])))
+@example(("any", np.array([[[-0.03 + 1e3j, 0.02j], [0.02j, -0.04 + 1e3j]]])))  # a sector far above its spread
+def test_the_closed_form_decay_exponents_are_the_eigenvalues(case):
+    kind, a = case
+    got, want = _pair_exponents(a), np.linalg.eigvals(a)
+    norm = np.linalg.norm(a, axis=(1, 2))
+    assert np.all(got[:, 0].real >= got[:, 1].real)  # the slowest first
+    # a rounding of A moves its eigenvalues by about eps ||A|| ||B|| / gap, B =
+    # A - (t/2) I, and by up to sqrt(eps) ||A|| where they meet; both ways of solving do
+    spread = np.linalg.norm(a - np.trace(a, axis1=1, axis2=2)[:, None, None] * np.eye(2) / 2, axis=(1, 2))
+    gap = np.abs(want[:, 0] - want[:, 1])
+    sensitivity = np.maximum(gap, np.sqrt(EPS) * spread)
+    assert np.all(paired_distance(got, want) * sensitivity <= 8 * EPS * norm * (sensitivity + spread))
+    # with the trace and the determinant kept to rounding at any gap
+    assert np.all(np.abs(got.sum(axis=1) - np.trace(a, axis1=1, axis2=2)) <= 4 * EPS * norm)
+    assert np.all(np.abs(got.prod(axis=1) - np.linalg.det(a)) <= 8 * EPS * norm**2)
+    if kind in ("defective", "zero"):
+        assert np.array_equal(got, want)
+    if kind == "undamped":
+        assert np.all(got.real == 0.0)
+        with pytest.raises(SolverError, match="a chain mode is undamped"):
+            sector_covariances(a, np.broadcast_to(np.eye(2, dtype=complex), a.shape))
+
+
+@st.composite
+def covariances(draw):
+    """A stack of Hermitian positive semidefinite 2 x 2 matrices of one rank, 0 to 2."""
+    k, rank = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    b = np.array(draw(st.lists(ENTRY, min_size=2 * k * rank, max_size=2 * k * rank)), complex).reshape(k, 2, rank)
+    return b @ b.conj().transpose(0, 2, 1)
+
+
+@PROPERTY
+@given(covariances(), ENTRY, PART)
+def test_the_closed_form_covariance_eigenvalues_read_the_lower_triangle_as_eigvalsh(c, upper, diagonal):
+    noisy = c.copy()  # eigvalsh reads neither the upper triangle nor the imaginary diagonal
+    noisy[:, 0, 1] = upper
+    noisy[:, [0, 1], [0, 1]] += 1j * diagonal
+    got, norm = _pair_spectrum(noisy), np.linalg.norm(c, axis=(1, 2))
+    for want in (np.linalg.eigvalsh(noisy), np.linalg.eigvalsh(c)):
+        assert np.all(np.abs(got - want) <= 8 * EPS * norm[:, None])
+    assert np.all(got[:, 0] <= got[:, 1]) and np.all(got[:, 0] >= -8 * EPS * norm)
+
+
+@PROPERTY
+@given(st.integers(0, 5), st.integers(0, 3), NON_FINITE, st.booleans(), st.booleans())
+def test_a_sector_stack_with_a_non_finite_entry_is_refused_at_the_first(first, entry, value, imaginary, again):
+    sites, owner = _sites(PairGrid.sweep(PAIR, chi=[0.1, 0.2, 0.3])), np.repeat(np.arange(3), 2)
+    a = _sector_matrices(sites, owner, np.tile([1.0, -1.0], 3)[:, None, None])
+    row, column = divmod(entry, 2)
+    for k in (first, 5) if again else (first,):
+        part = a[k, row, column]
+        a[k, row, column] = complex(part.real, value) if imaginary else complex(value, part.imag)
+    with pytest.raises(SolverError, match="a chain mode is undamped") as err:
+        sector_covariances(a, sites.drive[owner].astype(complex))
+    assert err.value.index == first
 
 
 def detuned_mixed(sigma_z):
