@@ -19,7 +19,14 @@ one batched Kronecker system, with the eigenvalues of A_s and C_s of each
 2 x 2 sector in closed form, and every chain of three or more sites in the
 eigenbasis of each A_s (O(N^3) time, O(N^2) memory). A_s is complex
 symmetric, so that basis W has W^-1 = W^T; the equation is elementwise there,
-and the same eigenvalues give the stability guard. G is then [[F, S], [S, F]]
+and the same eigenvalues give the stability guard. Each solution is checked
+by its normwise backward error (``_backward_error``)
+
+    ||A C + C A+ + Q|| / (2 ||A|| ||C|| + ||Q||),
+
+the one residual of every moment solve, held to the one bound RESIDUAL_TOL: a
+backward-stable solve leaves a few eps, however large ||A|| / ||Q|| is (a
+high-Q pair has ||A|| / Gamma of 1e6 and more). G is then [[F, S], [S, F]]
 with F = sum_s p_s C_s and S = sum_s s p_s C_s, so F and S state it
 completely: a ``MomentMatrix`` holds these two N x N blocks and nothing
 else. The block equation is their two N x N equations (``_motion``), read
@@ -29,7 +36,9 @@ straight from the site arrays, with no 2N x 2N coefficient matrix:
     R_S = i ([h, S] + x F - F x) + D S + S D + sz Q.
 
 ``steady_state_matrix`` checks the mixture against them, without the sector
-weights or signs; ``moments.evolve`` integrates them in time.
+weights or signs, by the same backward error with A = i M1 + M2 and every
+norm that of the full 2N x 2N matrix; ``moments.evolve`` integrates them in
+time.
 
 A ``TwoCavitySystem`` is the N = 2 chain with on-site frequencies omega_L,
 omega_R and the atom on site 2; ``moments`` solves it with the same core.
@@ -66,7 +75,9 @@ __all__ = [
     "size_scan",
 ]
 
-RESIDUAL_TOL = 1e-10
+# normwise backward error (``_backward_error``) allowed of every moment solve,
+# about 45 eps: a backward-stable solve leaves a few eps
+RESIDUAL_TOL = 1e-14
 HERMITICITY_TOL = 1e-10
 # a sector mode decaying slower than this, relative to ||A_s||, counts as
 # undamped: the Lyapunov equation then has no unique solution
@@ -92,8 +103,8 @@ class MomentMatrix:
     field_block: np.ndarray  # F, N x N complex
     sz_block: np.ndarray  # S, N x N complex
     sigma_z: float = 0.0
-    # relative residual from the solve: of the block equation from
-    # steady_state_matrix, the largest over the sector equations otherwise
+    # backward error (``_backward_error``) from the solve: of the block
+    # equation from steady_state_matrix, the largest over the sector equations otherwise
     residual: float | None = None
     positivity_margin: float | None = None  # smallest sector-covariance eigenvalue over the largest
 
@@ -132,7 +143,7 @@ class SizeScanPoint:
     n_sites: int
     current: float
     ratio: float  # against the atom-free ballistic current
-    residual: float
+    residual: float  # backward error of the block equation, as MomentMatrix.residual
 
 
 class _Sites(NamedTuple):
@@ -194,12 +205,32 @@ def _motion(sites: _Sites, f: np.ndarray, s: np.ndarray) -> np.ndarray:
     return np.stack([block(f, s, sites.drive), block(s, f, sites.sigma_z[:, None, None] * sites.drive)])
 
 
+def _backward_error(residual: np.ndarray, norm_a: np.ndarray, norm_c: np.ndarray,
+                    norm_q: np.ndarray) -> np.ndarray:
+    """Normwise backward error ||R|| / (2 ||A|| ||C|| + ||Q||) of a solution C of
+    A C + C A+ + Q = 0 with residual R (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 16): the residual against the size of
+    the terms it is summed from, so a backward-stable solve leaves a few eps
+    whatever ||A|| / ||Q|| is. With a zero denominator it is ||R||."""
+    denominator = 2.0 * norm_a * norm_c + norm_q
+    return np.divide(residual, denominator, out=np.array(residual, dtype=float), where=denominator > 0)
+
+
+def _block_norm(a: np.ndarray, b: np.ndarray) -> float:
+    """Frobenius norm of [[a, b], [b, a]] from its blocks: sqrt(2 (||a||^2 + ||b||^2))."""
+    return np.sqrt(2.0) * np.linalg.norm([a, b])
+
+
 def _residual(sites: _Sites, f: np.ndarray, s: np.ndarray) -> float:
-    """||dG/dt|| / ||M3|| of the one system of a stack at G = [[F, S], [S, F]];
-    both norms are taken over the top row of blocks, since the bottom row repeats it."""
-    norm_drive = np.linalg.norm(sites.drive) * np.hypot(1.0, sites.sigma_z[0])
-    res = np.linalg.norm(_motion(sites, f, s))
-    return float(res / norm_drive) if norm_drive > 0 else float(res)
+    """Backward error of the block equation, ||R|| / (2 ||M|| ||G|| + ||M3||),
+    M = i M1 + M2, of the one system of a stack at G = [[F, S], [S, F]]; every
+    norm is that of the full 2N x 2N matrix, read from its two blocks."""
+    return float(_backward_error(
+        _block_norm(*_motion(sites, f, s)),
+        _block_norm(1j * sites.h + sites.damping, 1j * sites.x),
+        _block_norm(f, s),
+        _block_norm(sites.drive, sites.sigma_z[:, None, None] * sites.drive),
+    ))
 
 
 def _guard(ok: np.ndarray, values: np.ndarray, message: str) -> None:
@@ -274,20 +305,25 @@ def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     (``_pair_exponents``) and the eigenvalues of C in closed form; chains take
     one batched ``eig``, whose exponents and eigenbasis ``_eigenbasis_solve``
     works in, and ``eigvalsh`` for the positivity guard. Returns the covariances C
-    (K, N, N), the relative residual of each equation and each positivity
-    margin (smallest eigenvalue of C_k over its largest magnitude). Raises
-    SolverError, with ``index`` the first failing k, when a mode is undamped
-    (or A_k has no basis of eigenvectors), a covariance is not positive
-    semidefinite or a residual exceeds RESIDUAL_TOL.
+    (K, N, N), the backward error of each equation, ||A C + C A+ + Q|| /
+    (2 ||A|| ||C|| + ||Q||) with the ||A|| of the stability guard, and each
+    positivity margin (smallest eigenvalue of C_k over its largest magnitude).
+    Raises SolverError, with ``index`` the first failing k, when A_k or Q_k
+    has a non-finite entry, a mode is undamped (or A_k has no basis of
+    eigenvectors), a covariance is not positive semidefinite or a backward
+    error exceeds RESIDUAL_TOL.
     """
     k, n, _ = a.shape
-    with np.errstate(invalid="ignore", over="ignore"):  # a non-finite entry makes the bound -inf or NaN
+    finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2))
+    _guard(finite, finite, "a sector equation has a non-finite entry")
+    with np.errstate(invalid="ignore", over="ignore"):  # entries beyond about 1e154 make the bound -inf or NaN
         if n == 2:
             exponents, basis = _pair_exponents(a), None
         else:
             exponents, basis = np.linalg.eig(a)
         slowest = np.max(exponents.real, axis=1)
-        bound = -STABILITY_TOL * np.linalg.norm(a, axis=(1, 2))
+        norm_a = np.linalg.norm(a, axis=(1, 2))
+        bound = -STABILITY_TOL * norm_a
     _guard(slowest < bound, slowest,
            "no unique steady state: a chain mode is undamped (largest decay exponent {:.3e})")
     if basis is None:
@@ -302,16 +338,15 @@ def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     margin = np.divide(eigenvalues[:, 0], scale, out=np.zeros(k), where=scale > 0)
     _guard(margin >= -POSITIVITY_TOL, margin,
            "sector covariance is not positive semidefinite (relative eigenvalue {:.3e})")
-    res = np.linalg.norm(a @ c + c @ a.conj().transpose(0, 2, 1) + q, axis=(1, 2))
-    norm_drive = np.linalg.norm(q, axis=(1, 2))
-    residual = np.divide(res, norm_drive, out=res.copy(), where=norm_drive > 0)
+    residual = _backward_error(np.linalg.norm(a @ c + c @ _adjoint(a) + q, axis=(1, 2)), norm_a,
+                               np.linalg.norm(c, axis=(1, 2)), np.linalg.norm(q, axis=(1, 2)))
     _guard(residual <= RESIDUAL_TOL, residual, f"sector steady-state residual {{:.3e}} exceeds {RESIDUAL_TOL}")
     return c, residual, margin
 
 
 def _mixture(sites: _Sites) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Steady blocks F = sum_s p_s C_s and S = sum_s s p_s C_s (M, N, N) of a
-    stack, from one stack of sector equations, with the largest residual and
+    stack, from one stack of sector equations, with the largest backward error and
     the smallest positivity margin of each system's sectors. A SolverError
     carries in ``index`` the position of the failing system."""
     weight, sign = sector_weights(sites.sigma_z, sites.atom)
@@ -334,16 +369,16 @@ def _mixture(sites: _Sites) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
 
 def steady_state_matrix(system: ArraySystem) -> MomentMatrix:
     """Solve i [M1, G] + {M2, G} + M3 = 0 as one Lyapunov equation per atomic
-    sector; the result carries the residual of the block equation."""
+    sector; the result carries the backward error of the block equation
+    (``_residual``), held to RESIDUAL_TOL."""
     sites = _sites(system)
     f, s, _, margin = _mixture(sites)
     residual = _residual(sites, f, s)
     if not residual <= RESIDUAL_TOL:
         raise SolverError(f"chain steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL}")
-    # ||[[a, b], [b, a]]|| = sqrt(2 (||a||^2 + ||b||^2)), for G - G+ as for G
     f, s = f[0], s[0]
-    hermiticity = np.sqrt(2.0) * np.linalg.norm([f - f.conj().T, s - s.conj().T])
-    if not hermiticity <= HERMITICITY_TOL * max(1.0, np.sqrt(2.0) * np.linalg.norm([f, s])):
+    hermiticity = _block_norm(f - f.conj().T, s - s.conj().T)  # ||G - G+||
+    if not hermiticity <= HERMITICITY_TOL * max(1.0, _block_norm(f, s)):
         raise SolverError(f"steady matrix is not Hermitian (deviation {hermiticity:.3e})")
     return MomentMatrix(f, s, sigma_z=system.sigma_z, residual=residual, positivity_margin=margin.item())
 

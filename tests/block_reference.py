@@ -70,11 +70,30 @@ def block_matrix(state) -> np.ndarray:
     return np.block([[f, s], [s, f]])
 
 
+def norm(m: np.ndarray) -> float:
+    """Frobenius norm, scaled by the largest entry so that its squares neither
+    under- nor overflow (a drive of 1e-197 squares to zero)."""
+    scale = np.max(np.abs(m))
+    return float(scale * np.linalg.norm(m / scale)) if scale > 0 else 0.0
+
+
 def block_residual(system, g: np.ndarray) -> float:
     """Relative residual ||i [M1, G] + {M2, G} + M3|| / ||M3|| at a 2N x 2N matrix G."""
     gen = block_generators(system)
     motion = 1j * (gen.m1 @ g - g @ gen.m1) + gen.m2 @ g + g @ gen.m2 + gen.m3
-    return float(np.linalg.norm(motion) / np.linalg.norm(gen.m3))
+    return norm(motion) / norm(gen.m3)
+
+
+def block_backward_error(system, g: np.ndarray) -> float:
+    """Normwise backward error ||R|| / (2 ||M|| ||G|| + ||M3||) at a 2N x 2N
+    matrix G, with M = i M1 + M2, so that the block equation reads
+    M G + G M+ + M3 = R = 0 (Higham, Accuracy and Stability of Numerical
+    Algorithms, 2nd ed., ch. 16); every norm is the Frobenius norm of the full
+    2N x 2N matrix."""
+    gen = block_generators(system)
+    m = 1j * gen.m1 + gen.m2
+    motion = m @ g + g @ m.conj().T + gen.m3
+    return norm(motion) / (2.0 * norm(m) * norm(g) + norm(gen.m3))
 
 
 def kronecker_steady_matrix(system) -> np.ndarray:

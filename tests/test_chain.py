@@ -22,7 +22,9 @@ from cavityheat.model import (
 )
 from cavityheat.moments import steady_state, sweep_currents
 
-from block_reference import block_generators, block_matrix, block_residual, kronecker_steady_matrix
+from block_reference import (
+    block_backward_error, block_generators, block_matrix, block_residual, kronecker_steady_matrix,
+)
 
 
 def chain_system(n_sites, chi=0.0, host=None, sigma_z=-1.0, coupling=0.05,
@@ -124,14 +126,14 @@ def test_a_nan_current_is_reported_as_unbalanced():
 def test_steady_matrix_carries_its_residual():
     system = chain_system(6, chi=0.1, host=3, sigma_z=0.2)
     g = steady_state_matrix(system)
-    assert g.residual <= 1e-10
-    # off the steady state the N x N block residual is the 2N x 2N one
+    assert g.residual <= chain.RESIDUAL_TOL
+    # off the steady state the N x N block backward error is the 2N x 2N one
     moved = block_matrix(g)
     moved[1, 2] += 1e-3
     moved[7, 8] += 1e-3
     sites = chain._sites(system)
     residual = chain._residual(sites, moved[None, :6, :6], moved[None, :6, 6:])
-    assert residual == pytest.approx(block_residual(system, moved), rel=1e-12)
+    assert residual == pytest.approx(block_backward_error(system, moved), rel=1e-12)
     assert residual > 1e-5
 
 
@@ -164,6 +166,16 @@ def test_sector_residual_check_rejects_a_perturbed_solution(monkeypatch):
     for n in (2, 3):
         with pytest.raises(SolverError, match="sector steady-state residual"):
             steady_state_matrix(chain_system(n, chi=0.1, host=n))
+
+
+def test_a_high_q_two_site_chain_solves_to_the_closed_form():
+    # Gamma = 1e-7 against omega = 1: the block equation's backward error stays at a few eps
+    system = chain_system(2, chi=0.05, host=2, sigma_z=1.0, coupling=0.01, gamma_left=1e-7, gamma_right=1e-7)
+    g = steady_state_matrix(system)
+    assert g.residual <= chain.RESIDUAL_TOL
+    pair = TwoCavitySystem(omega_left=1.0, omega_right=1.0, coupling=0.01, left=system.left, right=system.right,
+                           atom=AtomSpec(0.05, 1.0))
+    assert boundary_currents(system, g).i_left == pytest.approx(current_general(pair).i_left, rel=1e-9, abs=0)
 
 
 def refuse(name):
@@ -234,13 +246,17 @@ def test_the_block_checks_and_the_size_scan_wrap_fire_with_their_messages(monkey
                               "(largest decay exponent 0.000e+00)")
     mixture, eps = chain._mixture, 1e-10
 
-    def skewed(sites):  # an interior occupation off the real axis, within the residual bound
+    def skewed(sites):  # an interior occupation off the real axis
         f, s, residual, margin = mixture(sites)
         f[0, 2, 2] += 1j * eps
         return f, s, residual, margin
 
     system = chain_system(5, chi=0.1, host=5, sigma_z=0.3, coupling=0.01)
     monkeypatch.setattr(chain, "_mixture", skewed)
+    with pytest.raises(SolverError) as err:  # the skew breaks the residual bound first
+        steady_state_matrix(system)
+    assert str(err.value).startswith("chain steady-state residual ")
+    monkeypatch.setattr(chain, "_residual", lambda sites, f, s: 0.0)  # past it, the Hermiticity check fires
     with pytest.raises(SolverError) as err:
         steady_state_matrix(system)
     assert str(err.value) == f"steady matrix is not Hermitian (deviation {2.0 * math.sqrt(2.0) * eps:.3e})"

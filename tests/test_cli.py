@@ -11,8 +11,9 @@ import numpy as np
 import pytest
 
 import cavityheat
-from cavityheat import cli, fockspace, moments
+from cavityheat import chain, cli, fockspace, moments
 from cavityheat.cli import SweepSpec, crosscheck, main, parse_config_file, run_experiment
+from cavityheat.closedform import current_general
 from cavityheat.model import AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem, ValidationError
 
 FIG2 = {
@@ -74,6 +75,20 @@ def test_gamma_sweep_argmax_and_determinism(tmp_path):
     # reruns are byte-identical
     run_experiment(spec)
     assert out.read_bytes() == first
+
+
+def test_a_high_q_gamma_sweep_matches_the_closed_form(tmp_path):
+    # rates of 1e-6 against omega = 1 and J = 0.01
+    params = dict(FIG2, coupling="0.01", sweep_start="1e-6", sweep_stop="3e-6", sweep_step="1e-6")
+    assert run_main("gamma_sweep", tmp_path, params) == cli.EXIT_OK
+    _, rows = read_csv(tmp_path / "out.csv")
+    assert len(rows) == 3
+    for row in rows:
+        gamma = float(row["value"])
+        system = TwoCavitySystem(omega_left=1.0, omega_right=1.0, coupling=0.01, left=ReservoirSpec(gamma, 0.5),
+                                 right=ReservoirSpec(gamma, 0.0), atom=AtomSpec(0.05, 1.0))
+        assert float(row["residual"]) <= chain.RESIDUAL_TOL
+        assert float(row["i_left"]) == pytest.approx(current_general(system).i_left, rel=1e-9, abs=0)
 
 
 def test_chi_sweep_detects_reversal(tmp_path):
@@ -670,14 +685,12 @@ def test_crosscheck_rejects_a_bad_tolerance_before_solving(monkeypatch, tmp_path
 
 
 @pytest.mark.parametrize(
-    "sigma_z, row, error, message",
-    [("1.0", 2, 1e-11, "steady-state residual"), ("0.2", 5, 1e-9, "sector steady-state residual")],
-    ids=["row-bound", "sector-bound"],
+    "sigma_z, row, error", [("1.0", 2, 1e-11), ("0.2", 5, 1e-9)], ids=["row-bound", "sector-bound"],
 )
-def test_moment_solver_failure_names_the_sweep_value(monkeypatch, tmp_path, capsys, sigma_z, row, error, message):
+def test_moment_solver_failure_names_the_sweep_value(monkeypatch, tmp_path, capsys, sigma_z, row, error):
     # the stack holds one sector matrix per row at sigma_z = 1 and two at 0.2;
-    # either way the perturbed matrix belongs to the third row. An error of
-    # 1e-11 passes the chain's 1e-10 bound and fails the moment rows' 1e-12.
+    # either way the perturbed matrix belongs to the third row. A relative
+    # error of 1e-11 in C is a backward error of about 2.5e-13, far above the bound.
     solve = np.linalg.solve
 
     def perturbed(a, b):
@@ -688,7 +701,7 @@ def test_moment_solver_failure_names_the_sweep_value(monkeypatch, tmp_path, caps
     monkeypatch.setattr(np.linalg, "solve", perturbed)
     params = dict(FIG2, sigma_z=sigma_z, sweep_start="0.05", sweep_stop="0.09", sweep_step="0.01")
     assert run_main("gamma_sweep", tmp_path, params) == cli.EXIT_SOLVER
-    assert capsys.readouterr().err.startswith(f"error: solver failure at gamma=0.07: {message}")
+    assert capsys.readouterr().err.startswith("error: solver failure at gamma=0.07: sector steady-state residual ")
 
 
 @pytest.mark.parametrize(

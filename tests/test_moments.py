@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from cavityheat import chain
 from cavityheat.chain import MomentMatrix, boundary_currents, sector_covariances
 from cavityheat.closedform import current_general, steady_moments
 from cavityheat.model import AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem, atomic_sectors
@@ -329,6 +330,33 @@ def test_steady_state_carries_its_residual():
         v = steady_state(system)
         _, residual, _ = sector_covariances(*sector_stack(system))
         assert v.residual == residual.max()
+
+
+@pytest.mark.parametrize("gamma", [1e-6, 1e-7])
+def test_a_high_q_pair_solves_to_the_closed_form(gamma):
+    # Gamma << J << omega: ||A|| / ||Q|| is about 3e6 and 3e7, and a backward-stable
+    # solve leaves a residual of about eps ||A|| ||C||, far above eps ||Q||
+    system = system_for(coupling=0.01, gamma_left=gamma, gamma_right=gamma)
+    state = steady_state(system)
+    assert state.residual <= chain.RESIDUAL_TOL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the boundary currents balance
+        report = boundary_currents(system, state)
+    assert report.i_left == pytest.approx(current_general(system).i_left, rel=1e-9, abs=0)
+
+
+def test_a_perturbed_high_q_solve_is_refused(monkeypatch):
+    # a relative error of 1e-11 in one entry of C is a backward error of about 5e-14
+    solve = np.linalg.solve
+
+    def perturbed(a, b):
+        c = solve(a, b)
+        c[:, 0] *= 1 + 1e-11  # C_00 of every sector
+        return c
+
+    monkeypatch.setattr(np.linalg, "solve", perturbed)
+    with pytest.raises(SolverError, match="^sector steady-state residual "):
+        steady_state(system_for(coupling=0.01, gamma_left=1e-6, gamma_right=1e-6))
 
 
 def test_currents_reject_a_state_of_another_sigma_z():

@@ -1,5 +1,6 @@
 """Property tests: validation at construction, balanced currents, agreement of
-the closed form with the moment path, hot-to-cold flow without an atom, the
+the closed form with the moment path (also with rates over five decades,
+where ||A|| / ||Q|| is large), hot-to-cold flow without an atom, the
 equilibrium state, currents affine in sigma_z, the pair as the two-site
 chain, positive covariances, chains of three or more sites against the
 block equation, the closed-form 2 x 2 eigenvalues of the pair solve against
@@ -10,6 +11,7 @@ numbers, and given a fractional size raising."""
 
 import dataclasses
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -33,7 +35,9 @@ from cavityheat.model import (  # noqa: E402
 )
 from cavityheat.moments import evolve, steady_state, sweep_currents  # noqa: E402
 
-from block_reference import block_matrix, block_residual, kronecker_steady_matrix  # noqa: E402
+from block_reference import (  # noqa: E402
+    block_backward_error, block_matrix, block_residual, kronecker_steady_matrix,
+)
 from fock_reference import sector_state  # noqa: E402
 
 PROPERTY = settings(derandomize=True, max_examples=50, deadline=None, database=None)
@@ -223,11 +227,14 @@ def test_the_positivity_margin_holds(system):
 @given(chains(min_sites=3, max_sites=14))
 def test_a_chain_of_three_or_more_sites_solves_the_block_equation(system):
     # the eigenbasis solve against the 2N x 2N block equation, solved densely
-    g = block_matrix(steady_state_matrix(system))
+    state = steady_state_matrix(system)
+    g = block_matrix(state)
     reference = kronecker_steady_matrix(system)
     assert np.max(np.abs(g - reference)) <= 1e-10 * max(1.0, np.max(np.abs(reference)))
+    assert state.residual <= RESIDUAL_TOL
     if system.left.mean_occupation or system.right.mean_occupation:  # else M3 = 0 and G = 0
-        assert block_residual(system, g) <= RESIDUAL_TOL
+        assert block_residual(system, g) <= 1e-10
+        assert block_backward_error(system, g) <= RESIDUAL_TOL
 
 
 EPS = np.finfo(float).eps
@@ -304,16 +311,24 @@ def test_the_closed_form_covariance_eigenvalues_read_the_lower_triangle_as_eigva
 
 
 @PROPERTY
-@given(st.integers(0, 5), st.integers(0, 3), NON_FINITE, st.booleans(), st.booleans())
-def test_a_sector_stack_with_a_non_finite_entry_is_refused_at_the_first(first, entry, value, imaginary, again):
-    sites, owner = _sites(PairGrid.sweep(PAIR, chi=[0.1, 0.2, 0.3])), np.repeat(np.arange(3), 2)
+@given(st.sampled_from([2, 3]), st.integers(0, 5), st.integers(0, 8), NON_FINITE, st.booleans(), st.booleans(),
+       st.booleans())
+def test_a_sector_stack_with_a_non_finite_entry_is_refused_at_the_first(n, first, entry, value, imaginary, drive,
+                                                                         again):
+    # six sector matrices: three pairs (Kronecker solve) or one 3-site chain six times (eigenbasis solve)
+    if n == 2:
+        sites, owner = _sites(PairGrid.sweep(PAIR, chi=[0.1, 0.2, 0.3])), np.repeat(np.arange(3), 2)
+    else:
+        sites, owner = _sites(replace(CHAIN, n_sites=3, atom=replace(CHAIN.atom, host_index=3))), np.zeros(6, int)
     a = _sector_matrices(sites, owner, np.tile([1.0, -1.0], 3)[:, None, None])
-    row, column = divmod(entry, 2)
+    q = sites.drive[owner].astype(complex)
+    row, column = divmod(entry % (n * n), n)
+    target = q if drive else a
     for k in (first, 5) if again else (first,):
-        part = a[k, row, column]
-        a[k, row, column] = complex(part.real, value) if imaginary else complex(value, part.imag)
-    with pytest.raises(SolverError, match="a chain mode is undamped") as err:
-        sector_covariances(a, sites.drive[owner].astype(complex))
+        part = target[k, row, column]
+        target[k, row, column] = complex(part.real, value) if imaginary else complex(value, part.imag)
+    with pytest.raises(SolverError, match="^a sector equation has a non-finite entry$") as err:
+        sector_covariances(a, q)
     assert err.value.index == first
 
 
@@ -395,6 +410,22 @@ def hot_pairs(draw):
         right=ReservoirSpec(draw(rate), draw(st.floats(0.0, 3.0))),
         atom=AtomSpec(draw(st.floats(0.0, 2.0)), draw(st.floats(-1.0, 1.0))) if has_atom else None,
     )
+
+
+@settings(PROPERTY, max_examples=200)
+@given(hot_pairs())
+@example(TwoCavitySystem(omega_left=1.0, omega_right=1.0, coupling=0.01, left=ReservoirSpec(1e-6, 0.5),
+                         right=ReservoirSpec(1e-6, 0.0), atom=AtomSpec(0.05, 1.0)))
+def test_a_pair_solves_to_the_closed_form_with_rates_over_five_decades(system):
+    # rates from 1e-4 against couplings up to 10: ||A|| / Gamma reaches 1e5, and the backward error stays at a few eps
+    state = steady_state(system)
+    assert state.residual <= RESIDUAL_TOL
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = boundary_currents(system, state)
+    scale = energy_scale(system, report)
+    assert abs(report.i_left + report.i_right) <= 1e-9 * scale
+    assert abs(current_general(system).i_left - report.i_left) <= 1e-9 * scale
 
 
 # Hot reservoirs cut at a few levels (tail_bound 1) with rates over five
