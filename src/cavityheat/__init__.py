@@ -41,7 +41,7 @@ from .closedform import (
     rectification,
     steady_moments,
 )
-from .moments import MomentTrajectory, evolve, steady_state, sweep_currents
+from .moments import MomentTrajectory, evolve, sweep_currents
 from .chain import (
     MomentMatrix,
     ballistic_current,
@@ -87,7 +87,6 @@ __all__ = [
     "steady_moments",
     "MomentTrajectory",
     "evolve",
-    "steady_state",
     "sweep_currents",
     "MomentMatrix",
     "ballistic_current",

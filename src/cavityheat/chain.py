@@ -26,30 +26,36 @@ by its normwise backward error (``_backward_error``)
 
 the one residual of every moment solve, held to the one bound RESIDUAL_TOL: a
 backward-stable solve leaves a few eps, however large ||A|| / ||Q|| is (a
-high-Q pair has ||A|| / Gamma of 1e6 and more). G is then [[F, S], [S, F]]
-with F = sum_s p_s C_s and S = sum_s s p_s C_s, so F and S state it
-completely: a ``MomentMatrix`` holds these two N x N blocks and nothing
-else. The block equation is their two N x N equations (``_motion``), read
-straight from the site arrays, with no 2N x 2N coefficient matrix:
+high-Q pair has ||A|| / Gamma of 1e6 and more). Every C returned is exactly
+Hermitian, as the exact solution is. G is then [[F, S], [S, F]] with
+F = sum_s p_s C_s and S = sum_s s p_s C_s, so F and S state it completely: a
+``MomentMatrix`` holds these two N x N blocks and nothing else, with the
+largest backward error of its sector equations as its ``residual``.
+
+That bound also holds the block equation i [M1, G] + {M2, G} + M3 = 0, with
+no second check. The unitary (1, 1; 1, -1)/sqrt(2) on the sz index turns
+M = i M1 + M2 into diag(A_+, A_-), G into diag(2 p_+ C_+, 2 p_- C_-) and M3
+into diag(2 p_+ Q, 2 p_- Q), so the block residual is diag(2 p_s R_s), with
+R_F +- R_S = 2 p_+- R_+-, and ||M||^2 = ||A_+||^2 + ||A_-||^2: the block
+backward error is at most the largest sector one, up to the rounding of the
+mixture. The block equation is read as its two N x N equations
+(``_motion``), straight from the site arrays,
 
     R_F = i ([h, F] + x S - S x) + D F + F D + Q,
-    R_S = i ([h, S] + x F - F x) + D S + S D + sz Q.
+    R_S = i ([h, S] + x F - F x) + D S + S D + sz Q,
 
-``steady_state_matrix`` checks the mixture against them, without the sector
-weights or signs, by the same backward error with A = i M1 + M2 and every
-norm that of the full 2N x 2N matrix; ``moments.evolve`` integrates them in
-time.
+which ``moments.evolve`` integrates in time.
 
 A ``TwoCavitySystem`` is the N = 2 chain with on-site frequencies omega_L,
-omega_R and the atom on site 2; ``moments`` solves it with the same core.
-A stack of pairs is one ``model.PairGrid``; a chain is solved on its own.
-``_sites`` alone states each site's frequency, atom shift, rate and nbar, as
-arrays over the whole stack, once per stack. ``_mixture`` and ``_currents``
-are the array cores: the sector mixture (each system's consecutive sectors
-summed by ``reduceat``), and the reservoir currents of a stack with one
-formula for both ends. ``steady_state_matrix`` and ``boundary_currents``
-run them on one system; a sweep grid (``moments.sweep_currents``) runs them
-on the whole grid.
+omega_R and the atom on site 2. A stack of pairs is one ``model.PairGrid``;
+a chain is solved on its own. ``_sites`` alone states each site's
+frequency, atom shift, rate and nbar, as arrays over the whole stack, once
+per stack. ``_mixture`` and ``_currents`` are the array cores: the sector
+mixture (each system's consecutive sectors summed by ``reduceat``), and the
+reservoir currents of a stack with one formula for both ends.
+``steady_state_matrix`` and ``boundary_currents`` run them on one pair or
+one chain; a sweep grid (``moments.sweep_currents``) runs them on the whole
+grid.
 """
 
 from __future__ import annotations
@@ -78,7 +84,6 @@ __all__ = [
 # normwise backward error (``_backward_error``) allowed of every moment solve,
 # about 45 eps: a backward-stable solve leaves a few eps
 RESIDUAL_TOL = 1e-14
-HERMITICITY_TOL = 1e-10
 # a sector mode decaying slower than this, relative to ||A_s||, counts as
 # undamped: the Lyapunov equation then has no unique solution
 STABILITY_TOL = 1e-12
@@ -103,9 +108,7 @@ class MomentMatrix:
     field_block: np.ndarray  # F, N x N complex
     sz_block: np.ndarray  # S, N x N complex
     sigma_z: float = 0.0
-    # backward error (``_backward_error``) from the solve: of the block
-    # equation from steady_state_matrix, the largest over the sector equations otherwise
-    residual: float | None = None
+    residual: float | None = None  # largest backward error (``_backward_error``) of the sector equations
     positivity_margin: float | None = None  # smallest sector-covariance eigenvalue over the largest
 
     def __post_init__(self) -> None:
@@ -143,7 +146,7 @@ class SizeScanPoint:
     n_sites: int
     current: float
     ratio: float  # against the atom-free ballistic current
-    residual: float  # backward error of the block equation, as MomentMatrix.residual
+    residual: float  # the chain's MomentMatrix.residual
 
 
 class _Sites(NamedTuple):
@@ -214,23 +217,6 @@ def _backward_error(residual: np.ndarray, norm_a: np.ndarray, norm_c: np.ndarray
     whatever ||A|| / ||Q|| is. With a zero denominator it is ||R||."""
     denominator = 2.0 * norm_a * norm_c + norm_q
     return np.divide(residual, denominator, out=np.array(residual, dtype=float), where=denominator > 0)
-
-
-def _block_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Frobenius norm of [[a, b], [b, a]] from its blocks: sqrt(2 (||a||^2 + ||b||^2))."""
-    return np.sqrt(2.0) * np.linalg.norm([a, b])
-
-
-def _residual(sites: _Sites, f: np.ndarray, s: np.ndarray) -> float:
-    """Backward error of the block equation, ||R|| / (2 ||M|| ||G|| + ||M3||),
-    M = i M1 + M2, of the one system of a stack at G = [[F, S], [S, F]]; every
-    norm is that of the full 2N x 2N matrix, read from its two blocks."""
-    return float(_backward_error(
-        _block_norm(*_motion(sites, f, s)),
-        _block_norm(1j * sites.h + sites.damping, 1j * sites.x),
-        _block_norm(f, s),
-        _block_norm(sites.drive, sites.sigma_z[:, None, None] * sites.drive),
-    ))
 
 
 def _guard(ok: np.ndarray, values: np.ndarray, message: str) -> None:
@@ -304,10 +290,11 @@ def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     are one batched 4 x 4 Kronecker system, with their decay exponents
     (``_pair_exponents``) and the eigenvalues of C in closed form; chains take
     one batched ``eig``, whose exponents and eigenbasis ``_eigenbasis_solve``
-    works in, and ``eigvalsh`` for the positivity guard. Returns the covariances C
-    (K, N, N), the backward error of each equation, ||A C + C A+ + Q|| /
-    (2 ||A|| ||C|| + ||Q||) with the ||A|| of the stability guard, and each
-    positivity margin (smallest eigenvalue of C_k over its largest magnitude).
+    works in, and ``eigvalsh`` for the positivity guard. Returns the
+    covariances C (K, N, N), each the Hermitian part of its solve, the
+    backward error of each equation, ||A C + C A+ + Q|| / (2 ||A|| ||C|| +
+    ||Q||) with the ||A|| of the stability guard, and each positivity margin
+    (smallest eigenvalue of C_k over its largest magnitude).
     Raises SolverError, with ``index`` the first failing k, when A_k or Q_k
     has a non-finite entry, a mode is undamped (or A_k has no basis of
     eigenvectors), a covariance is not positive semidefinite or a backward
@@ -333,6 +320,7 @@ def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
         c = np.linalg.solve(op.reshape(k, n * n, n * n), -q.reshape(k, n * n, 1)).reshape(k, n, n)
     else:
         c = _eigenbasis_solve(a, q, exponents, basis)
+    c = 0.5 * (c + _adjoint(c))  # the exact C is Hermitian; the eigenbasis solve already is, bit for bit
     eigenvalues = _pair_spectrum(c) if n == 2 else np.linalg.eigvalsh(c)
     scale = np.max(np.abs(eigenvalues), axis=1)
     margin = np.divide(eigenvalues[:, 0], scale, out=np.zeros(k), where=scale > 0)
@@ -367,20 +355,18 @@ def _mixture(sites: _Sites) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     return field, sz_block, np.maximum.reduceat(residual, start), np.minimum.reduceat(margin, start)
 
 
-def steady_state_matrix(system: ArraySystem) -> MomentMatrix:
-    """Solve i [M1, G] + {M2, G} + M3 = 0 as one Lyapunov equation per atomic
-    sector; the result carries the backward error of the block equation
-    (``_residual``), held to RESIDUAL_TOL."""
-    sites = _sites(system)
-    f, s, _, margin = _mixture(sites)
-    residual = _residual(sites, f, s)
-    if not residual <= RESIDUAL_TOL:
-        raise SolverError(f"chain steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL}")
-    f, s = f[0], s[0]
-    hermiticity = _block_norm(f - f.conj().T, s - s.conj().T)  # ||G - G+||
-    if not hermiticity <= HERMITICITY_TOL * max(1.0, _block_norm(f, s)):
-        raise SolverError(f"steady matrix is not Hermitian (deviation {hermiticity:.3e})")
-    return MomentMatrix(f, s, sigma_z=system.sigma_z, residual=residual, positivity_margin=margin.item())
+def _stack(system: Union[TwoCavitySystem, ArraySystem]) -> Union[PairGrid, ArraySystem]:
+    """A pair as a grid of one; a chain as it is."""
+    return PairGrid.from_systems([system]) if isinstance(system, TwoCavitySystem) else system
+
+
+def steady_state_matrix(system: Union[TwoCavitySystem, ArraySystem]) -> MomentMatrix:
+    """Solve i [M1, G] + {M2, G} + M3 = 0 of a cavity pair or a chain as one
+    Lyapunov equation per atomic sector (``_mixture`` on a stack of one); the
+    result carries the largest backward error of its sector equations, which
+    bounds that of the block equation."""
+    (f,), (s,), residual, margin = _mixture(_sites(_stack(system)))
+    return MomentMatrix(f, s, sigma_z=system.sigma_z, residual=residual.item(), positivity_margin=margin.item())
 
 
 def _currents(stack: Union[PairGrid, ArraySystem], sites: _Sites, f: np.ndarray, s: np.ndarray) -> CurrentReport:
@@ -428,7 +414,7 @@ def boundary_currents(system: Union[TwoCavitySystem, ArraySystem], state: Moment
     currents fail to balance, which signals a non-steady input.
     """
     state.check_system(system)
-    stack = PairGrid.from_systems([system]) if isinstance(system, TwoCavitySystem) else system
+    stack = _stack(system)
     report = _currents(stack, _sites(stack), state.field_block[None], state.sz_block[None])
     return CurrentReport(*(column.item() for column in vars(report).values()))
 

@@ -425,6 +425,8 @@ def _profile(spec: SweepSpec) -> Rows:
 def _regime_table(spec: SweepSpec) -> Rows:
     p = _Params(spec.params)
     alphas = p.get("alpha_values", default=[0.5, 1.0, 2.0])
+    if not alphas:
+        p.errors.append("config: alpha_values must hold at least one value")
     base = _two_cavity(p)
     if base.atom is None:
         raise ValidationError(["config: the regime table needs an atom (set chi and sigma_z)"])
@@ -473,7 +475,7 @@ def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, Rows]:
     system = _two_cavity(p)
 
     closed = closedform.current_general(system)
-    state = moments.steady_state(system)
+    state = chain.steady_state_matrix(system)
     moment_report = chain.boundary_currents(system, state)
     rho = fockspace.steady_rho(system, cfg)
     fock_report = fockspace.oracle_currents(system, rho)

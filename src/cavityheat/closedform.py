@@ -175,6 +175,12 @@ def _definite_moments(p: PairGrid, sz) -> tuple[np.ndarray, np.ndarray, np.ndarr
     return occ_left, occ_right, delta, coherence
 
 
+def _alpha(p: PairGrid) -> np.ndarray:
+    """The switch parameter alpha = (Gamma_R / Gamma_L) / ((chi - omega_R) / omega_L)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (p.right_rate / p.left_rate) / ((p.chi - p.omega_right) / p.omega_left)
+
+
 def _classification(system: Pairs, i_left) -> tuple:
     """Regime tag from the sign of the current, alpha where it is defined.
 
@@ -187,9 +193,7 @@ def _classification(system: Pairs, i_left) -> tuple:
     tag = np.where(np.abs(i_left) < ZERO_CURRENT_TOL * p.omega_left**2, REGIME_INSULATING, sign_tag)
     hot = p.left_occupation > p.right_occupation
     definite = (p.sigma_z == 1.0) | (p.sigma_z == -1.0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        alpha = (p.right_rate / p.left_rate) / ((p.chi - p.omega_right) / p.omega_left)
-    alpha = np.where(hot & p.atom & definite & (p.chi > p.omega_right), alpha, None)
+    alpha = np.where(hot & p.atom & definite & (p.chi > p.omega_right), _alpha(p), None)
     return _scalars(system, alpha, np.where(hot, tag, None))
 
 
@@ -258,7 +262,7 @@ def classify_regime(system: Pairs) -> tuple:
     _require(p, p.chi > p.omega_right,
              "switching analysis assumes the dispersive shift exceeds the right-cavity "
              "frequency (chi > omega_right, got chi={chi}, omega_right={omega_right})")
-    alpha = (p.right_rate / p.left_rate) / ((p.chi - p.omega_right) / p.omega_left)
+    alpha = _alpha(p)
     ground = np.where(np.abs(alpha - 1.0) < INSULATING_ALPHA_TOL, REGIME_INSULATING,
                       np.where(alpha > 1.0, REGIME_CONDUCTING, REGIME_REVERSED))
     return _scalars(system, alpha, np.where(p.sigma_z == 1.0, REGIME_CONDUCTING, ground).astype(object))

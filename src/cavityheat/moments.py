@@ -1,4 +1,4 @@
-"""Exact steady state and transients of the two-cavity moment equations.
+"""Sweep grids and transients of the two-cavity moment equations.
 
 The pair is the N = 2 case of the chain: its moment matrix G = <A+ A>, with
 operator row A = (a_L, a_R, a_L sz, a_R sz), obeys the block equation of
@@ -17,8 +17,8 @@ each point carries the largest backward error of its sector equations,
 ``chain.RESIDUAL_TOL``, the one bound of every moment solve; a high-Q pair
 (Gamma << J << omega) passes it as any other. The currents come from
 ``chain._currents``, the one boundary-current formula of pairs and chains.
-One pair is solved by ``steady_state`` on the same cores, and its currents
-are ``chain.boundary_currents``. The state is a
+One pair is solved as any chain, by ``chain.steady_state_matrix`` on the
+same cores, and its currents are ``chain.boundary_currents``. The state is a
 ``chain.MomentMatrix``: the two 2 x 2 blocks F = <a_j+ a_k> and
 S = <a_j+ a_k sz> of G = [[F, S], [S, F]]. ``evolve`` integrates the block
 equation in time on these blocks, with ``chain._motion``, and a
@@ -42,7 +42,6 @@ from .model import PairGrid, SolverError, TwoCavitySystem
 __all__ = [
     "MomentTrajectory",
     "sweep_currents",
-    "steady_state",
     "evolve",
 ]
 
@@ -65,18 +64,12 @@ def sweep_currents(grid: PairGrid) -> tuple[CurrentReport, np.ndarray]:
     CurrentReport of arrays, and the backward error of each point.
 
     The arrays equal, point by point and bit for bit, the currents of
-    ``chain.boundary_currents`` on ``steady_state`` of that point alone. A
-    SolverError carries in ``index`` the failing point.
+    ``chain.boundary_currents`` on ``chain.steady_state_matrix`` of that point
+    alone. A SolverError carries in ``index`` the failing point.
     """
     sites = chain._sites(grid)
     f, s, residuals, _ = chain._mixture(sites)
     return chain._currents(grid, sites, f, s), residuals
-
-
-def steady_state(system: TwoCavitySystem) -> MomentMatrix:
-    """Steady moment matrix of one pair; it carries the larger backward error of its sector equations."""
-    (f,), (s,), residuals, margins = chain._mixture(chain._sites(PairGrid.from_systems([system])))
-    return MomentMatrix(f, s, sigma_z=system.sigma_z, residual=residuals.item(), positivity_margin=margins.item())
 
 
 def evolve(
@@ -99,7 +92,7 @@ def evolve(
     if not dt <= t_final < math.inf:
         raise ValueError(f"t_final must be finite and at least dt (got t_final={t_final}, dt={dt})")
     initial.check_system(system)
-    sites = chain._sites(PairGrid.from_systems([system]))
+    sites = chain._sites(chain._stack(system))
     # sector s relaxes with the eigenvalues b_i + conj(b_j) of its A_s = i (h + s x) + D
     signs = np.array([1.0, -1.0])[:, None, None]
     b = chain._pair_exponents(chain._sector_matrices(sites, np.array([0, 0]), signs))

@@ -72,9 +72,12 @@ def block_matrix(state) -> np.ndarray:
 
 def norm(m: np.ndarray) -> float:
     """Frobenius norm, scaled by the largest entry so that its squares neither
-    under- nor overflow (a drive of 1e-197 squares to zero)."""
-    scale = np.max(np.abs(m))
-    return float(scale * np.linalg.norm(m / scale)) if scale > 0 else 0.0
+    under- nor overflow (a drive of 1e-197 squares to zero). The magnitudes are
+    scaled, not the complex entries: a complex division by a subnormal scale
+    overflows on its reciprocal."""
+    magnitude = np.abs(m)
+    scale = np.max(magnitude)
+    return float(scale * np.linalg.norm(magnitude / scale)) if scale > 0 else 0.0
 
 
 def block_residual(system, g: np.ndarray) -> float:

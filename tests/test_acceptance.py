@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cavityheat import chain, cli
-from cavityheat.chain import boundary_currents
+from cavityheat.chain import boundary_currents, steady_state_matrix
 from cavityheat.closedform import (
     current_general,
     current_resonant_with_atom,
@@ -17,7 +17,6 @@ from cavityheat.closedform import (
 )
 from cavityheat.fockspace import FockConfig, g2_zero, oracle_currents, steady_rho, thermal_fidelity
 from cavityheat.model import ArraySystem, AtomSpec, ReservoirSpec, TwoCavitySystem
-from cavityheat.moments import steady_state
 
 
 def two_cavity(omega_right=1.0, coupling=0.02, chi=0.05, sigma_z=1.0,
@@ -45,7 +44,7 @@ def chain_template(chi, sigma_z=-1.0):
 
 
 def moments_current(system):
-    return boundary_currents(system, steady_state(system))
+    return boundary_currents(system, steady_state_matrix(system))
 
 
 def rel_dev(a, b):

@@ -582,7 +582,7 @@ def test_moment_rows_carry_the_solver_residual(tmp_path):
             left=ReservoirSpec(gamma, 0.5), right=ReservoirSpec(gamma, 0.0),
             atom=AtomSpec(dispersive_strength=0.3, sigma_z=0.2),
         )
-        assert row["residual"] == format(moments.steady_state(system).residual, ".17g")
+        assert row["residual"] == format(chain.steady_state_matrix(system).residual, ".17g")
 
 
 def test_crosscheck_passes_at_a_mixed_detuned_point(tmp_path, capsys):
@@ -675,7 +675,7 @@ def test_crosscheck_rejects_a_bad_tolerance_before_solving(monkeypatch, tmp_path
         raise AssertionError("solved before the tolerances were checked")
 
     monkeypatch.setattr(fockspace, "steady_rho", no_solve)
-    monkeypatch.setattr(cli.moments, "steady_state", no_solve)
+    monkeypatch.setattr(cli.chain, "steady_state_matrix", no_solve)
     monkeypatch.setattr(cli.closedform, "current_general", no_solve)
     params = dict(FIG2, fock_n_max="8", fock_tail_bound="1e-3", **{key: value})
     assert run_main("oracle_crosscheck", tmp_path, params) == cli.EXIT_VALIDATION
@@ -733,4 +733,13 @@ def test_regime_table_names_a_bad_alpha(tmp_path, capsys, alphas, message):
     params = dict(FIG2, omega_right="0.8", chi="1.1", gamma_left="0.1", alpha_values=alphas)
     assert run_main("regime_table", tmp_path, params) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.splitlines() == [f"error: right reservoir: rate {message}"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+@pytest.mark.parametrize("alphas", [",", ""], ids=["comma", "blank"])
+def test_regime_table_refuses_an_empty_alpha_list(tmp_path, capsys, alphas):
+    # every sweep refuses fewer than 2 points; a table without an alpha would be a header alone
+    params = dict(FIG2, omega_right="0.8", chi="1.1", gamma_left="0.1", alpha_values=alphas)
+    assert run_main("regime_table", tmp_path, params) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == ["error: config: alpha_values must hold at least one value"]
     assert not (tmp_path / "out.csv").exists()

@@ -8,6 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from cavityheat import fockspace
+from cavityheat.chain import steady_state_matrix
 from cavityheat.fockspace import (
     FockConfig,
     _channels,
@@ -24,7 +25,6 @@ from cavityheat.fockspace import (
     thermal_state,
 )
 from cavityheat.model import AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem, ValidationError
-from cavityheat.moments import steady_state
 from fock_reference import (
     build_liouvillian,
     fock_operators,
@@ -180,7 +180,7 @@ def test_reference_point_matches_moment_solver():
     gamma = math.sqrt(4 * 0.02**2 + 0.05**2)
     system = system_for(gamma_left=gamma, gamma_right=gamma)
     rho = steady_rho(system, FockConfig(n_max=14, tail_bound=1e-6))
-    v = steady_state(system)
+    v = steady_state_matrix(system)
     number = np.diag(np.arange(15))
     occ_left = np.trace(rho.reduced_left() @ number).real
     occ_right = np.trace(rho.reduced_right() @ number).real
@@ -191,7 +191,7 @@ def test_reference_point_matches_moment_solver():
 def test_truncation_error_shrinks_monotonically():
     gamma = math.sqrt(4 * 0.02**2 + 0.05**2)
     system = system_for(gamma_left=gamma, gamma_right=gamma)
-    exact = steady_state(system).occupations[0]
+    exact = steady_state_matrix(system).occupations[0]
     errors = []
     for n_max in (6, 9, 12):
         rho = steady_rho(system, FockConfig(n_max=n_max, tail_bound=1e-2))
@@ -205,7 +205,7 @@ def test_mixed_atom_state_is_the_sector_mixture():
     cfg = FockConfig(n_max=13, tail_bound=1e-6)
     rho = steady_rho(system, cfg)
     assert rho.sigma_z_expectation() == pytest.approx(0.5, abs=1e-10)
-    v = steady_state(system)
+    v = steady_state_matrix(system)
     number = np.diag(np.arange(cfg.levels))
     assert np.trace(rho.reduced_left() @ number).real == pytest.approx(v.occupations[0], abs=1e-6)
 
@@ -225,7 +225,7 @@ def test_truncation_escalation_converges():
     system = system_for(nbar_left=0.2, nbar_right=0.0)
     state, cfg = converged_steady_rho(system, FockConfig(n_max=6, tail_bound=1e-3), occupation_tol=1e-8)
     assert cfg.n_max >= 8
-    v = steady_state(system)
+    v = steady_state_matrix(system)
     number = np.diag(np.arange(cfg.levels))
     assert np.trace(state.reduced_left() @ number).real == pytest.approx(v.occupations[0], abs=1e-7)
 

@@ -21,7 +21,6 @@ from cavityheat.model import (
     sector_weights,
     validate,
 )
-from cavityheat.moments import steady_state
 
 
 def two_cavity(**overrides):
@@ -263,7 +262,7 @@ def test_each_system_is_validated_once_when_built(monkeypatch):
     )
     assert len(calls) == 3
     for pair in (mixed, ground):
-        boundary_currents(pair, steady_state(pair))
+        boundary_currents(pair, steady_state_matrix(pair))
     boundary_currents(array, steady_state_matrix(array))
     current_general(mixed)
     rectification(ground)

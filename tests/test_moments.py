@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 
 from cavityheat import chain
-from cavityheat.chain import MomentMatrix, boundary_currents, sector_covariances
+from cavityheat.chain import MomentMatrix, boundary_currents, sector_covariances, steady_state_matrix
 from cavityheat.closedform import current_general, steady_moments
 from cavityheat.model import AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem, atomic_sectors
-from cavityheat.moments import evolve, steady_state
+from cavityheat.moments import evolve
 
 from block_reference import block_generators, block_matrix
 
@@ -71,7 +71,7 @@ def sector_mixture(system):
         shifted = replace(
             system, omega_right=system.omega_right + sector * system.chi, atom=None
         )
-        mixed += weight * steady_state(shifted).field_block
+        mixed += weight * steady_state_matrix(shifted).field_block
     return mixed
 
 
@@ -116,13 +116,13 @@ def test_reference_point_generator_is_stable():
 
 def test_equilibrium_with_equal_reservoirs():
     system = system_for(chi=0.0, sigma_z=0.0, nbar_left=0.4, nbar_right=0.4, atom=False)
-    v = steady_state(system)
+    v = steady_state_matrix(system)
     assert v.occupations == pytest.approx([0.4, 0.4], rel=1e-13)
     assert abs(v.field_block[0, 1]) < 1e-15
 
 
 def test_uncoupled_cavities_hold_reservoir_occupations():
-    v = steady_state(system_for(coupling=0.0))
+    v = steady_state_matrix(system_for(coupling=0.0))
     assert v.occupations[0] == pytest.approx(0.5, rel=1e-14)
     assert v.occupations[1] == pytest.approx(0.0, abs=1e-14)
 
@@ -130,7 +130,7 @@ def test_uncoupled_cavities_hold_reservoir_occupations():
 def test_matches_closed_form_at_definite_atomic_states():
     rng = np.random.default_rng(23)
     for system in random_systems(rng, 30):
-        v = steady_state(system)
+        v = steady_state_matrix(system)
         m = steady_moments(system)
         assert v.occupations[0] == pytest.approx(m.n_left, rel=1e-10)
         assert v.occupations[1] == pytest.approx(m.n_right, rel=1e-10)
@@ -142,7 +142,7 @@ def test_moment_vector_structure():
     # G = [[F, S], [S, F]] with F = <a_j+ a_k> and S = <a_j+ a_k sz> both Hermitian
     rng = np.random.default_rng(29)
     for system in random_systems(rng, 10):
-        v = steady_state(system)
+        v = steady_state_matrix(system)
         f, s = v.field_block, v.sz_block
         assert v.n_sites == 2 and f.shape == s.shape == (2, 2)
         assert np.allclose(f, f.conj().T, rtol=0, atol=1e-15)
@@ -152,7 +152,7 @@ def test_moment_vector_structure():
 
 def test_closed_form_exact_for_mixed_atom_on_resonance():
     system = system_for(chi=0.3, sigma_z=0.4, gamma_left=0.1, gamma_right=0.05)
-    v = steady_state(system)
+    v = steady_state_matrix(system)
     m = steady_moments(system)
     assert v.occupations[0] == pytest.approx(m.n_left, rel=1e-12)
     assert v.field_block[0, 1] == pytest.approx(m.coherence, rel=1e-12)
@@ -162,7 +162,7 @@ def test_mixed_atom_with_detuning_equals_sector_mixture():
     # the exact steady state for a diagonal atomic mixture is the convex
     # combination of the two sector solutions; the linear solve reproduces it
     system = system_for(omega_right=0.8, coupling=0.05, chi=0.3, sigma_z=0.4, gamma_left=0.1, gamma_right=0.03)
-    v = steady_state(system)
+    v = steady_state_matrix(system)
     mixed = sector_mixture(system)
     assert np.allclose(v.field_block, mixed, rtol=1e-12, atol=1e-16)
     # and the closed form, mixed over the same sectors, gives the same moments
@@ -186,7 +186,7 @@ def test_single_mode_relaxation_against_closed_form():
 
 def test_steady_state_is_a_fixed_point():
     system = system_for()
-    v = steady_state(system)
+    v = steady_state_matrix(system)
     trajectory = evolve(system, v, t_final=50.0, dt=0.5)
     drift = np.max(np.abs(block_matrix(trajectory) - block_matrix(v)[None, :]))
     assert drift < 1e-10
@@ -194,7 +194,7 @@ def test_steady_state_is_a_fixed_point():
 
 def test_zero_state_converges_to_steady_state():
     system = system_for()
-    v = steady_state(system)
+    v = steady_state_matrix(system)
     gamma = system.left.rate
     trajectory = evolve(system, zero_state(sigma_z=1.0), t_final=20.0 / gamma, dt=0.05 / gamma)
     final_error = np.max(np.abs(block_matrix(trajectory.final) - block_matrix(v)))
@@ -247,7 +247,7 @@ def test_evolve_rejects_bad_steps():
 
 def test_equilibrium_currents_vanish():
     system = system_for(chi=0.0, sigma_z=0.0, nbar_left=0.4, nbar_right=0.4, atom=False)
-    report = boundary_currents(system, steady_state(system))
+    report = boundary_currents(system, steady_state_matrix(system))
     assert abs(report.i_left) < 1e-14
     assert abs(report.i_right) < 1e-14
 
@@ -259,11 +259,11 @@ def test_coherence_contribution_dominates_past_reversal():
     crossing = 1.3  # chi where Gamma_R/Gamma_L = (chi - omega_R)/omega_L
     below = boundary_currents(
         replace(base, atom=replace(base.atom, dispersive_strength=crossing - 0.2)),
-        steady_state(replace(base, atom=replace(base.atom, dispersive_strength=crossing - 0.2))),
+        steady_state_matrix(replace(base, atom=replace(base.atom, dispersive_strength=crossing - 0.2))),
     )
     above = boundary_currents(
         replace(base, atom=replace(base.atom, dispersive_strength=crossing + 0.2)),
-        steady_state(replace(base, atom=replace(base.atom, dispersive_strength=crossing + 0.2))),
+        steady_state_matrix(replace(base, atom=replace(base.atom, dispersive_strength=crossing + 0.2))),
     )
     assert below.i_occupation > below.i_coherence and below.i_left > 0
     assert above.i_coherence > above.i_occupation and above.i_left < 0
@@ -272,7 +272,7 @@ def test_coherence_contribution_dominates_past_reversal():
 def test_currents_match_closed_form_path():
     rng = np.random.default_rng(31)
     for system in random_systems(rng, 25):
-        report = boundary_currents(system, steady_state(system))
+        report = boundary_currents(system, steady_state_matrix(system))
         reference = current_general(system)
         assert report.i_left == pytest.approx(reference.i_left, rel=1e-10, abs=1e-18)
 
@@ -280,7 +280,7 @@ def test_currents_match_closed_form_path():
 def test_boundary_currents_balance_on_random_grid():
     rng = np.random.default_rng(37)
     for system in random_systems(rng, 100):
-        report = boundary_currents(system, steady_state(system))
+        report = boundary_currents(system, steady_state_matrix(system))
         assert abs(report.i_left + report.i_right) < 1e-10
 
 
@@ -304,7 +304,7 @@ def test_evolve_raises_when_a_step_leaves_the_finite_range(action):
 
 def test_steady_vector_does_not_warn():
     system = system_for()
-    v = steady_state(system)
+    v = steady_state_matrix(system)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         boundary_currents(system, v)
@@ -315,7 +315,7 @@ def test_mixed_atom_right_current_mixes_the_sectors():
     # sector s, so its current needs <n_R sz>, not sigma_z <n_R>; the Fock
     # oracle gives I_R = -2.50e-3 here
     system = system_for(omega_right=1.1, coupling=0.05, chi=0.3, sigma_z=0.2, gamma_left=0.1, gamma_right=0.1)
-    v = steady_state(system)
+    v = steady_state_matrix(system)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         report = boundary_currents(system, v)
@@ -327,7 +327,7 @@ def test_steady_state_carries_its_residual():
     # the largest residual of the sector equations, as the core returns it
     rng = np.random.default_rng(41)
     for system in random_systems(rng, 5) + [system_for(omega_right=1.1, chi=0.3, sigma_z=0.2)]:
-        v = steady_state(system)
+        v = steady_state_matrix(system)
         _, residual, _ = sector_covariances(*sector_stack(system))
         assert v.residual == residual.max()
 
@@ -337,7 +337,7 @@ def test_a_high_q_pair_solves_to_the_closed_form(gamma):
     # Gamma << J << omega: ||A|| / ||Q|| is about 3e6 and 3e7, and a backward-stable
     # solve leaves a residual of about eps ||A|| ||C||, far above eps ||Q||
     system = system_for(coupling=0.01, gamma_left=gamma, gamma_right=gamma)
-    state = steady_state(system)
+    state = steady_state_matrix(system)
     assert state.residual <= chain.RESIDUAL_TOL
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the boundary currents balance
@@ -356,14 +356,14 @@ def test_a_perturbed_high_q_solve_is_refused(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "solve", perturbed)
     with pytest.raises(SolverError, match="^sector steady-state residual "):
-        steady_state(system_for(coupling=0.01, gamma_left=1e-6, gamma_right=1e-6))
+        steady_state_matrix(system_for(coupling=0.01, gamma_left=1e-6, gamma_right=1e-6))
 
 
 def test_currents_reject_a_state_of_another_sigma_z():
     excited = system_for(chi=0.05, sigma_z=1.0)
     ground = replace(excited, atom=replace(excited.atom, sigma_z=-1.0))
     with pytest.raises(ValueError, match="does not belong"):
-        boundary_currents(excited, steady_state(ground))
+        boundary_currents(excited, steady_state_matrix(ground))
     with pytest.raises(ValueError, match="does not belong"):
         evolve(excited, zero_state(sigma_z=-1.0), t_final=1.0, dt=0.1)
 
@@ -378,7 +378,7 @@ def test_moment_currents_are_affine_in_sigma_z(field):
 
     def current(sigma_z):
         system = replace(base, atom=replace(base.atom, sigma_z=sigma_z))
-        return getattr(boundary_currents(system, steady_state(system)), field)
+        return getattr(boundary_currents(system, steady_state_matrix(system)), field)
 
     up, down = current(1.0), current(-1.0)
     scale = max(abs(up), abs(down))

@@ -3,11 +3,13 @@ the closed form with the moment path (also with rates over five decades,
 where ||A|| / ||Q|| is large), hot-to-cold flow without an atom, the
 equilibrium state, currents affine in sigma_z, the pair as the two-site
 chain, positive covariances, chains of three or more sites against the
-block equation, the closed-form 2 x 2 eigenvalues of the pair solve against
-LAPACK, a sector stack with a non-finite entry refused at the first such
-matrix, sweep grids equal to their points, balanced oracle currents,
-and every public call given a non-finite number raising or returning finite
-numbers, and given a fractional size raising."""
+block equation, every moment solve of a pair, a grid or a chain exactly
+Hermitian and within the one bound on the block equation, the closed-form
+2 x 2 eigenvalues of the pair solve against LAPACK, a sector stack with a
+non-finite entry refused at the first such matrix, sweep grids equal to
+their points, balanced oracle currents, and every public call given a
+non-finite number raising or returning finite numbers, and given a
+fractional size raising."""
 
 import dataclasses
 import math
@@ -22,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import cavityheat  # noqa: E402
 from cavityheat.chain import (  # noqa: E402
-    RESIDUAL_TOL, _pair_exponents, _pair_spectrum, _sector_matrices, _sites, boundary_currents,
+    RESIDUAL_TOL, _mixture, _pair_exponents, _pair_spectrum, _sector_matrices, _sites, boundary_currents,
     sector_covariances, size_scan, steady_state_matrix,
 )
 from cavityheat.closedform import ZERO_CURRENT_TOL, current_general, current_pm, rectification  # noqa: E402
@@ -33,7 +35,7 @@ from cavityheat.model import (  # noqa: E402
     ArraySystem, AtomSpec, PairGrid, ReservoirSpec, SolverError, TwoCavitySystem, ValidationError, bose_occupation,
     sector_weights,
 )
-from cavityheat.moments import evolve, steady_state, sweep_currents  # noqa: E402
+from cavityheat.moments import evolve, sweep_currents  # noqa: E402
 
 from block_reference import (  # noqa: E402
     block_backward_error, block_matrix, block_residual, kronecker_steady_matrix,
@@ -106,7 +108,7 @@ def pairs(draw, atom=True, nbar=1.0):
 @PROPERTY
 @given(pairs())
 def test_currents_balance_and_the_closed_form_matches_the_moments(system):
-    report = boundary_currents(system, steady_state(system))
+    report = boundary_currents(system, steady_state_matrix(system))
     closed = current_general(system)
     # the size of the terms that cancel in I_L and I_R: the reservoirs' and the cavities' energy flows
     scale = (system.left.rate * (system.omega_left * system.left.mean_occupation
@@ -123,15 +125,14 @@ def test_without_an_atom_heat_flows_from_hot_to_cold(system):
     # the closed form carries the sign of nbar_L - nbar_R exactly
     assert np.sign(current_general(system).i_left) == np.sign(bias)
     if abs(bias) > 1e-6:
-        assert np.sign(boundary_currents(system, steady_state(system)).i_left) == np.sign(bias)
+        assert np.sign(boundary_currents(system, steady_state_matrix(system)).i_left) == np.sign(bias)
 
 
 @st.composite
-def chains(draw, min_sites=2, max_sites=10):
+def chains(draw, min_sites=2, max_sites=10, occupation=st.floats(0.0, 1.0)):
     # chi <= 3 J keeps a mode trapped at an interior host coupled to the ends:
     # a stronger shift leaves it all but undamped, and the solver refuses it
     n = draw(st.integers(min_sites, max_sites))
-    unit = st.floats(0.0, 1.0)
     coupling = draw(st.floats(0.03, 0.1))
     atom = None
     if draw(st.booleans()):
@@ -139,15 +140,15 @@ def chains(draw, min_sites=2, max_sites=10):
                         host_index=draw(st.integers(1, n)))
     return ArraySystem(
         n_sites=n, omega=1.0, coupling=coupling,
-        left=ReservoirSpec(draw(st.floats(0.01, 0.2)), draw(unit)),
-        right=ReservoirSpec(draw(st.floats(0.01, 0.2)), draw(unit)),
+        left=ReservoirSpec(draw(st.floats(0.01, 0.2)), draw(occupation)),
+        right=ReservoirSpec(draw(st.floats(0.01, 0.2)), draw(occupation)),
         atom=atom,
     )
 
 
 def solved(system):
     """The steady state and the currents of a pair (moment path) or a chain."""
-    state = steady_state(system) if isinstance(system, TwoCavitySystem) else steady_state_matrix(system)
+    state = steady_state_matrix(system)
     return state, boundary_currents(system, state)
 
 
@@ -348,7 +349,7 @@ def test_grid_currents_equal_the_currents_of_each_point(points):
     report, residuals = sweep_currents(grid)
     closed = current_general(grid)
     for k, system in enumerate(points):
-        state = steady_state(system)
+        state = steady_state_matrix(system)
         single, single_closed = boundary_currents(system, state), current_general(system)
         assert residuals[k] == state.residual
         for field in CURRENT_FIELDS + ("alpha", "regime"):
@@ -399,15 +400,15 @@ def test_oracle_currents_balance(system, n_max):
 
 
 @st.composite
-def hot_pairs(draw):
+def hot_pairs(draw, occupation=st.floats(0.0, 3.0)):
     rate = st.floats(-4.0, 1.0).map(lambda exponent: 10.0**exponent)
     has_atom = draw(st.booleans())
     return TwoCavitySystem(
         omega_left=1.0,
         omega_right=draw(st.floats(0.5, 3.0)),
         coupling=draw(st.floats(0.0, 10.0)),
-        left=ReservoirSpec(draw(rate), draw(st.floats(0.0, 3.0))),
-        right=ReservoirSpec(draw(rate), draw(st.floats(0.0, 3.0))),
+        left=ReservoirSpec(draw(rate), draw(occupation)),
+        right=ReservoirSpec(draw(rate), draw(occupation)),
         atom=AtomSpec(draw(st.floats(0.0, 2.0)), draw(st.floats(-1.0, 1.0))) if has_atom else None,
     )
 
@@ -418,7 +419,7 @@ def hot_pairs(draw):
                          right=ReservoirSpec(1e-6, 0.0), atom=AtomSpec(0.05, 1.0)))
 def test_a_pair_solves_to_the_closed_form_with_rates_over_five_decades(system):
     # rates from 1e-4 against couplings up to 10: ||A|| / Gamma reaches 1e5, and the backward error stays at a few eps
-    state = steady_state(system)
+    state = steady_state_matrix(system)
     assert state.residual <= RESIDUAL_TOL
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -426,6 +427,38 @@ def test_a_pair_solves_to_the_closed_form_with_rates_over_five_decades(system):
     scale = energy_scale(system, report)
     assert abs(report.i_left + report.i_right) <= 1e-9 * scale
     assert abs(current_general(system).i_left - report.i_left) <= 1e-9 * scale
+
+
+# any sigma_z, with sector weights down to 5e-13 next to a pinned atom
+SIGMA_Z = st.floats(-1.0, 1.0) | st.sampled_from([1.0 - 1e-12, -1.0 + 1e-12])
+# Occupations of 0 or at least 1e-250 keep Q and C normal numbers: a subnormal
+# carries fewer than 52 bits, so no backward error of a few eps can be reached
+# or measured there (the reference's own residual is rounded at an absolute 5e-324).
+NORMAL = st.just(0.0) | st.floats(1e-250, 1.0)
+NORMAL_PAIRS = hot_pairs(occupation=NORMAL)
+HIGH_Q = TwoCavitySystem(omega_left=1.0, omega_right=1.0, coupling=0.01, left=ReservoirSpec(1e-10, 0.5),
+                         right=ReservoirSpec(1e-10, 0.0), atom=AtomSpec(0.05, 1.0))
+
+
+@PROPERTY
+@given(NORMAL_PAIRS | st.lists(NORMAL_PAIRS, min_size=1, max_size=5) | chains(max_sites=12, occupation=NORMAL), SIGMA_Z)
+@example(HIGH_Q, 1.0)
+@example([HIGH_Q, replace(HIGH_Q, omega_right=1.1)], 1.0 - 1e-12)
+def test_every_moment_solve_is_hermitian_and_holds_the_block_equation(case, sigma_z):
+    # a pair, a grid of pairs (one stack solve) or a chain; the sector bound holds the 2N x 2N block equation
+    systems = case if isinstance(case, list) else [case]
+    systems = [replace(system, atom=replace(system.atom, sigma_z=sigma_z)) if system.atom else system
+               for system in systems]
+    if isinstance(case, list):
+        field, sz_block, _, _ = _mixture(_sites(PairGrid.from_systems(systems)))
+    else:
+        state = steady_state_matrix(systems[0])
+        field, sz_block = [state.field_block], [state.sz_block]
+    for system, f, s in zip(systems, field, sz_block):
+        assert np.array_equal(f, f.conj().T) and np.array_equal(s, s.conj().T)
+        g = np.block([[f, s], [s, f]])
+        if np.any(g):  # else M3 = 0, and the backward error is 0 / 0
+            assert block_backward_error(system, g) <= RESIDUAL_TOL
 
 
 # Hot reservoirs cut at a few levels (tail_bound 1) with rates over five
@@ -470,7 +503,7 @@ NUMBER_CALLS = [
     ("bose_occupation", bose_occupation, dict(omega=1.0, temperature=0.5), ()),
     ("sector_weights", lambda sigma_z: sector_weights(np.array([sigma_z]), np.array([True])), dict(sigma_z=0.3), ()),
     ("current_pm", lambda sign: current_pm(PAIR, sign), dict(sign=1), ()),
-    ("evolve", lambda t_final, dt: evolve(PAIR, steady_state(PAIR), t_final, dt), dict(t_final=0.02, dt=0.01), ()),
+    ("evolve", lambda t_final, dt: evolve(PAIR, steady_state_matrix(PAIR), t_final, dt), dict(t_final=0.02, dt=0.01), ()),
     ("converged_steady_rho",
      lambda occupation_tol, step: converged_steady_rho(COLD_PAIR, COLD_FOCK, occupation_tol, step),
      dict(occupation_tol=1e-6, step=1), ("step",)),
@@ -489,7 +522,7 @@ TAKES_NO_NUMBER = {
     "atomic_sectors": "a system", "validate": "a system", "validation_errors": "a system",
     "current_general": "a system or grid", "steady_moments": "a system or grid", "classify_regime": "a system or grid",
     "rectification": "a system or grid", "current_resonant_with_atom": "a system", "peak_rate": "a system",
-    "steady_state": "a system", "sweep_currents": "a grid", "steady_state_matrix": "a system",
+    "sweep_currents": "a grid", "steady_state_matrix": "a pair or a chain",
     "ballistic_current": "a system", "boundary_currents": "a system and a state",
     "occupation_profile": "a system and a state", "oracle_currents": "a system and a state",
     "g2_zero": "a state", "MomentMatrix": "a state, which it checks", "DensityMatrix": "a state, which it checks",
