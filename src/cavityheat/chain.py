@@ -26,11 +26,12 @@ by its normwise backward error (``_backward_error``)
 
 the one residual of every moment solve, held to the one bound RESIDUAL_TOL: a
 backward-stable solve leaves a few eps, however large ||A|| / ||Q|| is (a
-high-Q pair has ||A|| / Gamma of 1e6 and more). Every C returned is exactly
-Hermitian, as the exact solution is. G is then [[F, S], [S, F]] with
-F = sum_s p_s C_s and S = sum_s s p_s C_s, so F and S state it completely: a
-``MomentMatrix`` holds these two N x N blocks and nothing else, with the
-largest backward error of its sector equations as its ``residual``.
+high-Q pair has ||A|| / Gamma of 1e6 and more), with norms (``_norm``) that
+hold at any magnitude. Every C returned is exactly Hermitian, as the exact
+solution is. G is then [[F, S], [S, F]] with F = sum_s p_s C_s and
+S = sum_s s p_s C_s, so F and S state it completely: a ``MomentMatrix``
+holds these two N x N blocks and nothing else, with the largest backward
+error of its sector equations as its ``residual``.
 
 That bound also holds the block equation i [M1, G] + {M2, G} + M3 = 0, with
 no second check. The unitary (1, 1; 1, -1)/sqrt(2) on the sz index turns
@@ -38,21 +39,20 @@ M = i M1 + M2 into diag(A_+, A_-), G into diag(2 p_+ C_+, 2 p_- C_-) and M3
 into diag(2 p_+ Q, 2 p_- Q), so the block residual is diag(2 p_s R_s), with
 R_F +- R_S = 2 p_+- R_+-, and ||M||^2 = ||A_+||^2 + ||A_-||^2: the block
 backward error is at most the largest sector one, up to the rounding of the
-mixture. The block equation is read as its two N x N equations
-(``_motion``), straight from the site arrays,
-
-    R_F = i ([h, F] + x S - S x) + D F + F D + Q,
-    R_S = i ([h, S] + x F - F x) + D S + S D + sz Q,
-
-which ``moments.evolve`` integrates in time.
+mixture. The same unitary splits the equation of motion into
+dX_s/dt = A_s X_s + X_s A_s+ + p_s Q on X_s = (F + s S)/2, which
+``moments.evolve`` integrates in time; the 2N x 2N block equation itself is
+stated only in the tests.
 
 A ``TwoCavitySystem`` is the N = 2 chain with on-site frequencies omega_L,
 omega_R and the atom on site 2. A stack of pairs is one ``model.PairGrid``;
 a chain is solved on its own. ``_sites`` alone states each site's
-frequency, atom shift, rate and nbar, as arrays over the whole stack, once
-per stack. ``_mixture`` and ``_currents`` are the array cores: the sector
-mixture (each system's consecutive sectors summed by ``reduceat``), and the
-reservoir currents of a stack with one formula for both ends.
+frequency, atom shift, rate and nbar, as vectors over the whole stack, once
+per stack; ``_sector_equations`` alone builds A_s and Q from them, and
+``_lyapunov`` alone writes A C + C A+ + Q. ``_mixture`` and ``_currents``
+are the array cores: the sector mixture (each system's consecutive sectors
+summed by ``reduceat``), and the reservoir currents of a stack with one
+formula for both ends.
 ``steady_state_matrix`` and ``boundary_currents`` run them on one pair or
 one chain; a sweep grid (``moments.sweep_currents``) runs them on the whole
 grid.
@@ -150,12 +150,11 @@ class SizeScanPoint:
 
 
 class _Sites(NamedTuple):
-    """A stack of M systems of one size N, as arrays."""
+    """A stack of M chains of one size N, as site vectors."""
 
-    h: np.ndarray  # (M, N, N) hopping matrix with the on-site frequencies
-    x: np.ndarray  # (M, N, N) atom shift, chi at the host site
-    damping: np.ndarray  # (M, N, N) boundary damping -Gamma/2
-    drive: np.ndarray  # (M, N, N) thermal drive Gamma nbar
+    onsite: np.ndarray  # (M, N) cavity frequencies
+    coupling: np.ndarray  # (M,) hopping J between neighbouring sites
+    shift: np.ndarray  # (M, N) atom shift: chi at the host site, 0 elsewhere
     rates: np.ndarray  # (M, 2) rates of the reservoirs at sites 1 and N
     nbar: np.ndarray  # (M, 2) their mean occupations
     sigma_z: np.ndarray  # (M,)
@@ -163,7 +162,7 @@ class _Sites(NamedTuple):
 
 
 def _sites(stack: Union[PairGrid, ArraySystem]) -> _Sites:
-    """The site arrays of a grid of pairs, or of one chain as a stack of one.
+    """The site vectors of a grid of pairs, or of one chain as a stack of one.
     A cavity pair is the N = 2 chain with on-site frequencies omega_L,
     omega_R and the atom on site 2."""
     if isinstance(stack, PairGrid):
@@ -179,33 +178,52 @@ def _sites(stack: Union[PairGrid, ArraySystem]) -> _Sites:
         atom = np.array([stack.atom is not None])
         rates = np.array([[stack.left.rate, stack.right.rate]])
         nbar = np.array([[stack.left.mean_occupation, stack.right.mean_occupation]])
-    m, n = onsite.shape
-    h, x, damping, drive = np.zeros((4, m, n, n))
-    sites, ends = np.arange(n), [0, n - 1]
-    h[:, sites, sites] = onsite
-    h[:, sites[:-1], sites[1:]] = h[:, sites[1:], sites[:-1]] = coupling[:, None]
-    x[np.arange(m), host, host] = chi
-    damping[:, ends, ends] = -0.5 * rates
-    drive[:, ends, ends] = rates * nbar
-    return _Sites(h, x, damping, drive, rates, nbar, sigma_z, atom)
+    shift = np.zeros(onsite.shape)
+    shift[np.arange(len(shift)), host] = chi
+    return _Sites(onsite, coupling, shift, rates, nbar, sigma_z, atom)
 
 
-def _sector_matrices(sites: _Sites, owner: np.ndarray, sign: np.ndarray) -> np.ndarray:
-    """A_s = i (h + s x) + D of the systems ``owner`` of a stack, each in its sector ``sign``."""
-    return 1j * (sites.h[owner] + sign * sites.x[owner]) + sites.damping[owner]
+def _sector_equations(sites: _Sites, owner: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A_s = i (h + s x) + D and Q (K, N, N) of the systems ``owner`` (K,) of a
+    stack, each in its sector ``sign`` (K,): the one dense build of both."""
+    k, n = len(owner), sites.onsite.shape[1]
+    damping = np.zeros((k, n))
+    damping[:, [0, n - 1]] = -0.5 * sites.rates[owner]
+    # row-major, entry (j, l) is j n + l: the diagonal is every (n + 1)-th from 0, the
+    # hopping every (n + 1)-th from 1 and from n, and the two ends are 0 and n^2 - 1
+    a, q = np.zeros((2, k, n * n), dtype=complex)
+    a[:, :: n + 1] = 1j * (sites.onsite[owner] + sign[:, None] * sites.shift[owner]) + damping
+    a[:, 1 :: n + 1] = a[:, n :: n + 1] = 1j * sites.coupling[owner, None]
+    q[:, :: n * n - 1] = sites.rates[owner] * sites.nbar[owner]
+    return a.reshape(k, n, n), q.reshape(k, n, n)
 
 
-def _motion(sites: _Sites, f: np.ndarray, s: np.ndarray) -> np.ndarray:
-    """dG/dt at G = [[F, S], [S, F]] as its two N x N blocks, stacked (R_F, R_S).
-    The atom shift x and the damping D are diagonal, so (x B - B x)_jk =
-    (x_j - x_k) B_jk and (D B + B D)_jk = (D_j + D_k) B_jk."""
-    x, d = (np.diagonal(values, axis1=-2, axis2=-1) for values in (sites.x, sites.damping))
-    shift, decay = x[..., :, None] - x[..., None, :], d[..., :, None] + d[..., None, :]
+def _lyapunov(a: np.ndarray, c: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """A C + C A+ + Q of stacks (K, N, N): a steady solve's residual, and dC/dt."""
+    return a @ c + c @ _adjoint(a) + q
 
-    def block(a: np.ndarray, b: np.ndarray, drive: np.ndarray) -> np.ndarray:
-        return 1j * (sites.h @ a - a @ sites.h + shift * b) + decay * a + drive
 
-    return np.stack([block(f, s, sites.drive), block(s, f, sites.sigma_z[:, None, None] * sites.drive)])
+def _norm(m: np.ndarray) -> np.ndarray:
+    """Frobenius norms (K,) of a stack (K, N, N). ``np.linalg.norm`` squares the
+    entries, so a norm outside [2^-450, 2^450] is taken again ``_rescaled``."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(m, axis=(1, 2))
+    off = ~((norm >= 2.0**-450) & (norm <= 2.0**450))
+    if off.any():
+        norm[off] = _rescaled(lambda m: np.linalg.norm(m, axis=(1, 2)), m[off]).real
+    return norm
+
+
+def _rescaled(f, m: np.ndarray) -> np.ndarray:
+    """f(m) of a stack (K, N, N), for f homogeneous of degree one (a norm, the
+    eigenvalues), taken on each matrix scaled by a power of two to entries
+    below one, where the largest squares neither under- nor overflow, and
+    scaled back: both scalings are exact."""
+    exponent = np.frexp(np.max(np.abs(m), axis=(1, 2)))[1]
+    down = -exponent[:, None, None]
+    value = f(np.ldexp(m.real, down) + 1j * np.ldexp(m.imag, down))
+    up = exponent.reshape((-1,) + (1,) * (value.ndim - 1))
+    return np.ldexp(value.real, up) + 1j * np.ldexp(value.imag, up)
 
 
 def _backward_error(residual: np.ndarray, norm_a: np.ndarray, norm_c: np.ndarray,
@@ -247,7 +265,7 @@ def _eigenbasis_solve(a: np.ndarray, q: np.ndarray, exponents: np.ndarray, basis
     _guard(np.all(products != 0, axis=1), products,
            "no unique steady state: a sector matrix has no basis of eigenvectors")
     basis = basis / np.sqrt(products)[:, None, :]
-    transpose, conjugate, basis_h, a_h = basis.transpose(0, 2, 1), basis.conj(), _adjoint(basis), _adjoint(a)
+    transpose, conjugate, basis_h = basis.transpose(0, 2, 1), basis.conj(), _adjoint(basis)
     denominator = exponents[:, :, None] + exponents.conj()[:, None, :]
 
     def solve(rhs: np.ndarray) -> np.ndarray:
@@ -256,19 +274,28 @@ def _eigenbasis_solve(a: np.ndarray, q: np.ndarray, exponents: np.ndarray, basis
 
     c = solve(-q)
     for _ in range(REFINEMENT_STEPS):
-        c = c - solve(a @ c + c @ a_h + q)
+        c = c - solve(_lyapunov(a, c, q))
     return c
 
 
 def _pair_exponents(a: np.ndarray) -> np.ndarray:
-    """Eigenvalues (..., 2) of a stack of 2 x 2 matrices (..., 2, 2), slowest
+    """Eigenvalues (K, 2) of a stack of finite 2 x 2 matrices (K, 2, 2), slowest
     decaying first: t/2 +- sqrt(t^2/4 - det A), with t^2/4 - det A taken as
     ((a_00 - a_11)/2)^2 + a_01 a_10, which does not cancel when the diagonal
-    entries are close. It squares the entries, as the norm of the stability
-    guard does, so both need them within about 1e-150..1e150."""
-    half_trace = 0.5 * (a[..., 0, 0] + a[..., 1, 1])
-    root = np.sqrt((0.5 * (a[..., 0, 0] - a[..., 1, 1])) ** 2 + a[..., 0, 1] * a[..., 1, 0])
-    return np.stack([half_trace + root, half_trace - root], axis=-1)
+    entries are close. That squares the entries, so the exponents of a matrix
+    that come out non-finite are taken again ``_rescaled``."""
+
+    def roots(a: np.ndarray) -> np.ndarray:
+        half_trace = 0.5 * (a[:, 0, 0] + a[:, 1, 1])
+        root = np.sqrt((0.5 * (a[:, 0, 0] - a[:, 1, 1])) ** 2 + a[:, 0, 1] * a[:, 1, 0])
+        return np.stack([half_trace + root, half_trace - root], axis=1)
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        exponents = roots(a)
+    if not np.isfinite(exponents).all():
+        off = ~np.isfinite(exponents).all(axis=1)
+        exponents[off] = _rescaled(roots, a[off])
+    return exponents
 
 
 def _pair_spectrum(c: np.ndarray) -> np.ndarray:
@@ -284,7 +311,7 @@ def _pair_spectrum(c: np.ndarray) -> np.ndarray:
 def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Solve A_k C_k + C_k A_k+ = -Q_k for a stack of K sector matrices (K, N, N).
 
-    Each A_k must be complex symmetric, as every sector matrix i (h + s x) + D
+    Each A_k must be complex symmetric, as every A_s of ``_sector_equations``
     is. A stack that is not either still refines to its solution or fails the
     positivity or residual guard; it never returns a wrong C. Pairs (N = 2)
     are one batched 4 x 4 Kronecker system, with their decay exponents
@@ -303,15 +330,10 @@ def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     k, n, _ = a.shape
     finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2))
     _guard(finite, finite, "a sector equation has a non-finite entry")
-    with np.errstate(invalid="ignore", over="ignore"):  # entries beyond about 1e154 make the bound -inf or NaN
-        if n == 2:
-            exponents, basis = _pair_exponents(a), None
-        else:
-            exponents, basis = np.linalg.eig(a)
-        slowest = np.max(exponents.real, axis=1)
-        norm_a = np.linalg.norm(a, axis=(1, 2))
-        bound = -STABILITY_TOL * norm_a
-    _guard(slowest < bound, slowest,
+    exponents, basis = (_pair_exponents(a), None) if n == 2 else np.linalg.eig(a)
+    slowest = np.max(exponents.real, axis=1)
+    norm_a = _norm(a)
+    _guard(slowest < -STABILITY_TOL * norm_a, slowest,
            "no unique steady state: a chain mode is undamped (largest decay exponent {:.3e})")
     if basis is None:
         # row-major vec(A C + C A+) = (A kron I + I kron conj(A)) vec(C)
@@ -326,8 +348,7 @@ def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     margin = np.divide(eigenvalues[:, 0], scale, out=np.zeros(k), where=scale > 0)
     _guard(margin >= -POSITIVITY_TOL, margin,
            "sector covariance is not positive semidefinite (relative eigenvalue {:.3e})")
-    residual = _backward_error(np.linalg.norm(a @ c + c @ _adjoint(a) + q, axis=(1, 2)), norm_a,
-                               np.linalg.norm(c, axis=(1, 2)), np.linalg.norm(q, axis=(1, 2)))
+    residual = _backward_error(_norm(_lyapunov(a, c, q)), norm_a, _norm(c), _norm(q))
     _guard(residual <= RESIDUAL_TOL, residual, f"sector steady-state residual {{:.3e}} exceeds {RESIDUAL_TOL}")
     return c, residual, margin
 
@@ -340,15 +361,15 @@ def _mixture(sites: _Sites) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     weight, sign = sector_weights(sites.sigma_z, sites.atom)
     keep = weight > 0.0
     owner = np.nonzero(keep)[0]  # the system of each sector, s = +1 before s = -1
-    weight, sign = weight[keep][:, None, None], sign[keep][:, None, None]
+    weight, sign = weight[keep], sign[keep]
     try:
-        a = _sector_matrices(sites, owner, sign)
-        c, residual, margin = sector_covariances(a, sites.drive[owner].astype(complex))
+        c, residual, margin = sector_covariances(*_sector_equations(sites, owner, sign))
     except SolverError as exc:
         exc.index = int(owner[exc.index])  # the failing system, not its sector matrix
         raise
     # every system has one or two sectors, and they are consecutive
-    start = np.searchsorted(owner, np.arange(len(sites.h)))
+    start = np.searchsorted(owner, np.arange(len(sites.onsite)))
+    weight, sign = weight[:, None, None], sign[:, None, None]
     # + 0.0 turns a sum of -0.0 into +0.0, as a sum from zero does
     field = np.add.reduceat(weight * c, start) + 0.0
     sz_block = np.add.reduceat(sign * weight * c, start) + 0.0
@@ -384,12 +405,12 @@ def _currents(stack: Union[PairGrid, ArraySystem], sites: _Sites, f: np.ndarray,
     as object arrays; a chain carries None. A warning is emitted when the two
     boundary currents fail to balance, which signals a non-steady input.
     """
-    n = sites.h.shape[-1]
+    n = sites.onsite.shape[-1]
     ends, bonded = [0, n - 1], [1, n - 2]
-    omega = sites.h[:, ends, ends]
+    omega = sites.onsite[:, ends]
     occupation = ((sites.nbar - f[:, ends, ends].real) * omega
-                  + sites.x[:, ends, ends] * (sites.sigma_z[:, None] * sites.nbar - s[:, ends, ends].real))
-    coherence = 0.5 * sites.h[:, ends, bonded] * (f[:, ends, bonded] + f[:, bonded, ends]).real
+                  + sites.shift[:, ends] * (sites.sigma_z[:, None] * sites.nbar - s[:, ends, ends].real))
+    coherence = 0.5 * sites.coupling[:, None] * (f[:, ends, bonded] + f[:, bonded, ends]).real
     current = sites.rates * (occupation - coherence)
     imbalance = np.abs(current.sum(axis=1))
     unbalanced = np.flatnonzero(~(imbalance <= 1e-10 * np.maximum(np.abs(current[:, 0]), omega[:, 0] ** 2)))

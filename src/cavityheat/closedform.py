@@ -17,7 +17,7 @@ sweep is therefore one evaluation over its whole grid.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
@@ -281,24 +281,21 @@ def rectification(system: Pairs) -> RectificationResult:
     """Forward current I_f, reverse current I_r and the rectification
     coefficient -I_f/I_r (unity means no rectification), in one evaluation.
 
-    I_r is the left-boundary current after exchanging (nbar_L, Gamma_L) with
-    (nbar_R, Gamma_R), negative when I_f is conventional. With the atom in
-    its ground state the swap negates delta_n exactly and turns the factor
-    f = omega_L Gamma_R + Gamma_L (omega_R - chi) of the current into
+    Both are the ground-state sector current (``_definite_current``); I_r is
+    taken after exchanging (nbar_L, Gamma_L) with (nbar_R, Gamma_R), negative
+    when I_f is conventional. The swap negates delta_n exactly and turns
+    f = omega_L Gamma_R + Gamma_L (omega_R - chi) into
     r = omega_L Gamma_L + Gamma_R (omega_R - chi), so the ratio is f/r.
     """
     p = _points(system)
     _require(p, p.atom, "rectification requires an atom")
     _require(p, p.sigma_z == -1.0, "rectification takes the atom in its ground state (sigma_z = -1, got {sigma_z})")
-    gl, gr = p.left_rate, p.right_rate
-    wl, wr, chi = p.omega_left, p.omega_right, p.chi
-    f, r = wl * gr + gl * (wr - chi), wl * gl + gr * (wr - chi)
-    _, _, delta_n, _ = _definite_moments(p, -1.0)
-    scale = p.coupling**2 * delta_n
-    lorentzian = (p.detuning - chi) ** 2 + p.gamma**2
-    denominator = _lorentzian_denominator(p)
+    swapped = replace(p, left_rate=p.right_rate, left_occupation=p.right_occupation,
+                      right_rate=p.left_rate, right_occupation=p.left_occupation)
+    forward, reverse = _definite_current(p, -1.0)[0], _definite_current(swapped, -1.0)[0]
+    f = p.omega_left * p.right_rate + p.left_rate * (p.omega_right - p.chi)
+    r = p.omega_left * p.left_rate + p.right_rate * (p.omega_right - p.chi)
     # r == 0 blocks one direction: report the limit from the side where r > 0
     with np.errstate(divide="ignore", invalid="ignore"):
         ratio = np.where(r == 0.0, np.copysign(np.inf, f), f / r)
-    return RectificationResult(*_scalars(system, scale * (f * lorentzian) / denominator,
-                                         -scale * (r * lorentzian) / denominator, ratio))
+    return RectificationResult(*_scalars(system, forward, reverse, ratio))

@@ -20,10 +20,10 @@ each point carries the largest backward error of its sector equations,
 One pair is solved as any chain, by ``chain.steady_state_matrix`` on the
 same cores, and its currents are ``chain.boundary_currents``. The state is a
 ``chain.MomentMatrix``: the two 2 x 2 blocks F = <a_j+ a_k> and
-S = <a_j+ a_k sz> of G = [[F, S], [S, F]]. ``evolve`` integrates the block
-equation in time on these blocks, with ``chain._motion``, and a
-``MomentTrajectory`` holds their stacks; its step warning reads the sector
-decay exponents from the same closed form (``chain._pair_exponents``).
+S = <a_j+ a_k sz> of G = [[F, S], [S, F]]. ``evolve`` integrates G in time
+as its two sector equations (``chain._lyapunov``), and a ``MomentTrajectory``
+holds the stacks of F and S; its step warning reads the sector decay
+exponents from the same closed form (``chain._pair_exponents``).
 """
 
 from __future__ import annotations
@@ -78,9 +78,10 @@ def evolve(
     t_final: float,
     dt: float,
 ) -> MomentTrajectory:
-    """Fixed-step 4th-order integration of the block equation of motion.
+    """Fixed-step 4th-order integration of the moment equations of motion.
 
-    The matrix G = [[F, S], [S, F]] is integrated as its two blocks (F, S);
+    G = [[F, S], [S, F]] is integrated as its sectors X_s = (F + s S)/2, by
+    dX_s/dt = A_s X_s + X_s A_s+ + p_s Q, and F = X_+ + X_-, S = X_+ - X_-;
     a ValueError is raised for an ``initial`` matrix of another size or
     sigma_z. The step count is t_final/dt rounded to the nearest integer, so
     the trajectory ends at that multiple of dt. The conserved sigma_z is
@@ -92,10 +93,11 @@ def evolve(
     if not dt <= t_final < math.inf:
         raise ValueError(f"t_final must be finite and at least dt (got t_final={t_final}, dt={dt})")
     initial.check_system(system)
-    sites = chain._sites(chain._stack(system))
-    # sector s relaxes with the eigenvalues b_i + conj(b_j) of its A_s = i (h + s x) + D
-    signs = np.array([1.0, -1.0])[:, None, None]
-    b = chain._pair_exponents(chain._sector_matrices(sites, np.array([0, 0]), signs))
+    # both sectors s = +-1, with p_s = (1 + s sz)/2 even where it is 0: (F, S) need not be a mixture
+    sign = np.array([1.0, -1.0])
+    a, q = chain._sector_equations(chain._sites(chain._stack(system)), np.zeros(2, dtype=int), sign)
+    q = 0.5 * (1.0 + sign * system.sigma_z)[:, None, None] * q
+    b = chain._pair_exponents(a)  # sector s relaxes with the eigenvalues b_i + conj(b_j) of its A_s
     spectral_bound = float(np.max(np.abs(b[:, :, None] + b.conj()[:, None, :])))
     if dt * spectral_bound >= 0.1:
         warnings.warn(
@@ -104,18 +106,18 @@ def evolve(
             stacklevel=2,
         )
     n_steps = max(1, int(round(t_final / dt)))
-    y = np.array([initial.field_block, initial.sz_block], dtype=complex)[:, None]  # (F, S) of a stack of one
-    out = np.empty((n_steps + 1,) + y.shape, dtype=complex)
-    out[0] = y
+    field, sz_block = np.empty((2, n_steps + 1, 2, 2), dtype=complex)
+    field[0], sz_block[0] = initial.field_block, initial.sz_block
+    x = 0.5 * (field[0] + sign[:, None, None] * sz_block[0])  # X_s = (F + s S)/2
     for i in range(n_steps):
         # an overflow is caught below, the same whether or not numpy warnings are errors
         with np.errstate(over="ignore", invalid="ignore"):
-            k1 = chain._motion(sites, *y)
-            k2 = chain._motion(sites, *(y + 0.5 * dt * k1))
-            k3 = chain._motion(sites, *(y + 0.5 * dt * k2))
-            k4 = chain._motion(sites, *(y + dt * k3))
-            y = y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.isfinite(y).all():
+            k1 = chain._lyapunov(a, x, q)
+            k2 = chain._lyapunov(a, x + 0.5 * dt * k1, q)
+            k3 = chain._lyapunov(a, x + 0.5 * dt * k2, q)
+            k4 = chain._lyapunov(a, x + dt * k3, q)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            field[i + 1], sz_block[i + 1] = x[0] + x[1], x[0] - x[1]
+        if not (np.isfinite(field[i + 1]).all() and np.isfinite(sz_block[i + 1]).all()):
             raise SolverError(f"moment evolution left the finite range at step {i + 1} (t = {dt * (i + 1):.6g})")
-        out[i + 1] = y
-    return MomentTrajectory(dt * np.arange(n_steps + 1), out[:, 0, 0], out[:, 1, 0], initial.sigma_z)
+    return MomentTrajectory(dt * np.arange(n_steps + 1), field, sz_block, initial.sigma_z)

@@ -11,10 +11,10 @@ with h the hopping matrix and on-site frequencies, x the atom shift (chi at
 the host site), D the boundary damping -Gamma/2 and Q the thermal drive
 Gamma nbar at sites 1 and N. Everything here is read from a system's own
 fields, apart from ``cavityheat.chain`` and ``cavityheat.moments``, so the
-tests compare the library's N x N block evaluation and its sector solve
-against an independent statement of the 2N x 2N equation. The library holds
-G only as its blocks F and S; ``block_matrix`` lays them out as
-G = [[F, S], [S, F]] for these comparisons. A ``TwoCavitySystem`` is the
+tests compare the library's sector equations, its sector solve and its
+transient against an independent statement of the 2N x 2N equation. The
+library holds G only as its blocks F and S; ``block_matrix`` lays them out
+as G = [[F, S], [S, F]] for these comparisons. A ``TwoCavitySystem`` is the
 N = 2 chain with on-site frequencies omega_L, omega_R and the atom on site 2.
 """
 
@@ -80,11 +80,15 @@ def norm(m: np.ndarray) -> float:
     return float(scale * np.linalg.norm(magnitude / scale)) if scale > 0 else 0.0
 
 
+def block_motion(system, g: np.ndarray) -> np.ndarray:
+    """dG/dt = i [M1, G] + {M2, G} + M3 at a 2N x 2N matrix G."""
+    gen = block_generators(system)
+    return 1j * (gen.m1 @ g - g @ gen.m1) + gen.m2 @ g + g @ gen.m2 + gen.m3
+
+
 def block_residual(system, g: np.ndarray) -> float:
     """Relative residual ||i [M1, G] + {M2, G} + M3|| / ||M3|| at a 2N x 2N matrix G."""
-    gen = block_generators(system)
-    motion = 1j * (gen.m1 @ g - g @ gen.m1) + gen.m2 @ g + g @ gen.m2 + gen.m3
-    return norm(motion) / norm(gen.m3)
+    return norm(block_motion(system, g)) / norm(block_generators(system).m3)
 
 
 def block_backward_error(system, g: np.ndarray) -> float:

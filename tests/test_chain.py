@@ -42,34 +42,43 @@ def chain_system(n_sites, chi=0.0, host=None, sigma_z=-1.0, coupling=0.05,
     )
 
 
-# --- site arrays ----------------------------------------------------------------
+# --- site vectors and sector equations --------------------------------------------
 
 
 def test_two_site_generators_without_atom():
-    (h,), (x,) = chain._sites(chain_system(2))[:2]
-    assert np.allclose(h, [[1.0, 0.05], [0.05, 1.0]])
-    assert np.all(x == 0)
+    sites = chain._sites(chain_system(2))
+    assert np.array_equal(sites.onsite, [[1.0, 1.0]]) and np.array_equal(sites.coupling, [0.05])
+    assert np.all(sites.shift == 0) and not sites.atom[0]
+    assert np.array_equal(sites.rates, [[0.15, 0.15]]) and np.array_equal(sites.nbar, [[0.5, 0.0]])
 
 
 def test_atom_shift_lands_on_host_site():
-    x = chain._sites(chain_system(3, chi=0.1, host=3)).x[0]
-    expected = np.zeros((3, 3))
-    expected[2, 2] = 0.1
-    assert np.allclose(x, expected)
+    for host in (1, 2, 3):
+        sites = chain._sites(chain_system(3, chi=0.1, host=host, sigma_z=0.3))
+        expected = np.zeros((1, 3))
+        expected[0, host - 1] = 0.1
+        assert np.array_equal(sites.shift, expected)
+        assert sites.atom[0] and sites.sigma_z[0] == 0.3
 
 
 def test_generator_matrix_properties():
-    for n in (2, 4, 7):
-        sites = chain._sites(chain_system(n, chi=0.12, host=n))
-        h, x, damping = sites.h[0], sites.x[0], sites.damping[0]
-        assert np.allclose(h, h.conj().T)
-        assert np.allclose(x, np.diag(np.diag(x)))
-        assert np.all(np.diag(damping) <= 0)
-        assert np.allclose(damping, np.diag(np.diag(damping)))
-        # and they are the blocks of the reference's M1 and M2
-        gen = block_generators(chain_system(n, chi=0.12, host=n))
-        assert np.array_equal(gen.m1[:n, :n], h) and np.array_equal(gen.m1[:n, n:], x)
-        assert np.array_equal(gen.m2[:n, :n], damping)
+    # A_s = i (h + s x) + D and Q bit for bit as the blocks of the reference's M1, M2 and M3
+    chains = [chain_system(n, chi=0.12, host=host, sigma_z=0.3, gamma_right=0.1, nbar_right=0.2)
+              for n, host in itertools.product((2, 4, 7), (1, 2))]
+    pair = TwoCavitySystem(omega_left=1.0, omega_right=0.9, coupling=0.02, left=ReservoirSpec(0.06, 0.5),
+                           right=ReservoirSpec(0.04, 0.1), atom=AtomSpec(1.2, -0.4))  # omega_R - chi < 0
+    for system in chains + [pair]:
+        n = 2 if system is pair else system.n_sites
+        a, q = chain._sector_equations(chain._sites(chain._stack(system)), np.zeros(2, dtype=int),
+                                       np.array([1.0, -1.0]))
+        gen = block_generators(system)
+        for k, sign in enumerate((1.0, -1.0)):
+            want = 1j * (gen.h + sign * gen.x) + gen.m2[:n, :n]
+            assert np.array_equal(a[k], want)
+            for part in (np.real, np.imag):
+                assert np.array_equal(np.signbit(part(a[k])), np.signbit(part(want)))
+            assert np.array_equal(q[k], gen.m3[:n, :n]) and q.dtype == complex
+        assert np.array_equal(a, a.transpose(0, 2, 1))  # complex symmetric, as the eigenbasis solve takes it
 
 
 # --- steady state --------------------------------------------------------------
@@ -131,6 +140,45 @@ def test_steady_matrix_carries_its_residual():
     _, residual, _ = chain.sector_covariances(*sector_stack(system))
     assert g.residual == residual.max() <= chain.RESIDUAL_TOL
     assert block_backward_error(system, block_matrix(g)) <= g.residual + 4 * np.finfo(float).eps
+
+
+def scaled_pair(scale, chi=None):
+    """The resonant pair omega = 1, J = 0.02, Gamma = 0.06 with every rate scaled by ``scale``."""
+    return TwoCavitySystem(omega_left=scale, omega_right=scale, coupling=0.02 * scale,
+                           left=ReservoirSpec(0.06 * scale, 0.5), right=ReservoirSpec(0.06 * scale, 0.0),
+                           atom=None if chi is None else AtomSpec(chi * scale, 0.3))
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e-160])
+@pytest.mark.parametrize("chi", [None, 0.05])
+def test_a_pair_of_huge_or_tiny_rates_solves_as_the_unscaled_pair(scale, chi):
+    # the moments are dimensionless; squared entries of 1e160 overflow in a plain Frobenius norm
+    g, want = steady_state_matrix(scaled_pair(scale, chi)), steady_state_matrix(scaled_pair(1.0, chi))
+    assert np.max(np.abs(g.field_block - want.field_block)) <= 1e-12
+    assert np.max(np.abs(g.sz_block - want.sz_block)) <= 1e-12
+    assert 0.0 < g.residual <= chain.RESIDUAL_TOL
+
+
+def test_a_subnormal_drive_is_measured_and_refused():
+    # a drive of 2.2e-311 carries fewer than 52 bits, so no solve of it holds a backward error of a few eps;
+    # its squares underflow, and a plain Frobenius norm would read a residual of 0
+    def pair(nbar_right):
+        return TwoCavitySystem(omega_left=1.0, omega_right=1.0, coupling=0.5, left=ReservoirSpec(1.0, 0.0),
+                               right=ReservoirSpec(1.0, nbar_right))
+
+    with pytest.raises(SolverError, match="^sector steady-state residual .* exceeds 1e-14$"):
+        steady_state_matrix(pair(2.2e-311))
+    assert 0.0 < steady_state_matrix(pair(1e-200)).residual <= chain.RESIDUAL_TOL
+
+
+def test_the_frobenius_norm_is_exact_at_any_magnitude():
+    rng = np.random.default_rng(43)
+    m = rng.normal(size=(6, 3, 3)) + 1j * rng.normal(size=(6, 3, 3))
+    plain = np.linalg.norm(m, axis=(1, 2))
+    for power in (-1000, -700, -400, 0, 400, 1000):  # a power of two scales the norm exactly
+        assert np.array_equal(chain._norm(np.ldexp(m.real, power) + 1j * np.ldexp(m.imag, power)),
+                              np.ldexp(plain, power))
+    assert np.array_equal(chain._norm(np.zeros((2, 3, 3))), np.zeros(2))
 
 
 def test_undamped_interior_mode_has_no_unique_steady_state():
@@ -203,8 +251,7 @@ def test_the_sector_mixture_is_the_sum_of_each_systems_sectors_bit_for_bit():
     field, sz_block, largest, smallest = chain._mixture(sites)
     weight, sign = sector_weights(sites.sigma_z, sites.atom)
     owner, sector = np.nonzero(weight > 0.0)
-    c, residual, margin = chain.sector_covariances(
-        chain._sector_matrices(sites, owner, sign[owner, sector][:, None, None]), sites.drive[owner].astype(complex))
+    c, residual, margin = chain.sector_covariances(*chain._sector_equations(sites, owner, sign[owner, sector]))
     for m in range(len(systems)):
         f = s = 0.0
         for k in np.flatnonzero(owner == m):
@@ -256,9 +303,7 @@ def test_long_atom_free_chain_is_ballistic():
 
 def sector_stack(system):
     """The sector matrices A_s of a chain in the sectors s = +1 and -1, with their drives."""
-    sites = chain._sites(system)
-    a = chain._sector_matrices(sites, np.array([0, 0]), np.array([1.0, -1.0])[:, None, None])
-    return a, sites.drive[[0, 0]].astype(complex)
+    return chain._sector_equations(chain._sites(system), np.array([0, 0]), np.array([1.0, -1.0]))
 
 
 # atom-free chains tuned close to an exceptional point of A_s, where its

@@ -468,6 +468,14 @@ def test_block_solve_matches_the_full_generator_solve(case, n_max):
         assert np.max(np.abs(state - sector_state(system, sign, n_max))) < 1e-12
 
 
+@pytest.mark.parametrize("case", BLOCK_CASES, ids=list(BLOCK_CASES))
+def test_each_sector_state_is_hermitian_and_of_trace_one_by_construction(case):
+    system = system_for(**{"coupling": 0.05, **BLOCK_CASES[case]})
+    for _, _, state in steady_rho(system, FockConfig(n_max=6, tail_bound=1e-2)).sectors:
+        assert np.array_equal(state, state.conj().T)
+        assert abs(np.trace(state) - 1.0) <= 1e-13
+
+
 @pytest.mark.parametrize("sigma_z", [-1.0, 1.0, None], ids=["ground", "excited", "no-atom"])
 def test_carried_residual_is_the_full_generator_residual(sigma_z):
     system = system_for(omega_right=0.9, chi=0.3, nbar_right=0.1, sigma_z=sigma_z, atom=sigma_z is not None)
@@ -519,30 +527,18 @@ def test_singular_elimination_is_rejected(monkeypatch):
 
 def test_the_state_checks_and_the_balance_warning_fire_with_their_messages(monkeypatch):
     # each guard reached through steady_rho or oracle_currents, with one private step altered
-    solve, system = fockspace._block_steady_state, system_for()
+    system = system_for()
 
     def entry(rho, value):  # value at (0, 1) alone
         out = np.zeros_like(rho)
         out[0, 1] = value
         return out
 
-    def skewed(h, structure):
-        rho = solve(h, structure)
-        return rho + entry(rho, 1e-6)
-
-    cases = [
-        ("_lindblad_rhs", lambda h, channels, rho: entry(rho, 1e-3),
-         f"steady-state residual 1.000e-03 exceeds {fockspace.STEADY_RESIDUAL_TOL}"),
-        ("_block_steady_state", skewed, f"steady state is not Hermitian (deviation {math.sqrt(2.0) * 1e-6:.3e})"),
-        ("_block_steady_state", lambda h, structure: 2.0 * solve(h, structure),
-         "steady state trace deviates from one by 1.000e+00"),
-    ]
-    for name, step, message in cases:
-        with monkeypatch.context() as patch:
-            patch.setattr(fockspace, name, step)
-            with pytest.raises(SolverError) as err:
-                steady_rho(system, SMALL)
-        assert str(err.value) == message
+    with monkeypatch.context() as patch:
+        patch.setattr(fockspace, "_lindblad_rhs", lambda h, channels, rho: entry(rho, 1e-3))
+        with pytest.raises(SolverError) as err:
+            steady_rho(system, SMALL)
+    assert str(err.value) == f"steady-state residual 1.000e-03 exceeds {fockspace.STEADY_RESIDUAL_TOL}"
     # the state of one pair is not steady for a pair with a faster right reservoir
     rho, faster = steady_rho(system, SMALL), replace(system, right=ReservoirSpec(0.128, 0.0))
     with pytest.warns(UserWarning) as record:

@@ -11,7 +11,7 @@ from cavityheat.closedform import current_general, steady_moments
 from cavityheat.model import AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem, atomic_sectors
 from cavityheat.moments import evolve
 
-from block_reference import block_generators, block_matrix
+from block_reference import block_generators, block_matrix, block_motion
 
 
 def system_for(
@@ -226,6 +226,26 @@ def test_oversized_step_warns():
     with pytest.warns(UserWarning, match="eigenvalue"):
         evolve(system, zero_state(sigma_z=1.0), t_final=1.0, dt=0.1001 / bound)
     evolve(system, zero_state(sigma_z=1.0), t_final=1.0, dt=0.0999 / bound)  # warnings are errors here
+
+
+@pytest.mark.parametrize("sigma_z", [-1.0, 0.3, 1.0, None], ids=["ground", "mixed", "excited", "no-atom"])
+def test_evolve_is_the_rk4_integration_of_the_block_equation(sigma_z):
+    # evolve steps the two sectors X_s = (F + s S)/2; the reference steps the 2N x 2N matrix G itself
+    system = system_for(omega_right=1.1, chi=0.3, sigma_z=sigma_z or 0.0, gamma_right=0.03, nbar_right=0.1,
+                        atom=sigma_z is not None)
+    rng = np.random.default_rng(41)
+    f, s = (b + b.conj().T for b in rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)))
+    dt, n_steps = 0.02, 400
+    trajectory = evolve(system, MomentMatrix(f, s, sigma_z=system.sigma_z), t_final=n_steps * dt, dt=dt)
+    g = [np.block([[f, s], [s, f]])]
+    for _ in range(n_steps):
+        k1 = block_motion(system, g[-1])
+        k2 = block_motion(system, g[-1] + 0.5 * dt * k1)
+        k3 = block_motion(system, g[-1] + 0.5 * dt * k2)
+        k4 = block_motion(system, g[-1] + dt * k3)
+        g.append(g[-1] + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4))
+    got, want = block_matrix(trajectory), np.array(g)
+    assert np.max(np.abs(got - want), axis=(1, 2)).max() <= 1e-13 * np.max(np.abs(want))
 
 
 def test_evolve_rejects_bad_steps():

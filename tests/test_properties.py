@@ -24,7 +24,7 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import cavityheat  # noqa: E402
 from cavityheat.chain import (  # noqa: E402
-    RESIDUAL_TOL, _mixture, _pair_exponents, _pair_spectrum, _sector_matrices, _sites, boundary_currents,
+    RESIDUAL_TOL, _mixture, _pair_exponents, _pair_spectrum, _sector_equations, _sites, boundary_currents,
     sector_covariances, size_scan, steady_state_matrix,
 )
 from cavityheat.closedform import ZERO_CURRENT_TOL, current_general, current_pm, rectification  # noqa: E402
@@ -321,8 +321,7 @@ def test_a_sector_stack_with_a_non_finite_entry_is_refused_at_the_first(n, first
         sites, owner = _sites(PairGrid.sweep(PAIR, chi=[0.1, 0.2, 0.3])), np.repeat(np.arange(3), 2)
     else:
         sites, owner = _sites(replace(CHAIN, n_sites=3, atom=replace(CHAIN.atom, host_index=3))), np.zeros(6, int)
-    a = _sector_matrices(sites, owner, np.tile([1.0, -1.0], 3)[:, None, None])
-    q = sites.drive[owner].astype(complex)
+    a, q = _sector_equations(sites, owner, np.tile([1.0, -1.0], 3))
     row, column = divmod(entry % (n * n), n)
     target = q if drive else a
     for k in (first, 5) if again else (first,):

@@ -1,12 +1,27 @@
-"""README examples run, and every module-qualified name it cites exists."""
+"""README examples run, and every module-qualified name that it or a
+docstring of the package cites exists."""
 
+import ast
 import importlib
 import re
 from pathlib import Path
 
-README = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+ROOT = Path(__file__).resolve().parent.parent
+README = (ROOT / "README.md").read_text(encoding="utf-8")
 LAYERS = ("chain", "moments", "fockspace", "closedform", "model", "cli")
-CITED = sorted(set(re.findall(rf"`((?:{'|'.join(LAYERS)})\.\w+(?:\.\w+)*)`", README)))
+NAME = rf"(?:{'|'.join(LAYERS)})\.\w+(?:\.\w+)*"
+CITED = sorted(set(re.findall(rf"`({NAME})`", README)))
+
+
+def docstrings(path: Path) -> list[str]:
+    """The docstrings of a module, its classes and its functions."""
+    nodes = [node for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))]
+    return [text for text in map(ast.get_docstring, nodes) if text]
+
+
+DOCUMENTED = sorted({name for path in (ROOT / "src" / "cavityheat").glob("*.py") for text in docstrings(path)
+                     for name in re.findall(rf"``({NAME})``", text)})
 
 
 def test_the_python_examples_run_in_order():
@@ -28,6 +43,6 @@ def resolves(name: str) -> bool:
 
 
 def test_every_cited_name_resolves():
-    # a rename in the code must reach the README too
-    assert CITED
-    assert [name for name in CITED if not resolves(name)] == []
+    # a rename or a deletion in the code must reach the README and the docstrings too
+    assert CITED and DOCUMENTED
+    assert [name for name in CITED + DOCUMENTED if not resolves(name)] == []
