@@ -20,14 +20,15 @@ one batched Kronecker system, with the eigenvalues of A_s and C_s of each
 eigenbasis of each A_s (O(N^3) time, O(N^2) memory). A_s is complex
 symmetric, so that basis W has W^-1 = W^T; the equation is elementwise there,
 and the same eigenvalues give the stability guard. Each solution is checked
-by its normwise backward error (``_backward_error``)
+by its normwise backward error (``model._backward_error``)
 
     ||A C + C A+ + Q|| / (2 ||A|| ||C|| + ||Q||),
 
-the one residual of every moment solve, held to the one bound RESIDUAL_TOL: a
-backward-stable solve leaves a few eps, however large ||A|| / ||Q|| is (a
-high-Q pair has ||A|| / Gamma of 1e6 and more), with norms (``_norm``) that
-hold at any magnitude. Every C returned is exactly Hermitian, as the exact
+the one residual of every steady solve, the oracle's too, held to one bound,
+``model.RESIDUAL_TOL``: a backward-stable solve leaves a few eps, however
+large ||A|| / ||Q|| is (a high-Q pair has ||A|| / Gamma of 1e6 and more),
+with norms (``_norm``) that hold at any magnitude. Every C returned is
+exactly Hermitian, as the exact
 solution is. G is then [[F, S], [S, F]] with F = sum_s p_s C_s and
 S = sum_s s p_s C_s, so F and S state it completely: a ``MomentMatrix``
 holds these two N x N blocks and nothing else, with the largest backward
@@ -60,14 +61,14 @@ grid.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
-from .closedform import CurrentReport, _classification
-from .model import ArraySystem, PairGrid, SolverError, TwoCavitySystem, sector_weights
+from .closedform import CurrentReport, _check_balance, _classification
+from .model import (POSITIVITY_TOL, RESIDUAL_TOL, ArraySystem, PairGrid, SolverError, TwoCavitySystem,
+                    _backward_error, sector_weights)
 
 __all__ = [
     "MomentMatrix",
@@ -81,15 +82,9 @@ __all__ = [
     "size_scan",
 ]
 
-# normwise backward error (``_backward_error``) allowed of every moment solve,
-# about 45 eps: a backward-stable solve leaves a few eps
-RESIDUAL_TOL = 1e-14
 # a sector mode decaying slower than this, relative to ||A_s||, counts as
 # undamped: the Lyapunov equation then has no unique solution
 STABILITY_TOL = 1e-12
-# smallest eigenvalue of a sector covariance, relative to its largest, that
-# still counts as positive semidefinite
-POSITIVITY_TOL = 1e-10
 # steps of iterative refinement of the eigenbasis solve
 REFINEMENT_STEPS = 3
 
@@ -108,7 +103,7 @@ class MomentMatrix:
     field_block: np.ndarray  # F, N x N complex
     sz_block: np.ndarray  # S, N x N complex
     sigma_z: float = 0.0
-    residual: float | None = None  # largest backward error (``_backward_error``) of the sector equations
+    residual: float | None = None  # largest backward error (``model._backward_error``) of the sector equations
     positivity_margin: float | None = None  # smallest sector-covariance eigenvalue over the largest
 
     def __post_init__(self) -> None:
@@ -224,17 +219,6 @@ def _rescaled(f, m: np.ndarray) -> np.ndarray:
     value = f(np.ldexp(m.real, down) + 1j * np.ldexp(m.imag, down))
     up = exponent.reshape((-1,) + (1,) * (value.ndim - 1))
     return np.ldexp(value.real, up) + 1j * np.ldexp(value.imag, up)
-
-
-def _backward_error(residual: np.ndarray, norm_a: np.ndarray, norm_c: np.ndarray,
-                    norm_q: np.ndarray) -> np.ndarray:
-    """Normwise backward error ||R|| / (2 ||A|| ||C|| + ||Q||) of a solution C of
-    A C + C A+ + Q = 0 with residual R (Higham, Accuracy and Stability of
-    Numerical Algorithms, 2nd ed., ch. 16): the residual against the size of
-    the terms it is summed from, so a backward-stable solve leaves a few eps
-    whatever ||A|| / ||Q|| is. With a zero denominator it is ||R||."""
-    denominator = 2.0 * norm_a * norm_c + norm_q
-    return np.divide(residual, denominator, out=np.array(residual, dtype=float), where=denominator > 0)
 
 
 def _guard(ok: np.ndarray, values: np.ndarray, message: str) -> None:
@@ -412,14 +396,7 @@ def _currents(stack: Union[PairGrid, ArraySystem], sites: _Sites, f: np.ndarray,
                   + sites.shift[:, ends] * (sites.sigma_z[:, None] * sites.nbar - s[:, ends, ends].real))
     coherence = 0.5 * sites.coupling[:, None] * (f[:, ends, bonded] + f[:, bonded, ends]).real
     current = sites.rates * (occupation - coherence)
-    imbalance = np.abs(current.sum(axis=1))
-    unbalanced = np.flatnonzero(~(imbalance <= 1e-10 * np.maximum(np.abs(current[:, 0]), omega[:, 0] ** 2)))
-    if unbalanced.size:
-        warnings.warn(
-            f"boundary currents do not balance (|I_L + I_R| = {imbalance[unbalanced[0]]:.3e} for system "
-            f"{unbalanced[0]}); the moment matrix is not a steady state",
-            stacklevel=3,
-        )
+    _check_balance(current[:, 0], current[:, 1], omega[:, 0], "moment matrix", stacklevel=3)
     if isinstance(stack, PairGrid):
         alpha, regime = _classification(stack, current[:, 0])
     else:

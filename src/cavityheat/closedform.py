@@ -17,6 +17,7 @@ sweep is therefore one evaluation over its whole grid.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -195,6 +196,17 @@ def _classification(system: Pairs, i_left) -> tuple:
     definite = (p.sigma_z == 1.0) | (p.sigma_z == -1.0)
     alpha = np.where(hot & p.atom & definite & (p.chi > p.omega_right), _alpha(p), None)
     return _scalars(system, alpha, np.where(hot, tag, None))
+
+
+def _check_balance(i_left, i_right, omega_left, state: str, stacklevel: int) -> None:
+    """Warn, naming the first failing system of a stack (M,), unless
+    |I_L + I_R| <= 1e-10 max(|I_L|, omega_L^2), as a steady ``state`` conserves
+    energy (a NaN fails): the one balance rule of the moment and oracle paths."""
+    imbalance = np.abs(np.add(i_left, i_right))
+    bad = np.flatnonzero(~(imbalance <= 1e-10 * np.maximum(np.abs(i_left), np.square(omega_left))))
+    if bad.size:
+        warnings.warn(f"boundary currents do not balance (|I_L + I_R| = {imbalance[bad[0]]:.3e} for system "
+                      f"{bad[0]}); the {state} is not a steady state", stacklevel=stacklevel + 1)
 
 
 def current_general(system: Pairs) -> CurrentReport:

@@ -29,19 +29,21 @@ about a quarter of their rate. The splits above the leaves do not pivot, and
 one step of iterative refinement on the block equations restores the digits
 they lose. The result is then checked against the full Lindblad equation
 -i[H_s, rho] + sum_c rate D[c] rho, evaluated on the whole of rho, not on
-the solved blocks.
+the solved blocks, and for positivity, by the moment path's rules: its
+backward error within ``model.RESIDUAL_TOL``, its relative positivity margin
+within ``model.POSITIVITY_TOL``, its currents ``closedform._check_balance``.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .closedform import CurrentReport, _classification
-from .model import SolverError, TwoCavitySystem, ValidationError, _is_integer, atomic_sectors
+from .closedform import CurrentReport, _check_balance, _classification
+from .model import (POSITIVITY_TOL, RESIDUAL_TOL, SolverError, TwoCavitySystem, ValidationError, _backward_error,
+                    _is_integer, atomic_sectors)
 
 __all__ = [
     "FockConfig",
@@ -54,9 +56,6 @@ __all__ = [
     "thermal_fidelity",
     "g2_zero",
 ]
-
-STEADY_RESIDUAL_TOL = 1e-10
-EIGENVALUE_FLOOR = -1e-8
 
 
 @dataclass(frozen=True)
@@ -87,9 +86,9 @@ class DensityMatrix:
     ``sectors`` holds (p_s, s, rho_s): the weight and sign of each atomic
     sector and its two-mode field state, as ``model.atomic_sectors`` orders
     them; without an atom it is the single entry (1.0, 0.0, rho).
-    ``residual`` is the norm of the full Lindblad right-hand side on the
-    state, combined over atomic sectors. Each field state is checked finite
-    and held as a read-only view.
+    ``residual`` is the largest backward error of the full Lindblad equation
+    over its atomic sectors (``_lindblad_backward_error``). Each field state
+    is checked finite and held as a read-only view.
     """
 
     sectors: tuple[tuple[float, float, np.ndarray], ...]
@@ -157,6 +156,8 @@ def thermal_state(n_levels: int, nbar: float) -> np.ndarray:
 
 
 def _check_config(system: TwoCavitySystem, cfg: FockConfig) -> None:
+    """Raise ValidationError unless n_max is an integer of at least 1 and the
+    Gibbs tail mass and levels**4 are within their bounds."""
     n_max = cfg.n_max
     if not _is_integer(n_max) or n_max < 1:
         raise ValidationError([f"fock: n_max must be an integer of at least 1, got {n_max!r}"])
@@ -167,14 +168,9 @@ def _check_config(system: TwoCavitySystem, cfg: FockConfig) -> None:
             f"fock: Gibbs tail mass {tail:.3e} beyond n_max={n_max} at nbar={hot} "
             f"exceeds the bound {cfg.tail_bound:.1e}; raise n_max or the bound"
         ])
-
-
-def _guard_dim(dim: int, cfg: FockConfig) -> None:
-    if not dim * dim <= cfg.max_vectorized_dim:
-        raise ValidationError([
-            f"fock: vectorised space dimension {dim * dim} exceeds the guard "
-            f"{cfg.max_vectorized_dim}; raise max_vectorized_dim to override"
-        ])
+    if not cfg.levels**4 <= cfg.max_vectorized_dim:
+        raise ValidationError([f"fock: vectorised space dimension {cfg.levels**4} exceeds the guard "
+                               f"{cfg.max_vectorized_dim}; raise max_vectorized_dim to override"])
 
 
 def _ladder(levels: int, di: int, dj: int) -> tuple[np.ndarray, np.ndarray]:
@@ -459,18 +455,30 @@ def _lindblad_rhs(h, channels, rho: np.ndarray) -> np.ndarray:
     return rhs
 
 
+def _lindblad_backward_error(h, channels, rho: np.ndarray) -> float:
+    """``model._backward_error`` of rho in L(rho) = -i[H, rho] + sum_c rate D[c] rho:
+    its terms have norms of at most 2 ||H|| ||rho||, rate ||c||^2 ||rho|| and
+    rate ||c^dagger c|| ||rho||, so ||H|| + sum_c rate (||c||^2 + ||c^dagger c||)/2
+    takes the place of ||A||, with no drive. The Frobenius norms are read from
+    the gathers: those of H have distinct columns, and c^dagger c is diagonal."""
+    size = math.sqrt(sum(np.dot(w, w) for _, w in h)) + 0.5 * sum(
+        rate * (np.dot(c[1], c[1]) + np.linalg.norm(_squared(c))) for c, _, rate in channels)
+    return float(_backward_error(np.linalg.norm(_lindblad_rhs(h, channels, rho)), size, np.linalg.norm(rho), 0.0))
+
+
 def _sector_steady(h, channels, structure: _BlockStructure):
-    """Steady field state of one atomic sector, with Hamiltonian gathers h,
-    and the norm of the full Lindblad right-hand side on it."""
+    """Steady field state of one atomic sector, with Hamiltonian gathers h, and
+    its backward error, both checked as every steady solve is."""
     rho = _block_steady_state(h, structure)
     # Hermitian and of trace one by construction: each real block Y is laid out as
     # (Y + Y^T)/2 + i (Y - Y^T)/2 and rho divided by its trace; each block's spectrum is exact
-    smallest = min(float(np.linalg.eigvalsh(rho[np.ix_(kets, kets)])[0]) for kets in structure.blocks)
-    if not smallest >= EIGENVALUE_FLOOR:
-        raise SolverError(f"steady state has negative eigenvalue {smallest:.3e}")
-    residual = float(np.linalg.norm(_lindblad_rhs(h, channels, rho)))
-    if not residual <= STEADY_RESIDUAL_TOL:
-        raise SolverError(f"steady-state residual {residual:.3e} exceeds {STEADY_RESIDUAL_TOL}")
+    spectrum = np.concatenate([np.linalg.eigvalsh(rho[np.ix_(kets, kets)]) for kets in structure.blocks])
+    margin = float(spectrum.min() / np.abs(spectrum).max())
+    if not margin >= -POSITIVITY_TOL:
+        raise SolverError(f"sector state is not positive semidefinite (relative eigenvalue {margin:.3e})")
+    residual = _lindblad_backward_error(h, channels, rho)
+    if not residual <= RESIDUAL_TOL:
+        raise SolverError(f"sector steady-state residual {residual:.3e} exceeds {RESIDUAL_TOL}")
     return rho, residual
 
 
@@ -479,21 +487,19 @@ def steady_rho(system: TwoCavitySystem, cfg: FockConfig | None = None) -> Densit
 
     Each atomic sector with non-zero weight is solved on the two-mode field
     space, Hermitian and of trace one by construction, and checked on its
-    own: no eigenvalue below the floor. A mixture of such states with weights
-    summing to one is itself such a state.
+    own (``_sector_steady``). A mixture of such states with weights summing
+    to one is itself such a state.
     """
     cfg = cfg or FockConfig()
     _check_config(system, cfg)
-    _guard_dim(cfg.levels**2, cfg)
     channels = _channels(system, cfg.levels)
     structure = _block_structure(channels, cfg.levels)
-    sectors = []
-    residual_sq = 0.0
+    sectors, residuals = [], []
     for weight, sign in atomic_sectors(system):
         rho, residual = _sector_steady(_sector_hamiltonian(system, cfg.levels, sign), channels, structure)
         sectors.append((weight, sign, rho))
-        residual_sq += (weight * residual) ** 2
-    return DensityMatrix(sectors=tuple(sectors), n_max=cfg.n_max, residual=float(np.sqrt(residual_sq)))
+        residuals.append(residual)
+    return DensityMatrix(sectors=tuple(sectors), n_max=cfg.n_max, residual=max(residuals))
 
 
 def converged_steady_rho(
@@ -530,8 +536,8 @@ def converged_steady_rho(
             return state, current_cfg
         previous = occ
         current_cfg = replace(current_cfg, n_max=current_cfg.n_max + step)
-        try:
-            _guard_dim(current_cfg.levels**2, current_cfg)
+        try:  # the tail mass only falls as n_max grows: only the dimension guard can fire
+            _check_config(system, current_cfg)
         except ValidationError as exc:
             raise SolverError(f"truncation escalation at n_max={current_cfg.n_max} before occupations "
                               f"converged: {exc}") from exc
@@ -579,23 +585,8 @@ def oracle_currents(system: TwoCavitySystem, rho: DensityMatrix) -> CurrentRepor
         coherence += weight * _expectation(coherence_op, state)
     i_occ = (system.left.mean_occupation - occ_left) * system.omega_left
     i_coh = system.coupling * coherence
-
-    imbalance = abs(i_left + i_right)
-    if not imbalance <= max(1e-8 * abs(i_left), 1e-8 * system.omega_left**2):
-        warnings.warn(
-            f"boundary currents do not balance (|I_L + I_R| = {imbalance:.3e}); "
-            "the density matrix is not steady",
-            stacklevel=2,
-        )
-    alpha, regime = _classification(system, i_left)
-    return CurrentReport(
-        i_left=i_left,
-        i_right=i_right,
-        i_occupation=i_occ,
-        i_coherence=i_coh,
-        alpha=alpha,
-        regime=regime,
-    )
+    _check_balance([i_left], [i_right], [system.omega_left], "density matrix", stacklevel=2)
+    return CurrentReport(i_left, i_right, i_occ, i_coh, *_classification(system, i_left))
 
 
 def _finite_mode(rho_mode) -> np.ndarray:

@@ -14,7 +14,9 @@ when it is built, also by ``dataclasses.replace``, and raises
 atom included. No solver checks a system again.
 
 A sweep of cavity pairs is one ``PairGrid``: one float64 array per field,
-checked by the same rules in one vectorised pass when it is built.
+checked by the same rules in one vectorised pass when it is built. Every
+steady solve, moment or Fock oracle, is held to ``RESIDUAL_TOL`` and
+``POSITIVITY_TOL``, relative bounds that hold in any units.
 """
 
 from __future__ import annotations
@@ -58,6 +60,24 @@ class SolverError(RuntimeError):
     """
 
     index: int | None = None
+
+
+# normwise backward error (``_backward_error``) allowed of every steady solve,
+# moment or oracle, about 45 eps: a backward-stable solve leaves a few eps
+RESIDUAL_TOL = 1e-14
+# smallest eigenvalue of a sector covariance or of the excitation blocks of a
+# sector density matrix, relative to its largest, that counts as semidefinite
+POSITIVITY_TOL = 1e-10
+
+
+def _backward_error(residual, norm_a, norm_c, norm_q):
+    """Normwise backward error ||R|| / (2 ||A|| ||C|| + ||Q||) of a solution C of
+    A C + C A+ + Q = 0 with residual R (Higham, Accuracy and Stability of
+    Numerical Algorithms, 2nd ed., ch. 16): the residual against the size of
+    the terms it is summed from, so a backward-stable solve leaves a few eps
+    whatever ||A|| / ||Q|| is or the units are. With a zero denominator it is ||R||."""
+    denominator = 2.0 * norm_a * norm_c + norm_q
+    return np.divide(residual, denominator, out=np.array(residual, dtype=float), where=denominator > 0)
 
 
 def bose_occupation(omega: float, temperature: float) -> float:

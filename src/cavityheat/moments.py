@@ -14,7 +14,7 @@ the eigenvalues of each 2 x 2 sector in closed form, with no LAPACK
 eigensolver) and returns its currents as arrays, with no per-point object;
 each point carries the largest backward error of its sector equations,
 ||A C + C A+ + Q|| / (2 ||A|| ||C|| + ||Q||), which the core holds to
-``chain.RESIDUAL_TOL``, the one bound of every moment solve; a high-Q pair
+``model.RESIDUAL_TOL``, the one bound of every steady solve; a high-Q pair
 (Gamma << J << omega) passes it as any other. The currents come from
 ``chain._currents``, the one boundary-current formula of pairs and chains.
 One pair is solved as any chain, by ``chain.steady_state_matrix`` on the

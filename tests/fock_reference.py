@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import norm as sparse_norm, spsolve
 
 
 @dataclass(frozen=True)
@@ -96,6 +96,19 @@ def sector_generator(system, sign: float, n_max: int) -> sp.csr_matrix:
     a_left, a_right = mode_operators(n_max + 1)
     h = field_hamiltonian(system, a_left, a_right, system.omega_right + sign * system.chi)
     return liouvillian(h, collapse_channels(system, a_left, a_right))
+
+
+def sector_backward_error(system, sign: float, n_max: int, rho: np.ndarray, residual: float | None = None) -> float:
+    """||L(rho)|| / (2 (||H|| + sum_c rate (||c||^2 + ||c^dagger c||)/2) ||rho||) in
+    Frobenius norms, from the sparse sector generator and operators; ``residual``
+    stands in for ||L(rho)|| when given."""
+    a_left, a_right = mode_operators(n_max + 1)
+    h = field_hamiltonian(system, a_left, a_right, system.omega_right + sign * system.chi)
+    size = sparse_norm(h) + 0.5 * sum(rate * (sparse_norm(c) ** 2 + sparse_norm(c.T @ c))
+                                      for c, rate in collapse_channels(system, a_left, a_right))
+    if residual is None:
+        residual = np.linalg.norm(sector_generator(system, sign, n_max) @ rho.reshape(-1))
+    return residual / (2.0 * size * np.linalg.norm(rho))
 
 
 def sector_state(system, sign: float, n_max: int) -> np.ndarray:

@@ -14,7 +14,7 @@ from cavityheat.fockspace import (
     _channels,
     _excitation_blocks,
     _inverse,
-    _lindblad_rhs,
+    _lindblad_backward_error,
     _sector_hamiltonian,
     converged_steady_rho,
     g2_zero,
@@ -24,14 +24,14 @@ from cavityheat.fockspace import (
     thermal_fidelity,
     thermal_state,
 )
-from cavityheat.model import AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem, ValidationError
+from cavityheat.model import RESIDUAL_TOL, AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem, ValidationError
 from fock_reference import (
     build_liouvillian,
     fock_operators,
     full_matrix,
     full_space_currents,
     liouvillian,
-    sector_generator,
+    sector_backward_error,
     sector_state,
 )
 
@@ -443,10 +443,11 @@ def test_refinement_restores_the_digits_the_unpivoted_splits_lose(monkeypatch):
     system = system_for(omega_right=1.545, coupling=8.72, gamma_left=1.19e-4, gamma_right=2.5e-4,
                         nbar_left=3.62, nbar_right=0.856, atom=False)
     cfg = FockConfig(n_max=8, tail_bound=1.0)
-    assert steady_rho(system, cfg).residual <= 1e-14
-    # without the correction the same solve is still steady, to far fewer digits
+    assert steady_rho(system, cfg).residual <= RESIDUAL_TOL
+    # without the correction the backward error of the same solve is above the bound
     monkeypatch.setattr(fockspace, "_block_residual", lambda hamiltonians, structure, ys: [0.0 * y for y in ys])
-    assert 1e-13 < steady_rho(system, cfg).residual <= 1e-10
+    with pytest.raises(SolverError, match="^sector steady-state residual .* exceeds 1e-14$"):
+        steady_rho(system, cfg)
 
 
 def test_excitation_blocks_partition_the_kets():
@@ -482,21 +483,26 @@ def test_carried_residual_is_the_full_generator_residual(sigma_z):
     n_max = 8
     rho = steady_rho(system, FockConfig(n_max=n_max, tail_bound=1e-2))
     ((_, sign, state),) = rho.sectors
-    gen = sector_generator(system, sign, n_max)
-    assert rho.residual < 1e-10
-    assert rho.residual == pytest.approx(np.linalg.norm(gen @ state.reshape(-1)), abs=1e-15)
-    # away from the steady state the two evaluations agree to rounding as well
+    h, channels = _sector_hamiltonian(system, n_max + 1, sign), _channels(system, n_max + 1)
+    assert rho.residual == _lindblad_backward_error(h, channels, state)
+    # at the steady state ||L(rho)|| is rounding, so two evaluations of it agree
+    # only to its own size (4-19% here), and the reference is within the bound too
+    reference = sector_backward_error(system, sign, n_max, state)
+    assert 0.0 < reference <= RESIDUAL_TOL
+    assert rho.residual == pytest.approx(reference, rel=0.5)
+    # away from the steady state the two evaluations, numerator and denominator,
+    # agree to rounding
     rng = np.random.default_rng(7)
     raw = rng.normal(size=state.shape) + 1j * rng.normal(size=state.shape)
     other = raw + raw.conj().T
-    h, channels = _sector_hamiltonian(system, n_max + 1, sign), _channels(system, n_max + 1)
-    assert np.linalg.norm(_lindblad_rhs(h, channels, other)) == pytest.approx(
-        np.linalg.norm(gen @ other.reshape(-1)), rel=1e-12
+    assert _lindblad_backward_error(h, channels, other) == pytest.approx(
+        sector_backward_error(system, sign, n_max, other), rel=1e-12
     )
 
 
 def test_negative_eigenvalue_in_one_excitation_block_is_rejected(monkeypatch):
     solve = fockspace._block_steady_state
+    states = []
 
     def with_negative_block(h, structure):
         rho = solve(h, structure)
@@ -506,11 +512,42 @@ def test_negative_eigenvalue_in_one_excitation_block_is_rejected(monkeypatch):
         shift = values[0] + 1e-6
         top, bottom = vectors[:, -1], vectors[:, 0]
         rho[kets] += shift * (np.outer(top, top.conj()) - np.outer(bottom, bottom.conj()))
+        states.append(rho)
         return rho
 
     monkeypatch.setattr(fockspace, "_block_steady_state", with_negative_block)
-    with pytest.raises(SolverError, match="negative eigenvalue -1.000e-06"):
+    with pytest.raises(SolverError) as err:
         steady_rho(system_for(), SMALL)
+    # -1e-6 against the largest eigenvalue of the state
+    spectrum = np.linalg.eigvalsh(states[0])
+    assert spectrum[0] == pytest.approx(-1e-6, rel=1e-9)
+    assert str(err.value) == (f"sector state is not positive semidefinite "
+                              f"(relative eigenvalue {spectrum[0] / spectrum[-1]:.3e})")
+
+
+def test_a_state_off_by_one_part_in_a_billion_is_refused_at_any_scale(monkeypatch):
+    # in units a million times larger every rate and frequency is 1e-6: on this state the
+    # norm of the Lindblad right-hand side is 6e-17, far below any absolute bound, and the
+    # backward error 1.3e-13
+    scale = 1e-6
+    system = TwoCavitySystem(omega_left=scale, omega_right=1.1 * scale, coupling=0.03 * scale,
+                             left=ReservoirSpec(0.06 * scale, 0.3), right=ReservoirSpec(0.1 * scale, 0.05),
+                             atom=AtomSpec(0.1 * scale, 0.3))
+    cfg = FockConfig(n_max=12, tail_bound=1e-6)
+    assert steady_rho(system, cfg).residual <= RESIDUAL_TOL
+    solve = fockspace._block_steady_state
+
+    def perturbed(h, structure):
+        rho = solve(h, structure)
+        kets = structure.blocks[1]  # |1, 0> and |0, 1>: a Hermitian change of the coherence, trace kept
+        delta = 1e-9 * np.linalg.norm(rho[np.ix_(kets, kets)])
+        rho[kets[0], kets[1]] += delta
+        rho[kets[1], kets[0]] += delta
+        return rho
+
+    monkeypatch.setattr(fockspace, "_block_steady_state", perturbed)
+    with pytest.raises(SolverError, match="^sector steady-state residual .* exceeds 1e-14$"):
+        steady_rho(system, cfg)
 
 
 def test_non_finite_elimination_is_rejected(monkeypatch):
@@ -538,12 +575,14 @@ def test_the_state_checks_and_the_balance_warning_fire_with_their_messages(monke
         patch.setattr(fockspace, "_lindblad_rhs", lambda h, channels, rho: entry(rho, 1e-3))
         with pytest.raises(SolverError) as err:
             steady_rho(system, SMALL)
-    assert str(err.value) == f"steady-state residual 1.000e-03 exceeds {fockspace.STEADY_RESIDUAL_TOL}"
+    ((_, sign, state),) = steady_rho(system, SMALL).sectors
+    residual = sector_backward_error(system, sign, SMALL.n_max, state, residual=1e-3)
+    assert str(err.value) == f"sector steady-state residual {residual:.3e} exceeds 1e-14"
     # the state of one pair is not steady for a pair with a faster right reservoir
     rho, faster = steady_rho(system, SMALL), replace(system, right=ReservoirSpec(0.128, 0.0))
     with pytest.warns(UserWarning) as record:
         report = oracle_currents(faster, rho)
     assert [str(w.message) for w in record] == [
-        f"boundary currents do not balance (|I_L + I_R| = {abs(report.i_left + report.i_right):.3e}); "
-        "the density matrix is not steady"
+        f"boundary currents do not balance (|I_L + I_R| = {abs(report.i_left + report.i_right):.3e} for system 0); "
+        "the density matrix is not a steady state"
     ]

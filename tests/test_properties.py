@@ -7,7 +7,8 @@ block equation, every moment solve of a pair, a grid or a chain exactly
 Hermitian and within the one bound on the block equation, the closed-form
 2 x 2 eigenvalues of the pair solve against LAPACK, a sector stack with a
 non-finite entry refused at the first such matrix, sweep grids equal to
-their points, balanced oracle currents, and every public call given a
+their points, balanced oracle currents, a pair in other units solving as
+the pair along the moment and oracle paths, and every public call given a
 non-finite number raising or returning finite numbers, and given a
 fractional size raising."""
 
@@ -396,6 +397,55 @@ def test_oracle_currents_balance(system, n_max):
     scale = (system.left.rate * system.omega_left * (system.left.mean_occupation + 1.0)
              + system.right.rate * system.omega_right * (system.right.mean_occupation + 1.0))
     assert abs(report.i_left + report.i_right) <= 1e-12 * scale
+
+
+def in_units(system: TwoCavitySystem, scale: float) -> TwoCavitySystem:
+    """The pair with every frequency and rate times ``scale``: the same physics
+    in other units, with every occupation the same and every current, an
+    energy per time, times scale^2."""
+    return TwoCavitySystem(
+        omega_left=scale * system.omega_left, omega_right=scale * system.omega_right,
+        coupling=scale * system.coupling,
+        left=ReservoirSpec(scale * system.left.rate, system.left.mean_occupation),
+        right=ReservoirSpec(scale * system.right.rate, system.right.mean_occupation),
+        atom=replace(system.atom, dispersive_strength=scale * system.chi) if system.atom else None,
+    )
+
+
+@st.composite
+def hot_left_pairs(draw):
+    """Pairs whose current keeps one sign and stays far from zero: a hot left
+    reservoir and a dispersive shift below omega_right."""
+    return TwoCavitySystem(
+        omega_left=1.0,
+        omega_right=draw(st.floats(0.8, 1.2)),
+        coupling=draw(st.floats(0.005, 0.1)),
+        left=ReservoirSpec(draw(st.floats(0.01, 0.2)), draw(st.floats(0.03, 0.3))),
+        right=ReservoirSpec(draw(st.floats(0.01, 0.2)), draw(st.floats(0.0, 0.01))),
+        atom=AtomSpec(draw(st.floats(0.0, 0.5)), draw(st.floats(-1.0, 1.0))) if draw(st.booleans()) else None,
+    )
+
+
+# Both residuals are backward errors, so they hold one bound in any units: an
+# absolute residual bound refuses a pair at 1e8 and cannot see a wrong state at 1e-6.
+UNITS_PAIR = TwoCavitySystem(omega_left=1.0, omega_right=1.1, coupling=0.03, left=ReservoirSpec(0.06, 0.3),
+                             right=ReservoirSpec(0.1, 0.05), atom=AtomSpec(0.1, 0.3))
+
+
+@settings(PROPERTY, max_examples=15)
+@given(hot_left_pairs(), st.floats(-6.0, 8.0), st.integers(4, 12))
+@example(UNITS_PAIR, 8.0, 12)
+@example(UNITS_PAIR, -6.0, 12)
+def test_a_pair_in_other_units_solves_as_the_pair_along_the_moment_and_oracle_paths(system, exponent, n_max):
+    scale = 10.0**exponent
+    scaled = in_units(system, scale)
+    cfg = FockConfig(n_max=n_max, tail_bound=1e-2)
+    for solve, currents in ((steady_state_matrix, boundary_currents),
+                            (lambda pair: steady_rho(pair, cfg), oracle_currents)):
+        state = solve(scaled)
+        assert state.residual <= RESIDUAL_TOL
+        expected = currents(system, solve(system)).i_left
+        assert currents(scaled, state).i_left / scale**2 == pytest.approx(expected, rel=1e-12)
 
 
 @st.composite

@@ -1,7 +1,9 @@
-"""README examples run, and every module-qualified name that it or a
-docstring of the package cites exists."""
+"""README examples run, every module-qualified name that it or a docstring of
+the package cites exists, and every value cited for such a name is the
+code's."""
 
 import ast
+import functools
 import importlib
 import re
 from pathlib import Path
@@ -20,8 +22,12 @@ def docstrings(path: Path) -> list[str]:
     return [text for text in map(ast.get_docstring, nodes) if text]
 
 
-DOCUMENTED = sorted({name for path in (ROOT / "src" / "cavityheat").glob("*.py") for text in docstrings(path)
-                     for name in re.findall(rf"``({NAME})``", text)})
+DOCSTRINGS = [text for path in sorted((ROOT / "src" / "cavityheat").glob("*.py")) for text in docstrings(path)]
+DOCUMENTED = sorted({name for text in DOCSTRINGS for name in re.findall(rf"``({NAME})``", text)})
+# a constant cited with its value: `chain.NAME` = 1e-14 in the README, ``chain.NAME`` = 1e-14 in a docstring
+NUMBER = r"[-+]?(?:\d+\.?\d*|\.\d+)(?:[eE][-+]?\d+)?"
+CITED_VALUES = sorted(set(re.findall(rf"`({NAME})` = ({NUMBER})", README))
+                      | {pair for text in DOCSTRINGS for pair in re.findall(rf"``({NAME})`` = ({NUMBER})", text)})
 
 
 def test_the_python_examples_run_in_order():
@@ -46,3 +52,14 @@ def test_every_cited_name_resolves():
     # a rename or a deletion in the code must reach the README and the docstrings too
     assert CITED and DOCUMENTED
     assert [name for name in CITED + DOCUMENTED if not resolves(name)] == []
+
+
+def test_every_cited_value_is_the_code_s():
+    assert CITED_VALUES
+    wrong = []
+    for name, value in CITED_VALUES:
+        layer, *attributes = name.split(".")
+        actual = functools.reduce(getattr, attributes, importlib.import_module(f"cavityheat.{layer}"))
+        if actual != float(value):
+            wrong.append((name, value, actual))
+    assert wrong == []
