@@ -47,13 +47,13 @@ stated only in the tests.
 
 A ``TwoCavitySystem`` is the N = 2 chain with on-site frequencies omega_L,
 omega_R and the atom on site 2. A stack of pairs is one ``model.PairGrid``;
-a chain is solved on its own. ``_sites`` alone states each site's
-frequency, atom shift, rate and nbar, as vectors over the whole stack, once
-per stack; ``_sector_equations`` alone builds A_s and Q from them, and
-``_lyapunov`` alone writes A C + C A+ + Q. ``_mixture`` and ``_currents``
-are the array cores: the sector mixture (each system's consecutive sectors
-summed by ``reduceat``), and the reservoir currents of a stack with one
-formula for both ends.
+a chain is solved on its own. ``model._sites`` alone states each site's
+frequency, atom shift, rate and nbar, as vectors over the whole stack, for
+this path and the Fock oracle alike; ``_sector_equations`` alone builds A_s
+and Q from them, and ``_lyapunov`` alone writes A C + C A+ + Q. ``_mixture``
+and ``_currents`` are the array cores: the sector mixture (each system's
+consecutive sectors summed by ``reduceat``), and the reservoir currents of a
+stack with one formula for both ends.
 ``steady_state_matrix`` and ``boundary_currents`` run them on one pair or
 one chain; a sweep grid (``moments.sweep_currents``) runs them on the whole
 grid.
@@ -62,13 +62,13 @@ grid.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, NamedTuple, Sequence, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from .closedform import CurrentReport, _check_balance, _classification
-from .model import (POSITIVITY_TOL, RESIDUAL_TOL, ArraySystem, PairGrid, SolverError, TwoCavitySystem,
-                    _backward_error, sector_weights)
+from .model import (POSITIVITY_TOL, RESIDUAL_TOL, ArraySystem, PairGrid, SolverError, TwoCavitySystem, _Sites,
+                    _backward_error, _sites, _stack, sector_weights)
 
 __all__ = [
     "MomentMatrix",
@@ -142,40 +142,6 @@ class SizeScanPoint:
     current: float
     ratio: float  # against the atom-free ballistic current
     residual: float  # the chain's MomentMatrix.residual
-
-
-class _Sites(NamedTuple):
-    """A stack of M chains of one size N, as site vectors."""
-
-    onsite: np.ndarray  # (M, N) cavity frequencies
-    coupling: np.ndarray  # (M,) hopping J between neighbouring sites
-    shift: np.ndarray  # (M, N) atom shift: chi at the host site, 0 elsewhere
-    rates: np.ndarray  # (M, 2) rates of the reservoirs at sites 1 and N
-    nbar: np.ndarray  # (M, 2) their mean occupations
-    sigma_z: np.ndarray  # (M,)
-    atom: np.ndarray  # (M,) bool
-
-
-def _sites(stack: Union[PairGrid, ArraySystem]) -> _Sites:
-    """The site vectors of a grid of pairs, or of one chain as a stack of one.
-    A cavity pair is the N = 2 chain with on-site frequencies omega_L,
-    omega_R and the atom on site 2."""
-    if isinstance(stack, PairGrid):
-        onsite = np.stack([stack.omega_left, stack.omega_right], axis=1)
-        host = np.ones(len(stack), dtype=int)
-        coupling, chi, sigma_z, atom = stack.coupling, stack.chi, stack.sigma_z, stack.atom
-        rates = np.stack([stack.left_rate, stack.right_rate], axis=1)
-        nbar = np.stack([stack.left_occupation, stack.right_occupation], axis=1)
-    else:
-        onsite = np.full((1, stack.n_sites), stack.omega)
-        host = np.array([stack.atom.host_index - 1 if stack.atom is not None else 0])
-        coupling, chi, sigma_z = (np.array([getattr(stack, name)]) for name in ("coupling", "chi", "sigma_z"))
-        atom = np.array([stack.atom is not None])
-        rates = np.array([[stack.left.rate, stack.right.rate]])
-        nbar = np.array([[stack.left.mean_occupation, stack.right.mean_occupation]])
-    shift = np.zeros(onsite.shape)
-    shift[np.arange(len(shift)), host] = chi
-    return _Sites(onsite, coupling, shift, rates, nbar, sigma_z, atom)
 
 
 def _sector_equations(sites: _Sites, owner: np.ndarray, sign: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -358,11 +324,6 @@ def _mixture(sites: _Sites) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndar
     field = np.add.reduceat(weight * c, start) + 0.0
     sz_block = np.add.reduceat(sign * weight * c, start) + 0.0
     return field, sz_block, np.maximum.reduceat(residual, start), np.minimum.reduceat(margin, start)
-
-
-def _stack(system: Union[TwoCavitySystem, ArraySystem]) -> Union[PairGrid, ArraySystem]:
-    """A pair as a grid of one; a chain as it is."""
-    return PairGrid.from_systems([system]) if isinstance(system, TwoCavitySystem) else system
 
 
 def steady_state_matrix(system: Union[TwoCavitySystem, ArraySystem]) -> MomentMatrix:

@@ -1,25 +1,26 @@
 """Brute-force verification path on a truncated Fock space.
 
-Finds the steady density matrix of the two-cavity system on the truncated
-Fock space and evaluates currents and state diagnostics on it, independently
-of the moment and covariance solvers, so the paths must agree up to Fock
-truncation error only.
+Finds the steady density matrix of a cavity pair or an N-site chain on the
+truncated N-mode Fock space, from the site vectors (``model._sites``) that
+every moment solve reads, and evaluates currents and state diagnostics on it
+independently of the moment and covariance solvers, so the paths must agree
+up to Fock truncation error only.
 
 The atomic population is conserved, so the oracle works per atomic sector
-(``model.atomic_sectors``): in sector s the right cavity is shifted by
-s chi, the field state rho_s solves the atom-free generator on the two-mode
+(``model.atomic_sectors``): in sector s the host cavity is shifted by
+s chi, the field state rho_s solves the atom-free generator on the N-mode
 space, and every quantity is the p_s-weighted sum over sectors.
 
-Every field operator on the truncated two-mode space has at most one nonzero
+Every field operator on the truncated N-mode space has at most one nonzero
 per row, so each is held as a gather (``_ladder``): the operator takes the
 entry at ``source[k]`` to row k with the factor ``weight[k]``. The sector
 Hamiltonian, the reservoir jumps, the damping sum_c rate c^dagger c (which
 is diagonal), the Lindblad residual and the currents are all stated in that
 one form, on numpy arrays.
 
-The generator conserves the difference between ket and bra excitation
-numbers, so rho_s is block-diagonal in the total excitation number
-n = 0 .. 2 n_max, and its equations couple block n only to n +- 1 through
+The hopping conserves the total excitation number and the end reservoirs
+move it by +-1, so rho_s is block-diagonal in the total excitation number
+n = 0 .. N n_max, and its equations couple block n only to n +- 1 through
 the reservoir jumps. Each sector is solved by dense block elimination over
 all of these blocks, no Gaussian assumption made. Each Schur block of the
 elimination is inverted by 2x2 block recursion down to pivoted LAPACK
@@ -38,12 +39,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Union
 
 import numpy as np
 
 from .closedform import CurrentReport, _check_balance, _classification
-from .model import (POSITIVITY_TOL, RESIDUAL_TOL, SolverError, TwoCavitySystem, ValidationError, _backward_error,
-                    _is_integer, atomic_sectors)
+from .model import (POSITIVITY_TOL, RESIDUAL_TOL, ArraySystem, SolverError, TwoCavitySystem, ValidationError, _Sites,
+                    _backward_error, _is_integer, _sites, _stack, atomic_sectors)
 
 __all__ = [
     "FockConfig",
@@ -64,10 +66,9 @@ class FockConfig:
 
     ``tail_bound`` caps the Gibbs weight beyond the truncation at the hotter
     reservoir occupation, so the cut cannot silently bias the steady state.
-    ``max_vectorized_dim`` caps levels**4, both the number of entries of the
-    whole field state, on which the Lindblad residual is evaluated, and that
-    of the generator on the largest excitation block (levels kets), which the
-    block elimination solves; raise it deliberately for large truncations.
+    ``max_vectorized_dim`` caps levels**(2N), the entries of the whole field
+    state of N modes, on which the Lindblad residual is evaluated; raise it
+    deliberately for large truncations.
     """
 
     n_max: int = 12
@@ -84,7 +85,7 @@ class DensityMatrix:
     """Steady state on the truncated space, one field state per atomic sector.
 
     ``sectors`` holds (p_s, s, rho_s): the weight and sign of each atomic
-    sector and its two-mode field state, as ``model.atomic_sectors`` orders
+    sector and its N-mode field state, as ``model.atomic_sectors`` orders
     them; without an atom it is the single entry (1.0, 0.0, rho).
     ``residual`` is the largest backward error of the full Lindblad equation
     over its atomic sectors (``_lindblad_backward_error``). Each field state
@@ -109,19 +110,17 @@ class DensityMatrix:
     def trace(self) -> float:
         return float(sum(weight * np.trace(rho).real for weight, _, rho in self.sectors))
 
-    def _reduced(self, subscripts: str) -> np.ndarray:
-        d1 = self.n_max + 1
-        return sum(
-            weight * np.einsum(subscripts, rho.reshape(d1, d1, d1, d1)) for weight, _, rho in self.sectors
-        )
+    @property
+    def n_modes(self) -> int:
+        return round(math.log(self.sectors[0][2].shape[0], self.n_max + 1))
 
-    def reduced_left(self) -> np.ndarray:
-        """Single-mode state of the left cavity."""
-        return self._reduced("ijlj->il")
-
-    def reduced_right(self) -> np.ndarray:
-        """Single-mode state of the right cavity."""
-        return self._reduced("ijim->jm")
+    def reduced(self, site: int) -> np.ndarray:
+        """Single-mode state of one cavity, 0-based (-1 is the last), the others traced out."""
+        modes, levels = self.n_modes, self.n_max + 1
+        ket = list(range(modes))
+        bra = [modes if j == ket[site] else j for j in ket]  # the one index not traced
+        return sum(weight * np.einsum(rho.reshape((levels,) * 2 * modes), ket + bra, [ket[site], modes])
+                   for weight, _, rho in self.sectors)
 
     def sigma_z_expectation(self) -> float:
         return float(sum(weight * sign * np.trace(rho).real for weight, sign, rho in self.sectors))
@@ -155,43 +154,46 @@ def thermal_state(n_levels: int, nbar: float) -> np.ndarray:
     return np.diag(weights)
 
 
-def _check_config(system: TwoCavitySystem, cfg: FockConfig) -> None:
+def _check_config(sites: _Sites, cfg: FockConfig) -> None:
     """Raise ValidationError unless n_max is an integer of at least 1 and the
-    Gibbs tail mass and levels**4 are within their bounds."""
+    Gibbs tail mass and levels**(2N) are within their bounds."""
     n_max = cfg.n_max
     if not _is_integer(n_max) or n_max < 1:
         raise ValidationError([f"fock: n_max must be an integer of at least 1, got {n_max!r}"])
-    hot = max(system.left.mean_occupation, system.right.mean_occupation)
+    hot = max(sites.nbar[0].tolist())
     tail = gibbs_tail_mass(n_max, hot)
     if not tail <= cfg.tail_bound:
         raise ValidationError([
             f"fock: Gibbs tail mass {tail:.3e} beyond n_max={n_max} at nbar={hot} "
             f"exceeds the bound {cfg.tail_bound:.1e}; raise n_max or the bound"
         ])
-    if not cfg.levels**4 <= cfg.max_vectorized_dim:
-        raise ValidationError([f"fock: vectorised space dimension {cfg.levels**4} exceeds the guard "
-                               f"{cfg.max_vectorized_dim}; raise max_vectorized_dim to override"])
+    modes = sites.onsite.shape[1]
+    dim = cfg.levels ** (2 * modes)
+    if not dim <= cfg.max_vectorized_dim:
+        raise ValidationError([f"fock: vectorised space dimension of {modes} modes, levels**{2 * modes} = {dim} "
+                               f"exceeds the guard {cfg.max_vectorized_dim}; raise max_vectorized_dim to override"])
 
 
-def _ladder(levels: int, di: int, dj: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ladder operator taking |i + di, j + dj> to |i, j>, as a gather.
+def _ladder(levels: int, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ladder operator taking |n + shifts> to |n> on N modes, as a gather.
 
-    The ket |i, j> sits at index i * levels + j. Row k of the operator holds
-    its one nonzero, ``weight[k]``, at column ``source[k]``, so
+    The ket |n_1, .., n_N> sits at index sum_j n_j levels**(N - 1 - j), so a
+    pair's |i, j> at i * levels + j. Row k of the operator holds its one
+    nonzero, ``weight[k]``, at column ``source[k]``, so
     (X psi)[k] = weight[k] psi[source[k]]. Each shift of -1, 0 or +1 is one
     mode's a^dagger, identity or a, with the factor sqrt of the larger
-    occupation: a_L is (1, 0), a_R^dagger is (0, -1), a_L^dagger a_R is
-    (-1, 1). A row whose source lies beyond the truncation has weight 0 and
-    source 0.
+    occupation: with e_j the unit vector of mode j, a_j is e_j, a_j^dagger
+    is -e_j and a_j^dagger a_k is e_k - e_j. A row whose source lies beyond
+    the truncation has weight 0 and source 0.
     """
-    i, j = np.divmod(np.arange(levels * levels), levels)
-    si, sj = i + di, j + dj
-    inside = (si >= 0) & (si < levels) & (sj >= 0) & (sj < levels)
+    n = np.indices((levels,) * len(shifts)).reshape(len(shifts), -1)  # n[j, k]: occupation of mode j in ket k
+    source = n + np.asarray(shifts)[:, None]
+    inside = ((source >= 0) & (source < levels)).all(axis=0)
     weight = inside.astype(float)
-    for n, shift in ((i, di), (j, dj)):
+    for occupation, shift in zip(n, shifts):
         if shift:
-            weight = weight * np.sqrt(np.maximum(n, n + shift))
-    return np.where(inside, si * levels + sj, 0), weight
+            weight = weight * np.sqrt(np.maximum(occupation, occupation + shift))
+    return np.where(inside, levels ** np.arange(len(shifts) - 1, -1, -1) @ source, 0), weight
 
 
 def _squared(op: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
@@ -201,41 +203,43 @@ def _squared(op: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
     return np.bincount(source, weight * weight, minlength=source.size)
 
 
-def _sector_hamiltonian(system: TwoCavitySystem, levels: int, sector: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Field Hamiltonian of one atomic sector, as the gathers it sums: the
-    hopping J a_L^dagger a_R, the diagonal omega_L n_L + (omega_R + sector chi) n_R,
-    and the hopping J a_L a_R^dagger, in the order of their columns.
+def _sector_hamiltonian(sites: _Sites, levels: int, sector: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Field Hamiltonian of one atomic sector of a system's site vectors (a
+    stack of one), as the gathers it sums: the hops J a_j^dagger a_{j+1} of
+    each bond, the diagonal sum_j (omega_j + sector x_j) n_j, and the hops
+    J a_j a_{j+1}^dagger, in the order of their columns.
 
-    The dispersive pull shifts the right-cavity frequency by sector * chi;
-    the shifted frequency may legitimately be negative when chi exceeds
-    omega_right. Sector-constant terms drop out of the generator and of the
-    dissipator traces, so they are omitted.
+    The shift x_j is chi at the host site and 0 elsewhere; the shifted
+    frequency may legitimately be negative when chi exceeds the host's.
+    Sector-constant terms drop out of the generator and of the dissipator
+    traces, so they are omitted.
     """
-    diagonal = (system.omega_left * _squared(_ladder(levels, 1, 0))
-                + (system.omega_right + system.chi * sector) * _squared(_ladder(levels, 0, 1)))
-    hop_in, hop_out = _ladder(levels, -1, 1), _ladder(levels, 1, -1)
-    return [(hop_in[0], system.coupling * hop_in[1]), (np.arange(levels * levels), diagonal),
-            (hop_out[0], system.coupling * hop_out[1])]
+    onsite, shift, coupling = sites.onsite[0].tolist(), sites.shift[0].tolist(), sites.coupling[0].item()
+    unit = np.eye(len(onsite), dtype=int)
+    diagonal = sum((omega + sector * x) * _squared(_ladder(levels, e)) for omega, x, e in zip(onsite, shift, unit))
+    hops_in = [_ladder(levels, unit[j + 1] - unit[j]) for j in range(len(onsite) - 1)]
+    hops_out = [_ladder(levels, unit[j] - unit[j + 1]) for j in reversed(range(len(onsite) - 1))]
+    return ([(source, coupling * weight) for source, weight in hops_in] + [(np.arange(diagonal.size), diagonal)]
+            + [(source, coupling * weight) for source, weight in hops_out])
 
 
-def _channels(system: TwoCavitySystem, levels: int):
-    """(c, c^dagger, rate) of the reservoir jumps a_L, a_L^dagger, a_R, a_R^dagger."""
+def _channels(sites: _Sites, levels: int):
+    """(c, c^dagger, rate) of the reservoir jumps a_1, a_1^dagger, a_N, a_N^dagger,
+    from the rates and nbar of sites 1 and N of a stack of one."""
+    ends = np.eye(sites.onsite.shape[1], dtype=int)[[0, -1]]
     channels = []
-    for (di, dj), res in (((1, 0), system.left), ((0, 1), system.right)):
-        down, up = _ladder(levels, di, dj), _ladder(levels, -di, -dj)
-        channels.append((down, up, res.rate * (res.mean_occupation + 1.0)))
-        channels.append((up, down, res.rate * res.mean_occupation))
+    for end, rate, nbar in zip(ends, sites.rates[0].tolist(), sites.nbar[0].tolist()):
+        down, up = _ladder(levels, end), _ladder(levels, -end)
+        channels.append((down, up, rate * (nbar + 1.0)))
+        channels.append((up, down, rate * nbar))
     return channels
 
 
-def _excitation_blocks(levels: int) -> list[np.ndarray]:
-    """Ket indices of each total excitation number n = 0 .. 2 (levels - 1).
-
-    The ket |i, j> sits at index i * levels + j; inside a block the kets
-    ascend in the left occupation i.
-    """
-    total = np.add.outer(np.arange(levels), np.arange(levels)).reshape(-1)
-    return [np.flatnonzero(total == n) for n in range(2 * levels - 1)]
+def _excitation_blocks(levels: int, modes: int) -> list[np.ndarray]:
+    """Ket indices, ascending (``_ladder`` orders the kets), of each total
+    excitation number n = 0 .. modes (levels - 1)."""
+    total = np.indices((levels,) * modes).sum(axis=0).reshape(-1)
+    return [np.flatnonzero(total == n) for n in range(modes * (levels - 1) + 1)]
 
 
 def _block_generator(k: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -294,9 +298,9 @@ class _BlockStructure:
     jumps: dict[int, list[list]]
 
 
-def _block_structure(channels, levels: int) -> _BlockStructure:
-    blocks = _excitation_blocks(levels)
-    block_of, position = np.empty(levels**2, dtype=int), np.empty(levels**2, dtype=int)
+def _block_structure(channels, levels: int, modes: int) -> _BlockStructure:
+    blocks = _excitation_blocks(levels, modes)
+    block_of, position = np.empty(levels**modes, dtype=int), np.empty(levels**modes, dtype=int)
     for n, kets in enumerate(blocks):
         block_of[kets], position[kets] = n, np.arange(kets.size)
     gamma = sum(rate * _squared(c) for c, _, rate in channels)
@@ -482,28 +486,29 @@ def _sector_steady(h, channels, structure: _BlockStructure):
     return rho, residual
 
 
-def steady_rho(system: TwoCavitySystem, cfg: FockConfig | None = None) -> DensityMatrix:
-    """Steady density matrix at the configured truncation.
+def steady_rho(system: Union[TwoCavitySystem, ArraySystem], cfg: FockConfig | None = None) -> DensityMatrix:
+    """Steady density matrix of a cavity pair or a chain at the configured truncation.
 
-    Each atomic sector with non-zero weight is solved on the two-mode field
+    Each atomic sector with non-zero weight is solved on the N-mode field
     space, Hermitian and of trace one by construction, and checked on its
     own (``_sector_steady``). A mixture of such states with weights summing
     to one is itself such a state.
     """
     cfg = cfg or FockConfig()
-    _check_config(system, cfg)
-    channels = _channels(system, cfg.levels)
-    structure = _block_structure(channels, cfg.levels)
+    sites = _sites(_stack(system))
+    _check_config(sites, cfg)
+    channels = _channels(sites, cfg.levels)
+    structure = _block_structure(channels, cfg.levels, sites.onsite.shape[1])
     sectors, residuals = [], []
     for weight, sign in atomic_sectors(system):
-        rho, residual = _sector_steady(_sector_hamiltonian(system, cfg.levels, sign), channels, structure)
+        rho, residual = _sector_steady(_sector_hamiltonian(sites, cfg.levels, sign), channels, structure)
         sectors.append((weight, sign, rho))
         residuals.append(residual)
     return DensityMatrix(sectors=tuple(sectors), n_max=cfg.n_max, residual=max(residuals))
 
 
 def converged_steady_rho(
-    system: TwoCavitySystem,
+    system: Union[TwoCavitySystem, ArraySystem],
     cfg: FockConfig | None = None,
     occupation_tol: float = 1e-8,
     step: int = 2,
@@ -526,18 +531,13 @@ def converged_steady_rho(
     current_cfg = cfg
     while True:
         state = steady_rho(system, current_cfg)
-        occ = np.array(
-            [
-                np.trace(state.reduced_left() @ np.diag(np.arange(current_cfg.levels))).real,
-                np.trace(state.reduced_right() @ np.diag(np.arange(current_cfg.levels))).real,
-            ]
-        )
+        occ = np.array([np.arange(current_cfg.levels) @ state.reduced(j).diagonal().real for j in range(state.n_modes)])
         if previous is not None and np.max(np.abs(occ - previous)) < occupation_tol:
             return state, current_cfg
         previous = occ
         current_cfg = replace(current_cfg, n_max=current_cfg.n_max + step)
         try:  # the tail mass only falls as n_max grows: only the dimension guard can fire
-            _check_config(system, current_cfg)
+            _check_config(_sites(_stack(system)), current_cfg)
         except ValidationError as exc:
             raise SolverError(f"truncation escalation at n_max={current_cfg.n_max} before occupations "
                               f"converged: {exc}") from exc
@@ -565,28 +565,38 @@ def _expectation(op, rho: np.ndarray) -> float:
     return float(np.dot(weight[entries], rho[source[entries], entries // len(op)]).real)
 
 
-def oracle_currents(system: TwoCavitySystem, rho: DensityMatrix) -> CurrentReport:
-    """Boundary currents evaluated as traces of the Hamiltonian against each
-    reservoir's dissipator, sum_s p_s Tr(H_s D[rho_s]) over atomic sectors,
-    each taken as Tr(D^dagger[H_s] rho_s)."""
-    if [(weight, sign) for weight, sign, _ in rho.sectors] != atomic_sectors(system):
-        raise ValueError("density matrix and system disagree about the atom factor or its sector weights")
-    levels = rho.n_max + 1
-    channels = _channels(system, levels)
-    n_left = [(np.arange(levels * levels), _squared(_ladder(levels, 1, 0)))]
-    coherence_op = [_ladder(levels, -1, 1)]  # a_L^dagger a_R
-    i_left = i_right = occ_left = coherence = 0.0
+def oracle_currents(system: Union[TwoCavitySystem, ArraySystem], rho: DensityMatrix) -> CurrentReport:
+    """Boundary currents of a cavity pair or a chain, evaluated as traces of
+    the Hamiltonian against each end reservoir's dissipator,
+    sum_s p_s Tr(H_s D[rho_s]) over atomic sectors, each taken as
+    Tr(D^dagger[H_s] rho_s). ``i_occupation`` and ``i_coherence`` are the
+    terms at site 1 in the form of ``chain._currents``: the occupation term
+    carries the atom shift x_1 (sz nbar_1 - <n_1 sz>), which is 0 unless the
+    atom sits on site 1. A pair carries ``alpha`` and ``regime`` from the
+    switch classification, a chain None."""
+    levels, sites = rho.n_max + 1, _sites(_stack(system))
+    if ([(weight, sign) for weight, sign, _ in rho.sectors] != atomic_sectors(system)
+            or rho.n_modes != sites.onsite.shape[1]):
+        raise ValueError("density matrix and system disagree about the mode count, the atom or its sector weights")
+    unit = np.eye(sites.onsite.shape[1], dtype=int)
+    channels = _channels(sites, levels)
+    n_first = [(np.arange(levels ** unit.shape[0]), _squared(_ladder(levels, unit[0])))]
+    coherence_op = [_ladder(levels, unit[1] - unit[0])]  # a_1^dagger a_2
+    i_left = i_right = occ_first = sz_occ_first = coherence = 0.0
     for weight, sign, state in rho.sectors:
-        h = _sector_hamiltonian(system, levels, sign)
+        h = _sector_hamiltonian(sites, levels, sign)
         flows = [rate * _expectation(_adjoint_dissipator(h, c, c_dagger), state) for c, c_dagger, rate in channels]
         i_left += weight * (flows[0] + flows[1])
         i_right += weight * (flows[2] + flows[3])
-        occ_left += weight * _expectation(n_left, state)
+        occupation = _expectation(n_first, state)
+        occ_first += weight * occupation
+        sz_occ_first += sign * weight * occupation
         coherence += weight * _expectation(coherence_op, state)
-    i_occ = (system.left.mean_occupation - occ_left) * system.omega_left
-    i_coh = system.coupling * coherence
-    _check_balance([i_left], [i_right], [system.omega_left], "density matrix", stacklevel=2)
-    return CurrentReport(i_left, i_right, i_occ, i_coh, *_classification(system, i_left))
+    omega, x, nbar = sites.onsite[0, 0].item(), sites.shift[0, 0].item(), sites.nbar[0, 0].item()
+    i_occ = (nbar - occ_first) * omega + x * (sites.sigma_z[0].item() * nbar - sz_occ_first)
+    _check_balance([i_left], [i_right], [omega], "density matrix", stacklevel=2)
+    tags = _classification(system, i_left) if isinstance(system, TwoCavitySystem) else (None, None)
+    return CurrentReport(i_left, i_right, i_occ, sites.coupling[0].item() * coherence, *tags)
 
 
 def _finite_mode(rho_mode) -> np.ndarray:

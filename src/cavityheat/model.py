@@ -15,6 +15,8 @@ atom included. No solver checks a system again.
 
 A sweep of cavity pairs is one ``PairGrid``: one float64 array per field,
 checked by the same rules in one vectorised pass when it is built. Every
+path reads a pair, a grid or a chain as one statement of the model, its
+site vectors (``_sites``): the moment solves and the Fock oracle alike. Every
 steady solve, moment or Fock oracle, is held to ``RESIDUAL_TOL`` and
 ``POSITIVITY_TOL``, relative bounds that hold in any units.
 """
@@ -24,7 +26,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -264,6 +266,45 @@ class PairGrid:
     def detuning(self) -> np.ndarray:
         """Bare cavity detuning omega_left - omega_right."""
         return self.omega_left - self.omega_right
+
+
+class _Sites(NamedTuple):
+    """A stack of M chains of one size N as site vectors: the model, stated once for every path."""
+
+    onsite: np.ndarray  # (M, N) cavity frequencies
+    coupling: np.ndarray  # (M,) hopping J between neighbouring sites
+    shift: np.ndarray  # (M, N) atom shift: chi at the host site, 0 elsewhere
+    rates: np.ndarray  # (M, 2) rates of the reservoirs at sites 1 and N
+    nbar: np.ndarray  # (M, 2) their mean occupations
+    sigma_z: np.ndarray  # (M,)
+    atom: np.ndarray  # (M,) bool
+
+
+def _sites(stack: Union[PairGrid, ArraySystem]) -> _Sites:
+    """The site vectors of a grid of pairs, or of one chain as a stack of one.
+    A cavity pair is the N = 2 chain with on-site frequencies omega_L,
+    omega_R and the atom on site 2."""
+    if isinstance(stack, PairGrid):
+        onsite = np.stack([stack.omega_left, stack.omega_right], axis=1)
+        host = np.ones(len(stack), dtype=int)
+        coupling, chi, sigma_z, atom = stack.coupling, stack.chi, stack.sigma_z, stack.atom
+        rates = np.stack([stack.left_rate, stack.right_rate], axis=1)
+        nbar = np.stack([stack.left_occupation, stack.right_occupation], axis=1)
+    else:
+        onsite = np.full((1, stack.n_sites), stack.omega)
+        host = np.array([stack.atom.host_index - 1 if stack.atom is not None else 0])
+        coupling, chi, sigma_z = (np.array([getattr(stack, name)]) for name in ("coupling", "chi", "sigma_z"))
+        atom = np.array([stack.atom is not None])
+        rates = np.array([[stack.left.rate, stack.right.rate]])
+        nbar = np.array([[stack.left.mean_occupation, stack.right.mean_occupation]])
+    shift = np.zeros(onsite.shape)
+    shift[np.arange(len(shift)), host] = chi
+    return _Sites(onsite, coupling, shift, rates, nbar, sigma_z, atom)
+
+
+def _stack(system: Union[TwoCavitySystem, ArraySystem]) -> Union[PairGrid, ArraySystem]:
+    """A pair as a grid of one; a chain as it is."""
+    return PairGrid.from_systems([system]) if isinstance(system, TwoCavitySystem) else system
 
 
 def sector_weights(sigma_z: np.ndarray, atom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

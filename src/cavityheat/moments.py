@@ -1,26 +1,13 @@
 """Sweep grids and transients of the two-cavity moment equations.
 
-The pair is the N = 2 case of the chain: its moment matrix G = <A+ A>, with
-operator row A = (a_L, a_R, a_L sz, a_R sz), obeys the block equation of
-``chain``, with on-site frequencies omega_L and omega_R and the atom on site
-2. The atomic population commutes with the full generator, so the equations
-close without truncation: the steady state is the mixture of two atom-free
-sectors, each a 2 x 2 Lyapunov equation, and this path agrees with the
-density-matrix oracle up to Fock truncation error only.
-
-A sweep is one ``model.PairGrid``. ``sweep_currents`` solves the whole grid
-as one stack of sector equations (``chain.sector_covariances``, which takes
-the eigenvalues of each 2 x 2 sector in closed form, with no LAPACK
-eigensolver) and returns its currents as arrays, with no per-point object;
-each point carries the largest backward error of its sector equations,
-||A C + C A+ + Q|| / (2 ||A|| ||C|| + ||Q||), which the core holds to
-``model.RESIDUAL_TOL``, the one bound of every steady solve; a high-Q pair
-(Gamma << J << omega) passes it as any other. The currents come from
-``chain._currents``, the one boundary-current formula of pairs and chains.
-One pair is solved as any chain, by ``chain.steady_state_matrix`` on the
-same cores, and its currents are ``chain.boundary_currents``. The state is a
-``chain.MomentMatrix``: the two 2 x 2 blocks F = <a_j+ a_k> and
-S = <a_j+ a_k sz> of G = [[F, S], [S, F]]. ``evolve`` integrates G in time
+The pair is the N = 2 chain of ``chain``, read from the site vectors
+(``model._sites``) that every chain and the Fock oracle are read from; one
+pair is solved as any chain (``chain.steady_state_matrix``). A sweep is one
+``model.PairGrid``: ``sweep_currents`` solves the whole grid as one stack of
+sector equations (``chain.sector_covariances``, which takes the eigenvalues
+of each 2 x 2 sector in closed form) and returns its currents
+(``chain._currents``) as arrays, with the largest backward error of each
+point's sector equations. ``evolve`` integrates G = [[F, S], [S, F]] in time
 as its two sector equations (``chain._lyapunov``), and a ``MomentTrajectory``
 holds the stacks of F and S; its step warning reads the sector decay
 exponents from the same closed form (``chain._pair_exponents``).

@@ -306,10 +306,10 @@ def test_criterion_09_equilibrium_diagnostics():
         coupling=0.05, gamma_left=0.15, gamma_right=0.15, nbar_left=0.5, nbar_right=0.5, atom=False
     )
     rho = steady_rho(system, FockConfig(n_max=16))
-    fidelity_left = thermal_fidelity(rho.reduced_left(), 0.5)
-    fidelity_right = thermal_fidelity(rho.reduced_right(), 0.5)
-    g2_left = g2_zero(rho.reduced_left())
-    g2_right = g2_zero(rho.reduced_right())
+    fidelity_left = thermal_fidelity(rho.reduced(0), 0.5)
+    fidelity_right = thermal_fidelity(rho.reduced(-1), 0.5)
+    g2_left = g2_zero(rho.reduced(0))
+    g2_right = g2_zero(rho.reduced(-1))
     passed = (
         fidelity_left > 1 - 1e-6
         and fidelity_right > 1 - 1e-6

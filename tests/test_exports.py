@@ -38,6 +38,15 @@ def test_package_reexports_resolve_to_their_modules():
     assert len(set(cavityheat.__all__)) == len(cavityheat.__all__)
 
 
+def test_every_path_reads_the_one_statement_of_the_site_vectors():
+    # the moment solves and the Fock oracle take each system's model from model._sites alone
+    from cavityheat import chain, fockspace, model
+
+    for name in ("_Sites", "_sites", "_stack"):
+        assert getattr(chain, name) is getattr(fockspace, name) is getattr(model, name), name
+        assert name not in model.__all__
+
+
 # Runs in a fresh interpreter: a star import binds every name of __all__.
 STAR_IMPORT = """
 import json

@@ -8,7 +8,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import expm_multiply
 
 from cavityheat import fockspace
-from cavityheat.chain import steady_state_matrix
+from cavityheat.chain import boundary_currents, steady_state_matrix
 from cavityheat.fockspace import (
     FockConfig,
     _channels,
@@ -24,7 +24,8 @@ from cavityheat.fockspace import (
     thermal_fidelity,
     thermal_state,
 )
-from cavityheat.model import RESIDUAL_TOL, AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem, ValidationError
+from cavityheat.model import (RESIDUAL_TOL, ArraySystem, AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem,
+                              ValidationError, _sites, _stack)
 from fock_reference import (
     build_liouvillian,
     fock_operators,
@@ -182,8 +183,8 @@ def test_reference_point_matches_moment_solver():
     rho = steady_rho(system, FockConfig(n_max=14, tail_bound=1e-6))
     v = steady_state_matrix(system)
     number = np.diag(np.arange(15))
-    occ_left = np.trace(rho.reduced_left() @ number).real
-    occ_right = np.trace(rho.reduced_right() @ number).real
+    occ_left = np.trace(rho.reduced(0) @ number).real
+    occ_right = np.trace(rho.reduced(-1) @ number).real
     assert occ_left == pytest.approx(v.occupations[0], abs=5e-7)
     assert occ_right == pytest.approx(v.occupations[1], abs=5e-7)
 
@@ -196,7 +197,7 @@ def test_truncation_error_shrinks_monotonically():
     for n_max in (6, 9, 12):
         rho = steady_rho(system, FockConfig(n_max=n_max, tail_bound=1e-2))
         number = np.diag(np.arange(n_max + 1))
-        errors.append(abs(np.trace(rho.reduced_left() @ number).real - exact))
+        errors.append(abs(np.trace(rho.reduced(0) @ number).real - exact))
     assert errors[2] < errors[1] < errors[0]
 
 
@@ -207,7 +208,7 @@ def test_mixed_atom_state_is_the_sector_mixture():
     assert rho.sigma_z_expectation() == pytest.approx(0.5, abs=1e-10)
     v = steady_state_matrix(system)
     number = np.diag(np.arange(cfg.levels))
-    assert np.trace(rho.reduced_left() @ number).real == pytest.approx(v.occupations[0], abs=1e-6)
+    assert np.trace(rho.reduced(0) @ number).real == pytest.approx(v.occupations[0], abs=1e-6)
 
 
 def test_steady_state_is_physical():
@@ -217,7 +218,7 @@ def test_steady_state_is_physical():
     assert np.linalg.norm(mat - mat.conj().T) < 1e-10
     assert rho.trace == pytest.approx(1.0, abs=1e-10)
     assert np.linalg.eigvalsh(mat)[0] > -1e-8
-    left = rho.reduced_left()
+    left = rho.reduced(0)
     assert np.trace(left).real == pytest.approx(1.0, abs=1e-10)
 
 
@@ -227,7 +228,7 @@ def test_truncation_escalation_converges():
     assert cfg.n_max >= 8
     v = steady_state_matrix(system)
     number = np.diag(np.arange(cfg.levels))
-    assert np.trace(state.reduced_left() @ number).real == pytest.approx(v.occupations[0], abs=1e-7)
+    assert np.trace(state.reduced(0) @ number).real == pytest.approx(v.occupations[0], abs=1e-7)
 
 
 def test_truncation_escalation_stops_at_the_dimension_guard():
@@ -313,7 +314,7 @@ def test_equilibrium_cavities_are_thermal():
     system = system_for(atom=False, coupling=0.05, gamma_left=0.15, gamma_right=0.15,
                         nbar_left=0.5, nbar_right=0.5)
     rho = steady_rho(system, FockConfig(n_max=16))
-    for reduced in (rho.reduced_left(), rho.reduced_right()):
+    for reduced in (rho.reduced(0), rho.reduced(-1)):
         assert thermal_fidelity(reduced, 0.5) > 1 - 1e-6
         assert g2_zero(reduced) == pytest.approx(2.0, abs=1e-3)
 
@@ -412,6 +413,65 @@ def test_currents_reject_a_state_of_another_atomic_mixture(other):
         oracle_currents(solved_for, steady_rho(system, SMALL))
 
 
+# --- three-site chains against the moment path -----------------------------------
+
+
+def three_site_chain(host, sigma_z):
+    return ArraySystem(n_sites=3, omega=1.0, coupling=0.05, left=ReservoirSpec(0.1, 0.05),
+                       right=ReservoirSpec(0.12, 0.0), atom=AtomSpec(0.2, sigma_z, host_index=host))
+
+
+# five sector solves in all: 343 kets, the largest excitation block 37 of them;
+# the Gibbs tail beyond n_max = 6 at nbar = 0.05 is 5.5e-10
+@pytest.fixture(scope="module", params=[(1, 1.0), (2, 1.0), (3, 1.0), (2, 0.3)],
+                ids=["host-1", "host-2", "host-3", "host-2-mixed"])
+def solved_chain(request):
+    system = three_site_chain(*request.param)
+    return system, steady_rho(system, FockConfig(n_max=6))
+
+
+def test_a_three_site_chain_agrees_with_the_moment_path(solved_chain):
+    # no Gaussian state assumed: the oracle meets the Lyapunov solve within the crosscheck's 1e-6
+    system, rho = solved_chain
+    g = steady_state_matrix(system)
+    occupations = [np.trace(rho.reduced(site) @ np.diag(np.arange(7))).real for site in range(3)]
+    assert occupations == pytest.approx(g.occupations, rel=1e-6)
+    report, moments = oracle_currents(system, rho), boundary_currents(system, g)
+    assert report.i_left == pytest.approx(moments.i_left, rel=1e-6)
+    # the site-1 terms, the host shift x_1 (sz nbar_1 - <n_1 sz>) included, in the moment path's form
+    assert (report.i_occupation, report.i_coherence) == pytest.approx((moments.i_occupation, moments.i_coherence),
+                                                                      abs=1e-6)
+    assert (report.alpha, report.regime) == (None, None)
+    assert rho.residual <= RESIDUAL_TOL
+
+
+def test_each_site_of_a_chain_has_a_hermitian_reduced_state_of_trace_one(solved_chain):
+    _, rho = solved_chain
+    for site in range(rho.n_modes):
+        reduced = rho.reduced(site)
+        assert np.array_equal(reduced, reduced.conj().T)
+        assert np.trace(reduced).real == pytest.approx(1.0, abs=1e-13)
+
+
+def test_currents_reject_a_state_of_another_mode_count():
+    # one atomic sector on both sides: only the mode count tells the states apart
+    pair, chain = system_for(nbar_left=0.01), three_site_chain(3, 1.0)
+    cfg = FockConfig(n_max=2, tail_bound=1.0)
+    for system, solved_for in ((pair, chain), (chain, pair)):
+        with pytest.raises(ValueError, match="disagree about the mode count"):
+            oracle_currents(system, steady_rho(solved_for, cfg))
+
+
+def test_the_dimension_guard_counts_the_modes_of_a_chain(monkeypatch):
+    # 8**6 = 262,144 entries of the whole field state at n_max = 7 exceed the default guard
+    def no_solve(*args):
+        raise AssertionError("solved before the guard")
+
+    monkeypatch.setattr(fockspace, "_block_steady_state", no_solve)
+    with pytest.raises(ValidationError, match=re.escape("of 3 modes, levels**6 = 262144 exceeds the guard 200000")):
+        steady_rho(three_site_chain(3, 1.0), FockConfig(n_max=7))
+
+
 # --- excitation-block solve against the reference sector generator ------------
 
 
@@ -451,13 +511,14 @@ def test_refinement_restores_the_digits_the_unpivoted_splits_lose(monkeypatch):
 
 
 def test_excitation_blocks_partition_the_kets():
-    levels = 5
-    blocks = _excitation_blocks(levels)
-    assert [kets.size for kets in blocks] == [1, 2, 3, 4, 5, 4, 3, 2, 1]
-    assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(levels**2))
-    for n, kets in enumerate(blocks):
-        left, right = np.divmod(kets, levels)
-        assert np.all(left + right == n) and np.all(np.diff(left) > 0)
+    for levels, modes, sizes in ((5, 2, [1, 2, 3, 4, 5, 4, 3, 2, 1]), (3, 3, [1, 3, 6, 7, 6, 3, 1])):
+        blocks = _excitation_blocks(levels, modes)
+        assert [kets.size for kets in blocks] == sizes
+        assert np.array_equal(np.sort(np.concatenate(blocks)), np.arange(levels**modes))
+        for n, kets in enumerate(blocks):
+            # ket index sum_j n_j levels**(N - 1 - j): ascending kets ascend in the left occupation first
+            occupations = np.array(np.unravel_index(kets, (levels,) * modes))
+            assert np.all(occupations.sum(axis=0) == n) and np.all(np.diff(kets) > 0)
 
 
 @pytest.mark.parametrize("n_max", [4, 8])
@@ -483,7 +544,8 @@ def test_carried_residual_is_the_full_generator_residual(sigma_z):
     n_max = 8
     rho = steady_rho(system, FockConfig(n_max=n_max, tail_bound=1e-2))
     ((_, sign, state),) = rho.sectors
-    h, channels = _sector_hamiltonian(system, n_max + 1, sign), _channels(system, n_max + 1)
+    sites = _sites(_stack(system))
+    h, channels = _sector_hamiltonian(sites, n_max + 1, sign), _channels(sites, n_max + 1)
     assert rho.residual == _lindblad_backward_error(h, channels, state)
     # at the steady state ||L(rho)|| is rounding, so two evaluations of it agree
     # only to its own size (4-19% here), and the reference is within the bound too
