@@ -6,9 +6,9 @@ Three mutually cross-validating computational paths:
   and rectification for the two-cavity system;
 - ``chain``: the steady state of an N-cavity array as one N x N Lyapunov
   equation per atomic sector, solved for a whole stack of sectors at once;
-  ``moments`` treats two cavities as the N = 2 chain, solves a sweep grid
-  (``PairGrid``, one array per parameter) as one stack, and integrates the
-  moment equations in time;
+  two cavities are the N = 2 chain, and a sweep grid (``PairGrid``, one
+  array per parameter) is one stack; ``moments`` integrates the moment
+  equations in time;
 - ``fockspace``: a brute-force Lindbladian oracle on a truncated Fock space,
   with every field operator held as a numpy gather.
 
@@ -41,7 +41,7 @@ from .closedform import (
     rectification,
     steady_moments,
 )
-from .moments import MomentTrajectory, evolve, sweep_currents
+from .moments import MomentTrajectory, evolve
 from .chain import (
     MomentMatrix,
     ballistic_current,
@@ -49,6 +49,7 @@ from .chain import (
     occupation_profile,
     size_scan,
     steady_state_matrix,
+    sweep_currents,
 )
 from .fockspace import (
     DensityMatrix,
@@ -87,13 +88,13 @@ __all__ = [
     "steady_moments",
     "MomentTrajectory",
     "evolve",
-    "sweep_currents",
     "MomentMatrix",
     "ballistic_current",
     "boundary_currents",
     "occupation_profile",
     "size_scan",
     "steady_state_matrix",
+    "sweep_currents",
     "DensityMatrix",
     "FockConfig",
     "converged_steady_rho",

@@ -19,20 +19,19 @@ one batched Kronecker system, with the eigenvalues of A_s and C_s of each
 2 x 2 sector in closed form, and every chain of three or more sites in the
 eigenbasis of each A_s (O(N^3) time, O(N^2) memory). A_s is complex
 symmetric, so that basis W has W^-1 = W^T; the equation is elementwise there,
-and the same eigenvalues give the stability guard. Each solution is checked
-by its normwise backward error (``model._backward_error``)
+and the same eigenvalues give the stability guard. Each solution passes the
+rules of every steady solve, the oracle's too (``model._check_steady``): its
+positivity margin and its normwise backward error (``model._backward_error``)
 
     ||A C + C A+ + Q|| / (2 ||A|| ||C|| + ||Q||),
 
-the one residual of every steady solve, the oracle's too, held to one bound,
-``model.RESIDUAL_TOL``: a backward-stable solve leaves a few eps, however
-large ||A|| / ||Q|| is (a high-Q pair has ||A|| / Gamma of 1e6 and more),
-with norms (``_norm``) that hold at any magnitude. Every C returned is
-exactly Hermitian, as the exact
-solution is. G is then [[F, S], [S, F]] with F = sum_s p_s C_s and
-S = sum_s s p_s C_s, so F and S state it completely: a ``MomentMatrix``
-holds these two N x N blocks and nothing else, with the largest backward
-error of its sector equations as its ``residual``.
+held to ``model.RESIDUAL_TOL``: a backward-stable solve leaves a few eps,
+however large ||A|| / ||Q|| is (a high-Q pair has ||A|| / Gamma of 1e6 and
+more), with norms (``_norm``) that hold at any magnitude. Every C returned is
+exactly Hermitian, as the exact solution is. G is then [[F, S], [S, F]] with
+F = sum_s p_s C_s and S = sum_s s p_s C_s, so F and S state it completely:
+a ``MomentMatrix`` holds these two N x N blocks and nothing else, with the
+largest backward error of its sector equations as its ``residual``.
 
 That bound also holds the block equation i [M1, G] + {M2, G} + M3 = 0, with
 no second check. The unitary (1, 1; 1, -1)/sqrt(2) on the sz index turns
@@ -53,10 +52,10 @@ this path and the Fock oracle alike; ``_sector_equations`` alone builds A_s
 and Q from them, and ``_lyapunov`` alone writes A C + C A+ + Q. ``_mixture``
 and ``_currents`` are the array cores: the sector mixture (each system's
 consecutive sectors summed by ``reduceat``), and the reservoir currents of a
-stack with one formula for both ends.
-``steady_state_matrix`` and ``boundary_currents`` run them on one pair or
-one chain; a sweep grid (``moments.sweep_currents``) runs them on the whole
-grid.
+stack with one formula for both ends, returned through the report of every
+current path (``closedform._report``). ``steady_state_matrix`` and
+``boundary_currents`` run them on one pair or one chain, and
+``sweep_currents`` on a whole pair grid.
 """
 
 from __future__ import annotations
@@ -66,9 +65,9 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .closedform import CurrentReport, _check_balance, _classification
-from .model import (POSITIVITY_TOL, RESIDUAL_TOL, ArraySystem, PairGrid, SolverError, TwoCavitySystem, _Sites,
-                    _backward_error, _sites, _stack, sector_weights)
+from .closedform import CurrentReport, _report, _scalars
+from .model import (ArraySystem, PairGrid, SolverError, TwoCavitySystem, _Sites, _backward_error, _check_steady,
+                    _guard, _sites, _stack, sector_weights)
 
 __all__ = [
     "MomentMatrix",
@@ -76,6 +75,7 @@ __all__ = [
     "sector_covariances",
     "steady_state_matrix",
     "boundary_currents",
+    "sweep_currents",
     "bond_flows",
     "occupation_profile",
     "ballistic_current",
@@ -187,15 +187,6 @@ def _rescaled(f, m: np.ndarray) -> np.ndarray:
     return np.ldexp(value.real, up) + 1j * np.ldexp(value.imag, up)
 
 
-def _guard(ok: np.ndarray, values: np.ndarray, message: str) -> None:
-    """Raise SolverError, with its index, for the first entry of a stack that fails a check."""
-    failed = np.flatnonzero(~ok)
-    if failed.size:
-        error = SolverError(message.format(values[failed[0]]))
-        error.index = int(failed[0])
-        raise error
-
-
 def _adjoint(m: np.ndarray) -> np.ndarray:
     return m.conj().transpose(0, 2, 1)
 
@@ -270,8 +261,8 @@ def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     works in, and ``eigvalsh`` for the positivity guard. Returns the
     covariances C (K, N, N), each the Hermitian part of its solve, the
     backward error of each equation, ||A C + C A+ + Q|| / (2 ||A|| ||C|| +
-    ||Q||) with the ||A|| of the stability guard, and each positivity margin
-    (smallest eigenvalue of C_k over its largest magnitude).
+    ||Q||) with the ||A|| of the stability guard, and each positivity margin,
+    both checked by ``model._check_steady``.
     Raises SolverError, with ``index`` the first failing k, when A_k or Q_k
     has a non-finite entry, a mode is undamped (or A_k has no basis of
     eigenvectors), a covariance is not positive semidefinite or a backward
@@ -294,13 +285,8 @@ def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
         c = _eigenbasis_solve(a, q, exponents, basis)
     c = 0.5 * (c + _adjoint(c))  # the exact C is Hermitian; the eigenbasis solve already is, bit for bit
     eigenvalues = _pair_spectrum(c) if n == 2 else np.linalg.eigvalsh(c)
-    scale = np.max(np.abs(eigenvalues), axis=1)
-    margin = np.divide(eigenvalues[:, 0], scale, out=np.zeros(k), where=scale > 0)
-    _guard(margin >= -POSITIVITY_TOL, margin,
-           "sector covariance is not positive semidefinite (relative eigenvalue {:.3e})")
     residual = _backward_error(_norm(_lyapunov(a, c, q)), norm_a, _norm(c), _norm(q))
-    _guard(residual <= RESIDUAL_TOL, residual, f"sector steady-state residual {{:.3e}} exceeds {RESIDUAL_TOL}")
-    return c, residual, margin
+    return c, residual, _check_steady(eigenvalues, residual, "sector covariance")
 
 
 def _mixture(sites: _Sites) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -357,12 +343,8 @@ def _currents(stack: Union[PairGrid, ArraySystem], sites: _Sites, f: np.ndarray,
                   + sites.shift[:, ends] * (sites.sigma_z[:, None] * sites.nbar - s[:, ends, ends].real))
     coherence = 0.5 * sites.coupling[:, None] * (f[:, ends, bonded] + f[:, bonded, ends]).real
     current = sites.rates * (occupation - coherence)
-    _check_balance(current[:, 0], current[:, 1], omega[:, 0], "moment matrix", stacklevel=3)
-    if isinstance(stack, PairGrid):
-        alpha, regime = _classification(stack, current[:, 0])
-    else:
-        alpha = regime = np.full(1, None)
-    return CurrentReport(current[:, 0], current[:, 1], occupation[:, 0], coherence[:, 0], alpha, regime)
+    return _report(stack, current[:, 0], current[:, 1], occupation[:, 0], coherence[:, 0], "moment matrix",
+                   stacklevel=3)
 
 
 def boundary_currents(system: Union[TwoCavitySystem, ArraySystem], state: MomentMatrix) -> CurrentReport:
@@ -375,7 +357,16 @@ def boundary_currents(system: Union[TwoCavitySystem, ArraySystem], state: Moment
     state.check_system(system)
     stack = _stack(system)
     report = _currents(stack, _sites(stack), state.field_block[None], state.sz_block[None])
-    return CurrentReport(*(column.item() for column in vars(report).values()))
+    return CurrentReport(*_scalars(system, *vars(report).values()))
+
+
+def sweep_currents(grid: PairGrid) -> tuple[CurrentReport, np.ndarray]:
+    """Currents (a CurrentReport of arrays) and backward error of every point
+    of a pair grid, from one stack solve, bit for bit those of each point
+    alone; a SolverError carries in ``index`` the failing point."""
+    sites = _sites(grid)
+    f, s, residuals, _ = _mixture(sites)
+    return _currents(grid, sites, f, s), residuals
 
 
 def bond_flows(system: ArraySystem, g: MomentMatrix) -> np.ndarray:

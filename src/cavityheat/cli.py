@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import chain, closedform, fockspace, moments
+from . import chain, closedform, fockspace
 from .model import (
     ArraySystem,
     AtomSpec,
@@ -202,7 +202,11 @@ def parse_config_file(path: Path) -> dict[str, str]:
     """Flat key = value lines; '#' starts a comment."""
     raw: dict[str, str] = {}
     errors: list[str] = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValidationError([f"config: {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"]) from exc
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
             continue
@@ -336,7 +340,7 @@ def _moment_sweep(grid: PairGrid, name: str, values) -> tuple[closedform.Current
     """Currents (as arrays) and solver residual of every point of a grid, from
     one stack solve; ``values[k]`` names point k in a solver failure."""
     try:
-        return moments.sweep_currents(grid)
+        return chain.sweep_currents(grid)
     except SolverError as exc:
         raise SolverError(f"{_solver_context(name, values[exc.index])}: {exc}") from exc
 

@@ -11,7 +11,9 @@ exact for detuned cavities too.
 Every expression is evaluated on arrays: a function that takes a
 ``TwoCavitySystem`` or a ``model.PairGrid`` runs the same code on the grid's
 arrays, and returns arrays for a grid and Python scalars for one pair. A
-sweep is therefore one evaluation over its whole grid.
+sweep is therefore one evaluation over its whole grid (``model._stack``
+makes a pair a grid of one). The moment path and the Fock oracle end in
+``_report``: one balance rule and one ``CurrentReport`` for both.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from typing import Union
 
 import numpy as np
 
-from .model import PairGrid, TwoCavitySystem, sector_weights
+from .model import PairGrid, TwoCavitySystem, _stack, sector_weights
 
 __all__ = [
     "REGIME_CONDUCTING",
@@ -98,7 +100,8 @@ class RectificationResult:
     Where the reverse current vanishes exactly, one direction is blocked and
     ``ratio`` is +-inf, with the sign of the limit taken from the side where
     the denominator is positive; approaching from the other side flips the
-    sign (the sweep rows on either side show the jump).
+    sign (the sweep rows on either side show the jump). Where both currents
+    vanish (equal rates, chi = omega_L + omega_R) it has no limit and is NaN.
     """
 
     forward: float | np.ndarray
@@ -109,12 +112,8 @@ class RectificationResult:
 Pairs = Union[TwoCavitySystem, PairGrid]
 
 
-def _points(system: Pairs) -> PairGrid:
-    return system if isinstance(system, PairGrid) else PairGrid.from_systems([system])
-
-
-def _scalars(system: Pairs, *arrays) -> tuple:
-    """The arrays as they are for a grid; for one pair, their one entry each, as a Python scalar."""
+def _scalars(system, *arrays) -> tuple:
+    """The arrays as they are for a grid; for one pair or chain, their one entry each, as a Python scalar."""
     if isinstance(system, PairGrid):
         return arrays
     return tuple(np.asarray(values).tolist()[0] for values in arrays)
@@ -157,7 +156,7 @@ def _mixed(p: PairGrid, definite) -> tuple:
 
 def steady_moments(system: Pairs) -> SteadyMoments:
     """Steady occupations and inter-cavity coherence of both fields."""
-    return SteadyMoments(*_scalars(system, *_mixed(_points(system), _definite_moments)))
+    return SteadyMoments(*_scalars(system, *_mixed(_stack(system), _definite_moments)))
 
 
 def _definite_moments(p: PairGrid, sz) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -182,36 +181,37 @@ def _alpha(p: PairGrid) -> np.ndarray:
         return (p.right_rate / p.left_rate) / ((p.chi - p.omega_right) / p.omega_left)
 
 
-def _classification(system: Pairs, i_left) -> tuple:
-    """Regime tag from the sign of the current, alpha where it is defined.
-
-    The tag is only meaningful for a hot left reservoir; elsewhere both
-    entries are None. For a grid both are object arrays.
-    """
-    p = _points(system)
-    i_left = np.asarray(i_left)
+def _classification(p: PairGrid, i_left: np.ndarray) -> tuple:
+    """Regime tag of each point of a grid from the sign of its current, and
+    alpha where it is defined, as object arrays; both are None where the left
+    reservoir is not the hotter one, where the tag has no meaning."""
     sign_tag = np.where(i_left > 0, REGIME_CONDUCTING, REGIME_REVERSED)
     tag = np.where(np.abs(i_left) < ZERO_CURRENT_TOL * p.omega_left**2, REGIME_INSULATING, sign_tag)
     hot = p.left_occupation > p.right_occupation
     definite = (p.sigma_z == 1.0) | (p.sigma_z == -1.0)
     alpha = np.where(hot & p.atom & definite & (p.chi > p.omega_right), _alpha(p), None)
-    return _scalars(system, alpha, np.where(hot, tag, None))
+    return alpha, np.where(hot, tag, None)
 
 
-def _check_balance(i_left, i_right, omega_left, state: str, stacklevel: int) -> None:
-    """Warn, naming the first failing system of a stack (M,), unless
-    |I_L + I_R| <= 1e-10 max(|I_L|, omega_L^2), as a steady ``state`` conserves
-    energy (a NaN fails): the one balance rule of the moment and oracle paths."""
-    imbalance = np.abs(np.add(i_left, i_right))
+def _report(stack, i_left, i_right, i_occupation, i_coherence, state: str, stacklevel: int) -> CurrentReport:
+    """The CurrentReport (M,) of the moment path and the oracle, over a grid of
+    pairs (classified by ``_classification``) or one chain (``alpha`` and
+    ``regime`` None). A steady ``state`` conserves energy: unless
+    |I_L + I_R| <= 1e-10 max(|I_L|, omega_L^2) (a NaN fails), it warns
+    ``stacklevel`` frames above its caller, naming the first failing system."""
+    omega_left = stack.omega_left if isinstance(stack, PairGrid) else stack.omega
+    imbalance = np.abs(i_left + i_right)
     bad = np.flatnonzero(~(imbalance <= 1e-10 * np.maximum(np.abs(i_left), np.square(omega_left))))
     if bad.size:
         warnings.warn(f"boundary currents do not balance (|I_L + I_R| = {imbalance[bad[0]]:.3e} for system "
                       f"{bad[0]}); the {state} is not a steady state", stacklevel=stacklevel + 1)
+    alpha, regime = _classification(stack, i_left) if isinstance(stack, PairGrid) else (np.full(1, None),) * 2
+    return CurrentReport(i_left, i_right, i_occupation, i_coherence, alpha, regime)
 
 
 def current_general(system: Pairs) -> CurrentReport:
     """Left-reservoir current from the general non-resonant expression."""
-    p = _points(system)
+    p = _stack(system)
     i_left, i_occ, i_coh = _mixed(p, _definite_current)
     alpha, regime = _classification(p, i_left)
     return CurrentReport(*_scalars(system, i_left, -i_left, i_occ, i_coh, alpha, regime))
@@ -265,7 +265,7 @@ def classify_regime(system: Pairs) -> tuple:
     alpha = 1 blocks, alpha < 1 reverses the current. The excited atom always
     conducts.
     """
-    p = _points(system)
+    p = _stack(system)
     _require(p, p.atom, "switch classification requires an atom")
     _require(p, (p.sigma_z == 1.0) | (p.sigma_z == -1.0),
              "switch classification is defined at sigma_z = +-1 (got {sigma_z})")
@@ -286,7 +286,7 @@ def current_pm(system: TwoCavitySystem, sign: int) -> float:
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     if system.atom is None:
         raise ValueError("pinned-state current requires an atom")
-    return _scalars(system, _definite_current(_points(system), float(sign))[0])[0]
+    return _scalars(system, _definite_current(_stack(system), float(sign))[0])[0]
 
 
 def rectification(system: Pairs) -> RectificationResult:
@@ -299,7 +299,7 @@ def rectification(system: Pairs) -> RectificationResult:
     f = omega_L Gamma_R + Gamma_L (omega_R - chi) into
     r = omega_L Gamma_L + Gamma_R (omega_R - chi), so the ratio is f/r.
     """
-    p = _points(system)
+    p = _stack(system)
     _require(p, p.atom, "rectification requires an atom")
     _require(p, p.sigma_z == -1.0, "rectification takes the atom in its ground state (sigma_z = -1, got {sigma_z})")
     swapped = replace(p, left_rate=p.right_rate, left_occupation=p.right_occupation,
@@ -307,7 +307,7 @@ def rectification(system: Pairs) -> RectificationResult:
     forward, reverse = _definite_current(p, -1.0)[0], _definite_current(swapped, -1.0)[0]
     f = p.omega_left * p.right_rate + p.left_rate * (p.omega_right - p.chi)
     r = p.omega_left * p.left_rate + p.right_rate * (p.omega_right - p.chi)
-    # r == 0 blocks one direction: report the limit from the side where r > 0
+    # r == 0 blocks one direction: the limit from the side where r > 0; f == r == 0 has none (NaN)
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(r == 0.0, np.copysign(np.inf, f), f / r)
+        ratio = np.where((r == 0.0) & (f != 0.0), np.copysign(np.inf, f), f / r)
     return RectificationResult(*_scalars(system, forward, reverse, ratio))

@@ -17,8 +17,9 @@ A sweep of cavity pairs is one ``PairGrid``: one float64 array per field,
 checked by the same rules in one vectorised pass when it is built. Every
 path reads a pair, a grid or a chain as one statement of the model, its
 site vectors (``_sites``): the moment solves and the Fock oracle alike. Every
-steady solve, moment or Fock oracle, is held to ``RESIDUAL_TOL`` and
-``POSITIVITY_TOL``, relative bounds that hold in any units.
+steady solve, moment or Fock oracle, passes ``_check_steady``, which alone
+holds it to ``POSITIVITY_TOL`` and ``RESIDUAL_TOL``, relative bounds that
+hold in any units.
 """
 
 from __future__ import annotations
@@ -80,6 +81,28 @@ def _backward_error(residual, norm_a, norm_c, norm_q):
     whatever ||A|| / ||Q|| is or the units are. With a zero denominator it is ||R||."""
     denominator = 2.0 * norm_a * norm_c + norm_q
     return np.divide(residual, denominator, out=np.array(residual, dtype=float), where=denominator > 0)
+
+
+def _guard(ok: np.ndarray, values: np.ndarray, message: str) -> None:
+    """Raise SolverError, with its index, for the first entry of a stack that fails a check."""
+    failed = np.flatnonzero(~ok)
+    if failed.size:
+        error = SolverError(message.format(values[failed[0]]))
+        error.index = int(failed[0])
+        raise error
+
+
+def _check_steady(eigenvalues: np.ndarray, residual: np.ndarray, state: str) -> np.ndarray:
+    """The rules of every steady solve, on K solutions: each positivity margin,
+    its smallest eigenvalue (K, m) over their largest magnitude (0 if all
+    vanish), within -POSITIVITY_TOL, then each backward error ``residual`` (K,)
+    within RESIDUAL_TOL (a NaN fails). Returns the margins; a SolverError
+    names the ``state``."""
+    scale = np.max(np.abs(eigenvalues), axis=1)
+    margin = np.divide(np.min(eigenvalues, axis=1), scale, out=np.zeros(len(scale)), where=scale > 0)
+    _guard(margin >= -POSITIVITY_TOL, margin, f"{state} is not positive semidefinite (relative eigenvalue {{:.3e}})")
+    _guard(residual <= RESIDUAL_TOL, residual, f"sector steady-state residual {{:.3e}} exceeds {RESIDUAL_TOL}")
+    return margin
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
@@ -239,13 +262,9 @@ class PairGrid:
         """The grid of a list of pairs, point k being systems[k]. Each pair was
         checked when it was built, so the grid is not checked again."""
         grid = cls.__new__(cls)
-        for name, values in zip(cls.__dataclass_fields__, (
-            [s.omega_left for s in systems], [s.omega_right for s in systems], [s.coupling for s in systems],
-            [s.left.rate for s in systems], [s.left.mean_occupation for s in systems],
-            [s.right.rate for s in systems], [s.right.mean_occupation for s in systems],
-            [s.chi for s in systems], [s.sigma_z for s in systems], [s.atom is not None for s in systems],
-        )):
-            object.__setattr__(grid, name, values)
+        points = [{**_values(s), "chi": s.chi, "sigma_z": s.sigma_z, "atom": s.atom is not None} for s in systems]
+        for name in cls.__dataclass_fields__:
+            object.__setattr__(grid, name, [point[name] for point in points])
         grid._store_arrays()
         return grid
 

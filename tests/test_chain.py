@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cavityheat import chain
+from cavityheat import chain, model
 from cavityheat.chain import (
     MomentMatrix,
     ballistic_current,
@@ -15,12 +15,12 @@ from cavityheat.chain import (
     occupation_profile,
     size_scan,
     steady_state_matrix,
+    sweep_currents,
 )
 from cavityheat.closedform import current_general
 from cavityheat.model import (
     ArraySystem, AtomSpec, PairGrid, ReservoirSpec, SolverError, TwoCavitySystem, sector_weights,
 )
-from cavityheat.moments import sweep_currents
 
 from block_reference import (
     block_backward_error, block_generators, block_matrix, block_residual, kronecker_steady_matrix,
@@ -138,7 +138,7 @@ def test_steady_matrix_carries_its_residual():
     system = chain_system(6, chi=0.1, host=3, sigma_z=0.2)
     g = steady_state_matrix(system)
     _, residual, _ = chain.sector_covariances(*sector_stack(system))
-    assert g.residual == residual.max() <= chain.RESIDUAL_TOL
+    assert g.residual == residual.max() <= model.RESIDUAL_TOL
     assert block_backward_error(system, block_matrix(g)) <= g.residual + 4 * np.finfo(float).eps
 
 
@@ -156,7 +156,7 @@ def test_a_pair_of_huge_or_tiny_rates_solves_as_the_unscaled_pair(scale, chi):
     g, want = steady_state_matrix(scaled_pair(scale, chi)), steady_state_matrix(scaled_pair(1.0, chi))
     assert np.max(np.abs(g.field_block - want.field_block)) <= 1e-12
     assert np.max(np.abs(g.sz_block - want.sz_block)) <= 1e-12
-    assert 0.0 < g.residual <= chain.RESIDUAL_TOL
+    assert 0.0 < g.residual <= model.RESIDUAL_TOL
 
 
 def test_a_subnormal_drive_is_measured_and_refused():
@@ -168,7 +168,7 @@ def test_a_subnormal_drive_is_measured_and_refused():
 
     with pytest.raises(SolverError, match="^sector steady-state residual .* exceeds 1e-14$"):
         steady_state_matrix(pair(2.2e-311))
-    assert 0.0 < steady_state_matrix(pair(1e-200)).residual <= chain.RESIDUAL_TOL
+    assert 0.0 < steady_state_matrix(pair(1e-200)).residual <= model.RESIDUAL_TOL
 
 
 def test_the_frobenius_norm_is_exact_at_any_magnitude():
@@ -217,7 +217,7 @@ def test_a_high_q_two_site_chain_solves_to_the_closed_form(gamma):
     # Gamma down to 1e-11 against omega = 1: the backward error stays at a few eps, and G is exactly Hermitian
     system = chain_system(2, chi=0.05, host=2, sigma_z=1.0, coupling=0.01, gamma_left=gamma, gamma_right=gamma)
     g = steady_state_matrix(system)
-    assert g.residual <= chain.RESIDUAL_TOL
+    assert g.residual <= model.RESIDUAL_TOL
     assert np.array_equal(block_matrix(g), block_matrix(g).conj().T)
     pair = TwoCavitySystem(omega_left=1.0, omega_right=1.0, coupling=0.01, left=system.left, right=system.right,
                            atom=AtomSpec(0.05, 1.0))
@@ -236,7 +236,7 @@ def test_a_pair_grid_is_solved_by_kronecker_without_an_eigenbasis(monkeypatch):
     for name in ("eig", "eigvals", "eigvalsh"):  # pairs take their spectra in closed form
         monkeypatch.setattr(chain.np.linalg, name, refuse(name))
     report, residual = sweep_currents(PairGrid.sweep(pair, chi=[0.0, 0.1, 0.2]))
-    assert np.all(residual <= chain.RESIDUAL_TOL) and np.all(np.isfinite(report.i_left))
+    assert np.all(residual <= model.RESIDUAL_TOL) and np.all(np.isfinite(report.i_left))
 
 
 def test_the_sector_mixture_is_the_sum_of_each_systems_sectors_bit_for_bit():
@@ -268,7 +268,7 @@ def test_the_sector_mixture_is_the_sum_of_each_systems_sectors_bit_for_bit():
 
 def test_a_three_site_chain_is_solved_in_the_eigenbasis_without_kronecker(monkeypatch):
     monkeypatch.setattr(chain.np.linalg, "solve", refuse("solve"))
-    assert steady_state_matrix(chain_system(3, chi=0.1, host=3, sigma_z=0.3)).residual <= chain.RESIDUAL_TOL
+    assert steady_state_matrix(chain_system(3, chi=0.1, host=3, sigma_z=0.3)).residual <= model.RESIDUAL_TOL
 
 
 def test_a_sector_stack_that_is_not_complex_symmetric_is_refined_or_refused():

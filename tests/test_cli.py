@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import cavityheat
-from cavityheat import chain, cli, fockspace, moments
+from cavityheat import chain, cli, fockspace, model
 from cavityheat.cli import SweepSpec, crosscheck, main, parse_config_file, run_experiment
 from cavityheat.closedform import current_general
 from cavityheat.model import AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem, ValidationError
@@ -52,6 +52,16 @@ def test_config_file_rejects_malformed_lines(tmp_path):
         parse_config_file(cfg)
 
 
+def test_a_config_that_is_not_utf8_exits_with_a_validation_error(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"coupling = 0.02\n\xff\xfe = 1\n")
+    out = tmp_path / "x.csv"
+    assert main(["run", "--experiment", "gamma_sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: {cfg} is not UTF-8 text (invalid start byte at byte 16)"]
+    assert not out.exists()
+
+
 def test_unknown_keys_are_collected(tmp_path):
     params = dict(FIG2, typo_key="1", sweep_start="0.05", sweep_stop="0.08", sweep_step="0.01")
     with pytest.raises(ValidationError) as err:
@@ -87,7 +97,7 @@ def test_a_high_q_gamma_sweep_matches_the_closed_form(tmp_path):
         gamma = float(row["value"])
         system = TwoCavitySystem(omega_left=1.0, omega_right=1.0, coupling=0.01, left=ReservoirSpec(gamma, 0.5),
                                  right=ReservoirSpec(gamma, 0.0), atom=AtomSpec(0.05, 1.0))
-        assert float(row["residual"]) <= chain.RESIDUAL_TOL
+        assert float(row["residual"]) <= model.RESIDUAL_TOL
         assert float(row["i_left"]) == pytest.approx(current_general(system).i_left, rel=1e-9, abs=0)
 
 
@@ -616,7 +626,7 @@ def test_regime_table_needs_a_hotter_left_reservoir(monkeypatch, tmp_path, capsy
     def no_solve(*args, **kwargs):
         raise AssertionError("solved before the reservoirs were checked")
 
-    monkeypatch.setattr(cli.moments, "sweep_currents", no_solve)
+    monkeypatch.setattr(cli.chain, "sweep_currents", no_solve)
     params = dict(FIG2, chi="1.5", sigma_z="1", nbar_left=nbar_left, nbar_right=nbar_right)
     assert run_main("regime_table", tmp_path, params) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.splitlines() == [

@@ -17,7 +17,7 @@ from cavityheat.closedform import (
     steady_moments,
 )
 from cavityheat.chain import ballistic_current, boundary_currents, steady_state_matrix
-from cavityheat.model import ArraySystem, AtomSpec, ReservoirSpec, TwoCavitySystem
+from cavityheat.model import ArraySystem, AtomSpec, PairGrid, ReservoirSpec, TwoCavitySystem
 
 
 def system_for(
@@ -355,6 +355,25 @@ def test_rectification_divergence():
     system = system_for(chi=1.5, sigma_z=-1.0, gamma_left=0.1, gamma_right=0.2)
     result = rectification(system)
     assert math.isinf(result.ratio) and result.ratio > 0
+
+
+def test_rectification_has_no_limit_where_both_currents_vanish():
+    # equal rates and chi = omega_L + omega_R: f = r = 0, and the ratio reads -1 or +1 nearby
+    point = rectification(system_for(chi=2.0, sigma_z=-1.0, gamma_left=0.1, gamma_right=0.1))
+    assert point.forward == point.reverse == 0.0
+    assert math.isnan(point.ratio)
+    for gamma_left in (0.099, 0.101):
+        nearby = rectification(system_for(chi=2.0, sigma_z=-1.0, gamma_left=gamma_left, gamma_right=0.1))
+        assert nearby.ratio == pytest.approx(-1.0, rel=1e-12)
+    for chi in (1.99, 2.01):
+        nearby = rectification(system_for(chi=chi, sigma_z=-1.0, gamma_left=0.1, gamma_right=0.1))
+        assert nearby.ratio == pytest.approx(1.0, rel=1e-12)
+    # on a grid, only that point is NaN; a vanishing reverse current alone still diverges
+    grid = PairGrid.sweep(system_for(chi=2.0, sigma_z=-1.0, gamma_left=0.1, gamma_right=0.1),
+                          chi=[2.0, 1.99], left_rate=[0.1, 0.1])
+    ratio = rectification(grid).ratio
+    assert math.isnan(ratio[0]) and ratio[1] == pytest.approx(1.0, rel=1e-12)
+    assert rectification(system_for(chi=1.5, sigma_z=-1.0, gamma_left=0.1, gamma_right=0.2)).ratio == math.inf
 
 
 def test_rectification_invariant_under_rate_scaling():

@@ -47,6 +47,38 @@ def test_every_path_reads_the_one_statement_of_the_site_vectors():
         assert name not in model.__all__
 
 
+def _names(tree: ast.AST) -> set[str]:
+    """Every name a module's code reads: imported names, bare names and attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.name.rsplit(".", 1)[-1] for alias in node.names}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return names
+
+
+def test_every_steady_solve_reads_the_one_statement_of_each_rule():
+    # the solve rules live in model._check_steady and the current report in closedform._report, for every path
+    from cavityheat import chain, closedform, fockspace, model
+
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in Path(cavityheat.__file__).parent.glob("*.py")}
+    tolerances = {"POSITIVITY_TOL", "RESIDUAL_TOL"}
+    compared = {stem for stem, tree in trees.items() for node in ast.walk(tree)
+                if isinstance(node, ast.Compare) and _names(node) & tolerances}
+    assert compared == {"model"}
+    for module in (chain, fockspace):
+        assert _names(trees[module.__name__.rsplit(".", 1)[-1]]).isdisjoint(
+            tolerances | {"_check_balance", "_classification"}), module.__name__
+        assert module._check_steady is model._check_steady and module._report is closedform._report
+    assert not hasattr(closedform, "_points")
+    assert _names(trees["moments"]).isdisjoint({"_mixture", "_currents", "_pair_exponents"})
+    assert "moments" not in _names(trees["cli"])
+
+
 # Runs in a fresh interpreter: a star import binds every name of __all__.
 STAR_IMPORT = """
 import json

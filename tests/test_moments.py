@@ -5,10 +5,10 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from cavityheat import chain
+from cavityheat import model
 from cavityheat.chain import MomentMatrix, boundary_currents, sector_covariances, steady_state_matrix
 from cavityheat.closedform import current_general, steady_moments
-from cavityheat.model import AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem, atomic_sectors
+from cavityheat.model import ArraySystem, AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem, atomic_sectors
 from cavityheat.moments import evolve
 
 from block_reference import block_generators, block_matrix, block_motion
@@ -212,6 +212,11 @@ def test_sigma_z_is_carried_bitwise():
     assert trajectory.final.sigma_z == -1.0
 
 
+def chain_for(n_sites, host, sigma_z, chi=0.3):
+    return ArraySystem(n_sites=n_sites, omega=1.0, coupling=0.05, left=ReservoirSpec(0.064, 0.5),
+                       right=ReservoirSpec(0.03, 0.1), atom=AtomSpec(chi, sigma_z, host_index=host))
+
+
 def test_oversized_step_warns():
     system = system_for(omega_right=1.1, gamma_right=0.08)
     # the sectors relax at b_i + conj(b_j), b the eigenvalues of A_s = i (h + s x) + D
@@ -226,15 +231,36 @@ def test_oversized_step_warns():
     with pytest.warns(UserWarning, match="eigenvalue"):
         evolve(system, zero_state(sigma_z=1.0), t_final=1.0, dt=0.1001 / bound)
     evolve(system, zero_state(sigma_z=1.0), t_final=1.0, dt=0.0999 / bound)  # warnings are errors here
+    # a 4-site chain with the atom inside it, the same rule on its 4 x 4 sector matrices
+    chain4 = chain_for(4, 2, 1.0)
+    gen = block_generators(chain4)
+    d = gen.m2[:4, :4]
+    b = np.linalg.eigvals(np.array([1j * (gen.h + gen.x) + d, 1j * (gen.h - gen.x) + d]))
+    bound = np.max(np.abs(b[:, :, None] + b.conj()[:, None, :]))
+    zero = MomentMatrix(np.zeros((4, 4)), np.zeros((4, 4)), sigma_z=1.0)
+    with pytest.warns(UserWarning) as record:
+        evolve(chain4, zero, t_final=200.0, dt=100.0)
+    assert [str(w.message) for w in record] == [
+        f"dt * max|eigenvalue| = {100.0 * bound:.3g} >= 0.1; reduce the step for a faithful transient"]
+    with pytest.warns(UserWarning, match="eigenvalue"):
+        evolve(chain4, zero, t_final=1.0, dt=0.1001 / bound)
+    evolve(chain4, zero, t_final=1.0, dt=0.0999 / bound)
 
 
-@pytest.mark.parametrize("sigma_z", [-1.0, 0.3, 1.0, None], ids=["ground", "mixed", "excited", "no-atom"])
-def test_evolve_is_the_rk4_integration_of_the_block_equation(sigma_z):
+@pytest.mark.parametrize("sigma_z, n_sites, host", [
+    (-1.0, 2, 2), (0.3, 2, 2), (1.0, 2, 2), (None, 2, 2), (0.3, 3, 2), (-1.0, 3, 3), (0.6, 4, 2), (1.0, 4, 4),
+], ids=["ground", "mixed", "excited", "no-atom", "chain3-inner-mixed", "chain3-end-ground", "chain4-inner-mixed",
+        "chain4-end-excited"])
+def test_evolve_is_the_rk4_integration_of_the_block_equation(sigma_z, n_sites, host):
     # evolve steps the two sectors X_s = (F + s S)/2; the reference steps the 2N x 2N matrix G itself
-    system = system_for(omega_right=1.1, chi=0.3, sigma_z=sigma_z or 0.0, gamma_right=0.03, nbar_right=0.1,
-                        atom=sigma_z is not None)
+    if n_sites == 2:
+        system = system_for(omega_right=1.1, chi=0.3, sigma_z=sigma_z or 0.0, gamma_right=0.03, nbar_right=0.1,
+                            atom=sigma_z is not None)
+    else:
+        system = chain_for(n_sites, host, sigma_z)
     rng = np.random.default_rng(41)
-    f, s = (b + b.conj().T for b in rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2)))
+    shape = (2, n_sites, n_sites)
+    f, s = (b + b.conj().T for b in rng.normal(size=shape) + 1j * rng.normal(size=shape))
     dt, n_steps = 0.02, 400
     trajectory = evolve(system, MomentMatrix(f, s, sigma_z=system.sigma_z), t_final=n_steps * dt, dt=dt)
     g = [np.block([[f, s], [s, f]])]
@@ -358,7 +384,7 @@ def test_a_high_q_pair_solves_to_the_closed_form(gamma):
     # solve leaves a residual of about eps ||A|| ||C||, far above eps ||Q||
     system = system_for(coupling=0.01, gamma_left=gamma, gamma_right=gamma)
     state = steady_state_matrix(system)
-    assert state.residual <= chain.RESIDUAL_TOL
+    assert state.residual <= model.RESIDUAL_TOL
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # the boundary currents balance
         report = boundary_currents(system, state)

@@ -25,18 +25,18 @@ from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
 import cavityheat  # noqa: E402
 from cavityheat.chain import (  # noqa: E402
-    RESIDUAL_TOL, _mixture, _pair_exponents, _pair_spectrum, _sector_equations, _sites, boundary_currents,
-    sector_covariances, size_scan, steady_state_matrix,
+    _mixture, _pair_exponents, _pair_spectrum, _sector_equations, _sites, boundary_currents,
+    sector_covariances, size_scan, steady_state_matrix, sweep_currents,
 )
 from cavityheat.closedform import ZERO_CURRENT_TOL, current_general, current_pm, rectification  # noqa: E402
 from cavityheat.fockspace import (  # noqa: E402
     FockConfig, converged_steady_rho, oracle_currents, steady_rho, thermal_fidelity, thermal_state,
 )
 from cavityheat.model import (  # noqa: E402
-    ArraySystem, AtomSpec, PairGrid, ReservoirSpec, SolverError, TwoCavitySystem, ValidationError, bose_occupation,
-    sector_weights,
+    RESIDUAL_TOL, ArraySystem, AtomSpec, PairGrid, ReservoirSpec, SolverError, TwoCavitySystem, ValidationError,
+    bose_occupation, sector_weights,
 )
-from cavityheat.moments import evolve, sweep_currents  # noqa: E402
+from cavityheat.moments import evolve  # noqa: E402
 
 from block_reference import (  # noqa: E402
     block_backward_error, block_matrix, block_residual, kronecker_steady_matrix,
