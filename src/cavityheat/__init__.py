@@ -18,6 +18,7 @@ Three mutually cross-validating computational paths:
 from .model import (
     ArraySystem,
     AtomSpec,
+    CurrentReport,
     PairGrid,
     ReservoirSpec,
     SolverError,
@@ -30,7 +31,6 @@ from .model import (
     validation_errors,
 )
 from .closedform import (
-    CurrentReport,
     RectificationResult,
     SteadyMoments,
     classify_regime,
@@ -66,6 +66,7 @@ from .fockspace import (
 __all__ = [
     "ArraySystem",
     "AtomSpec",
+    "CurrentReport",
     "PairGrid",
     "ReservoirSpec",
     "SolverError",
@@ -76,7 +77,6 @@ __all__ = [
     "sector_weights",
     "validate",
     "validation_errors",
-    "CurrentReport",
     "RectificationResult",
     "SteadyMoments",
     "classify_regime",

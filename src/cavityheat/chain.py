@@ -53,7 +53,7 @@ and Q from them, and ``_lyapunov`` alone writes A C + C A+ + Q. ``_mixture``
 and ``_currents`` are the array cores: the sector mixture (each system's
 consecutive sectors summed by ``reduceat``), and the reservoir currents of a
 stack with one formula for both ends, returned through the report of every
-current path (``closedform._report``). ``steady_state_matrix`` and
+current path (``model._report``). ``steady_state_matrix`` and
 ``boundary_currents`` run them on one pair or one chain, and
 ``sweep_currents`` on a whole pair grid.
 """
@@ -65,9 +65,8 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .closedform import CurrentReport, _report, _scalars
-from .model import (ArraySystem, PairGrid, SolverError, TwoCavitySystem, _Sites, _backward_error, _check_steady,
-                    _guard, _sites, _stack, sector_weights)
+from .model import (ArraySystem, CurrentReport, PairGrid, SolverError, TwoCavitySystem, _Sites, _backward_error,
+                    _check_steady, _guard, _report, _sites, _stack, sector_weights)
 
 __all__ = [
     "MomentMatrix",
@@ -203,8 +202,7 @@ def _eigenbasis_solve(a: np.ndarray, q: np.ndarray, exponents: np.ndarray, basis
     eigenvector with v^T v = 0 (no basis of eigenvectors) raises SolverError.
     """
     products = np.einsum("kij,kij->kj", basis, basis)  # v^T v of each eigenvector
-    _guard(np.all(products != 0, axis=1), products,
-           "no unique steady state: a sector matrix has no basis of eigenvectors")
+    _guard(np.all(products != 0, axis=1), "no unique steady state: a sector matrix has no basis of eigenvectors")
     basis = basis / np.sqrt(products)[:, None, :]
     transpose, conjugate, basis_h = basis.transpose(0, 2, 1), basis.conj(), _adjoint(basis)
     denominator = exponents[:, :, None] + exponents.conj()[:, None, :]
@@ -270,12 +268,12 @@ def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     """
     k, n, _ = a.shape
     finite = np.isfinite(a).all(axis=(1, 2)) & np.isfinite(q).all(axis=(1, 2))
-    _guard(finite, finite, "a sector equation has a non-finite entry")
+    _guard(finite, "a sector equation has a non-finite entry")
     exponents, basis = (_pair_exponents(a), None) if n == 2 else np.linalg.eig(a)
     slowest = np.max(exponents.real, axis=1)
     norm_a = _norm(a)
-    _guard(slowest < -STABILITY_TOL * norm_a, slowest,
-           "no unique steady state: a chain mode is undamped (largest decay exponent {:.3e})")
+    _guard(slowest < -STABILITY_TOL * norm_a,
+           "no unique steady state: a chain mode is undamped (largest decay exponent {slowest:.3e})", slowest=slowest)
     if basis is None:
         # row-major vec(A C + C A+) = (A kron I + I kron conj(A)) vec(C)
         eye = np.eye(n)
@@ -321,43 +319,38 @@ def steady_state_matrix(system: Union[TwoCavitySystem, ArraySystem]) -> MomentMa
     return MomentMatrix(f, s, sigma_z=system.sigma_z, residual=residual.item(), positivity_margin=margin.item())
 
 
-def _currents(stack: Union[PairGrid, ArraySystem], sites: _Sites, f: np.ndarray, s: np.ndarray) -> CurrentReport:
-    """Reservoir currents of a grid of pairs, or of one chain, on the blocks
-    F and S (M, N, N) of their moment matrices, as one CurrentReport of (M,)
-    arrays.
+def _currents(system: Union[TwoCavitySystem, PairGrid, ArraySystem], stack: Union[PairGrid, ArraySystem],
+              sites: _Sites, f: np.ndarray, s: np.ndarray) -> CurrentReport:
+    """Reservoir currents of ``system``, a pair, a pair grid or a chain, with its ``stack`` and ``sites``, on
+    the blocks F and S (M, N, N) of their moment matrices, as ``model._report`` returns them.
 
     End site j, bonded to site k, sits at omega_j + s x_j in atomic sector s,
     so its reservoir current mixes the sectors exactly through S = <a+ a sz>:
 
         I_j = Gamma_j [(nbar_j - F_jj) omega_j + x_j (sz nbar_j - S_jj) - J Re(F_jk + F_kj)/2].
 
-    ``i_occupation`` and ``i_coherence`` are the two terms at site 1. A grid
-    of pairs carries ``alpha`` and ``regime`` from the switch classification,
-    as object arrays; a chain carries None. A warning is emitted when the two
-    boundary currents fail to balance, which signals a non-steady input.
+    ``i_occupation`` and ``i_coherence`` are the two terms at site 1. The
+    balance is held against the summed magnitudes of the five terms at both ends.
     """
     n = sites.onsite.shape[-1]
     ends, bonded = [0, n - 1], [1, n - 2]
-    omega = sites.onsite[:, ends]
-    occupation = ((sites.nbar - f[:, ends, ends].real) * omega
-                  + sites.shift[:, ends] * (sites.sigma_z[:, None] * sites.nbar - s[:, ends, ends].real))
+    omega, shift, nbar, sigma_z = sites.onsite[:, ends], sites.shift[:, ends], sites.nbar, sites.sigma_z[:, None]
+    f_end, s_end = f[:, ends, ends].real, s[:, ends, ends].real
+    occupation = (nbar - f_end) * omega + shift * (sigma_z * nbar - s_end)
     coherence = 0.5 * sites.coupling[:, None] * (f[:, ends, bonded] + f[:, bonded, ends]).real
     current = sites.rates * (occupation - coherence)
-    return _report(stack, current[:, 0], current[:, 1], occupation[:, 0], coherence[:, 0], "moment matrix",
-                   stacklevel=3)
+    magnitude = (nbar + np.abs(f_end)) * omega + shift * (np.abs(sigma_z) * nbar + np.abs(s_end)) + np.abs(coherence)
+    return _report(system, stack, current[:, 0], current[:, 1], occupation[:, 0], coherence[:, 0],
+                   np.sum(sites.rates * magnitude, axis=1), "moment matrix", stacklevel=3)
 
 
 def boundary_currents(system: Union[TwoCavitySystem, ArraySystem], state: MomentMatrix) -> CurrentReport:
     """Reservoir currents of a cavity pair or a chain on its moment matrix
-    (``_currents``). A pair carries ``alpha`` and ``regime`` from the switch
-    classification, a chain None. A ValueError is raised for a matrix of
-    another size or sigma_z, and a warning is emitted when the two boundary
-    currents fail to balance, which signals a non-steady input.
-    """
+    (``_currents``); a ValueError for a matrix of another size or sigma_z, a
+    warning when the currents do not balance, which signals a non-steady input."""
     state.check_system(system)
     stack = _stack(system)
-    report = _currents(stack, _sites(stack), state.field_block[None], state.sz_block[None])
-    return CurrentReport(*_scalars(system, *vars(report).values()))
+    return _currents(system, stack, _sites(stack), state.field_block[None], state.sz_block[None])
 
 
 def sweep_currents(grid: PairGrid) -> tuple[CurrentReport, np.ndarray]:
@@ -366,7 +359,7 @@ def sweep_currents(grid: PairGrid) -> tuple[CurrentReport, np.ndarray]:
     alone; a SolverError carries in ``index`` the failing point."""
     sites = _sites(grid)
     f, s, residuals, _ = _mixture(sites)
-    return _currents(grid, sites, f, s), residuals
+    return _currents(grid, grid, sites, f, s), residuals
 
 
 def bond_flows(system: ArraySystem, g: MomentMatrix) -> np.ndarray:

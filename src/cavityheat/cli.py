@@ -28,6 +28,7 @@ from . import chain, closedform, fockspace
 from .model import (
     ArraySystem,
     AtomSpec,
+    CurrentReport,
     PairGrid,
     ReservoirSpec,
     SolverError,
@@ -199,11 +200,12 @@ class _Params:
 
 
 def parse_config_file(path: Path) -> dict[str, str]:
-    """Flat key = value lines; '#' starts a comment."""
+    """Flat key = value lines, each key given once; '#' starts a comment."""
     raw: dict[str, str] = {}
     errors: list[str] = []
+    first_line: dict[str, int] = {}
     try:
-        text = path.read_text(encoding="utf-8")
+        text = path.read_text(encoding="utf-8").removeprefix("\ufeff")  # a byte-order mark is no part of a key
     except UnicodeDecodeError as exc:
         raise ValidationError([f"config: {path} is not UTF-8 text ({exc.reason} at byte {exc.start})"]) from exc
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -213,8 +215,10 @@ def parse_config_file(path: Path) -> dict[str, str]:
         if "=" not in stripped:
             errors.append(f"config: line {lineno} is not 'key = value': {line.strip()!r}")
             continue
-        key, _, value = stripped.partition("=")
-        raw[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in stripped.partition("="))
+        if first_line.setdefault(key, lineno) != lineno:
+            errors.append(f"config: key {key!r} is given twice, on lines {first_line[key]} and {lineno}")
+        raw[key] = value
     if errors:
         raise ValidationError(errors)
     return raw
@@ -336,7 +340,7 @@ def _solver_context(name: str, value) -> str:
     return f"solver failure at {name}={value}"
 
 
-def _moment_sweep(grid: PairGrid, name: str, values) -> tuple[closedform.CurrentReport, np.ndarray]:
+def _moment_sweep(grid: PairGrid, name: str, values) -> tuple[CurrentReport, np.ndarray]:
     """Currents (as arrays) and solver residual of every point of a grid, from
     one stack solve; ``values[k]`` names point k in a solver failure."""
     try:

@@ -12,27 +12,23 @@ Every expression is evaluated on arrays: a function that takes a
 ``TwoCavitySystem`` or a ``model.PairGrid`` runs the same code on the grid's
 arrays, and returns arrays for a grid and Python scalars for one pair. A
 sweep is therefore one evaluation over its whole grid (``model._stack``
-makes a pair a grid of one). The moment path and the Fock oracle end in
-``_report``: one balance rule and one ``CurrentReport`` for both.
+makes a pair a grid of one). The ``CurrentReport``, its classification and
+the first-failure rule of each domain check are ``model``'s, as every path's.
 """
 
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass, replace
 from typing import Union
 
 import numpy as np
 
-from .model import PairGrid, TwoCavitySystem, _stack, sector_weights
+from .model import (REGIME_CONDUCTING, REGIME_INSULATING, REGIME_REVERSED, CurrentReport, PairGrid, TwoCavitySystem,
+                    _alpha, _classification, _guard, _scalars, _stack, sector_weights)
 
 __all__ = [
-    "REGIME_CONDUCTING",
-    "REGIME_INSULATING",
-    "REGIME_REVERSED",
     "SteadyMoments",
-    "CurrentReport",
     "RectificationResult",
     "steady_moments",
     "current_general",
@@ -43,16 +39,9 @@ __all__ = [
     "rectification",
 ]
 
-REGIME_CONDUCTING = "conducting"
-REGIME_INSULATING = "insulating"
-REGIME_REVERSED = "reversed"
-
 # |alpha - 1| below this counts as the exactly-blocking setting; sweeps report
 # alpha itself so callers near the boundary can apply their own bands.
 INSULATING_ALPHA_TOL = 1e-12
-
-# |I_L| below this (in units of omega_left**2) tags a report as insulating.
-ZERO_CURRENT_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -67,29 +56,6 @@ class SteadyMoments:
     n_right: float
     delta_n: float  # n_left - n_right
     coherence: complex
-
-
-@dataclass(frozen=True)
-class CurrentReport:
-    """Steady-state currents and their decomposition; for a grid, each field
-    is an array over its points (``alpha`` and ``regime`` of dtype object).
-
-    ``i_left`` (``i_right``) is the energy flow from the left (right)
-    reservoir into the system; in steady state they sum to zero.
-    ``i_occupation`` is the contribution of the reservoir/cavity occupation
-    imbalance and ``i_coherence`` the contribution of the inter-cavity
-    coherence, normalised so that i_left = Gamma_L * (i_occupation -
-    i_coherence). ``alpha`` and ``regime`` are populated when the switch
-    classification applies (hot left reservoir; alpha additionally needs an
-    atom with chi > omega_right and sigma_z = +-1).
-    """
-
-    i_left: float | np.ndarray
-    i_right: float | np.ndarray
-    i_occupation: float | np.ndarray
-    i_coherence: float | np.ndarray
-    alpha: float | np.ndarray | None = None
-    regime: str | np.ndarray | None = None
 
 
 @dataclass(frozen=True)
@@ -110,22 +76,6 @@ class RectificationResult:
 
 
 Pairs = Union[TwoCavitySystem, PairGrid]
-
-
-def _scalars(system, *arrays) -> tuple:
-    """The arrays as they are for a grid; for one pair or chain, their one entry each, as a Python scalar."""
-    if isinstance(system, PairGrid):
-        return arrays
-    return tuple(np.asarray(values).tolist()[0] for values in arrays)
-
-
-def _require(p: PairGrid, ok: np.ndarray, message: str) -> None:
-    """Raise ValueError at the first point that fails ``ok``, with ``message``
-    formatted by that point's fields."""
-    failed = np.flatnonzero(~np.asarray(ok))
-    if failed.size:
-        k = failed[0]
-        raise ValueError(message.format(**{name: getattr(p, name)[k].item() for name in p.__dataclass_fields__}))
 
 
 def _lorentzian_denominator(p: PairGrid) -> np.ndarray:
@@ -173,40 +123,6 @@ def _definite_moments(p: PairGrid, sz) -> tuple[np.ndarray, np.ndarray, np.ndarr
     delta = gl * gr * (nl - nr) / den
     coherence = -p.coupling * (chi * sz + dc + 1j * g) / (chi**2 - dc**2 + g**2 - 2j * g * dc) * delta
     return occ_left, occ_right, delta, coherence
-
-
-def _alpha(p: PairGrid) -> np.ndarray:
-    """The switch parameter alpha = (Gamma_R / Gamma_L) / ((chi - omega_R) / omega_L)."""
-    with np.errstate(divide="ignore", invalid="ignore"):
-        return (p.right_rate / p.left_rate) / ((p.chi - p.omega_right) / p.omega_left)
-
-
-def _classification(p: PairGrid, i_left: np.ndarray) -> tuple:
-    """Regime tag of each point of a grid from the sign of its current, and
-    alpha where it is defined, as object arrays; both are None where the left
-    reservoir is not the hotter one, where the tag has no meaning."""
-    sign_tag = np.where(i_left > 0, REGIME_CONDUCTING, REGIME_REVERSED)
-    tag = np.where(np.abs(i_left) < ZERO_CURRENT_TOL * p.omega_left**2, REGIME_INSULATING, sign_tag)
-    hot = p.left_occupation > p.right_occupation
-    definite = (p.sigma_z == 1.0) | (p.sigma_z == -1.0)
-    alpha = np.where(hot & p.atom & definite & (p.chi > p.omega_right), _alpha(p), None)
-    return alpha, np.where(hot, tag, None)
-
-
-def _report(stack, i_left, i_right, i_occupation, i_coherence, state: str, stacklevel: int) -> CurrentReport:
-    """The CurrentReport (M,) of the moment path and the oracle, over a grid of
-    pairs (classified by ``_classification``) or one chain (``alpha`` and
-    ``regime`` None). A steady ``state`` conserves energy: unless
-    |I_L + I_R| <= 1e-10 max(|I_L|, omega_L^2) (a NaN fails), it warns
-    ``stacklevel`` frames above its caller, naming the first failing system."""
-    omega_left = stack.omega_left if isinstance(stack, PairGrid) else stack.omega
-    imbalance = np.abs(i_left + i_right)
-    bad = np.flatnonzero(~(imbalance <= 1e-10 * np.maximum(np.abs(i_left), np.square(omega_left))))
-    if bad.size:
-        warnings.warn(f"boundary currents do not balance (|I_L + I_R| = {imbalance[bad[0]]:.3e} for system "
-                      f"{bad[0]}); the {state} is not a steady state", stacklevel=stacklevel + 1)
-    alpha, regime = _classification(stack, i_left) if isinstance(stack, PairGrid) else (np.full(1, None),) * 2
-    return CurrentReport(i_left, i_right, i_occupation, i_coherence, alpha, regime)
 
 
 def current_general(system: Pairs) -> CurrentReport:
@@ -266,14 +182,14 @@ def classify_regime(system: Pairs) -> tuple:
     conducts.
     """
     p = _stack(system)
-    _require(p, p.atom, "switch classification requires an atom")
-    _require(p, (p.sigma_z == 1.0) | (p.sigma_z == -1.0),
-             "switch classification is defined at sigma_z = +-1 (got {sigma_z})")
-    _require(p, p.left_occupation > p.right_occupation,
-             "switch classification assumes the left reservoir is hotter (nbar_L > nbar_R)")
-    _require(p, p.chi > p.omega_right,
-             "switching analysis assumes the dispersive shift exceeds the right-cavity "
-             "frequency (chi > omega_right, got chi={chi}, omega_right={omega_right})")
+    _guard(p.atom, "switch classification requires an atom", ValueError)
+    _guard((p.sigma_z == 1.0) | (p.sigma_z == -1.0),
+           "switch classification is defined at sigma_z = +-1 (got {sigma_z})", ValueError, sigma_z=p.sigma_z)
+    _guard(p.left_occupation > p.right_occupation,
+           "switch classification assumes the left reservoir is hotter (nbar_L > nbar_R)", ValueError)
+    _guard(p.chi > p.omega_right, "switching analysis assumes the dispersive shift exceeds the right-cavity "
+           "frequency (chi > omega_right, got chi={chi}, omega_right={omega_right})", ValueError,
+           chi=p.chi, omega_right=p.omega_right)
     alpha = _alpha(p)
     ground = np.where(np.abs(alpha - 1.0) < INSULATING_ALPHA_TOL, REGIME_INSULATING,
                       np.where(alpha > 1.0, REGIME_CONDUCTING, REGIME_REVERSED))
@@ -300,8 +216,9 @@ def rectification(system: Pairs) -> RectificationResult:
     r = omega_L Gamma_L + Gamma_R (omega_R - chi), so the ratio is f/r.
     """
     p = _stack(system)
-    _require(p, p.atom, "rectification requires an atom")
-    _require(p, p.sigma_z == -1.0, "rectification takes the atom in its ground state (sigma_z = -1, got {sigma_z})")
+    _guard(p.atom, "rectification requires an atom", ValueError)
+    _guard(p.sigma_z == -1.0, "rectification takes the atom in its ground state (sigma_z = -1, got {sigma_z})",
+           ValueError, sigma_z=p.sigma_z)
     swapped = replace(p, left_rate=p.right_rate, left_occupation=p.right_occupation,
                       right_rate=p.left_rate, right_occupation=p.left_occupation)
     forward, reverse = _definite_current(p, -1.0)[0], _definite_current(swapped, -1.0)[0]

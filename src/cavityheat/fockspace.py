@@ -32,7 +32,7 @@ they lose. The result is then checked against the full Lindblad equation
 -i[H_s, rho] + sum_c rate D[c] rho, evaluated on the whole of rho, not on
 the solved blocks, and for positivity, by the moment path's rules
 (``model._check_steady``), and its currents end in the moment path's report
-and balance rule (``closedform._report``).
+and balance rule (``model._report``).
 """
 
 from __future__ import annotations
@@ -43,9 +43,8 @@ from typing import Union
 
 import numpy as np
 
-from .closedform import CurrentReport, _report, _scalars
-from .model import (ArraySystem, SolverError, TwoCavitySystem, ValidationError, _Sites, _backward_error,
-                    _check_steady, _is_integer, _sites, _stack, atomic_sectors)
+from .model import (ArraySystem, CurrentReport, SolverError, TwoCavitySystem, ValidationError, _Sites,
+                    _backward_error, _check_steady, _is_integer, _report, _sites, _stack, atomic_sectors)
 
 __all__ = [
     "FockConfig",
@@ -461,15 +460,20 @@ def _lindblad_rhs(h, channels, rho: np.ndarray) -> np.ndarray:
     return rhs
 
 
-def _lindblad_backward_error(h, channels, rho: np.ndarray) -> float:
-    """``model._backward_error`` of rho in L(rho) = -i[H, rho] + sum_c rate D[c] rho:
-    its terms have norms of at most 2 ||H|| ||rho||, rate ||c||^2 ||rho|| and
-    rate ||c^dagger c|| ||rho||, so ||H|| + sum_c rate (||c||^2 + ||c^dagger c||)/2
-    takes the place of ||A||, with no drive. The Frobenius norms are read from
-    the gathers: those of H have distinct columns, and c^dagger c is diagonal."""
-    size = math.sqrt(sum(np.dot(w, w) for _, w in h)) + 0.5 * sum(
+def _lindblad_norm(h, channels) -> float:
+    """||L|| of L(rho) = -i[H, rho] + sum_c rate D[c] rho: its terms have norms of
+    at most 2 ||H|| ||rho||, rate ||c||^2 ||rho|| and rate ||c^dagger c|| ||rho||,
+    so ||H|| + sum_c rate (||c||^2 + ||c^dagger c||)/2 takes the place of ||A||,
+    with no drive. The Frobenius norms are read from the gathers: those of H
+    have distinct columns, and c^dagger c is diagonal."""
+    return math.sqrt(sum(np.dot(w, w) for _, w in h)) + 0.5 * sum(
         rate * (np.dot(c[1], c[1]) + np.linalg.norm(_squared(c))) for c, _, rate in channels)
-    return float(_backward_error(np.linalg.norm(_lindblad_rhs(h, channels, rho)), size, np.linalg.norm(rho), 0.0))
+
+
+def _lindblad_backward_error(h, channels, rho: np.ndarray) -> float:
+    """``model._backward_error`` of rho in L(rho) = 0, with ||L|| of ``_lindblad_norm``."""
+    norm = _lindblad_norm(h, channels)
+    return float(_backward_error(np.linalg.norm(_lindblad_rhs(h, channels, rho)), norm, np.linalg.norm(rho), 0.0))
 
 
 def _sector_steady(h, channels, structure: _BlockStructure):
@@ -570,8 +574,9 @@ def oracle_currents(system: Union[TwoCavitySystem, ArraySystem], rho: DensityMat
     Tr(D^dagger[H_s] rho_s). ``i_occupation`` and ``i_coherence`` are the
     terms at site 1 in the form of ``chain._currents``: the occupation term
     carries the atom shift x_1 (sz nbar_1 - <n_1 sz>), which is 0 unless the
-    atom sits on site 1. A pair carries ``alpha`` and ``regime`` from the
-    switch classification, a chain None."""
+    atom sits on site 1. Returned through ``model._report``, whose balance floor bounds
+    the flows' sum in sector s, Tr(H_s L(rho_s)) as -i[H_s, rho_s] conserves H_s, by
+    ||H_s|| ||L(rho_s)|| <= 2 ||L||^2 ||rho_s|| eta, eta the backward error ``rho.residual``."""
     levels, stack = rho.n_max + 1, _stack(system)
     sites = _sites(stack)
     if ([(weight, sign) for weight, sign, _ in rho.sectors] != atomic_sectors(system)
@@ -581,21 +586,22 @@ def oracle_currents(system: Union[TwoCavitySystem, ArraySystem], rho: DensityMat
     channels = _channels(sites, levels)
     n_first = [(np.arange(levels ** unit.shape[0]), _squared(_ladder(levels, unit[0])))]
     coherence_op = [_ladder(levels, unit[1] - unit[0])]  # a_1^dagger a_2
-    i_left = i_right = occ_first = sz_occ_first = coherence = 0.0
+    i_left = i_right = scale = floor = occ_first = sz_occ_first = coherence = 0.0
     for weight, sign, state in rho.sectors:
         h = _sector_hamiltonian(sites, levels, sign)
         flows = [rate * _expectation(_adjoint_dissipator(h, c, c_dagger), state) for c, c_dagger, rate in channels]
         i_left += weight * (flows[0] + flows[1])
         i_right += weight * (flows[2] + flows[3])
+        scale += weight * sum(map(abs, flows))
+        floor += weight * 2.0 * _lindblad_norm(h, channels) ** 2 * np.linalg.norm(state) * rho.residual
         occupation = _expectation(n_first, state)
         occ_first += weight * occupation
         sz_occ_first += sign * weight * occupation
         coherence += weight * _expectation(coherence_op, state)
     omega, x, nbar = sites.onsite[:, 0], sites.shift[:, 0], sites.nbar[:, 0]
     i_occ = (nbar - occ_first) * omega + x * (sites.sigma_z * nbar - sz_occ_first)
-    report = _report(stack, np.array([i_left]), np.array([i_right]), i_occ, sites.coupling * coherence,
-                     "density matrix", stacklevel=2)
-    return CurrentReport(*_scalars(system, *vars(report).values()))
+    return _report(system, stack, np.array([i_left]), np.array([i_right]), i_occ, sites.coupling * coherence,
+                   np.array([scale]), "density matrix", stacklevel=2, floor=floor)
 
 
 def _finite_mode(rho_mode) -> np.ndarray:

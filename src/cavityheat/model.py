@@ -19,13 +19,16 @@ path reads a pair, a grid or a chain as one statement of the model, its
 site vectors (``_sites``): the moment solves and the Fock oracle alike. Every
 steady solve, moment or Fock oracle, passes ``_check_steady``, which alone
 holds it to ``POSITIVITY_TOL`` and ``RESIDUAL_TOL``, relative bounds that
-hold in any units.
+hold in any units. ``closedform``, ``chain`` and ``fockspace`` import this
+module alone: it states every path's ``CurrentReport``, switch classification
+and balance rule (``_report``), and the first-failure rule of every check (``_guard``).
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import warnings
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple, Sequence, Union
 
@@ -34,6 +37,10 @@ import numpy as np
 __all__ = [
     "ValidationError",
     "SolverError",
+    "REGIME_CONDUCTING",
+    "REGIME_INSULATING",
+    "REGIME_REVERSED",
+    "CurrentReport",
     "bose_occupation",
     "ReservoirSpec",
     "AtomSpec",
@@ -83,13 +90,14 @@ def _backward_error(residual, norm_a, norm_c, norm_q):
     return np.divide(residual, denominator, out=np.array(residual, dtype=float), where=denominator > 0)
 
 
-def _guard(ok: np.ndarray, values: np.ndarray, message: str) -> None:
-    """Raise SolverError, with its index, for the first entry of a stack that fails a check."""
-    failed = np.flatnonzero(~ok)
+def _guard(ok: np.ndarray, message: str, error: type = SolverError, **values: np.ndarray) -> None:
+    """Raise ``error`` with ``index`` at the first entry failing ``ok``, ``message`` formatted by ``values`` there."""
+    failed = np.flatnonzero(~np.asarray(ok))
     if failed.size:
-        error = SolverError(message.format(values[failed[0]]))
-        error.index = int(failed[0])
-        raise error
+        k = int(failed[0])
+        exc = error(message.format(index=k, **{name: np.asarray(v)[k].item() for name, v in values.items()}))
+        exc.index = k
+        raise exc
 
 
 def _check_steady(eigenvalues: np.ndarray, residual: np.ndarray, state: str) -> np.ndarray:
@@ -100,9 +108,81 @@ def _check_steady(eigenvalues: np.ndarray, residual: np.ndarray, state: str) -> 
     names the ``state``."""
     scale = np.max(np.abs(eigenvalues), axis=1)
     margin = np.divide(np.min(eigenvalues, axis=1), scale, out=np.zeros(len(scale)), where=scale > 0)
-    _guard(margin >= -POSITIVITY_TOL, margin, f"{state} is not positive semidefinite (relative eigenvalue {{:.3e}})")
-    _guard(residual <= RESIDUAL_TOL, residual, f"sector steady-state residual {{:.3e}} exceeds {RESIDUAL_TOL}")
+    _guard(margin >= -POSITIVITY_TOL, f"{state} is not positive semidefinite (relative eigenvalue {{margin:.3e}})",
+           margin=margin)
+    _guard(residual <= RESIDUAL_TOL, f"sector steady-state residual {{residual:.3e}} exceeds {RESIDUAL_TOL}",
+           residual=residual)
     return margin
+
+
+REGIME_CONDUCTING = "conducting"
+REGIME_INSULATING = "insulating"
+REGIME_REVERSED = "reversed"
+
+# |I_L| below this (in units of omega_left**2) tags a report as insulating.
+ZERO_CURRENT_TOL = 1e-12
+
+
+@dataclass(frozen=True)
+class CurrentReport:
+    """Steady-state currents and their decomposition; for a grid, each field
+    is an array over its points (``alpha`` and ``regime`` of dtype object).
+
+    ``i_left`` (``i_right``) is the energy flow from the left (right)
+    reservoir into the system; in steady state they sum to zero.
+    ``i_occupation`` is the contribution of the reservoir/cavity occupation
+    imbalance and ``i_coherence`` the contribution of the inter-cavity
+    coherence, normalised so that i_left = Gamma_L * (i_occupation -
+    i_coherence). ``alpha`` and ``regime`` are populated when the switch
+    classification applies (hot left reservoir; alpha additionally needs an
+    atom with chi > omega_right and sigma_z = +-1).
+    """
+
+    i_left: float | np.ndarray
+    i_right: float | np.ndarray
+    i_occupation: float | np.ndarray
+    i_coherence: float | np.ndarray
+    alpha: float | np.ndarray | None = None
+    regime: str | np.ndarray | None = None
+
+
+def _scalars(system, *arrays) -> tuple:
+    """The arrays as they are for a grid; for one pair or chain, their one entry each, as a Python scalar."""
+    if isinstance(system, PairGrid):
+        return arrays
+    return tuple(np.asarray(values).tolist()[0] for values in arrays)
+
+
+def _alpha(p: PairGrid) -> np.ndarray:
+    """The switch parameter alpha = (Gamma_R / Gamma_L) / ((chi - omega_R) / omega_L)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (p.right_rate / p.left_rate) / ((p.chi - p.omega_right) / p.omega_left)
+
+
+def _classification(p: PairGrid, i_left: np.ndarray) -> tuple:
+    """Regime tag of each point of a grid from the sign of its current, and
+    alpha where it is defined, as object arrays; both are None where the left
+    reservoir is not the hotter one, where the tag has no meaning."""
+    sign_tag = np.where(i_left > 0, REGIME_CONDUCTING, REGIME_REVERSED)
+    tag = np.where(np.abs(i_left) < ZERO_CURRENT_TOL * p.omega_left**2, REGIME_INSULATING, sign_tag)
+    hot = p.left_occupation > p.right_occupation
+    definite = (p.sigma_z == 1.0) | (p.sigma_z == -1.0)
+    alpha = np.where(hot & p.atom & definite & (p.chi > p.omega_right), _alpha(p), None)
+    return alpha, np.where(hot, tag, None)
+
+
+def _report(system, stack, i_left, i_right, i_occupation, i_coherence, scale, state: str, stacklevel: int,
+            floor=0.0) -> CurrentReport:
+    """The CurrentReport of the (M,) currents of ``stack`` = ``_stack(system)``, scalars for one pair or chain;
+    pairs are classified. Unless |I_L + I_R| <= 1e-10 T + ``floor`` (a NaN fails), T the ``scale``, the summed
+    magnitudes of the terms of I_L and I_R, the ``state`` is not steady: it warns ``stacklevel`` frames up."""
+    imbalance = np.abs(i_left + i_right)
+    bad = np.flatnonzero(~(imbalance <= 1e-10 * scale + floor))
+    if bad.size:
+        warnings.warn(f"boundary currents do not balance (|I_L + I_R| = {imbalance[bad[0]]:.3e} for system "
+                      f"{bad[0]}); the {state} is not a steady state", stacklevel=stacklevel + 1)
+    alpha, regime = _classification(stack, i_left) if isinstance(stack, PairGrid) else (np.full(1, None),) * 2
+    return CurrentReport(*_scalars(system, i_left, i_right, i_occupation, i_coherence, alpha, regime))
 
 
 def bose_occupation(omega: float, temperature: float) -> float:
@@ -332,9 +412,8 @@ def sector_weights(sigma_z: np.ndarray, atom: np.ndarray) -> tuple[np.ndarray, n
     set; (1, 0) and (0, 0), one atom-free sector, where it is not. A
     ValueError names the first sigma_z outside [-1, 1] (NaN included) at a
     point with an atom."""
-    bad = np.flatnonzero(atom & ~_unit_interval(sigma_z))
-    if bad.size:
-        raise ValueError(f"sigma_z of point {bad[0]}, which has an atom, must lie in [-1, 1] (got {sigma_z[bad[0]]})")
+    _guard(~(atom & ~_unit_interval(sigma_z)), "sigma_z of point {index}, which has an atom, must lie in [-1, 1] "
+           "(got {sigma_z})", ValueError, sigma_z=sigma_z)
     atom = atom[:, None]
     sign = np.where(atom, [1.0, -1.0], 0.0)
     weight = np.where(atom, 0.5 * (1.0 + sign * sigma_z[:, None]), [1.0, 0.0])

@@ -128,7 +128,7 @@ def test_a_nan_current_is_reported_as_unbalanced():
     field = g.field_block.copy()
     field[0, 0] = np.nan
     with pytest.warns(UserWarning, match="not a steady state"):
-        report = chain._currents(system, chain._sites(system), field[None], g.sz_block[None])
+        report = chain._currents(system, system, chain._sites(system), field[None], g.sz_block[None])
     assert np.isnan(report.i_left).all()
 
 
@@ -474,6 +474,15 @@ def test_non_steady_chain_state_warns():
     g = replace(g, field_block=field)
     with pytest.warns(UserWarning, match="not a steady state"):
         boundary_currents(system, g)
+
+
+def test_a_tiny_imbalance_is_measured_against_the_terms_of_its_currents():
+    # I_L = I_R = 1e-12 at omega_L = 1 is a 100% imbalance: a balance floor of omega_L^2 let it pass
+    pair = TwoCavitySystem(1.0, 1.0, 0.01, ReservoirSpec(0.1, 0.0), ReservoirSpec(0.1, 0.0))
+    coherence = np.array([[0.0, -1e-9], [-1e-9, 0.0]], dtype=complex)
+    with pytest.warns(UserWarning, match="not a steady state"):
+        report = boundary_currents(pair, MomentMatrix(coherence, np.zeros((2, 2), dtype=complex)))
+    assert report.i_left == pytest.approx(1e-12, rel=1e-12) and report.i_right == pytest.approx(1e-12, rel=1e-12)
 
 
 def test_bond_flow_uniform_along_atom_free_chain():

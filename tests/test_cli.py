@@ -62,6 +62,48 @@ def test_a_config_that_is_not_utf8_exits_with_a_validation_error(tmp_path, capsy
     assert not out.exists()
 
 
+def write_config(path, text, prefix=b""):
+    path.write_bytes(prefix + text.encode("utf-8"))
+    return path
+
+
+GAMMA_SWEEP_CONFIG = "".join(f"{key} = {value}\n" for key, value in FIG2.items()) + (
+    "sweep_start = 0.03\nsweep_stop = 0.05\nsweep_step = 0.01\n")
+
+
+def test_a_config_with_a_byte_order_mark_reads_as_without_one(tmp_path, capsys):
+    # some editors save UTF-8 with a leading U+FEFF, which is no part of the first key
+    outputs = []
+    for name, prefix in (("plain", b""), ("bom", b"\xef\xbb\xbf")):
+        cfg = write_config(tmp_path / f"{name}.cfg", GAMMA_SWEEP_CONFIG, prefix)
+        out = tmp_path / f"{name}.csv"
+        assert main(["run", "--experiment", "gamma_sweep", "--config", str(cfg), "--out", str(out)]) == cli.EXIT_OK
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert capsys.readouterr().err == ""
+    # a byte that is not UTF-8 is named by its offset in the file, the mark counted
+    bad = tmp_path / "bad.cfg"
+    bad.write_bytes(b"\xef\xbb\xbfcoupling = 0.02\n\xff = 1\n")
+    argv = ["run", "--experiment", "gamma_sweep", "--config", str(bad), "--out", str(tmp_path / "bad.csv")]
+    assert main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: {bad} is not UTF-8 text (invalid start byte at byte 19)"]
+    assert not (tmp_path / "bad.csv").exists()
+
+
+def test_a_key_given_twice_in_a_config_exits_with_a_validation_error(tmp_path, capsys):
+    # the last value used to win silently; --set still overrides a key of the file
+    cfg = write_config(tmp_path / "twice.cfg", GAMMA_SWEEP_CONFIG + "coupling = 0.03\n")
+    out = tmp_path / "x.csv"
+    argv = ["run", "--experiment", "gamma_sweep", "--config", str(cfg), "--out", str(out)]
+    assert main(argv) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == ["error: config: key 'coupling' is given twice, on lines 1 and 11"]
+    assert not out.exists()
+    once = write_config(tmp_path / "once.cfg", GAMMA_SWEEP_CONFIG)
+    assert main(["run", "--experiment", "gamma_sweep", "--config", str(once), "--out", str(out),
+                 "--set", "coupling=0.03"]) == cli.EXIT_OK
+
+
 def test_unknown_keys_are_collected(tmp_path):
     params = dict(FIG2, typo_key="1", sweep_start="0.05", sweep_stop="0.08", sweep_step="0.01")
     with pytest.raises(ValidationError) as err:

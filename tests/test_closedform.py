@@ -5,9 +5,6 @@ import numpy as np
 import pytest
 
 from cavityheat.closedform import (
-    REGIME_CONDUCTING,
-    REGIME_INSULATING,
-    REGIME_REVERSED,
     classify_regime,
     current_general,
     current_pm,
@@ -17,7 +14,8 @@ from cavityheat.closedform import (
     steady_moments,
 )
 from cavityheat.chain import ballistic_current, boundary_currents, steady_state_matrix
-from cavityheat.model import ArraySystem, AtomSpec, PairGrid, ReservoirSpec, TwoCavitySystem
+from cavityheat.model import (REGIME_CONDUCTING, REGIME_INSULATING, REGIME_REVERSED, ArraySystem, AtomSpec, PairGrid,
+                             ReservoirSpec, TwoCavitySystem)
 
 
 def system_for(

@@ -61,7 +61,8 @@ def _names(tree: ast.AST) -> set[str]:
 
 
 def test_every_steady_solve_reads_the_one_statement_of_each_rule():
-    # the solve rules live in model._check_steady and the current report in closedform._report, for every path
+    # the solve rules live in model._check_steady, the current report in model._report and the
+    # first-failure rule in model._guard, for every path
     from cavityheat import chain, closedform, fockspace, model
 
     trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
@@ -70,13 +71,39 @@ def test_every_steady_solve_reads_the_one_statement_of_each_rule():
     compared = {stem for stem, tree in trees.items() for node in ast.walk(tree)
                 if isinstance(node, ast.Compare) and _names(node) & tolerances}
     assert compared == {"model"}
+    shared = {"_check_steady", "_guard", "_report", "_classification", "CurrentReport"}
+    for name in shared:
+        assert getattr(model, name).__module__ == "cavityheat.model", name
     for module in (chain, fockspace):
         assert _names(trees[module.__name__.rsplit(".", 1)[-1]]).isdisjoint(
             tolerances | {"_check_balance", "_classification"}), module.__name__
-        assert module._check_steady is model._check_steady and module._report is closedform._report
-    assert not hasattr(closedform, "_points")
+        assert module._check_steady is model._check_steady and module._report is model._report
+    for stem in ("closedform", "chain", "fockspace"):
+        defined = {node.name for node in trees[stem].body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+        assert defined.isdisjoint(shared), stem
+    assert not hasattr(closedform, "_points") and not hasattr(closedform, "_require")
     assert _names(trees["moments"]).isdisjoint({"_mixture", "_currents", "_pair_exponents"})
     assert "moments" not in _names(trees["cli"])
+
+
+def _package_imports(tree: ast.AST) -> set[str]:
+    """The modules of the package that a module imports: relative imports by
+    name, absolute ones as ``cavityheat...``."""
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            modules |= {node.module} if node.module else {alias.name for alias in node.names}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [node.module] if isinstance(node, ast.ImportFrom) else [alias.name for alias in node.names]
+            modules |= {name for name in names if name.split(".")[0] == "cavityheat"}
+    return modules
+
+
+@pytest.mark.parametrize("path", ["closedform", "chain", "fockspace"])
+def test_the_three_paths_are_siblings_over_the_model(path):
+    # a change to one path cannot reach another: each reads the package's model alone
+    tree = ast.parse((Path(cavityheat.__file__).parent / f"{path}.py").read_text(encoding="utf-8"))
+    assert _package_imports(tree) == {"model"}
 
 
 # Runs in a fresh interpreter: a star import binds every name of __all__.

@@ -305,6 +305,16 @@ def test_sector_weights_reject_a_sigma_z_outside_the_unit_interval(sigma_z):
         sector_weights(np.array([0.5, sigma_z]), np.array([True, True]))
 
 
+def test_sector_weights_read_an_integer_atom_mask_as_a_boolean_one():
+    # a 0/1 mask refuses the same points as a boolean one, and weighs the sectors the same
+    message = "sigma_z of point 1, which has an atom, must lie in [-1, 1] (got 2.0)"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        sector_weights(np.array([2.0, 2.0]), np.array([0, 1]))
+    sigma_z = np.array([2.0, 0.5])
+    for got, want in zip(sector_weights(sigma_z, np.array([0, 1])), sector_weights(sigma_z, np.array([False, True]))):
+        assert np.array_equal(got, want)
+
+
 def test_a_two_dimensional_grid_and_an_unknown_system_type_are_refused():
     with pytest.raises(ValueError) as err:
         PairGrid.sweep(two_cavity(), chi=[[0.0, 0.1, 0.2], [0.3, 0.4, 0.5]])

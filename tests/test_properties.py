@@ -28,13 +28,13 @@ from cavityheat.chain import (  # noqa: E402
     _mixture, _pair_exponents, _pair_spectrum, _sector_equations, _sites, boundary_currents,
     sector_covariances, size_scan, steady_state_matrix, sweep_currents,
 )
-from cavityheat.closedform import ZERO_CURRENT_TOL, current_general, current_pm, rectification  # noqa: E402
+from cavityheat.closedform import current_general, current_pm, rectification  # noqa: E402
 from cavityheat.fockspace import (  # noqa: E402
     FockConfig, converged_steady_rho, oracle_currents, steady_rho, thermal_fidelity, thermal_state,
 )
 from cavityheat.model import (  # noqa: E402
-    RESIDUAL_TOL, ArraySystem, AtomSpec, PairGrid, ReservoirSpec, SolverError, TwoCavitySystem, ValidationError,
-    bose_occupation, sector_weights,
+    RESIDUAL_TOL, ZERO_CURRENT_TOL, ArraySystem, AtomSpec, PairGrid, ReservoirSpec, SolverError, TwoCavitySystem,
+    ValidationError, bose_occupation, sector_weights,
 )
 from cavityheat.moments import evolve  # noqa: E402
 
@@ -397,6 +397,15 @@ def test_oracle_currents_balance(system, n_max):
     scale = (system.left.rate * system.omega_left * (system.left.mean_occupation + 1.0)
              + system.right.rate * system.omega_right * (system.right.mean_occupation + 1.0))
     assert abs(report.i_left + report.i_right) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("rate, n_max", [(1e-7, 12), (1e-7, 20), (1e-9, 20)])
+def test_oracle_currents_of_a_high_q_pair_balance(rate, n_max):
+    # flows of size Gamma against omega = 1: a solve's error leaves |I_L + I_R| near 3e-17, above 1e-10 of the
+    # flows' magnitudes, and the state's backward error bounds it, so no warning is raised
+    system = TwoCavitySystem(1.0, 1.0, 0.01, ReservoirSpec(rate, 0.5), ReservoirSpec(rate, 0.0), AtomSpec(0.05, 1.0))
+    report = oracle_currents(system, steady_rho(system, FockConfig(n_max=n_max, tail_bound=1e-3)))
+    assert report.i_left == pytest.approx(boundary_currents(system, steady_state_matrix(system)).i_left, rel=1e-3)
 
 
 def in_units(system: TwoCavitySystem, scale: float) -> TwoCavitySystem:
