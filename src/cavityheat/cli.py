@@ -2,7 +2,9 @@
 CSV/JSON emission.
 
 Every physical quantity is entered as a ratio to the reference frequency
-(the left-cavity frequency, or the common frequency of an array). Output
+(the left-cavity frequency, or the common frequency of an array). A config
+gives each key once per source, its file or ``--set`` (which overrides the
+file), and each key given is read by the experiment or refused. Output
 rows carry a fixed column set; quantities a given experiment does not
 produce are emitted as empty fields so downstream parsing stays stable.
 
@@ -19,7 +21,7 @@ import json
 import math
 import sys
 from collections.abc import Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,15 +66,6 @@ COLUMNS = (
 )
 
 
-def _parse_bool(text: str) -> bool:
-    lowered = text.strip().lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ValueError(text)
-
-
 def _parse_numbers(text: str) -> list[float]:
     return [float(part) for part in text.split(",") if part.strip()]
 
@@ -86,7 +79,6 @@ _KEYS = {
     "omega_right": _NUMBER,
     "omega": _NUMBER,
     "coupling": _NUMBER,
-    "atom": (_parse_bool, "true/false"),
     "chi": _NUMBER,
     "sigma_z": _NUMBER,
     "gamma_left": _NUMBER,
@@ -171,10 +163,12 @@ class _Params:
 
     Unknown keys, then malformed values, are collected in ``errors`` when it
     is built; a malformed key reads as absent but does not count as missing.
+    ``finish`` refuses, last, each well-formed key not read by ``get`` or ``has``.
     """
 
     def __init__(self, raw: dict[str, str]):
         self.errors = [f"config: unknown key {key!r}" for key in sorted(set(raw) - set(_KEYS))]
+        self.read: set[str] = set()
         self.values: dict[str, object] = {}  # a malformed value is held as None
         for key, (parse, kind) in _KEYS.items():
             if key in raw:
@@ -186,15 +180,19 @@ class _Params:
 
     def get(self, key, default=None, required=False):
         """The parsed value of a key, or ``default`` when it is absent or malformed."""
+        self.read.add(key)
         if required and key not in self.values:
             self.errors.append(f"config: missing required key {key!r}")
         value = self.values.get(key)
         return default if value is None else value
 
     def has(self, key) -> bool:
+        self.read.add(key)
         return key in self.values
 
     def finish(self):
+        self.errors += [f"config: key {key!r} is not read by this experiment"
+                        for key, value in self.values.items() if value is not None and key not in self.read]
         if self.errors:
             raise ValidationError(self.errors)
 
@@ -243,18 +241,18 @@ def _reservoir(p: _Params, side: str, frequency: float) -> ReservoirSpec:
     return ReservoirSpec(rate=rate, mean_occupation=occupation)
 
 
-def _atom(p: _Params) -> AtomSpec | None:
-    present = p.get("atom", default=p.has("chi") or p.has("sigma_z"))
-    if not present:
+def _atom(p: _Params, host_index: int = AtomSpec.host_index) -> AtomSpec | None:
+    """The atom on site ``host_index``, present exactly when ``chi`` or ``sigma_z`` is given."""
+    if not (p.has("chi") or p.has("sigma_z")):
         return None
-    return AtomSpec(dispersive_strength=p.get("chi", required=True), sigma_z=p.get("sigma_z", required=True))
+    return AtomSpec(p.get("chi", required=True), p.get("sigma_z", required=True), host_index)
 
 
 def _two_cavity(p: _Params) -> TwoCavitySystem:
     """The pair of the config. A system checks itself when it is built, so the
-    config errors collected so far are raised first. Malformed values are all
-    collected when the config is parsed, but a missing key or a domain error is
-    found only when its key is read: read every other key before this call."""
+    config errors collected so far, and each key given but not yet read, are
+    raised first. A missing key or a domain error is found only when its key is
+    read, so every other key must be read before this call."""
     omega_left = p.get("omega_left", default=1.0)
     omega_right = p.get("omega_right", default=omega_left)
     coupling = p.get("coupling", required=True)
@@ -266,13 +264,11 @@ def _two_cavity(p: _Params) -> TwoCavitySystem:
 
 def _array(p: _Params, n_sites: int | None = None) -> ArraySystem:
     """The chain of the config, built after the config errors are raised; as in
-    ``_two_cavity``, read every other key before this call."""
+    ``_two_cavity``, every other key must be read before this call."""
     omega = p.get("omega", default=1.0)
     if n_sites is None:
         n_sites = p.get("n_sites", required=True)
-    atom = _atom(p)
-    if atom is not None:
-        atom = replace(atom, host_index=n_sites)
+    atom = _atom(p, host_index=n_sites)
     coupling = p.get("coupling", required=True)
     left, right = _reservoir(p, "left", omega), _reservoir(p, "right", omega)
     p.finish()
@@ -617,14 +613,17 @@ def _build_spec(args: argparse.Namespace) -> SweepSpec:
     params: dict[str, str] = {}
     if args.config is not None:
         params.update(parse_config_file(Path(args.config)))
+    overrides: dict[str, str] = {}
     for item in args.set or []:
         if "=" not in item:
             raise ValidationError([f"config: --set expects key=value, got {item!r}"])
-        key, _, value = item.partition("=")
-        params[key.strip()] = value.strip()
+        key, _, value = (part.strip() for part in item.partition("="))
+        if key in overrides:
+            raise ValidationError([f"config: --set gives key {key!r} twice, as {overrides[key]!r} and {value!r}"])
+        overrides[key] = value
     return SweepSpec(
         experiment=args.experiment,
-        params=params,
+        params=params | overrides,
         output=Path(args.out),
         fmt=args.format,
     )

@@ -515,7 +515,6 @@ def test_temperature_entry_is_converted(tmp_path):
         "gamma_right": "0.064",
         "temp_left": "1.0",
         "nbar_right": "0.0",
-        "atom": "false",
         "sweep_start": "0.05",
         "sweep_stop": "0.07",
         "sweep_step": "0.01",
@@ -683,8 +682,7 @@ SWEEP_BOUNDS = {k: SWEEP[k] for k in ("sweep_start", "sweep_stop", "sweep_step")
 
 @pytest.mark.parametrize(
     "experiment, params, extra, message",
-    [("gamma_sweep", dict(SWEEP, atom="maybe"), [], "config: key 'atom' expects true/false, got 'maybe'"),
-     ("gamma_sweep", dict(SWEEP, sweep_start="inf"), [], "config: sweep bounds must be finite"),
+    [("gamma_sweep", dict(SWEEP, sweep_start="inf"), [], "config: sweep bounds must be finite"),
      ("chi_sweep", dict(ATOM_FREE, **SWEEP_BOUNDS), [], "config: chi sweeps need an atom (set chi and sigma_z)"),
      ("size_scan", dict(FIG2, n_start="5", n_stop="3"), [], "config: n_stop must be at least n_start (got 5..3)"),
      ("regime_table", ATOM_FREE, [], "config: the regime table needs an atom (set chi and sigma_z)"),
@@ -694,9 +692,19 @@ SWEEP_BOUNDS = {k: SWEEP[k] for k in ("sweep_start", "sweep_stop", "sweep_step")
      ("gamma_sweep", dict(SWEEP, sweep_start="0", sweep_stop="1", sweep_step="1e-300"), [],
       "config: sweep has more points than an array can hold ((stop - start) / step = 1e+300)"),
      ("gamma_sweep", dict(SWEEP, sweep_start="-1e308", sweep_stop="1e308", sweep_step="1"), [],
-      "config: sweep has more points than an array can hold ((stop - start) / step = inf)")],
-    ids=["atom-flag", "infinite-bound", "chi-sweep-without-atom", "n-stop-below-n-start", "regime-table-without-atom",
-         "regime-table-chi-below-omega", "set-without-value", "count-beyond-intp", "count-infinite"],
+      "config: sweep has more points than an array can hold ((stop - start) / step = inf)"),
+     # a well-formed key the experiment does not read
+     ("profile", dict(FIG2, n_sites="4", omega_right="1.3"), [], "config: key 'omega_right' is not read by this experiment"),
+     ("gamma_sweep", dict(SWEEP, fock_n_max="12"), [], "config: key 'fock_n_max' is not read by this experiment"),
+     ("gamma_sweep", dict(SWEEP, n_sites="3"), [], "config: key 'n_sites' is not read by this experiment"),
+     ("size_scan", dict(FIG2, n_stop="4", n_sites="3"), [], "config: key 'n_sites' is not read by this experiment"),
+     # the atom is set by chi and sigma_z alone; there is no switch to drop them
+     ("gamma_sweep", dict(SWEEP, atom="false"), [], "config: unknown key 'atom'"),
+     ("gamma_sweep", SWEEP, ["coupling=0.03"], "config: --set gives key 'coupling' twice, as '0.02' and '0.03'")],
+    ids=["infinite-bound", "chi-sweep-without-atom", "n-stop-below-n-start", "regime-table-without-atom",
+         "regime-table-chi-below-omega", "set-without-value", "count-beyond-intp", "count-infinite",
+         "profile-omega-right", "gamma-sweep-fock-n-max", "gamma-sweep-n-sites", "size-scan-n-sites",
+         "atom-false-beside-chi", "set-twice"],
 )
 def test_a_config_rejection_prints_one_line_and_writes_nothing(tmp_path, capsys, experiment, params, extra, message):
     argv = ["run", "--experiment", experiment, "--out", str(tmp_path / "out.csv")]
@@ -714,10 +722,42 @@ def test_a_spec_in_an_unknown_output_format_is_refused(tmp_path):
     assert err.value.errors == ["config: unknown output format 'xml'"]
 
 
-def test_the_atom_flag_reads_yes_as_true(tmp_path):
-    assert run_main("gamma_sweep", tmp_path, dict(SWEEP, atom="yes")) == cli.EXIT_OK
-    _, rows = read_csv(tmp_path / "out.csv")
-    assert {row["sigma_z"] for row in rows} == {"1"}
+@pytest.mark.parametrize(
+    "experiment, params, unread",
+    [("gamma_sweep", SWEEP, "omega"),
+     ("chi_sweep", SWEEP, "n_start"),
+     ("current_decomposition", SWEEP, "alpha_values"),
+     ("rectification_sweep", dict(SWEEP, sigma_z="-1"), "fock_max_dim"),
+     ("size_scan", dict(FIG2, n_stop="4"), "omega_left"),
+     ("profile", dict(FIG2, n_sites="4"), "sweep_step"),
+     ("regime_table", dict(FIG2, omega_right="0.8", chi="1.1", gamma_left="0.1"), "tol_moments_fock"),
+     ("oracle_crosscheck", dict(FIG2, nbar_left="0.01", fock_n_max="6"), "n_stop")],
+    ids=["gamma_sweep", "chi_sweep", "current_decomposition", "rectification_sweep", "size_scan", "profile",
+         "regime_table", "oracle_crosscheck"],
+)
+def test_every_experiment_refuses_a_key_it_does_not_read(tmp_path, capsys, experiment, params, unread):
+    # the config runs as it is, and fails with the one key added
+    assert run_main(experiment, tmp_path, params) == cli.EXIT_OK
+    (tmp_path / "out.csv").unlink()
+    capsys.readouterr()
+    assert run_main(experiment, tmp_path, dict(params, **{unread: "2"})) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: config: key {unread!r} is not read by this experiment"]
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_a_key_not_read_is_named_after_every_other_config_error(tmp_path, capsys):
+    params = {key: value for key, value in dict(SWEEP, coupling="abc", typo="1", n_sites="x", fock_n_max="12").items()
+              if key != "sweep_step"}
+    assert run_main("gamma_sweep", tmp_path, params) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.splitlines() == [
+        "error: config: unknown key 'typo'",
+        "error: config: key 'coupling' expects a number, got 'abc'",
+        "error: config: key 'n_sites' expects an integer, got 'x'",
+        "error: config: missing required key 'sweep_step'",
+        "error: config: key 'fock_n_max' is not read by this experiment",
+    ]
+    assert not (tmp_path / "out.csv").exists()
 
 
 @pytest.mark.parametrize("value", ["nan", "-1", "inf"])
