@@ -124,38 +124,29 @@ class SweepSpec:
             raise ValidationError([f"config: unknown output format {self.fmt!r}"])
 
 
+# the compared pairs of paths: (path, path, the config key of the pair's tolerance, its default)
+_PAIRS = (
+    ("closedform", "moments", "tol_closedform_moments", 1e-10),
+    ("moments", "fock", "tol_moments_fock", 1e-6),
+    ("closedform", "fock", "tol_moments_fock", 1e-6),
+)
+
+
 @dataclass(frozen=True)
 class CrosscheckReport:
-    """Currents from the three computational paths and their pairwise deviations.
+    """The left current of each path, and the (deviation, tolerance) of each
+    pair of ``_PAIRS``, keyed by its two paths, in the table's order.
 
     The closed-form and moment paths must agree to solver precision; pairs
     involving the Fock oracle carry the (looser) truncation tolerance.
     """
 
-    closedform_current: float
-    moments_current: float
-    fock_current: float
-    deviation_closedform_moments: float
-    deviation_moments_fock: float
-    deviation_closedform_fock: float
-    tolerance_closedform_moments: float
-    tolerance_moments_fock: float
-
-    @property
-    def max_deviation(self) -> float:
-        return max(
-            self.deviation_closedform_moments,
-            self.deviation_moments_fock,
-            self.deviation_closedform_fock,
-        )
+    currents: dict[str, float]
+    deviations: dict[tuple[str, str], tuple[float, float]]
 
     @property
     def passed(self) -> bool:
-        return (
-            self.deviation_closedform_moments <= self.tolerance_closedform_moments
-            and self.deviation_moments_fock <= self.tolerance_moments_fock
-            and self.deviation_closedform_fock <= self.tolerance_moments_fock
-        )
+        return all(deviation <= tolerance for deviation, tolerance in self.deviations.values())
 
 
 class _Params:
@@ -449,7 +440,7 @@ def _regime_table(spec: SweepSpec) -> Rows:
                 i_coherence=report.i_coherence, residual=residual)
 
 
-def _relative_deviation(a: float, b: float, floor: float = 0.0) -> float:
+def _relative_deviation(a: float, b: float, floor: float) -> float:
     """Relative gap between two currents.
 
     Both magnitudes below ``floor`` count as agreement: near a blocking
@@ -463,7 +454,8 @@ def _relative_deviation(a: float, b: float, floor: float = 0.0) -> float:
 
 
 def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, Rows]:
-    """Run the closed-form, moment, and Fock paths on one point."""
+    """Run the closed-form, moment and Fock paths on one point, in that order,
+    and compare each pair of ``_PAIRS``; returns the report and one row per path."""
     p = _Params(spec.params)
     default = fockspace.FockConfig()
     cfg = fockspace.FockConfig(
@@ -471,46 +463,32 @@ def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, Rows]:
         tail_bound=p.get("fock_tail_bound", default=default.tail_bound),
         max_vectorized_dim=p.get("fock_max_dim", default=default.max_vectorized_dim),
     )
-    tol_cm = p.get("tol_closedform_moments", default=1e-10)
-    tol_mf = p.get("tol_moments_fock", default=1e-6)
-    for key, tol in (("tol_closedform_moments", tol_cm), ("tol_moments_fock", tol_mf)):
+    tolerances = {key: p.get(key, default=tol) for _, _, key, tol in _PAIRS}
+    for key, tol in tolerances.items():
         if not (math.isfinite(tol) and tol >= 0):
             p.errors.append(f"config: {key} must be finite and non-negative, got {tol}")
     system = _two_cavity(p)
 
-    closed = closedform.current_general(system)
-    state = chain.steady_state_matrix(system)
-    moment_report = chain.boundary_currents(system, state)
-    rho = fockspace.steady_rho(system, cfg)
-    fock_report = fockspace.oracle_currents(system, rho)
-
+    # each path's current report, and the residual of the state it is read from
+    paths = {
+        "closedform": (closedform.current_general(system), 0.0),
+        "moments": (chain.boundary_currents(system, state := chain.steady_state_matrix(system)), state.residual),
+        "fock": (fockspace.oracle_currents(system, rho := fockspace.steady_rho(system, cfg)), rho.residual),
+    }
+    currents = {path: path_report.i_left for path, (path_report, _) in paths.items()}
     scale = system.omega_left**2
-    report = CrosscheckReport(
-        closedform_current=closed.i_left,
-        moments_current=moment_report.i_left,
-        fock_current=fock_report.i_left,
-        deviation_closedform_moments=_relative_deviation(
-            closed.i_left, moment_report.i_left, floor=tol_cm * scale
-        ),
-        deviation_moments_fock=_relative_deviation(
-            moment_report.i_left, fock_report.i_left, floor=tol_mf * scale
-        ),
-        deviation_closedform_fock=_relative_deviation(
-            closed.i_left, fock_report.i_left, floor=tol_mf * scale
-        ),
-        tolerance_closedform_moments=tol_cm,
-        tolerance_moments_fock=tol_mf,
-    )
-    reports = (closed, moment_report, fock_report)
+    deviations = {(a, b): (_relative_deviation(currents[a], currents[b], tolerances[key] * scale), tolerances[key])
+                  for a, b, key, _ in _PAIRS}
+    reports = [path_report for path_report, _ in paths.values()]
     rows = Rows(
-        len(reports),
+        len(paths),
         experiment=spec.experiment,
-        path=["closedform", "moments", "fock"],
+        path=list(paths),
         sigma_z=system.sigma_z if system.atom else None,
-        residual=[0.0, state.residual, rho.residual],
-        **{name: [getattr(path_report, name) for path_report in reports] for name in vars(closed)},
+        residual=[residual for _, residual in paths.values()],
+        **{name: [getattr(path_report, name) for path_report in reports] for name in vars(reports[0])},
     )
-    return report, rows
+    return CrosscheckReport(currents, deviations), rows
 
 
 def _format_value(value) -> str:
@@ -566,23 +544,19 @@ def _write_rows(spec: SweepSpec, rows: Rows) -> None:
 
 
 def _oracle_crosscheck(spec: SweepSpec) -> Rows:
-    """Crosscheck rows, with the report on stderr; on a breach the rows are
-    written before CrosscheckError is raised."""
+    """Crosscheck rows, with the report on stderr: the paths' currents, then each
+    pair's deviation, each run of pairs that share a tolerance key closed by it.
+    On a breach the rows are written before CrosscheckError is raised."""
     report, rows = crosscheck(spec)
-    print(
-        f"crosscheck: closedform={report.closedform_current:.12e} "
-        f"moments={report.moments_current:.12e} fock={report.fock_current:.12e}",
-        file=sys.stderr,
-    )
-    print(
-        f"crosscheck: dev(closedform,moments)={report.deviation_closedform_moments:.3e} "
-        f"(tol {report.tolerance_closedform_moments:.1e}), "
-        f"dev(moments,fock)={report.deviation_moments_fock:.3e}, "
-        f"dev(closedform,fock)={report.deviation_closedform_fock:.3e} "
-        f"(tol {report.tolerance_moments_fock:.1e}); "
-        f"max pairwise {report.max_deviation:.3e}",
-        file=sys.stderr,
-    )
+    print("crosscheck: " + " ".join(f"{path}={current:.12e}" for path, current in report.currents.items()),
+          file=sys.stderr)
+    parts = []
+    for k, (a, b, key, _) in enumerate(_PAIRS):
+        deviation, tol = report.deviations[a, b]
+        closes_run = k + 1 == len(_PAIRS) or _PAIRS[k + 1][2] != key
+        parts.append(f"dev({a},{b})={deviation:.3e}" + (f" (tol {tol:.1e})" if closes_run else ""))
+    largest = max(deviation for deviation, _ in report.deviations.values())
+    print(f"crosscheck: {', '.join(parts)}; max pairwise {largest:.3e}", file=sys.stderr)
     if not report.passed:
         _write_rows(spec, rows)
         raise CrosscheckError("cross-path deviation exceeded its threshold")

@@ -156,11 +156,16 @@ def thermal_state(n_levels: int, nbar: float) -> np.ndarray:
 
 
 def _check_config(sites: _Sites, cfg: FockConfig) -> None:
-    """Raise ValidationError unless n_max is an integer of at least 1 and the
-    Gibbs tail mass and levels**(2N) are within their bounds."""
+    """Raise ValidationError unless n_max is an integer of at least 1, the
+    tail bound is non-negative and the dimension guard positive (neither NaN),
+    and the Gibbs tail mass and levels**(2N) are within those bounds."""
     n_max = cfg.n_max
     if not _is_integer(n_max) or n_max < 1:
         raise ValidationError([f"fock: n_max must be an integer of at least 1, got {n_max!r}"])
+    if not cfg.tail_bound >= 0:
+        raise ValidationError([f"fock: tail_bound must be non-negative, got {cfg.tail_bound!r}"])
+    if not cfg.max_vectorized_dim > 0:
+        raise ValidationError([f"fock: max_vectorized_dim must be positive, got {cfg.max_vectorized_dim!r}"])
     hot = max(sites.nbar[0].tolist())
     tail = gibbs_tail_mass(n_max, hot)
     if not tail <= cfg.tail_bound:

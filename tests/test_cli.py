@@ -267,7 +267,7 @@ def test_crosscheck_passes_at_reference_point(tmp_path):
     )
     report, rows = crosscheck(spec_for("oracle_crosscheck", out, params))
     assert report.passed
-    assert report.deviation_closedform_moments < 1e-10
+    assert report.deviations["closedform", "moments"][0] < 1e-10
     assert {r["path"] for r in rows} == {"closedform", "moments", "fock"}
 
 
@@ -286,9 +286,9 @@ def test_crosscheck_passes_at_blocking_point(tmp_path):
         "fock_tail_bound": "1e-6",
     }
     report, _ = crosscheck(spec_for("oracle_crosscheck", tmp_path / "check.csv", params))
-    assert abs(report.closedform_current) < 1e-12
-    assert abs(report.moments_current) < 1e-12
-    assert abs(report.fock_current) < 1e-6
+    assert abs(report.currents["closedform"]) < 1e-12
+    assert abs(report.currents["moments"]) < 1e-12
+    assert abs(report.currents["fock"]) < 1e-6
     assert report.passed
 
 
@@ -305,6 +305,21 @@ def test_crosscheck_exit_code_on_breach(tmp_path):
         argv += ["--set", f"{key}={value}"]
     assert main(argv) == cli.EXIT_CROSSCHECK
     assert out.exists()  # the report is still written
+
+
+def test_crosscheck_report_lines_are_pinned(tmp_path, capsys):
+    # at n_max 6 the oracle is 6.1e-3 off (a breach of the default 1e-6); the
+    # closed-form and moment currents, 3.2e-3, sit below their 1e-2 floor, so
+    # their deviation reads 0 whatever the rounding
+    params = dict(FIG2, fock_n_max="6", fock_tail_bound="1e-3", tol_closedform_moments="1e-2")
+    assert run_main("oracle_crosscheck", tmp_path, params) == cli.EXIT_CROSSCHECK
+    assert capsys.readouterr().err.splitlines() == [
+        "crosscheck: closedform=3.201561737433e-03 moments=3.201561737433e-03 fock=3.181979585954e-03",
+        "crosscheck: dev(closedform,moments)=0.000e+00 (tol 1.0e-02), dev(moments,fock)=6.116e-03, "
+        "dev(closedform,fock)=6.116e-03 (tol 1.0e-06); max pairwise 6.116e-03",
+        "error: cross-path deviation exceeded its threshold",
+    ]
+    assert [row["path"] for row in read_csv(tmp_path / "out.csv")[1]] == ["closedform", "moments", "fock"]
 
 
 def test_exit_validation_on_bad_config(tmp_path):
@@ -378,6 +393,8 @@ def _keys_read_in_cli() -> set[str]:
         if isinstance(key, ast.JoinedStr):
             parts = [part.value if isinstance(part, ast.Constant) else None for part in key.values]
             keys.update("".join(side if part is None else part for part in parts) for side in ("left", "right"))
+        elif isinstance(key, ast.Name):  # the tolerance keys, read over the table of compared pairs
+            keys.update(pair[2] for pair in cli._PAIRS)
         else:
             keys.add(key.value)
     return keys
@@ -605,8 +622,11 @@ def test_a_bad_temperature_is_reported_once(tmp_path, capsys, temperature):
         ({}, "Gibbs tail mass"),
         ({"fock_max_dim": "100"}, "Gibbs tail mass"),
         ({"fock_max_dim": "100", "fock_tail_bound": "1e-3"}, "dimension"),
+        # a bound no truncation can meet is named, not blamed on n_max
+        ({"fock_tail_bound": "-1"}, "error: fock: tail_bound must be non-negative, got -1.0"),
+        ({"fock_max_dim": "0"}, "error: fock: max_vectorized_dim must be positive, got 0"),
     ],
-    ids=["default", "max-dim", "max-dim-loose-tail"],
+    ids=["default", "max-dim", "max-dim-loose-tail", "negative-tail-bound", "zero-max-dim"],
 )
 def test_fock_truncation_guards_exit_with_validation_error(tmp_path, capsys, extra, message):
     # nbar_left = 0.5 leaves a Gibbs tail of 6e-7 beyond the default n_max = 12

@@ -86,8 +86,25 @@ def test_dimension_guard():
 
 def test_dimension_guard_rejects_a_nan_limit():
     cfg = FockConfig(n_max=6, tail_bound=1e-3, max_vectorized_dim=math.nan)
-    with pytest.raises(ValidationError, match="exceeds the guard nan"):
+    with pytest.raises(ValidationError, match="max_vectorized_dim must be positive, got nan"):
         steady_rho(system_for(nbar_left=0.01), cfg)
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [("tail_bound", -1.0, "tail_bound must be non-negative, got -1.0"),
+     ("tail_bound", math.nan, "tail_bound must be non-negative, got nan"),
+     ("max_vectorized_dim", 0, "max_vectorized_dim must be positive, got 0"),
+     ("max_vectorized_dim", -5, "max_vectorized_dim must be positive, got -5")],
+)
+def test_a_bad_bound_is_named_not_blamed_on_the_truncation(field, value, message):
+    # the tail mass at n_max 6 (4.6e-4) passes a bound of 1e-3 and fails the default 1e-8:
+    # either way, a bound that no truncation can meet is refused as such
+    for tail_bound in (1e-3, 1e-8):
+        cfg = replace(FockConfig(n_max=6, tail_bound=tail_bound), **{field: value})
+        with pytest.raises(ValidationError) as info:
+            steady_rho(system_for(), cfg)
+        assert info.value.errors == [f"fock: {message}"]
 
 
 @pytest.mark.parametrize("n_max", [2.5, True, math.nan])
