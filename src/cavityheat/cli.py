@@ -96,7 +96,6 @@ _KEYS = {
     "alpha_values": (_parse_numbers, "a comma-separated number list"),
     "fock_n_max": _INTEGER,
     "fock_tail_bound": _NUMBER,
-    "fock_max_dim": _INTEGER,
     "tol_closedform_moments": _NUMBER,
     "tol_moments_fock": _NUMBER,
 }
@@ -273,20 +272,20 @@ def _sweep_values(p: _Params) -> np.ndarray:
     if None in (start, stop, step):
         return np.array([])
     if not (math.isfinite(start) and math.isfinite(stop)):
-        p.errors.append("config: sweep bounds must be finite")
-        return np.array([])
-    if not (math.isfinite(step) and step > 0):
-        p.errors.append(f"config: sweep_step must be positive and finite, got {step}")
-        return np.array([])
-    points = (stop - start) / step + 1e-9
-    if not points < np.iinfo(np.intp).max:
-        p.errors.append(f"config: sweep has more points than an array can hold ((stop - start) / step = {points:.3g})")
-        return np.array([])
-    count = int(math.floor(points)) + 1
-    if count < 2:
-        p.errors.append("config: sweep must contain at least 2 points")
-        return np.array([])
-    return start + step * np.arange(count)
+        error = "config: sweep bounds must be finite"
+    elif not (math.isfinite(step) and step > 0):
+        error = f"config: sweep_step must be positive and finite, got {step}"
+    elif not (points := (stop - start) / step + 1e-9) < np.iinfo(np.intp).max:
+        error = f"config: sweep has more points than an array can hold ((stop - start) / step = {points:.3g})"
+    elif (count := int(math.floor(points)) + 1) < 2:
+        error = "config: sweep must contain at least 2 points"
+    else:
+        try:
+            return start + step * np.arange(count)
+        except MemoryError:
+            error = f"config: sweep of {count} points is more than memory can hold"
+    p.errors.append(error)
+    return np.array([])
 
 
 def _is_column(value) -> bool:
@@ -458,11 +457,8 @@ def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, Rows]:
     and compare each pair of ``_PAIRS``; returns the report and one row per path."""
     p = _Params(spec.params)
     default = fockspace.FockConfig()
-    cfg = fockspace.FockConfig(
-        n_max=p.get("fock_n_max", default=default.n_max),
-        tail_bound=p.get("fock_tail_bound", default=default.tail_bound),
-        max_vectorized_dim=p.get("fock_max_dim", default=default.max_vectorized_dim),
-    )
+    cfg = fockspace.FockConfig(p.get("fock_n_max", default=default.n_max),
+                               p.get("fock_tail_bound", default=default.tail_bound))
     tolerances = {key: p.get(key, default=tol) for _, _, key, tol in _PAIRS}
     for key, tol in tolerances.items():
         if not (math.isfinite(tol) and tol >= 0):

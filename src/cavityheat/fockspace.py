@@ -37,6 +37,7 @@ and balance rule (``model._report``).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 from typing import Union
@@ -59,22 +60,20 @@ __all__ = [
 ]
 
 
+MAX_HELD_BYTES = 2**27  # the block inverses one solve may hold (``_check_config``): 128 MiB
+
+
 @dataclass(frozen=True)
 class FockConfig:
     """Truncation controls for the oracle.
 
     ``tail_bound`` caps the Gibbs weight beyond the truncation at the hotter
     reservoir occupation, so the cut cannot silently bias the steady state.
-    ``max_vectorized_dim`` caps levels**(2N), the entries of the whole field
-    state of N modes, on which the Lindblad residual is evaluated; raise it
-    deliberately for large truncations. It does not bound the block solve's
-    inverse of each excitation block of m_n kets, sum_n m_n**4 doubles: 13 MB
-    for a pair at n_max 20, 71 MB of a 169 MB peak for 3 sites at n_max 6.
+    The size of a solve is not configured: ``MAX_HELD_BYTES`` bounds it.
     """
 
     n_max: int = 12
     tail_bound: float = 1e-8
-    max_vectorized_dim: int = 200_000
 
     @property
     def levels(self) -> int:
@@ -156,16 +155,16 @@ def thermal_state(n_levels: int, nbar: float) -> np.ndarray:
 
 
 def _check_config(sites: _Sites, cfg: FockConfig) -> None:
-    """Raise ValidationError unless n_max is an integer of at least 1, the
-    tail bound is non-negative and the dimension guard positive (neither NaN),
-    and the Gibbs tail mass and levels**(2N) are within those bounds."""
+    """Raise ValidationError unless n_max is an integer of at least 1, the tail
+    bound non-negative (not NaN) and the Gibbs tail mass within it, and the
+    inverses the block solve keeps, 8 m_n**4 bytes for each excitation block of
+    m_n kets, within ``MAX_HELD_BYTES`` (peak RSS measured 1.5-3x them). Since
+    m**4 >= m, levels**N kets alone past it are refused before the m_n are counted."""
     n_max = cfg.n_max
     if not _is_integer(n_max) or n_max < 1:
         raise ValidationError([f"fock: n_max must be an integer of at least 1, got {n_max!r}"])
     if not cfg.tail_bound >= 0:
         raise ValidationError([f"fock: tail_bound must be non-negative, got {cfg.tail_bound!r}"])
-    if not cfg.max_vectorized_dim > 0:
-        raise ValidationError([f"fock: max_vectorized_dim must be positive, got {cfg.max_vectorized_dim!r}"])
     hot = max(sites.nbar[0].tolist())
     tail = gibbs_tail_mass(n_max, hot)
     if not tail <= cfg.tail_bound:
@@ -173,11 +172,13 @@ def _check_config(sites: _Sites, cfg: FockConfig) -> None:
             f"fock: Gibbs tail mass {tail:.3e} beyond n_max={n_max} at nbar={hot} "
             f"exceeds the bound {cfg.tail_bound:.1e}; raise n_max or the bound"
         ])
-    modes = sites.onsite.shape[1]
-    dim = cfg.levels ** (2 * modes)
-    if not dim <= cfg.max_vectorized_dim:
-        raise ValidationError([f"fock: vectorised space dimension of {modes} modes, levels**{2 * modes} = {dim} "
-                               f"exceeds the guard {cfg.max_vectorized_dim}; raise max_vectorized_dim to override"])
+    modes, levels = sites.onsite.shape[1], int(cfg.levels)  # a Python int cannot wrap
+    held = 8 * levels**modes
+    if held <= MAX_HELD_BYTES:  # count the m_n, the coefficients of (1 + x + .. + x**n_max)**N
+        held = 8 * int(np.sum(functools.reduce(np.convolve, [np.ones(levels, dtype=np.int64)] * modes) ** 4.0))
+    if held > MAX_HELD_BYTES:
+        raise ValidationError([f"fock: the block solve of {modes} modes at n_max={n_max} would hold at least {held} "
+                               f"bytes of inverses ({held / 2**20:.4g} MiB), over the bound of {MAX_HELD_BYTES}"])
 
 
 def _ladder(levels: int, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -525,7 +526,8 @@ def converged_steady_rho(
     Returns the converged state and the configuration that produced it.
     Raises ValueError, before the first solve, unless ``occupation_tol`` is
     positive and finite and ``step`` an integer of at least 1, and
-    SolverError when the dimension guard is hit before convergence.
+    SolverError when the next truncation would hold more than
+    ``MAX_HELD_BYTES`` before convergence.
     """
     if not 0.0 < occupation_tol < math.inf:
         raise ValueError(f"occupation_tol must be positive and finite, got {occupation_tol}")
@@ -543,7 +545,7 @@ def converged_steady_rho(
             return state, current_cfg
         previous = occ
         current_cfg = replace(current_cfg, n_max=current_cfg.n_max + step)
-        try:  # the tail mass only falls as n_max grows: only the dimension guard can fire
+        try:  # the tail mass only falls as n_max grows: only the size guard can fire
             _check_config(_sites(_stack(system)), current_cfg)
         except ValidationError as exc:
             raise SolverError(f"truncation escalation at n_max={current_cfg.n_max} before occupations "

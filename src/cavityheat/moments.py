@@ -52,16 +52,17 @@ def evolve(
     G = [[F, S], [S, F]] is integrated as its sectors X_s = (F + s S)/2, by
     dX_s/dt = A_s X_s + X_s A_s+ + p_s Q, and F = X_+ + X_-, S = X_+ - X_-;
     a ValueError is raised for an ``initial`` matrix of another size or
-    sigma_z. The step count is t_final/dt rounded to the nearest integer, so
-    the trajectory ends at that multiple of dt. The conserved sigma_z is
-    carried through unchanged. A warning is emitted when dt |b_i + conj(b_j)|,
-    b the eigenvalues of A_s, reaches 0.1; a SolverError when a step leaves
-    the finite range.
+    sigma_z, and for a t_final/dt that is not finite. The step count is
+    t_final/dt rounded, so the trajectory ends at that multiple of dt. The
+    conserved sigma_z is carried through unchanged. A warning is emitted when
+    dt |b_i + conj(b_j)|, b the eigenvalues of A_s, reaches 0.1; a SolverError
+    when a step leaves the finite range.
     """
     if not 0 < dt < math.inf:
         raise ValueError(f"dt must be positive and finite, got {dt}")
-    if not dt <= t_final < math.inf:
-        raise ValueError(f"t_final must be finite and at least dt (got t_final={t_final}, dt={dt})")
+    if not (dt <= t_final < math.inf and math.isfinite(t_final / dt)):
+        raise ValueError(f"t_final must be finite and at least dt, t_final/dt a finite step count "
+                         f"(got t_final={t_final}, dt={dt})")
     initial.check_system(system)
     # both sectors s = +-1, with p_s = (1 + s sz)/2 even where it is 0: (F, S) need not be a mixture
     sign = np.array([1.0, -1.0])

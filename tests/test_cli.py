@@ -620,13 +620,13 @@ def test_a_bad_temperature_is_reported_once(tmp_path, capsys, temperature):
     "extra, message",
     [
         ({}, "Gibbs tail mass"),
-        ({"fock_max_dim": "100"}, "Gibbs tail mass"),
-        ({"fock_max_dim": "100", "fock_tail_bound": "1e-3"}, "dimension"),
+        # the size of the solve is bounded by the code, not by a key
+        ({"fock_max_dim": "100"}, "error: config: unknown key 'fock_max_dim'"),
+        ({"fock_n_max": "40", "fock_tail_bound": "1e-3"}, "error: fock: the block solve of 2 modes at n_max=40"),
         # a bound no truncation can meet is named, not blamed on n_max
         ({"fock_tail_bound": "-1"}, "error: fock: tail_bound must be non-negative, got -1.0"),
-        ({"fock_max_dim": "0"}, "error: fock: max_vectorized_dim must be positive, got 0"),
     ],
-    ids=["default", "max-dim", "max-dim-loose-tail", "negative-tail-bound", "zero-max-dim"],
+    ids=["default", "max-dim", "max-dim-loose-tail", "negative-tail-bound"],
 )
 def test_fock_truncation_guards_exit_with_validation_error(tmp_path, capsys, extra, message):
     # nbar_left = 0.5 leaves a Gibbs tail of 6e-7 beyond the default n_max = 12
@@ -664,6 +664,14 @@ def test_crosscheck_passes_at_a_mixed_detuned_point(tmp_path, capsys):
     _, rows = read_csv(tmp_path / "out.csv")
     assert [row["path"] for row in rows] == ["closedform", "moments", "fock"]
     assert float(rows[0]["i_left"]) == pytest.approx(float(rows[1]["i_left"]), rel=1e-10)
+    assert "max pairwise" in capsys.readouterr().err
+
+
+def test_crosscheck_of_a_hot_reservoir_reaches_the_truncation_its_tail_bound_needs(tmp_path, capsys):
+    # at nbar_left = 1 the default tail bound needs n_max = 26: 43.9 MiB of block inverses
+    assert run_main("oracle_crosscheck", tmp_path, dict(FIG2, nbar_left="1", fock_n_max="26")) == cli.EXIT_OK
+    _, rows = read_csv(tmp_path / "out.csv")
+    assert [row["path"] for row in rows] == ["closedform", "moments", "fock"]
     assert "max pairwise" in capsys.readouterr().err
 
 
@@ -713,6 +721,9 @@ SWEEP_BOUNDS = {k: SWEEP[k] for k in ("sweep_start", "sweep_stop", "sweep_step")
       "config: sweep has more points than an array can hold ((stop - start) / step = 1e+300)"),
      ("gamma_sweep", dict(SWEEP, sweep_start="-1e308", sweep_stop="1e308", sweep_step="1"), [],
       "config: sweep has more points than an array can hold ((stop - start) / step = inf)"),
+     # a count that fits an index, where the 7 PiB of its values cannot be allocated
+     ("gamma_sweep", dict(SWEEP, sweep_start="0.01", sweep_stop="1", sweep_step="1e-15"), [],
+      "config: sweep of 990000000000000 points is more than memory can hold"),
      # a well-formed key the experiment does not read
      ("profile", dict(FIG2, n_sites="4", omega_right="1.3"), [], "config: key 'omega_right' is not read by this experiment"),
      ("gamma_sweep", dict(SWEEP, fock_n_max="12"), [], "config: key 'fock_n_max' is not read by this experiment"),
@@ -722,7 +733,7 @@ SWEEP_BOUNDS = {k: SWEEP[k] for k in ("sweep_start", "sweep_stop", "sweep_step")
      ("gamma_sweep", dict(SWEEP, atom="false"), [], "config: unknown key 'atom'"),
      ("gamma_sweep", SWEEP, ["coupling=0.03"], "config: --set gives key 'coupling' twice, as '0.02' and '0.03'")],
     ids=["infinite-bound", "chi-sweep-without-atom", "n-stop-below-n-start", "regime-table-without-atom",
-         "regime-table-chi-below-omega", "set-without-value", "count-beyond-intp", "count-infinite",
+         "regime-table-chi-below-omega", "set-without-value", "count-beyond-intp", "count-infinite", "count-beyond-memory",
          "profile-omega-right", "gamma-sweep-fock-n-max", "gamma-sweep-n-sites", "size-scan-n-sites",
          "atom-false-beside-chi", "set-twice"],
 )
@@ -747,7 +758,7 @@ def test_a_spec_in_an_unknown_output_format_is_refused(tmp_path):
     [("gamma_sweep", SWEEP, "omega"),
      ("chi_sweep", SWEEP, "n_start"),
      ("current_decomposition", SWEEP, "alpha_values"),
-     ("rectification_sweep", dict(SWEEP, sigma_z="-1"), "fock_max_dim"),
+     ("rectification_sweep", dict(SWEEP, sigma_z="-1"), "fock_n_max"),
      ("size_scan", dict(FIG2, n_stop="4"), "omega_left"),
      ("profile", dict(FIG2, n_sites="4"), "sweep_step"),
      ("regime_table", dict(FIG2, omega_right="0.8", chi="1.1", gamma_left="0.1"), "tol_moments_fock"),

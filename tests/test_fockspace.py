@@ -1,5 +1,6 @@
 import math
 import re
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -79,23 +80,33 @@ def test_default_tail_bound_forces_larger_truncation():
 
 
 def test_dimension_guard():
-    cfg = FockConfig(n_max=12, tail_bound=1e-6, max_vectorized_dim=10_000)
-    with pytest.raises(ValueError, match="guard"):
-        steady_rho(system_for(), cfg)
+    # a pair at n_max 40 would keep 8 sum_n m_n**4 = 371,107,400 bytes of block inverses
+    with pytest.raises(ValidationError, match=re.escape("would hold at least 371107400 bytes of inverses (353.9 MiB)")):
+        steady_rho(system_for(), FockConfig(n_max=40, tail_bound=1e-6))
 
 
-def test_dimension_guard_rejects_a_nan_limit():
-    cfg = FockConfig(n_max=6, tail_bound=1e-3, max_vectorized_dim=math.nan)
-    with pytest.raises(ValidationError, match="max_vectorized_dim must be positive, got nan"):
-        steady_rho(system_for(nbar_left=0.01), cfg)
+def test_the_size_guard_counts_the_blocks_without_building_them():
+    # n_max 10**9 has 10**18 kets per mode pair: levels**N alone refuses it, at once
+    start = time.perf_counter()
+    for n_max in (10**9, np.int64(10**9)):  # a numpy integer must not wrap around in levels**N
+        with pytest.raises(ValidationError, match="would hold at least"):
+            steady_rho(three_site_chain(3, 1.0), FockConfig(n_max=n_max, tail_bound=1.0))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_pair_at_n_max_21_solves_and_agrees_with_the_moment_path():
+    # 15.8 MiB of block inverses, where the whole state's 22**4 entries were once refused
+    system = system_for()
+    rho = steady_rho(system, FockConfig(n_max=21))
+    report, moments = oracle_currents(system, rho), boundary_currents(system, steady_state_matrix(system))
+    assert report.i_left == pytest.approx(moments.i_left, rel=1e-6)
+    assert rho.residual <= RESIDUAL_TOL
 
 
 @pytest.mark.parametrize(
     "field, value, message",
     [("tail_bound", -1.0, "tail_bound must be non-negative, got -1.0"),
-     ("tail_bound", math.nan, "tail_bound must be non-negative, got nan"),
-     ("max_vectorized_dim", 0, "max_vectorized_dim must be positive, got 0"),
-     ("max_vectorized_dim", -5, "max_vectorized_dim must be positive, got -5")],
+     ("tail_bound", math.nan, "tail_bound must be non-negative, got nan")],
 )
 def test_a_bad_bound_is_named_not_blamed_on_the_truncation(field, value, message):
     # the tail mass at n_max 6 (4.6e-4) passes a bound of 1e-3 and fails the default 1e-8:
@@ -248,13 +259,14 @@ def test_truncation_escalation_converges():
     assert np.trace(state.reduced(0) @ number).real == pytest.approx(v.occupations[0], abs=1e-7)
 
 
-def test_truncation_escalation_stops_at_the_dimension_guard():
-    # n_max = 2 fits the guard (3**4 = 81 entries); the first escalation, to
-    # n_max = 4 (625), does not, and escalation never converges on one solve
+def test_truncation_escalation_stops_at_the_dimension_guard(monkeypatch):
+    # a pair at n_max = 2 holds 8 (1 + 16 + 81 + 16 + 1) = 920 bytes of block inverses
+    # and fits the bound; the first escalation, to n_max = 4 (10,664 bytes), does not,
+    # and escalation never converges on one solve
+    monkeypatch.setattr(fockspace, "MAX_HELD_BYTES", 1000)
     system = system_for(nbar_left=0.01, nbar_right=0.0)
-    cfg = FockConfig(n_max=2, tail_bound=1e-2, max_vectorized_dim=81)
-    with pytest.raises(SolverError, match="n_max=4 before occupations converged.*625 exceeds the guard 81"):
-        converged_steady_rho(system, cfg)
+    with pytest.raises(SolverError, match="n_max=4 before occupations converged.*at least 10664 bytes"):
+        converged_steady_rho(system, FockConfig(n_max=2, tail_bound=1e-2))
 
 
 @pytest.mark.parametrize(
@@ -479,14 +491,25 @@ def test_currents_reject_a_state_of_another_mode_count():
             oracle_currents(system, steady_rho(solved_for, cfg))
 
 
-def test_the_dimension_guard_counts_the_modes_of_a_chain(monkeypatch):
-    # 8**6 = 262,144 entries of the whole field state at n_max = 7 exceed the default guard
-    def no_solve(*args):
-        raise AssertionError("solved before the guard")
+def no_solve(*args):
+    raise AssertionError("solved before the guard")
 
+
+def test_the_dimension_guard_counts_the_modes_of_a_chain(monkeypatch):
+    # at n_max = 7 the excitation blocks of 3 modes hold 235.7 MiB of inverses
     monkeypatch.setattr(fockspace, "_block_steady_state", no_solve)
-    with pytest.raises(ValidationError, match=re.escape("of 3 modes, levels**6 = 262144 exceeds the guard 200000")):
+    with pytest.raises(ValidationError, match=re.escape(
+            "block solve of 3 modes at n_max=7 would hold at least 247173184 bytes of inverses (235.7 MiB), "
+            "over the bound of 134217728")):
         steady_rho(three_site_chain(3, 1.0), FockConfig(n_max=7))
+
+
+def test_a_long_chain_at_two_levels_is_refused_by_what_its_blocks_hold(monkeypatch):
+    # 8 sites at n_max = 1 are 256 kets, yet the block of 70 kets alone holds 24 MB of inverses
+    monkeypatch.setattr(fockspace, "_block_steady_state", no_solve)
+    with pytest.raises(ValidationError, match=re.escape("8 modes at n_max=1 would hold at least 359331984 bytes")):
+        steady_rho(ArraySystem(n_sites=8, omega=1.0, coupling=0.05, left=ReservoirSpec(0.1, 0.05),
+                               right=ReservoirSpec(0.12, 0.0)), FockConfig(n_max=1, tail_bound=1e-2))
 
 
 # --- excitation-block solve against the reference sector generator ------------

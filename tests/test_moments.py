@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 from dataclasses import replace
 
@@ -286,6 +287,12 @@ def test_evolve_rejects_bad_steps():
     for dt in (math.nan, math.inf):
         with pytest.raises(ValueError, match="dt must"):
             evolve(system, zero_state(sigma_z=1.0), t_final=1.0, dt=dt)
+
+
+def test_evolve_refuses_a_step_count_that_is_not_finite():
+    # t_final and dt are each finite, but 1e300 / 1e-10 overflows to inf steps
+    with pytest.raises(ValueError, match=re.escape("t_final/dt a finite step count (got t_final=1e+300, dt=1e-10)")):
+        evolve(system_for(), zero_state(sigma_z=1.0), t_final=1e300, dt=1e-10)
 
 
 # --- currents ----------------------------------------------------------------

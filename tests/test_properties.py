@@ -570,7 +570,7 @@ NUMBER_CALLS = [
     ("size_scan", lambda size: size_scan(CHAIN, [size]), dict(size=3), ("size",)),
     ("PairGrid", lambda **fields: PairGrid.sweep(PAIR, **fields), PAIR_NUMBERS, ()),
     ("steady_rho", lambda **fields: steady_rho(COLD_PAIR, FockConfig(**fields)),
-     dict(n_max=3, tail_bound=1e-3, max_vectorized_dim=200_000), ("n_max", "max_vectorized_dim")),
+     dict(n_max=3, tail_bound=1e-3), ("n_max",)),
     ("TwoCavitySystem", pair_of, PAIR_NUMBERS, ()),
     ("ArraySystem", chain_of, CHAIN_NUMBERS, ("n_sites", "host_index")),
 ]

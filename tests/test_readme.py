@@ -63,3 +63,8 @@ def test_every_cited_value_is_the_code_s():
         if actual != float(value):
             wrong.append((name, value, actual))
     assert wrong == []
+
+
+def test_the_key_list_is_the_config_table():
+    keys = re.search(r"Keys: (.*?)\.\s", README, flags=re.DOTALL).group(1)
+    assert re.findall(r"`(\w+)`", keys) == list(importlib.import_module("cavityheat.cli")._KEYS)
