@@ -66,7 +66,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .model import (ArraySystem, CurrentReport, PairGrid, SolverError, TwoCavitySystem, _Sites, _backward_error,
-                    _check_steady, _guard, _report, _sites, _stack, sector_weights)
+                    _check_steady, _guard, _report, _sites, sector_weights)
 
 __all__ = [
     "MomentMatrix",
@@ -315,14 +315,14 @@ def steady_state_matrix(system: Union[TwoCavitySystem, ArraySystem]) -> MomentMa
     Lyapunov equation per atomic sector (``_mixture`` on a stack of one); the
     result carries the largest backward error of its sector equations, which
     bounds that of the block equation."""
-    (f,), (s,), residual, margin = _mixture(_sites(_stack(system)))
+    (f,), (s,), residual, margin = _mixture(_sites(system))
     return MomentMatrix(f, s, sigma_z=system.sigma_z, residual=residual.item(), positivity_margin=margin.item())
 
 
-def _currents(system: Union[TwoCavitySystem, PairGrid, ArraySystem], stack: Union[PairGrid, ArraySystem],
-              sites: _Sites, f: np.ndarray, s: np.ndarray) -> CurrentReport:
-    """Reservoir currents of ``system``, a pair, a pair grid or a chain, with its ``stack`` and ``sites``, on
-    the blocks F and S (M, N, N) of their moment matrices, as ``model._report`` returns them.
+def _currents(system: Union[TwoCavitySystem, PairGrid, ArraySystem], sites: _Sites, f: np.ndarray,
+              s: np.ndarray) -> CurrentReport:
+    """Reservoir currents of ``system``, a pair, a pair grid or a chain, with its ``sites``, on the blocks
+    F and S (M, N, N) of their moment matrices, as ``model._report`` returns them.
 
     End site j, bonded to site k, sits at omega_j + s x_j in atomic sector s,
     so its reservoir current mixes the sectors exactly through S = <a+ a sz>:
@@ -340,7 +340,7 @@ def _currents(system: Union[TwoCavitySystem, PairGrid, ArraySystem], stack: Unio
     coherence = 0.5 * sites.coupling[:, None] * (f[:, ends, bonded] + f[:, bonded, ends]).real
     current = sites.rates * (occupation - coherence)
     magnitude = (nbar + np.abs(f_end)) * omega + shift * (np.abs(sigma_z) * nbar + np.abs(s_end)) + np.abs(coherence)
-    return _report(system, stack, current[:, 0], current[:, 1], occupation[:, 0], coherence[:, 0],
+    return _report(system, sites, current[:, 0], current[:, 1], occupation[:, 0], coherence[:, 0],
                    np.sum(sites.rates * magnitude, axis=1), "moment matrix", stacklevel=3)
 
 
@@ -349,8 +349,7 @@ def boundary_currents(system: Union[TwoCavitySystem, ArraySystem], state: Moment
     (``_currents``); a ValueError for a matrix of another size or sigma_z, a
     warning when the currents do not balance, which signals a non-steady input."""
     state.check_system(system)
-    stack = _stack(system)
-    return _currents(system, stack, _sites(stack), state.field_block[None], state.sz_block[None])
+    return _currents(system, _sites(system), state.field_block[None], state.sz_block[None])
 
 
 def sweep_currents(grid: PairGrid) -> tuple[CurrentReport, np.ndarray]:
@@ -359,7 +358,7 @@ def sweep_currents(grid: PairGrid) -> tuple[CurrentReport, np.ndarray]:
     alone; a SolverError carries in ``index`` the failing point."""
     sites = _sites(grid)
     f, s, residuals, _ = _mixture(sites)
-    return _currents(grid, grid, sites, f, s), residuals
+    return _currents(grid, sites, f, s), residuals
 
 
 def bond_flows(system: ArraySystem, g: MomentMatrix) -> np.ndarray:

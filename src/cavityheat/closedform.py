@@ -11,9 +11,10 @@ exact for detuned cavities too.
 Every expression is evaluated on arrays: a function that takes a
 ``TwoCavitySystem`` or a ``model.PairGrid`` runs the same code on the grid's
 arrays, and returns arrays for a grid and Python scalars for one pair. A
-sweep is therefore one evaluation over its whole grid (``model._stack``
-makes a pair a grid of one). The ``CurrentReport``, its classification and
-the first-failure rule of each domain check are ``model``'s, as every path's.
+sweep is therefore one evaluation over its whole grid (``_stack``, here
+alone, makes a pair a grid of one). The ``CurrentReport``, its
+classification from the site vectors (``model._sites``) and the
+first-failure rule of each domain check are ``model``'s, as every path's.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Union
 import numpy as np
 
 from .model import (REGIME_CONDUCTING, REGIME_INSULATING, REGIME_REVERSED, CurrentReport, PairGrid, TwoCavitySystem,
-                    _alpha, _classification, _guard, _scalars, _stack, sector_weights)
+                    _alpha, _classification, _guard, _scalars, _sites, sector_weights)
 
 __all__ = [
     "SteadyMoments",
@@ -76,6 +77,11 @@ class RectificationResult:
 
 
 Pairs = Union[TwoCavitySystem, PairGrid]
+
+
+def _stack(system: Pairs) -> PairGrid:
+    """A pair as a grid of one; a grid as it is."""
+    return PairGrid.from_systems([system]) if isinstance(system, TwoCavitySystem) else system
 
 
 def _lorentzian_denominator(p: PairGrid) -> np.ndarray:
@@ -129,7 +135,7 @@ def current_general(system: Pairs) -> CurrentReport:
     """Left-reservoir current from the general non-resonant expression."""
     p = _stack(system)
     i_left, i_occ, i_coh = _mixed(p, _definite_current)
-    alpha, regime = _classification(p, i_left)
+    alpha, regime = _classification(_sites(p), i_left)
     return CurrentReport(*_scalars(system, i_left, -i_left, i_occ, i_coh, alpha, regime))
 
 
@@ -190,7 +196,7 @@ def classify_regime(system: Pairs) -> tuple:
     _guard(p.chi > p.omega_right, "switching analysis assumes the dispersive shift exceeds the right-cavity "
            "frequency (chi > omega_right, got chi={chi}, omega_right={omega_right})", ValueError,
            chi=p.chi, omega_right=p.omega_right)
-    alpha = _alpha(p)
+    alpha = _alpha(_sites(p))
     ground = np.where(np.abs(alpha - 1.0) < INSULATING_ALPHA_TOL, REGIME_INSULATING,
                       np.where(alpha > 1.0, REGIME_CONDUCTING, REGIME_REVERSED))
     return _scalars(system, alpha, np.where(p.sigma_z == 1.0, REGIME_CONDUCTING, ground).astype(object))

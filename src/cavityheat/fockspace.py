@@ -45,7 +45,7 @@ from typing import Union
 import numpy as np
 
 from .model import (ArraySystem, CurrentReport, SolverError, TwoCavitySystem, ValidationError, _Sites,
-                    _backward_error, _check_steady, _is_integer, _report, _sites, _stack, atomic_sectors)
+                    _backward_error, _check_steady, _is_integer, _report, _sites, atomic_sectors)
 
 __all__ = [
     "FockConfig",
@@ -503,7 +503,7 @@ def steady_rho(system: Union[TwoCavitySystem, ArraySystem], cfg: FockConfig | No
     to one is itself such a state.
     """
     cfg = cfg or FockConfig()
-    sites = _sites(_stack(system))
+    sites = _sites(system)
     _check_config(sites, cfg)
     channels = _channels(sites, cfg.levels)
     structure = _block_structure(channels, cfg.levels, sites.onsite.shape[1])
@@ -525,9 +525,9 @@ def converged_steady_rho(
 
     Returns the converged state and the configuration that produced it.
     Raises ValueError, before the first solve, unless ``occupation_tol`` is
-    positive and finite and ``step`` an integer of at least 1, and
-    SolverError when the next truncation would hold more than
-    ``MAX_HELD_BYTES`` before convergence.
+    positive and finite and ``step`` an integer of at least 1. The tail mass
+    only falls as n_max grows, so a later ``steady_rho`` fails its checks only
+    by its size guard (``MAX_HELD_BYTES``): then SolverError, unconverged.
     """
     if not 0.0 < occupation_tol < math.inf:
         raise ValueError(f"occupation_tol must be positive and finite, got {occupation_tol}")
@@ -536,19 +536,16 @@ def converged_steady_rho(
     if not step >= 1:
         raise ValueError(f"step must be at least 1, got {step}")
     cfg = cfg or FockConfig()
-    previous = None
-    current_cfg = cfg
+    state, previous = steady_rho(system, cfg), None
     while True:
-        state = steady_rho(system, current_cfg)
-        occ = np.array([np.arange(current_cfg.levels) @ state.reduced(j).diagonal().real for j in range(state.n_modes)])
+        occ = np.array([np.arange(cfg.levels) @ state.reduced(j).diagonal().real for j in range(state.n_modes)])
         if previous is not None and np.max(np.abs(occ - previous)) < occupation_tol:
-            return state, current_cfg
-        previous = occ
-        current_cfg = replace(current_cfg, n_max=current_cfg.n_max + step)
-        try:  # the tail mass only falls as n_max grows: only the size guard can fire
-            _check_config(_sites(_stack(system)), current_cfg)
+            return state, cfg
+        previous, cfg = occ, replace(cfg, n_max=cfg.n_max + step)
+        try:
+            state = steady_rho(system, cfg)
         except ValidationError as exc:
-            raise SolverError(f"truncation escalation at n_max={current_cfg.n_max} before occupations "
+            raise SolverError(f"truncation escalation at n_max={cfg.n_max} before occupations "
                               f"converged: {exc}") from exc
 
 
@@ -584,8 +581,7 @@ def oracle_currents(system: Union[TwoCavitySystem, ArraySystem], rho: DensityMat
     atom sits on site 1. Returned through ``model._report``, whose balance floor bounds
     the flows' sum in sector s, Tr(H_s L(rho_s)) as -i[H_s, rho_s] conserves H_s, by
     ||H_s|| ||L(rho_s)|| <= 2 ||L||^2 ||rho_s|| eta, eta the backward error ``rho.residual``."""
-    levels, stack = rho.n_max + 1, _stack(system)
-    sites = _sites(stack)
+    levels, sites = rho.n_max + 1, _sites(system)
     if ([(weight, sign) for weight, sign, _ in rho.sectors] != atomic_sectors(system)
             or rho.n_modes != sites.onsite.shape[1]):
         raise ValueError("density matrix and system disagree about the mode count, the atom or its sector weights")
@@ -607,7 +603,7 @@ def oracle_currents(system: Union[TwoCavitySystem, ArraySystem], rho: DensityMat
         coherence += weight * _expectation(coherence_op, state)
     omega, x, nbar = sites.onsite[:, 0], sites.shift[:, 0], sites.nbar[:, 0]
     i_occ = (nbar - occ_first) * omega + x * (sites.sigma_z * nbar - sz_occ_first)
-    return _report(system, stack, np.array([i_left]), np.array([i_right]), i_occ, sites.coupling * coherence,
+    return _report(system, sites, np.array([i_left]), np.array([i_right]), i_occ, sites.coupling * coherence,
                    np.array([scale]), "density matrix", stacklevel=2, floor=floor)
 
 

@@ -14,14 +14,15 @@ when it is built, also by ``dataclasses.replace``, and raises
 atom included. No solver checks a system again.
 
 A sweep of cavity pairs is one ``PairGrid``: one float64 array per field,
-checked by the same rules in one vectorised pass when it is built. Every
-path reads a pair, a grid or a chain as one statement of the model, its
-site vectors (``_sites``): the moment solves and the Fock oracle alike. Every
-steady solve, moment or Fock oracle, passes ``_check_steady``, which alone
-holds it to ``POSITIVITY_TOL`` and ``RESIDUAL_TOL``, relative bounds that
-hold in any units. ``closedform``, ``chain`` and ``fockspace`` import this
-module alone: it states every path's ``CurrentReport``, switch classification
-and balance rule (``_report``), and the first-failure rule of every check (``_guard``).
+checked by the same rules in one vectorised pass when it is built. The
+moment solves and the Fock oracle read a pair, a grid or a chain through its
+site vectors alone (``_sites``), the one statement of the model. Every
+steady solve passes ``_check_steady``, which alone holds it to
+``POSITIVITY_TOL`` and ``RESIDUAL_TOL``, relative bounds that hold in any
+units. ``closedform``, ``chain`` and ``fockspace`` import this module alone:
+it states every path's ``CurrentReport``, its switch classification and
+balance rule, read from the site vectors (``_report``), and the
+first-failure rule of every check (``_guard``).
 """
 
 from __future__ import annotations
@@ -153,35 +154,35 @@ def _scalars(system, *arrays) -> tuple:
     return tuple(np.asarray(values).tolist()[0] for values in arrays)
 
 
-def _alpha(p: PairGrid) -> np.ndarray:
-    """The switch parameter alpha = (Gamma_R / Gamma_L) / ((chi - omega_R) / omega_L)."""
+def _alpha(sites: _Sites) -> np.ndarray:
+    """The switch parameter alpha = (Gamma_R / Gamma_L) / ((chi - omega_R) / omega_L) of a stack of pairs."""
     with np.errstate(divide="ignore", invalid="ignore"):
-        return (p.right_rate / p.left_rate) / ((p.chi - p.omega_right) / p.omega_left)
+        return (sites.rates[:, 1] / sites.rates[:, 0]) / ((sites.shift[:, 1] - sites.onsite[:, 1]) / sites.onsite[:, 0])
 
 
-def _classification(p: PairGrid, i_left: np.ndarray) -> tuple:
-    """Regime tag of each point of a grid from the sign of its current, and
-    alpha where it is defined, as object arrays; both are None where the left
-    reservoir is not the hotter one, where the tag has no meaning."""
+def _classification(sites: _Sites, i_left: np.ndarray) -> tuple:
+    """Regime tag of each pair of a stack (site 1 left, site 2 right, hosting the atom) from the sign of its
+    current, and alpha where it is defined, as object arrays; both are None where the left reservoir is not
+    the hotter one, where the tag has no meaning."""
     sign_tag = np.where(i_left > 0, REGIME_CONDUCTING, REGIME_REVERSED)
-    tag = np.where(np.abs(i_left) < ZERO_CURRENT_TOL * p.omega_left**2, REGIME_INSULATING, sign_tag)
-    hot = p.left_occupation > p.right_occupation
-    definite = (p.sigma_z == 1.0) | (p.sigma_z == -1.0)
-    alpha = np.where(hot & p.atom & definite & (p.chi > p.omega_right), _alpha(p), None)
+    tag = np.where(np.abs(i_left) < ZERO_CURRENT_TOL * sites.onsite[:, 0]**2, REGIME_INSULATING, sign_tag)
+    hot = sites.nbar[:, 0] > sites.nbar[:, 1]
+    definite = (sites.sigma_z == 1.0) | (sites.sigma_z == -1.0)
+    alpha = np.where(hot & sites.atom & definite & (sites.shift[:, 1] > sites.onsite[:, 1]), _alpha(sites), None)
     return alpha, np.where(hot, tag, None)
 
 
-def _report(system, stack, i_left, i_right, i_occupation, i_coherence, scale, state: str, stacklevel: int,
+def _report(system, sites, i_left, i_right, i_occupation, i_coherence, scale, state: str, stacklevel: int,
             floor=0.0) -> CurrentReport:
-    """The CurrentReport of the (M,) currents of ``stack`` = ``_stack(system)``, scalars for one pair or chain;
-    pairs are classified. Unless |I_L + I_R| <= 1e-10 T + ``floor`` (a NaN fails), T the ``scale``, the summed
+    """The CurrentReport of the (M,) currents of ``system``, scalars for one pair or chain; pairs are classified
+    from their ``sites``. Unless |I_L + I_R| <= 1e-10 T + ``floor`` (a NaN fails), T the ``scale``, the summed
     magnitudes of the terms of I_L and I_R, the ``state`` is not steady: it warns ``stacklevel`` frames up."""
     imbalance = np.abs(i_left + i_right)
     bad = np.flatnonzero(~(imbalance <= 1e-10 * scale + floor))
     if bad.size:
         warnings.warn(f"boundary currents do not balance (|I_L + I_R| = {imbalance[bad[0]]:.3e} for system "
                       f"{bad[0]}); the {state} is not a steady state", stacklevel=stacklevel + 1)
-    alpha, regime = _classification(stack, i_left) if isinstance(stack, PairGrid) else (np.full(1, None),) * 2
+    alpha, regime = (np.full(1, None),) * 2 if isinstance(system, ArraySystem) else _classification(sites, i_left)
     return CurrentReport(*_scalars(system, i_left, i_right, i_occupation, i_coherence, alpha, regime))
 
 
@@ -379,31 +380,28 @@ class _Sites(NamedTuple):
     atom: np.ndarray  # (M,) bool
 
 
-def _sites(stack: Union[PairGrid, ArraySystem]) -> _Sites:
-    """The site vectors of a grid of pairs, or of one chain as a stack of one.
-    A cavity pair is the N = 2 chain with on-site frequencies omega_L,
-    omega_R and the atom on site 2."""
-    if isinstance(stack, PairGrid):
-        onsite = np.stack([stack.omega_left, stack.omega_right], axis=1)
-        host = np.ones(len(stack), dtype=int)
-        coupling, chi, sigma_z, atom = stack.coupling, stack.chi, stack.sigma_z, stack.atom
-        rates = np.stack([stack.left_rate, stack.right_rate], axis=1)
-        nbar = np.stack([stack.left_occupation, stack.right_occupation], axis=1)
+def _sites(system: Union[PairGrid, TwoCavitySystem, ArraySystem]) -> _Sites:
+    """The site vectors of a grid of pairs, or of one pair or chain as a stack
+    of one. A cavity pair is the N = 2 chain with on-site frequencies omega_L,
+    omega_R; its atom's host index is validated to be 2, so that a pair and a
+    chain alike put the atom on their host site."""
+    if isinstance(system, PairGrid):
+        onsite = np.stack([system.omega_left, system.omega_right], axis=1)
+        host = np.ones(len(system), dtype=int)
+        coupling, chi, sigma_z, atom = system.coupling, system.chi, system.sigma_z, system.atom
+        rates = np.stack([system.left_rate, system.right_rate], axis=1)
+        nbar = np.stack([system.left_occupation, system.right_occupation], axis=1)
     else:
-        onsite = np.full((1, stack.n_sites), stack.omega)
-        host = np.array([stack.atom.host_index - 1 if stack.atom is not None else 0])
-        coupling, chi, sigma_z = (np.array([getattr(stack, name)]) for name in ("coupling", "chi", "sigma_z"))
-        atom = np.array([stack.atom is not None])
-        rates = np.array([[stack.left.rate, stack.right.rate]])
-        nbar = np.array([[stack.left.mean_occupation, stack.right.mean_occupation]])
+        onsite = (np.array([[system.omega_left, system.omega_right]], dtype=float)
+                  if isinstance(system, TwoCavitySystem) else np.full((1, system.n_sites), system.omega, dtype=float))
+        host = np.array([system.atom.host_index - 1 if system.atom is not None else 0])
+        coupling, chi, sigma_z = (np.array([getattr(system, f)], dtype=float) for f in ("coupling", "chi", "sigma_z"))
+        atom = np.array([system.atom is not None])
+        rates = np.array([[system.left.rate, system.right.rate]], dtype=float)
+        nbar = np.array([[system.left.mean_occupation, system.right.mean_occupation]], dtype=float)
     shift = np.zeros(onsite.shape)
     shift[np.arange(len(shift)), host] = chi
     return _Sites(onsite, coupling, shift, rates, nbar, sigma_z, atom)
-
-
-def _stack(system: Union[TwoCavitySystem, ArraySystem]) -> Union[PairGrid, ArraySystem]:
-    """A pair as a grid of one; a chain as it is."""
-    return PairGrid.from_systems([system]) if isinstance(system, TwoCavitySystem) else system
 
 
 def sector_weights(sigma_z: np.ndarray, atom: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

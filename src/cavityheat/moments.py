@@ -19,7 +19,7 @@ from typing import Union
 import numpy as np
 
 from .chain import MomentMatrix, _lyapunov, _sector_equations
-from .model import ArraySystem, SolverError, TwoCavitySystem, _sites, _stack
+from .model import ArraySystem, SolverError, TwoCavitySystem, _sites
 
 __all__ = [
     "MomentTrajectory",
@@ -66,7 +66,7 @@ def evolve(
     initial.check_system(system)
     # both sectors s = +-1, with p_s = (1 + s sz)/2 even where it is 0: (F, S) need not be a mixture
     sign = np.array([1.0, -1.0])
-    a, q = _sector_equations(_sites(_stack(system)), np.zeros(2, dtype=int), sign)
+    a, q = _sector_equations(_sites(system), np.zeros(2, dtype=int), sign)
     q = 0.5 * (1.0 + sign * system.sigma_z)[:, None, None] * q
     b = np.linalg.eigvals(a)  # sector s relaxes with the eigenvalues b_i + conj(b_j) of its A_s
     spectral_bound = float(np.max(np.abs(b[:, :, None] + b.conj()[:, None, :])))

@@ -69,8 +69,7 @@ def test_generator_matrix_properties():
                            right=ReservoirSpec(0.04, 0.1), atom=AtomSpec(1.2, -0.4))  # omega_R - chi < 0
     for system in chains + [pair]:
         n = 2 if system is pair else system.n_sites
-        a, q = chain._sector_equations(chain._sites(chain._stack(system)), np.zeros(2, dtype=int),
-                                       np.array([1.0, -1.0]))
+        a, q = chain._sector_equations(chain._sites(system), np.zeros(2, dtype=int), np.array([1.0, -1.0]))
         gen = block_generators(system)
         for k, sign in enumerate((1.0, -1.0)):
             want = 1j * (gen.h + sign * gen.x) + gen.m2[:n, :n]
@@ -128,7 +127,7 @@ def test_a_nan_current_is_reported_as_unbalanced():
     field = g.field_block.copy()
     field[0, 0] = np.nan
     with pytest.warns(UserWarning, match="not a steady state"):
-        report = chain._currents(system, system, chain._sites(system), field[None], g.sz_block[None])
+        report = chain._currents(system, chain._sites(system), field[None], g.sz_block[None])
     assert np.isnan(report.i_left).all()
 
 

@@ -1,5 +1,6 @@
 import ast
 import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -38,15 +39,6 @@ def test_package_reexports_resolve_to_their_modules():
     assert len(set(cavityheat.__all__)) == len(cavityheat.__all__)
 
 
-def test_every_path_reads_the_one_statement_of_the_site_vectors():
-    # the moment solves and the Fock oracle take each system's model from model._sites alone
-    from cavityheat import chain, fockspace, model
-
-    for name in ("_Sites", "_sites", "_stack"):
-        assert getattr(chain, name) is getattr(fockspace, name) is getattr(model, name), name
-        assert name not in model.__all__
-
-
 def _names(tree: ast.AST) -> set[str]:
     """Every name a module's code reads: imported names, bare names and attributes."""
     names = set()
@@ -58,6 +50,46 @@ def _names(tree: ast.AST) -> set[str]:
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
     return names
+
+
+class _RunCode(ast.NodeTransformer):
+    """A module's tree without its imports and annotations: the code that runs on what it reads."""
+
+    def visit_Import(self, node):
+        return None
+
+    visit_ImportFrom = visit_Import
+
+    def visit_arg(self, node):
+        node.annotation = None
+        return node
+
+    def visit_FunctionDef(self, node):
+        node.returns = None
+        return self.generic_visit(node)
+
+    def visit_AnnAssign(self, node):
+        node.annotation = ast.Constant(None)
+        return self.generic_visit(node)
+
+
+def test_every_path_reads_the_one_statement_of_the_site_vectors():
+    # the moment solves, moments.evolve and the Fock oracle read each system through model._sites alone;
+    # only the closed forms, whose paper formulas read named pair fields, make a pair a grid of one
+    from cavityheat import chain, closedform, fockspace, model
+
+    for name in ("_Sites", "_sites"):
+        assert getattr(chain, name) is getattr(fockspace, name) is getattr(model, name), name
+        assert name not in model.__all__
+    assert closedform._stack.__module__ == "cavityheat.closedform" and not hasattr(model, "_stack")
+    for stem in ("chain", "fockspace", "moments"):
+        tree = ast.parse((Path(cavityheat.__file__).parent / f"{stem}.py").read_text(encoding="utf-8"))
+        assert "_stack" not in _names(tree), stem
+        assert _names(_RunCode().visit(tree)).isdisjoint({"PairGrid", "from_systems"}), stem
+    # the current report reads the site vectors, with no second statement of the system
+    assert list(inspect.signature(model._report).parameters)[:2] == ["system", "sites"]
+    assert "stack" not in inspect.signature(model._report).parameters
+    assert list(inspect.signature(chain._currents).parameters) == ["system", "sites", "f", "s"]
 
 
 def test_every_steady_solve_reads_the_one_statement_of_each_rule():

@@ -26,7 +26,7 @@ from cavityheat.fockspace import (
     thermal_state,
 )
 from cavityheat.model import (RESIDUAL_TOL, ArraySystem, AtomSpec, ReservoirSpec, SolverError, TwoCavitySystem,
-                              ValidationError, _sites, _stack)
+                              ValidationError, _sites)
 from fock_reference import (
     build_liouvillian,
     fock_operators,
@@ -584,7 +584,7 @@ def test_carried_residual_is_the_full_generator_residual(sigma_z):
     n_max = 8
     rho = steady_rho(system, FockConfig(n_max=n_max, tail_bound=1e-2))
     ((_, sign, state),) = rho.sectors
-    sites = _sites(_stack(system))
+    sites = _sites(system)
     h, channels = _sector_hamiltonian(sites, n_max + 1, sign), _channels(sites, n_max + 1)
     assert rho.residual == _lindblad_backward_error(h, channels, state)
     # at the steady state ||L(rho)|| is rounding, so two evaluations of it agree
