@@ -16,6 +16,7 @@ pass over the whole grid; its results reach the writer as columns
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import json
 import math
@@ -252,12 +253,20 @@ def _two_cavity(p: _Params) -> TwoCavitySystem:
     return TwoCavitySystem(omega_left, omega_right, coupling, left, right, atom)
 
 
+def _check_chain_size(p: _Params, n_sites: int | None) -> None:
+    """Refuse a chain whose sector equations, A_s and Q of up to two atomic
+    sectors as one complex array of 64 N**2 bytes, an array cannot index."""
+    if n_sites is not None and n_sites > math.isqrt(np.iinfo(np.intp).max // 64):
+        p.errors.append(f"config: a chain of {n_sites} sites has sector equations larger than an array can hold")
+
+
 def _array(p: _Params, n_sites: int | None = None) -> ArraySystem:
     """The chain of the config, built after the config errors are raised; as in
     ``_two_cavity``, every other key must be read before this call."""
     omega = p.get("omega", default=1.0)
     if n_sites is None:
         n_sites = p.get("n_sites", required=True)
+        _check_chain_size(p, n_sites)
     atom = _atom(p, host_index=n_sites)
     coupling = p.get("coupling", required=True)
     left, right = _reservoir(p, "left", omega), _reservoir(p, "right", omega)
@@ -326,6 +335,15 @@ def _solver_context(name: str, value) -> str:
     return f"solver failure at {name}={value}"
 
 
+@contextlib.contextmanager
+def _named_failure(name: str, value):
+    """Name ``name``=``value`` in a SolverError raised inside the block."""
+    try:
+        yield
+    except SolverError as exc:
+        raise SolverError(f"{_solver_context(name, value)}: {exc}") from exc
+
+
 def _moment_sweep(grid: PairGrid, name: str, values) -> tuple[CurrentReport, np.ndarray]:
     """Currents (as arrays) and solver residual of every point of a grid, from
     one stack solve; ``values[k]`` names point k in a solver failure."""
@@ -381,6 +399,8 @@ def _size_scan(spec: SweepSpec) -> Rows:
     n_stop = p.get("n_stop", required=True)
     if n_stop is not None and n_stop < n_start:
         p.errors.append(f"config: n_stop must be at least n_start (got {n_start}..{n_stop})")
+    else:
+        _check_chain_size(p, n_stop)
     template = _array(p, n_sites=n_start)
     points = chain.size_scan(template, range(n_start, n_stop + 1))
     return Rows(
@@ -397,10 +417,8 @@ def _size_scan(spec: SweepSpec) -> Rows:
 def _profile(spec: SweepSpec) -> Rows:
     p = _Params(spec.params)
     system = _array(p)
-    try:
+    with _named_failure("n_sites", system.n_sites):
         g = chain.steady_state_matrix(system)
-    except SolverError as exc:
-        raise SolverError(f"{_solver_context('n_sites', system.n_sites)}: {exc}") from exc
     report = chain.boundary_currents(system, g)
     sites = list(range(1, system.n_sites + 1))
     return Rows(
@@ -466,11 +484,11 @@ def crosscheck(spec: SweepSpec) -> tuple[CrosscheckReport, Rows]:
     system = _two_cavity(p)
 
     # each path's current report, and the residual of the state it is read from
-    paths = {
-        "closedform": (closedform.current_general(system), 0.0),
-        "moments": (chain.boundary_currents(system, state := chain.steady_state_matrix(system)), state.residual),
-        "fock": (fockspace.oracle_currents(system, rho := fockspace.steady_rho(system, cfg)), rho.residual),
-    }
+    paths = {"closedform": (closedform.current_general(system), 0.0)}
+    with _named_failure("path", "moments"):
+        paths["moments"] = (chain.boundary_currents(system, state := chain.steady_state_matrix(system)), state.residual)
+    with _named_failure("path", "fock"):
+        paths["fock"] = (fockspace.oracle_currents(system, rho := fockspace.steady_rho(system, cfg)), rho.residual)
     currents = {path: path_report.i_left for path, (path_report, _) in paths.items()}
     scale = system.omega_left**2
     deviations = {(a, b): (_relative_deviation(currents[a], currents[b], tolerances[key] * scale), tolerances[key])
@@ -624,6 +642,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_VALIDATION
     except SolverError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_SOLVER
+    except MemoryError as exc:  # a solve larger than this machine's memory
+        print(f"error: out of memory: {exc}".removesuffix(": "), file=sys.stderr)
         return EXIT_SOLVER
     except CrosscheckError as exc:
         print(f"error: {exc}", file=sys.stderr)

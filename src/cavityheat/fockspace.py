@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass, replace
 from typing import Union
 
@@ -127,15 +128,18 @@ class DensityMatrix:
 
 
 def gibbs_tail_mass(n_max: int, nbar: float) -> float:
-    """Thermal weight beyond the truncation, q**(n_max + 1) with q = nbar/(1 + nbar)."""
-    if not math.isfinite(n_max):
+    """Thermal weight beyond the truncation, q**(n_max + 1) with q = nbar/(1 + nbar),
+    for an integer n_max of any size."""
+    if not -math.inf < n_max < math.inf:  # compares exactly, where isfinite cannot take a large int
         raise ValueError(f"n_max must be finite, got {n_max}")
     if not 0 <= nbar < math.inf:
         raise ValueError(f"nbar (mean occupation) must be non-negative and finite, got {nbar}")
     if nbar == 0:
         return 0.0
     q = nbar / (1.0 + nbar)
-    return q ** (n_max + 1)
+    # a float power takes its exponent as a float; q < 1 (or q rounded to 1) gives the same
+    # power, 0 (or 1), at every exponent past the largest float
+    return q ** min(n_max + 1, sys.float_info.max)
 
 
 def thermal_state(n_levels: int, nbar: float) -> np.ndarray:
@@ -159,7 +163,8 @@ def _check_config(sites: _Sites, cfg: FockConfig) -> None:
     bound non-negative (not NaN) and the Gibbs tail mass within it, and the
     inverses the block solve keeps, 8 m_n**4 bytes for each excitation block of
     m_n kets, within ``MAX_HELD_BYTES`` (peak RSS measured 1.5-3x them). Since
-    m**4 >= m, levels**N kets alone past it are refused before the m_n are counted."""
+    m**4 >= m, levels**N kets alone past it are refused before the m_n are
+    counted, and 2**60 of them stand for more, so the message holds any n_max."""
     n_max = cfg.n_max
     if not _is_integer(n_max) or n_max < 1:
         raise ValidationError([f"fock: n_max must be an integer of at least 1, got {n_max!r}"])
@@ -173,7 +178,7 @@ def _check_config(sites: _Sites, cfg: FockConfig) -> None:
             f"exceeds the bound {cfg.tail_bound:.1e}; raise n_max or the bound"
         ])
     modes, levels = sites.onsite.shape[1], int(cfg.levels)  # a Python int cannot wrap
-    held = 8 * levels**modes
+    held = 8 * (levels**modes if modes * math.log2(levels) < 60 else 2**60)
     if held <= MAX_HELD_BYTES:  # count the m_n, the coefficients of (1 + x + .. + x**n_max)**N
         held = 8 * int(np.sum(functools.reduce(np.convolve, [np.ones(levels, dtype=np.int64)] * modes) ** 4.0))
     if held > MAX_HELD_BYTES:

@@ -52,7 +52,8 @@ def evolve(
     G = [[F, S], [S, F]] is integrated as its sectors X_s = (F + s S)/2, by
     dX_s/dt = A_s X_s + X_s A_s+ + p_s Q, and F = X_+ + X_-, S = X_+ - X_-;
     a ValueError is raised for an ``initial`` matrix of another size or
-    sigma_z, and for a t_final/dt that is not finite. The step count is
+    sigma_z, for a t_final/dt that is not finite, and for a trajectory too
+    large to index or allocate. The step count is
     t_final/dt rounded, so the trajectory ends at that multiple of dt. The
     conserved sigma_z is carried through unchanged. A warning is emitted when
     dt |b_i + conj(b_j)|, b the eigenvalues of A_s, reaches 0.1; a SolverError
@@ -77,7 +78,11 @@ def evolve(
             stacklevel=2,
         )
     n_steps = max(1, int(round(t_final / dt)))
-    field, sz_block = np.empty((2, n_steps + 1) + a.shape[1:], dtype=complex)
+    try:
+        field, sz_block = np.empty((2, n_steps + 1) + a.shape[1:], dtype=complex)
+    except (ValueError, MemoryError) as exc:  # numpy's refusal of a shape it cannot index or hold
+        raise ValueError(f"a trajectory of {n_steps + 1} states cannot be held (t_final={t_final}, dt={dt}): "
+                         f"{exc}") from exc
     field[0], sz_block[0] = initial.field_block, initial.sz_block
     x = 0.5 * (field[0] + sign[:, None, None] * sz_block[0])  # X_s = (F + s S)/2
     for i in range(n_steps):

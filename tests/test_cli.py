@@ -866,3 +866,62 @@ def test_regime_table_refuses_an_empty_alpha_list(tmp_path, capsys, alphas):
     assert run_main("regime_table", tmp_path, params) == cli.EXIT_VALIDATION
     assert capsys.readouterr().err.splitlines() == ["error: config: alpha_values must hold at least one value"]
     assert not (tmp_path / "out.csv").exists()
+
+
+def readme_exit_codes() -> set[int]:
+    readme = (Path(cavityheat.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
+    paragraph = readme[readme.index("Exit codes:"):].split("\n\n")[0]
+    return {int(code) for code in re.findall(r"`(\d+)`", paragraph)}
+
+
+def out_of_memory(system):
+    # the solve of a chain of 100000 sites would allocate 298 GiB; no test may try
+    raise MemoryError("Unable to allocate 298. GiB for an array with shape (2, 1, 10000000000) and data type "
+                      "complex128")
+
+
+CHAIN = dict(coupling="0.02", gamma_left="0.1", gamma_right="0.1", nbar_left="0.01")
+HUGE = str(10**20)
+
+
+@pytest.mark.parametrize(
+    "experiment, params, held, code, message",
+    [("oracle_crosscheck", dict(FIG2, fock_n_max=str(10**200)), True, cli.EXIT_VALIDATION,
+      f"error: fock: the block solve of 2 modes at n_max={10**200} would hold at least 9223372036854775808 bytes"),
+     ("oracle_crosscheck", dict(FIG2, fock_n_max=str(10**400)), True, cli.EXIT_VALIDATION,
+      f"error: fock: the block solve of 2 modes at n_max={10**400} would hold at least 9223372036854775808 bytes"),
+     ("profile", dict(CHAIN, n_sites=HUGE), True, cli.EXIT_VALIDATION,
+      f"error: config: a chain of {HUGE} sites has sector equations larger than an array can hold"),
+     ("size_scan", dict(CHAIN, n_start=HUGE, n_stop=HUGE), True, cli.EXIT_VALIDATION,
+      f"error: config: a chain of {HUGE} sites has sector equations larger than an array can hold"),
+     ("profile", dict(CHAIN, n_sites="100000"), False, cli.EXIT_SOLVER,
+      "error: out of memory: Unable to allocate 298. GiB"),
+     ("size_scan", dict(CHAIN, n_start="100000", n_stop="100000"), False, cli.EXIT_SOLVER,
+      "error: out of memory: Unable to allocate 298. GiB"),
+     # the moment path solves this high-Q point; the oracle's backward error is 1.03e-14
+     ("oracle_crosscheck", dict(coupling="0.01", gamma_left="1e-9", gamma_right="1e-9", nbar_left="0.5",
+                                nbar_right="0", chi="0.05", sigma_z="1", fock_n_max="12", fock_tail_bound="1e-3"),
+      True, cli.EXIT_SOLVER, "error: solver failure at path=fock: sector steady-state residual 1.029e-14 exceeds")],
+    ids=["fock-n-max-1e200", "fock-n-max-1e400", "profile-unindexable", "size-scan-unindexable",
+         "profile-out-of-memory", "size-scan-out-of-memory", "crosscheck-names-the-failing-path"],
+)
+def test_a_size_or_solve_beyond_reach_exits_with_a_documented_code(monkeypatch, tmp_path, capsys, experiment, params,
+                                                                    held, code, message):
+    # ``held``: the memory the run needs can be held, so it runs as it is; else its solve runs out of memory
+    if not held:
+        monkeypatch.setattr(chain, "steady_state_matrix", out_of_memory)
+    assert code in readme_exit_codes()
+    assert run_main(experiment, tmp_path, params) == code  # main returns: no exception escapes
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(message)
+    assert not (tmp_path / "out.csv").exists()
+
+
+def test_the_largest_chain_size_refused_is_the_readme_s():
+    # 64 N**2 bytes of sector equations index at N = 379,625,062 and not one site more
+    for n_sites, refused in ((379625062, False), (379625063, True)):
+        p = cli._Params({})
+        cli._check_chain_size(p, n_sites)
+        assert bool(p.errors) == refused
+    readme = (Path(cavityheat.__file__).resolve().parents[2] / "README.md").read_text(encoding="utf-8")
+    assert "(N above 379,625,062)" in readme

@@ -94,6 +94,17 @@ def test_the_size_guard_counts_the_blocks_without_building_them():
     assert time.perf_counter() - start < 1.0
 
 
+def test_the_tail_mass_and_the_size_guard_take_an_n_max_of_any_size():
+    # a float power takes its exponent as a float, which 10**400 overflows
+    assert gibbs_tail_mass(10**400, 0.5) == 0.0
+    assert gibbs_tail_mass(10**400, 1e20) == 1.0  # q rounds to 1
+    # past 2**60 kets the guard names 2**63 bytes, a number that a float and a message hold
+    for n_max in (10**200, 10**400):
+        with pytest.raises(ValidationError, match=re.escape(
+                "would hold at least 9223372036854775808 bytes of inverses (8.796e+12 MiB)")):
+            steady_rho(system_for(), FockConfig(n_max=n_max, tail_bound=1.0))
+
+
 def test_a_pair_at_n_max_21_solves_and_agrees_with_the_moment_path():
     # 15.8 MiB of block inverses, where the whole state's 22**4 entries were once refused
     system = system_for()

@@ -295,6 +295,14 @@ def test_evolve_refuses_a_step_count_that_is_not_finite():
         evolve(system_for(), zero_state(sigma_z=1.0), t_final=1e300, dt=1e-10)
 
 
+def test_evolve_refuses_a_trajectory_it_cannot_hold():
+    # 2e20 steps: numpy refuses the shape of the trajectory before it allocates anything;
+    # dt = 0.05 stays below the step warning of the pair
+    with pytest.raises(ValueError, match=re.escape("a trajectory of 200000000000000000001 states cannot be held "
+                                                   "(t_final=1e+19, dt=0.05)")):
+        evolve(system_for(), zero_state(sigma_z=1.0), t_final=1e19, dt=0.05)
+
+
 # --- currents ----------------------------------------------------------------
 
 
