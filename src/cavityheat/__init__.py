@@ -5,7 +5,8 @@ Three mutually cross-validating computational paths:
 - ``closedform``: exact closed-form moments, currents, switch classification,
   and rectification for the two-cavity system;
 - ``chain``: the steady state of an N-cavity array as one N x N Lyapunov
-  equation per atomic sector, solved for a whole stack of sectors at once;
+  equation per atomic sector, solved for a whole stack of sectors a slice
+  at a time;
   two cavities are the N = 2 chain, and a sweep grid (``PairGrid``, one
   array per parameter) is one stack; ``moments`` integrates the moment
   equations in time;

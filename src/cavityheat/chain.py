@@ -14,12 +14,13 @@ sector covariance C_s = <a_j+ a_k> solves one N x N Lyapunov equation
 
     A_s C_s + C_s A_s+ = -Q,    A_s = i (h + s x) + D.
 
-``sector_covariances`` solves a stack of these equations at once: pairs as
-one batched Kronecker system, with the eigenvalues of A_s and C_s of each
-2 x 2 sector in closed form, and every chain of three or more sites in the
-eigenbasis of each A_s (O(N^3) time, O(N^2) memory). A_s is complex
-symmetric, so that basis W has W^-1 = W^T; the equation is elementwise there,
-and the same eigenvalues give the stability guard. Each solution passes the
+``sector_covariances`` solves a stack of these equations, SOLVE_SLICE at a
+time between checks of the whole stack: pairs as batched Kronecker systems,
+with the eigenvalues of A_s and C_s of each 2 x 2 sector in closed form,
+and every chain of three or more sites in the eigenbasis of each A_s
+(O(N^3) time, O(N^2) memory). A_s is complex symmetric, so that basis W has
+W^-1 = W^T; the equation is elementwise there, and the same eigenvalues give
+the stability guard. Each solution passes the
 rules of every steady solve, the oracle's too (``model._check_steady``): its
 positivity margin and its normwise backward error (``model._backward_error``)
 
@@ -86,6 +87,10 @@ __all__ = [
 STABILITY_TOL = 1e-12
 # steps of iterative refinement of the eigenbasis solve
 REFINEMENT_STEPS = 3
+# sector equations solved at a time past the whole-stack guards: a pair's
+# temporaries are about 1 KB an equation, so a slice holds about 256 KB, and
+# slices of 256 to 2048 solve a 1201-point sweep within noise of one pass
+SOLVE_SLICE = 256
 
 
 @dataclass(frozen=True)
@@ -253,7 +258,7 @@ def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     Each A_k must be complex symmetric, as every A_s of ``_sector_equations``
     is. A stack that is not either still refines to its solution or fails the
     positivity or residual guard; it never returns a wrong C. Pairs (N = 2)
-    are one batched 4 x 4 Kronecker system, with their decay exponents
+    are batched 4 x 4 Kronecker systems, with their decay exponents
     (``_pair_exponents``) and the eigenvalues of C in closed form; chains take
     one batched ``eig``, whose exponents and eigenbasis ``_eigenbasis_solve``
     works in, and ``eigvalsh`` for the positivity guard. Returns the
@@ -261,6 +266,16 @@ def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     backward error of each equation, ||A C + C A+ + Q|| / (2 ||A|| ||C|| +
     ||Q||) with the ||A|| of the stability guard, and each positivity margin,
     both checked by ``model._check_steady``.
+
+    The finiteness and stability guards, with the exponents and ||A|| they
+    read, run on the whole stack. The solve (a pair's Kronecker operator,
+    summed from three (K, 2, 2, 2, 2) complex temporaries, or a chain's
+    eigenbasis solve), the Hermitian part, the spectrum and the backward
+    error then run SOLVE_SLICE equations at a time into arrays of the whole
+    stack, so their temporaries are held for one slice only. Each k takes
+    the same arithmetic as in one pass, so every bit is the same, and
+    ``_check_steady`` runs last on the whole stack, so the first failure is
+    the same k too.
     Raises SolverError, with ``index`` the first failing k, when A_k or Q_k
     has a non-finite entry, a mode is undamped (or A_k has no basis of
     eigenvectors), a covariance is not positive semidefinite or a backward
@@ -274,16 +289,27 @@ def sector_covariances(a: np.ndarray, q: np.ndarray) -> tuple[np.ndarray, np.nda
     norm_a = _norm(a)
     _guard(slowest < -STABILITY_TOL * norm_a,
            "no unique steady state: a chain mode is undamped (largest decay exponent {slowest:.3e})", slowest=slowest)
-    if basis is None:
-        # row-major vec(A C + C A+) = (A kron I + I kron conj(A)) vec(C)
-        eye = np.eye(n)
-        op = a[:, :, None, :, None] * eye[None, None, :, None, :] + eye[None, :, None, :, None] * a.conj()[:, None, :, None, :]
-        c = np.linalg.solve(op.reshape(k, n * n, n * n), -q.reshape(k, n * n, 1)).reshape(k, n, n)
-    else:
-        c = _eigenbasis_solve(a, q, exponents, basis)
-    c = 0.5 * (c + _adjoint(c))  # the exact C is Hermitian; the eigenbasis solve already is, bit for bit
-    eigenvalues = _pair_spectrum(c) if n == 2 else np.linalg.eigvalsh(c)
-    residual = _backward_error(_norm(_lyapunov(a, c, q)), norm_a, _norm(c), _norm(q))
+    c, residual, eigenvalues = np.empty_like(a), np.empty(k), np.empty((k, n))
+    eye = np.eye(n)
+    for start in range(0, k, SOLVE_SLICE):
+        part = slice(start, start + SOLVE_SLICE)
+        a_part, q_part = a[part], q[part]
+        if basis is None:
+            # row-major vec(A C + C A+) = (A kron I + I kron conj(A)) vec(C)
+            op = (a_part[:, :, None, :, None] * eye[None, None, :, None, :]
+                  + eye[None, :, None, :, None] * a_part.conj()[:, None, :, None, :])
+            solved = np.linalg.solve(op.reshape(-1, n * n, n * n), -q_part.reshape(-1, n * n, 1)).reshape(a_part.shape)
+        else:
+            try:
+                solved = _eigenbasis_solve(a_part, q_part, exponents[part], basis[part])
+            except SolverError as exc:
+                exc.index += start
+                raise
+        # the exact C is Hermitian; the eigenbasis solve already is, bit for bit
+        c[part] = c_part = 0.5 * (solved + _adjoint(solved))
+        eigenvalues[part] = _pair_spectrum(c_part) if n == 2 else np.linalg.eigvalsh(c_part)
+        residual[part] = _backward_error(_norm(_lyapunov(a_part, c_part, q_part)), norm_a[part], _norm(c_part),
+                                         _norm(q_part))
     return c, residual, _check_steady(eigenvalues, residual, "sector covariance")
 
 

@@ -20,6 +20,8 @@ import contextlib
 import functools
 import json
 import math
+import os
+import stat
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -305,9 +307,10 @@ class Rows(Sequence):
     """Output rows, held as columns.
 
     Each name of COLUMNS maps to None (an empty column), to one value that
-    every row holds, or to a list or array of one value per row. Indexing
-    and iteration give a row as a dict, built on access; the writer reads
-    the columns.
+    every row holds, or to a list or array of one value per row. An array is
+    held as it is, 8 bytes a value, and becomes Python scalars only a block
+    of rows at a time (``block``), as the writer formats it. Indexing and
+    iteration give a row as a dict of Python scalars, built on access.
     """
 
     def __init__(self, n_rows: int, **columns):
@@ -318,17 +321,20 @@ class Rows(Sequence):
         if uneven:
             raise ValueError(f"columns {uneven} do not hold one value per row ({n_rows} rows)")
         self.n_rows = n_rows
-        # arrays become lists of Python scalars, which format faster
-        self.columns = dict.fromkeys(COLUMNS)
-        for name, value in columns.items():
-            self.columns[name] = value.tolist() if isinstance(value, np.ndarray) else value
+        self.columns = dict.fromkeys(COLUMNS) | columns
 
     def __len__(self) -> int:
         return self.n_rows
 
     def __getitem__(self, index: int) -> dict:
         k = range(self.n_rows)[index]
-        return {name: value[k] if _is_column(value) else value for name, value in self.columns.items()}
+        return {name: value[0] if _is_column(value) else value for name, value in zip(COLUMNS, self.block(k, k + 1))}
+
+    def block(self, start: int, stop: int) -> list:
+        """Rows ``start`` to ``stop`` - 1: each column, in COLUMNS order, as a list
+        of Python scalars, or the one value of a column that holds one."""
+        return [value[start:stop].tolist() if isinstance(value, np.ndarray) else value[start:stop]
+                if _is_column(value) else value for value in self.columns.values()]
 
 
 def _solver_context(name: str, value) -> str:
@@ -538,23 +544,49 @@ def _json_cells(values: list) -> list[str]:
     ]
 
 
+# rows formatted and written at a time: the writer holds the strings of one
+# block, not of the file, and blocks of 128 to 1024 rows write a 100,000-row
+# sweep at least as fast as one block of the whole file
+BLOCK_ROWS = 512
+
 # one row object, laid out as json.dumps(..., indent=2) lays it out inside "rows"
 _JSON_ROW = "    {\n" + ",\n".join(f"      {json.dumps(column)}: %s" for column in COLUMNS) + "\n    }"
 
 
 def _write_rows(spec: SweepSpec, rows: Rows) -> None:
-    """The rows as CSV or as indented JSON, formatted a column at a time; a
-    column that holds one value for every row is formatted once."""
+    """The rows as CSV or as indented JSON, written through one open file
+    BLOCK_ROWS rows at a time, each block formatted a column at a time; a
+    column that holds one value for every row is formatted once. On any
+    exception after the file is opened, the partial file is removed before
+    the exception is raised again, so a run that fails part-way leaves no
+    file: only a regular file at the output path itself, never a device or
+    a file reached through a symbolic link."""
     encode = _csv_cells if spec.fmt == "csv" else _json_cells
-    columns = [encode(value) if _is_column(value) else encode([value]) * len(rows) for value in rows.columns.values()]
     if spec.fmt == "csv":
-        lines = [",".join(COLUMNS), *map(",".join, zip(*columns))]
-        text = "\n".join(lines) + "\n"
+        head, tail = ",".join(COLUMNS) + "\n", ""
     else:
         head = json.dumps({"experiment": spec.experiment, "columns": list(COLUMNS)}, indent=2)
-        body = ",\n".join(_JSON_ROW % cells for cells in zip(*columns))
-        text = head[: -len("\n}")] + ',\n  "rows": ' + (f"[\n{body}\n  ]" if len(rows) else "[]") + "\n}\n"
-    spec.output.write_text(text, encoding="utf-8", newline="\n")
+        head = head[: -len("\n}")] + ',\n  "rows": ' + ("[\n" if len(rows) else "[]")
+        tail = ("\n  ]" if len(rows) else "") + "\n}\n"
+    once = {k: encode([value])[0] for k, value in enumerate(rows.columns.values()) if not _is_column(value)}
+    handle = spec.output.open("w", encoding="utf-8", newline="\n")
+    try:
+        with handle:
+            handle.write(head)
+            for start in range(0, len(rows), BLOCK_ROWS):
+                stop = min(start + BLOCK_ROWS, len(rows))
+                cells = zip(*([once[k]] * (stop - start) if k in once else encode(column)
+                              for k, column in enumerate(rows.block(start, stop))))
+                if spec.fmt == "csv":
+                    handle.write("\n".join(map(",".join, cells)) + "\n")
+                else:
+                    handle.write((",\n" if start else "") + ",\n".join(_JSON_ROW % row for row in cells))
+            handle.write(tail)
+    except BaseException:
+        with contextlib.suppress(OSError):
+            if stat.S_ISREG(os.lstat(spec.output).st_mode):
+                spec.output.unlink()
+        raise
 
 
 def _oracle_crosscheck(spec: SweepSpec) -> Rows:

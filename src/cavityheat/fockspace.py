@@ -158,23 +158,41 @@ def thermal_state(n_levels: int, nbar: float) -> np.ndarray:
     return np.diag(weights)
 
 
+def _shown(n_max) -> str:
+    """``n_max`` as a message prints it: an integer of up to 20 digits in full, a
+    longer one as its four leading digits and its exponent, found in integer
+    arithmetic (a float overflows past 1e308), anything else as its repr."""
+    if not _is_integer(n_max):
+        return repr(n_max)
+    magnitude = abs(int(n_max))
+    if magnitude < 10**20:
+        return str(int(n_max))
+    # 2**(bits - 1) <= magnitude, so this exponent is at most the decimal one
+    exponent = max(int((magnitude.bit_length() - 1) * math.log10(2)) - 1, 0)
+    while 10 ** (exponent + 1) <= magnitude:
+        exponent += 1
+    leading = magnitude // 10 ** (exponent - 3)
+    return f"{'-' if n_max < 0 else ''}{leading // 1000}.{leading % 1000:03d}e+{exponent}"
+
+
 def _check_config(sites: _Sites, cfg: FockConfig) -> None:
     """Raise ValidationError unless n_max is an integer of at least 1, the tail
     bound non-negative (not NaN) and the Gibbs tail mass within it, and the
     inverses the block solve keeps, 8 m_n**4 bytes for each excitation block of
     m_n kets, within ``MAX_HELD_BYTES`` (peak RSS measured 1.5-3x them). Since
     m**4 >= m, levels**N kets alone past it are refused before the m_n are
-    counted, and 2**60 of them stand for more, so the message holds any n_max."""
+    counted, and 2**60 of them stand for more, so the message holds any n_max;
+    each message prints n_max as ``_shown`` does."""
     n_max = cfg.n_max
     if not _is_integer(n_max) or n_max < 1:
-        raise ValidationError([f"fock: n_max must be an integer of at least 1, got {n_max!r}"])
+        raise ValidationError([f"fock: n_max must be an integer of at least 1, got {_shown(n_max)}"])
     if not cfg.tail_bound >= 0:
         raise ValidationError([f"fock: tail_bound must be non-negative, got {cfg.tail_bound!r}"])
     hot = max(sites.nbar[0].tolist())
     tail = gibbs_tail_mass(n_max, hot)
     if not tail <= cfg.tail_bound:
         raise ValidationError([
-            f"fock: Gibbs tail mass {tail:.3e} beyond n_max={n_max} at nbar={hot} "
+            f"fock: Gibbs tail mass {tail:.3e} beyond n_max={_shown(n_max)} at nbar={hot} "
             f"exceeds the bound {cfg.tail_bound:.1e}; raise n_max or the bound"
         ])
     modes, levels = sites.onsite.shape[1], int(cfg.levels)  # a Python int cannot wrap
@@ -182,8 +200,9 @@ def _check_config(sites: _Sites, cfg: FockConfig) -> None:
     if held <= MAX_HELD_BYTES:  # count the m_n, the coefficients of (1 + x + .. + x**n_max)**N
         held = 8 * int(np.sum(functools.reduce(np.convolve, [np.ones(levels, dtype=np.int64)] * modes) ** 4.0))
     if held > MAX_HELD_BYTES:
-        raise ValidationError([f"fock: the block solve of {modes} modes at n_max={n_max} would hold at least {held} "
-                               f"bytes of inverses ({held / 2**20:.4g} MiB), over the bound of {MAX_HELD_BYTES}"])
+        raise ValidationError([f"fock: the block solve of {modes} modes at n_max={_shown(n_max)} would hold at "
+                               f"least {held} bytes of inverses ({held / 2**20:.4g} MiB), over the bound of "
+                               f"{MAX_HELD_BYTES}"])
 
 
 def _ladder(levels: int, shifts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -550,7 +569,7 @@ def converged_steady_rho(
         try:
             state = steady_rho(system, cfg)
         except ValidationError as exc:
-            raise SolverError(f"truncation escalation at n_max={cfg.n_max} before occupations "
+            raise SolverError(f"truncation escalation at n_max={_shown(cfg.n_max)} before occupations "
                               f"converged: {exc}") from exc
 
 

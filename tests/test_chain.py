@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -344,18 +345,50 @@ def test_interior_atom_mode_is_solved_until_it_is_undamped():
 
 def test_a_sector_matrix_without_an_eigenbasis_has_no_unique_steady_state(monkeypatch):
     n = 9
-    a, q = sector_stack(chain_system(n, chi=0.1, host=n, sigma_z=0.3))
     eig = np.linalg.eig
+    # the second sector of one chain, and a sector in the second slice of a stack of copies
+    for copies, failing in ((1, 1), (chain.SOLVE_SLICE, chain.SOLVE_SLICE + 1)):
+        a, q = (np.tile(m, (copies, 1, 1)) for m in sector_stack(chain_system(n, chi=0.1, host=n, sigma_z=0.3)))
 
-    def singular(matrices):
-        exponents, basis = eig(matrices)
-        basis[1][:, 1] = 0.0  # the second sector loses an eigenvector
-        return exponents, basis
+        def singular(matrices):
+            exponents, basis = eig(matrices)
+            basis[failing][:, 1] = 0.0  # this sector loses an eigenvector
+            return exponents, basis
 
-    monkeypatch.setattr(chain.np.linalg, "eig", singular)
-    with pytest.raises(SolverError, match="no unique steady state") as err:
-        chain.sector_covariances(a, q)
-    assert err.value.index == 1
+        monkeypatch.setattr(chain.np.linalg, "eig", singular)
+        with pytest.raises(SolverError, match="no unique steady state") as err:
+            chain.sector_covariances(a, q)
+        assert err.value.index == failing
+
+
+def test_a_stack_solved_a_slice_at_a_time_is_each_equation_alone_bit_for_bit():
+    # the sectors of pairs over three slices, and of 3-site chains over two
+    pair = TwoCavitySystem(omega_left=1.0, omega_right=1.1, coupling=0.02, left=ReservoirSpec(0.06, 0.5),
+                           right=ReservoirSpec(0.08, 0.1), atom=AtomSpec(0.1, 0.3))
+    rates = 0.01 + 1e-4 * np.arange(chain.SOLVE_SLICE + 2)
+    pairs = chain._sites(PairGrid.sweep(pair, left_rate=rates, right_rate=rates[::-1]))
+    chains = chain._sites(chain_system(3, chi=0.1, host=3, sigma_z=0.3))
+    for sites, owner in ((pairs, np.repeat(np.arange(len(rates)), 2)), (chains, np.zeros(chain.SOLVE_SLICE + 2, int))):
+        a, q = chain._sector_equations(sites, owner, np.resize([1.0, -1.0], len(owner)))
+        whole = chain.sector_covariances(a, q)
+        for k in range(len(owner)):
+            for got, want in zip(whole, chain.sector_covariances(a[k:k + 1], q[k:k + 1])):
+                assert np.array_equal(got[k:k + 1], want)
+
+
+def test_a_sweep_holds_less_than_a_kilobyte_a_point_while_it_solves():
+    # tracemalloc counts numpy's buffers; the whole stack's Kronecker operator took 1.6 KB a point
+    pair = TwoCavitySystem(omega_left=1.0, omega_right=1.0, coupling=0.02, left=ReservoirSpec(1.0, 0.5),
+                           right=ReservoirSpec(1.0, 0.0), atom=AtomSpec(0.05, 0.3))
+    rates = 0.001 + 1e-7 * np.arange(100_000)
+    grid = PairGrid.sweep(pair, left_rate=rates, right_rate=rates)
+    tracemalloc.start()
+    try:
+        sweep_currents(grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1000 * len(rates)
 
 
 def test_steady_matrix_residual_and_hermiticity():

@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -448,14 +449,24 @@ CELLS = [
 ]
 
 
-@pytest.mark.parametrize("n_rows", [0, 1, None], ids=["empty", "one", "every-cell-in-every-column"])
+B = cli.BLOCK_ROWS
+
+
+@pytest.mark.parametrize("n_rows", [0, 1, None, B - 1, B, B + 1, 2 * B + 1],
+                         ids=["empty", "one", "every-cell-in-every-column", "block-less-one", "block", "block-plus-one",
+                              "two-blocks-plus-one"])
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 def test_row_writer_matches_the_per_cell_encoder(tmp_path, fmt, n_rows):
     # JSON has no encoding of numpy integers, so they are written only to CSV
     cells = CELLS + [np.int64(-3)] if fmt == "csv" else CELLS
-    # row i, column j holds cells[i * 5 + j]; 5 is prime to the cell count, so each column meets every cell
-    rows = [{column: cells[(i * 5 + j) % len(cells)] for j, column in enumerate(cli.COLUMNS)}
-            for i in range(len(cells))][:n_rows]
+    # row i, column j holds cells[(i * 5 + j) % len(cells)]; 5 is prime to the cell count, so any len(cells)
+    # consecutive rows hold every cell in every column, and 2B + 1 rows hold each on both sides of a block boundary
+    n_rows = len(cells) if n_rows is None else n_rows
+    index = [[(i * 5 + j) % len(cells) for j in range(len(cli.COLUMNS))] for i in range(n_rows)]
+    if n_rows > B + len(cells):
+        for side in (index[B - len(cells):B], index[B:B + len(cells)]):
+            assert all(sorted(column) == list(range(len(cells))) for column in zip(*side))
+    rows = [{column: cells[k] for column, k in zip(cli.COLUMNS, row)} for row in index]
     spec = spec_for("gamma_sweep", tmp_path / f"rows.{fmt}", {}, fmt=fmt)
     cli._write_rows(spec, cli.Rows(len(rows), **{column: [row[column] for row in rows] for column in cli.COLUMNS}))
     assert spec.output.read_bytes() == per_cell_text(spec, rows).encode("utf-8")
@@ -472,9 +483,17 @@ def test_a_column_of_one_value_is_written_in_every_row(tmp_path, fmt):
 
 
 def test_rows_read_as_dicts_and_reject_uneven_columns():
-    rows = cli.Rows(2, experiment="gamma_sweep", value=np.array([0.1, 0.2]), path=["a", "b"])
+    # float, int and object arrays are held as arrays; each cell reads back as a Python scalar
+    rows = cli.Rows(2, experiment="gamma_sweep", value=np.array([0.1, 0.2]), site=np.array([1, 2]),
+                    alpha=np.array([None, 0.5], dtype=object), regime=np.array(["conducting", None], dtype=object),
+                    path=["a", "b"])
     assert len(rows) == 2 and [row["value"] for row in rows] == [0.1, 0.2]
-    assert rows[-1] == dict.fromkeys(cli.COLUMNS) | {"experiment": "gamma_sweep", "value": 0.2, "path": "b"}
+    assert rows[-1] == dict.fromkeys(cli.COLUMNS) | {"experiment": "gamma_sweep", "value": 0.2, "site": 2,
+                                                     "alpha": 0.5, "path": "b"}
+    assert rows[0] | {"experiment": None} == dict.fromkeys(cli.COLUMNS) | {"value": 0.1, "site": 1,
+                                                                          "regime": "conducting", "path": "a"}
+    kinds = [[type(row[name]) for name in ("value", "site", "alpha", "regime")] for row in rows]
+    assert kinds == [[float, int, type(None), str], [float, int, float, type(None)]]
     with pytest.raises(IndexError):
         rows[2]
     with pytest.raises(ValueError, match="one value per row"):
@@ -890,9 +909,11 @@ HUGE = str(10**20)
 @pytest.mark.parametrize(
     "experiment, params, held, code, message",
     [("oracle_crosscheck", dict(FIG2, fock_n_max=str(10**200)), True, cli.EXIT_VALIDATION,
-      f"error: fock: the block solve of 2 modes at n_max={10**200} would hold at least 9223372036854775808 bytes"),
+      "error: fock: the block solve of 2 modes at n_max=1.000e+200 would hold at least 9223372036854775808 bytes"),
      ("oracle_crosscheck", dict(FIG2, fock_n_max=str(10**400)), True, cli.EXIT_VALIDATION,
-      f"error: fock: the block solve of 2 modes at n_max={10**400} would hold at least 9223372036854775808 bytes"),
+      "error: fock: the block solve of 2 modes at n_max=1.000e+400 would hold at least 9223372036854775808 bytes"),
+     ("oracle_crosscheck", dict(FIG2, fock_n_max=str(10**4000)), True, cli.EXIT_VALIDATION,
+      "error: fock: the block solve of 2 modes at n_max=1.000e+4000 would hold at least 9223372036854775808 bytes"),
      ("profile", dict(CHAIN, n_sites=HUGE), True, cli.EXIT_VALIDATION,
       f"error: config: a chain of {HUGE} sites has sector equations larger than an array can hold"),
      ("size_scan", dict(CHAIN, n_start=HUGE, n_stop=HUGE), True, cli.EXIT_VALIDATION,
@@ -905,7 +926,7 @@ HUGE = str(10**20)
      ("oracle_crosscheck", dict(coupling="0.01", gamma_left="1e-9", gamma_right="1e-9", nbar_left="0.5",
                                 nbar_right="0", chi="0.05", sigma_z="1", fock_n_max="12", fock_tail_bound="1e-3"),
       True, cli.EXIT_SOLVER, "error: solver failure at path=fock: sector steady-state residual ")],
-    ids=["fock-n-max-1e200", "fock-n-max-1e400", "profile-unindexable", "size-scan-unindexable",
+    ids=["fock-n-max-1e200", "fock-n-max-1e400", "fock-n-max-1e4000", "profile-unindexable", "size-scan-unindexable",
          "profile-out-of-memory", "size-scan-out-of-memory", "crosscheck-names-the-failing-path"],
 )
 def test_a_size_or_solve_beyond_reach_exits_with_a_documented_code(monkeypatch, tmp_path, capsys, experiment, params,
@@ -916,7 +937,7 @@ def test_a_size_or_solve_beyond_reach_exits_with_a_documented_code(monkeypatch, 
     assert code in readme_exit_codes()
     assert run_main(experiment, tmp_path, params) == code  # main returns: no exception escapes
     (line,) = capsys.readouterr().err.splitlines()
-    assert line.startswith(message)
+    assert line.startswith(message) and len(line) < 200
     assert not (tmp_path / "out.csv").exists()
 
 
@@ -927,3 +948,107 @@ def test_the_largest_chain_size_refused_is_the_readme_s():
         cli._check_chain_size(p, n_sites)
         assert bool(p.errors) == refused
     assert "(N above 379,625,062)" in readme()
+
+
+# a gamma sweep at a mixed atom: two sectors a point, so point p holds sectors 2p and 2p + 1
+MIXED_SWEEP = dict(FIG2, sigma_z="0.3", nbar_right="0.2", sweep_start="0.01", sweep_step="1e-5")
+MIXED_POINTS = chain.SOLVE_SLICE + 40
+MIXED_VALUES = 0.01 + 1e-5 * np.arange(MIXED_POINTS)  # the values cli._sweep_values makes
+
+
+def mixed_sweep(points):
+    return dict(MIXED_SWEEP, sweep_stop=repr(0.01 + 1e-5 * (points - 0.5)))
+
+
+def with_drives(changes):
+    """chain._sector_equations with the drive Q of some sectors changed: {sector: function of its Q}."""
+    build = chain._sector_equations
+
+    def equations(sites, owner, sign):
+        a, q = build(sites, owner, sign)
+        for k, change in changes.items():
+            q[k] = change(q[k])
+        return a, q
+
+    return equations
+
+
+def negated(q):  # C = -C_true, every eigenvalue of which is negative: the positivity guard
+    return -q
+
+
+def skewed(q):  # a non-Hermitian Q, so the Hermitian part of C misses it by 1e-6: the residual guard
+    return q + np.array([[0.0, 1e-6 * q[0, 0]], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize(
+    "changes, named, message",
+    [({2 * (chain.SOLVE_SLICE // 2 + 10) + 1: negated}, chain.SOLVE_SLICE // 2 + 10, "sector covariance is not "
+      "positive semidefinite (relative eigenvalue -1.000e+00)"),
+     ({3: skewed}, 1, "sector steady-state residual "),
+     # the first failure is of the first guard, over the whole stack: the positivity failure in
+     # the second slice, not the residual failure in the first
+     ({3: skewed, 2 * (chain.SOLVE_SLICE // 2 + 10): negated}, chain.SOLVE_SLICE // 2 + 10, "sector covariance is "
+      "not positive semidefinite (relative eigenvalue -1.000e+00)")],
+    ids=["one-failure-past-the-first-slice", "one-failure-in-the-first-slice", "two-guards-in-two-slices"],
+)
+def test_a_failing_point_is_named_by_its_index_and_value_whatever_slice_holds_it(monkeypatch, tmp_path, capsys,
+                                                                                 changes, named, message):
+    monkeypatch.setattr(chain, "_sector_equations", with_drives(changes))
+    with pytest.raises(SolverError) as err:
+        run_experiment(spec_for("gamma_sweep", tmp_path / "out.csv", mixed_sweep(MIXED_POINTS)))
+    assert err.value.__cause__.index == named
+    assert run_main("gamma_sweep", tmp_path, mixed_sweep(MIXED_POINTS)) == cli.EXIT_SOLVER
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith(f"error: solver failure at gamma={MIXED_VALUES[named]}: {message}")
+    assert not (tmp_path / "out.csv").exists()
+
+
+def fail_from_the_second_block(error, output):
+    """Rows.block, raising ``error`` for every block after the first, once the first reached ``output``."""
+    block = cli.Rows.block
+
+    def second_block_fails(rows, start, stop):
+        if start:
+            assert output.stat().st_size > 0  # the first block is in the file
+            raise error("synthetic failure in the second block")
+        return block(rows, start, stop)
+
+    return second_block_fails
+
+
+@pytest.mark.parametrize("error, code, line", [
+    (MemoryError, cli.EXIT_SOLVER, "error: out of memory: synthetic failure in the second block"),
+    (OSError, cli.EXIT_IO, "error: synthetic failure in the second block")], ids=["memory", "io"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_a_write_that_fails_part_way_leaves_no_file(monkeypatch, tmp_path, capsys, fmt, error, code, line):
+    out = tmp_path / f"out.{fmt}"
+    monkeypatch.setattr(cli.Rows, "block", fail_from_the_second_block(error, out))
+    argv = ["run", "--experiment", "gamma_sweep", "--out", str(out), "--format", fmt]
+    for key, value in mixed_sweep(2 * B).items():
+        argv += ["--set", f"{key}={value}"]
+    assert main(argv) == code
+    assert capsys.readouterr().err.splitlines() == [line]
+    assert not out.exists() and not list(tmp_path.iterdir())
+
+
+def test_a_write_that_fails_part_way_removes_no_file_it_reached_through_a_link(monkeypatch, tmp_path):
+    # only a regular file at the output path itself is removed: not a link's target, not a device
+    target, link = tmp_path / "target.csv", tmp_path / "out.csv"
+    link.symlink_to(target)
+    monkeypatch.setattr(cli.Rows, "block", fail_from_the_second_block(MemoryError, link))
+    assert run_main("gamma_sweep", tmp_path, mixed_sweep(2 * B)) == cli.EXIT_SOLVER
+    assert link.is_symlink() and target.stat().st_size > 0
+
+
+def test_a_json_sweep_holds_less_than_a_kilobyte_a_row(tmp_path):
+    # tracemalloc counts numpy's buffers; the whole file's strings and the whole stack's
+    # Kronecker operator took 2.3 KB a row
+    spec = spec_for("gamma_sweep", tmp_path / "out.json", mixed_sweep(100_000), fmt="json")
+    tracemalloc.start()
+    try:
+        rows = run_experiment(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rows) == 100_000 and peak < 1000 * len(rows)

@@ -280,6 +280,38 @@ def test_truncation_escalation_stops_at_the_dimension_guard(monkeypatch):
         converged_steady_rho(system, FockConfig(n_max=2, tail_bound=1e-2))
 
 
+HUGE_N_MAX = 10**4000  # 4001 digits, which the CLI parses as fock_n_max
+
+
+@pytest.mark.parametrize(
+    "run, message",
+    [(lambda: steady_rho(system_for(), FockConfig(n_max=-HUGE_N_MAX, tail_bound=1.0)),
+      "fock: n_max must be an integer of at least 1, got -1.000e+4000"),
+     (lambda: steady_rho(system_for(nbar_left=1e20), FockConfig(n_max=HUGE_N_MAX, tail_bound=0.5)),
+      "fock: Gibbs tail mass 1.000e+00 beyond n_max=1.000e+4000 at nbar=1e+20 exceeds the bound 5.0e-01"),
+     (lambda: steady_rho(system_for(), FockConfig(n_max=HUGE_N_MAX, tail_bound=1.0)),
+      "fock: the block solve of 2 modes at n_max=1.000e+4000 would hold at least 9223372036854775808 bytes"),
+     (lambda: converged_steady_rho(system_for(nbar_left=0.01), FockConfig(n_max=2, tail_bound=1e-2),
+                                   step=HUGE_N_MAX),
+      "truncation escalation at n_max=1.000e+4000 before occupations converged: fock: the block solve of 2 modes "
+      "at n_max=1.000e+4000")],
+    ids=["not-at-least-1", "tail-mass", "size-guard", "escalation"],
+)
+def test_every_message_naming_n_max_prints_a_long_one_as_leading_digits_and_exponent(run, message):
+    with pytest.raises((ValidationError, SolverError)) as info:
+        run()
+    text = str(info.value.errors[0] if isinstance(info.value, ValidationError) else info.value)
+    assert text.startswith(message) and len(text) < 250  # the escalation's carries the size guard's
+
+
+def test_an_n_max_of_more_than_20_digits_is_shown_by_its_leading_digits_in_integer_arithmetic():
+    assert [fockspace._shown(n) for n in (12, 10**20 - 1, np.int64(7), 2.5, True)] == [
+        "12", "99999999999999999999", "7", "2.5", "True"]
+    for n in (10**20, 10**20 + 1, 2**67, 10**308 * 17, -(10**400) + 1, 10**4299):  # past any float
+        digits = str(abs(n))
+        assert fockspace._shown(n) == f"{'-' if n < 0 else ''}{digits[0]}.{digits[1:4]}e+{len(digits) - 1}"
+
+
 @pytest.mark.parametrize(
     "occupation_tol, step, message",
     [(0.0, 2, "occupation_tol must be positive and finite, got 0.0"),
