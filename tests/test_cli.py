@@ -490,8 +490,8 @@ def test_rows_read_as_dicts_and_reject_uneven_columns():
     assert len(rows) == 2 and [row["value"] for row in rows] == [0.1, 0.2]
     assert rows[-1] == dict.fromkeys(cli.COLUMNS) | {"experiment": "gamma_sweep", "value": 0.2, "site": 2,
                                                      "alpha": 0.5, "path": "b"}
-    assert rows[0] | {"experiment": None} == dict.fromkeys(cli.COLUMNS) | {"value": 0.1, "site": 1,
-                                                                          "regime": "conducting", "path": "a"}
+    assert rows[0] == dict.fromkeys(cli.COLUMNS) | {"experiment": "gamma_sweep", "value": 0.1, "site": 1,
+                                                    "regime": "conducting", "path": "a"}
     kinds = [[type(row[name]) for name in ("value", "site", "alpha", "regime")] for row in rows]
     assert kinds == [[float, int, type(None), str], [float, int, float, type(None)]]
     with pytest.raises(IndexError):
